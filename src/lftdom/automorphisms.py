@@ -26,6 +26,9 @@ from .linalg import DEFAULT_TOL, as_cmatrix, operator_norm, principal_sqrt, try_
 from .spaces import is_power_algebra
 
 CHAIN_STEP_CAP = 2**14
+# relative inset of each greedy chain step below the margin, so that a step
+# norm recomputed from the stored waypoints cannot round past the margin
+CHAIN_AIM_INSET = 1e-6
 
 
 def _require_member(dom, z, tol, what):
@@ -207,68 +210,96 @@ class AutomorphismChain:
         return total
 
 
-def _segment_points(a, b, n):
-    return [a + (j / n) * (b - a) for j in range(1, n + 1)]
+def _meets_singular_set(xr, tol):
+    """Whether I + t xr is singular for some t in (0, 1].
+
+    Along w = a + t r the denominator factors as C w + D = (C a + D)(I + t x_a r),
+    so the segment meets the singular set exactly when x_a r has a real
+    eigenvalue at most -1. Rounding can push such an eigenvalue off the real
+    axis (by about the square root of machine epsilon when it is defective),
+    so each eigenvalue with real part at most -1 is judged by the smallest
+    singular value of I + t xr at t = -1 / Re(lam) instead.
+    """
+    eye = np.eye(xr.shape[0], dtype=complex)
+    for lam in np.linalg.eigvals(xr):
+        if lam.real <= -1.0:
+            s = np.linalg.svd(eye - xr / lam.real, compute_uv=False)
+            if s[-1] <= tol.eq_tol * (1.0 + s[0]):
+                return True
+    return False
 
 
-def _refine_polyline(dom, points, margin, max_steps, tol, user_path):
-    """Subdivide each polyline segment until every step obeys the bound.
+def _walk_polyline(dom, points, margin, max_steps, tol, user_path):
+    """Walk each polyline segment in greedy steps that obey the bound.
 
-    Returns the refined waypoint list (including both endpoints) and the
+    On the segment z = a + t (b - a) the step bound is linear in the next
+    parameter, ||x_z (a + t' (b - a) - z)|| = (t' - t) ||x_z (b - a)||, so
+    each step goes straight to t' = min(1, t + aim / ||x_z (b - a)||) with
+    aim = margin (1 - CHAIN_AIM_INSET). No subdivision whose steps all stay
+    within aim takes fewer steps, because t + aim / ||x_z (b - a)|| never
+    decreases along the segment.
+
+    Every point within the bound is a member, since
+    C w + D = (C z + D)(I + x_z (w - z)), so the only check per waypoint is
+    the inversion that yields its kernel. Returns the waypoints (both
+    endpoints included; every vertex of the polyline among them) and the
     per-step norms ||x (next - prev)||.
     """
+    hint = (
+        "refine the supplied path away from the singular set"
+        if user_path
+        else "supply an explicit path avoiding the singular set"
+    )
+    aim = margin * (1.0 - CHAIN_AIM_INSET)
     waypoints = [points[0]]
-    for seg in range(len(points) - 1):
-        a, b = points[seg], points[seg + 1]
-        n = 1
-        while True:
-            candidates = _segment_points(a, b, n)
-            ok = True
-            norms = []
-            prev = a
-            for idx, p in enumerate(candidates):
-                verdict = dom.membership(p, tol)
-                if verdict is not Verdict.MEMBER:
-                    where = len(waypoints) + idx
-                    hint = (
-                        "supply an explicit path avoiding the singular set"
-                        if not user_path
-                        else "refine the supplied path away from the singular set"
-                    )
-                    raise PathLeavesDomainError(
-                        f"waypoint {where} of the subdivided path is not a domain member "
-                        f"({verdict.value}); {hint}",
-                        index=where,
-                    )
-                x = dom.kernel_at(prev, tol)
-                step = operator_norm(x @ (p - prev))
-                norms.append(step)
-                if step > margin:
-                    ok = False
-                    break
-                prev = p
-            if ok:
-                waypoints.extend(candidates)
-                break
-            n *= 2
-            if n > max_steps:
-                raise StepBoundError(
-                    "cannot satisfy the step bound ||(c z + d)^-1 c (z' - z)|| < 1 "
-                    f"within {max_steps} subdivisions; the path runs too close to the "
-                    "singular set"
+    step_norms = []
+    x = dom.kernel_at(points[0], tol)
+    for seg, (a, b) in enumerate(zip(points, points[1:])):
+        r = b - a
+        if _meets_singular_set(x @ r, tol):
+            raise PathLeavesDomainError(
+                f"segment {seg} of the path crosses the singular set at or after "
+                f"waypoint {len(waypoints)}; {hint}",
+                index=len(waypoints),
+            )
+        t = 0.0
+        for _ in range(max_steps):
+            pull = operator_norm(x @ r)
+            t_next = 1.0 if pull * (1.0 - t) <= aim else t + aim / pull
+            w = b if t_next == 1.0 else a + t_next * r
+            den_inv = try_invert(dom.denominator(w), tol)
+            if den_inv is None:
+                raise PathLeavesDomainError(
+                    f"waypoint {len(waypoints)} of the path is not a domain member "
+                    f"(singular); {hint}",
+                    index=len(waypoints),
                 )
-    return waypoints
+            waypoints.append(w)
+            step_norms.append((t_next - t) * pull)
+            x = den_inv @ dom.c
+            t = t_next
+            if t == 1.0:
+                break
+        else:
+            raise StepBoundError(
+                "cannot satisfy the step bound ||(c z + d)^-1 c (z' - z)|| < 1 "
+                f"within {max_steps} steps on segment {seg}; the path runs too close to "
+                "the singular set"
+            )
+    return waypoints, step_norms
 
 
 def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CAP, tol=DEFAULT_TOL):
     """Build a chain of symmetries mapping the domain base point to target.
 
     The default route is the straight segment; a path (sequence of domain
-    members from base point to target) overrides it. Each segment is
-    subdivided by doubling until every step satisfies
-    ||(c z + d)^-1 c (z' - z)|| <= margin, one symmetry factor per step via
-    the midpoint construction. An odd factor count is fixed by prepending
-    the symmetry at the base point, which the composite result absorbs.
+    members from base point to target) overrides it. Each segment is walked
+    in greedy steps with ||(c z + d)^-1 c (z' - z)|| <= margin, one symmetry
+    factor per step via the midpoint construction; max_steps caps the steps
+    on one segment. A segment that crosses the singular set raises
+    PathLeavesDomainError before any step is taken. An odd factor count is
+    fixed by prepending the symmetry at the base point, which the composite
+    result absorbs.
     """
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie strictly between 0 and 1")
@@ -292,20 +323,18 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
                 )
         user_path = True
 
-    waypoints = _refine_polyline(dom, points, margin, max_steps, tol, user_path)
+    waypoints, step_norms = _walk_polyline(dom, points, margin, max_steps, tol, user_path)
     if len(waypoints) % 2 == 0:
         # odd number of steps; duplicate the source so the factor count is even
         waypoints = [source] + waypoints
+        step_norms = [0.0] + step_norms
 
     midpoints = []
     factors = []
-    step_norms = []
     for i in range(len(waypoints) - 1):
         y = find_midpoint(dom, waypoints[i], waypoints[i + 1], tol)
         midpoints.append(y)
         factors.append(symmetry_map(dom, y, tol))
-        x = dom.kernel_at(waypoints[i], tol)
-        step_norms.append(operator_norm(x @ (waypoints[i + 1] - waypoints[i])))
 
     affine = AffineMap.identity(dom.dim_k, dom.dim_h)
     for i in range(0, len(factors), 2):

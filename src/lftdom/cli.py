@@ -100,9 +100,11 @@ def cmd_verify(config, out_path):
     report = run_verify(config)
     for row in report["suites"]:
         status = "PASS" if row["passed"] else "FAIL"
+        residual = row["max_residual"]
+        residual = float("inf") if residual is None else residual
         print(
             f"{status}  {row['name']:<24} trials={row['trials']:<6} "
-            f"max_residual={row['max_residual']:.3e}  [{row['anchor']}]"
+            f"max_residual={residual:.3e}  [{row['anchor']}]"
         )
     print("overall:", "PASS" if report["passed"] else "FAIL")
     if out_path:
@@ -203,7 +205,7 @@ def cmd_transit(args, config):
     with open(args.domain_file, "r", encoding="utf-8") as fh:
         dom = jsonio.domain_from_obj(jsonio.loads(fh.read()), config.tol)
     with open(args.target_file, "r", encoding="utf-8") as fh:
-        target = jsonio.matrix_from_obj(jsonio.loads(fh.read()))
+        target = jsonio.matrix_from_obj(jsonio.loads(fh.read()), jsonio.MAX_SIDE)
     path = None
     if args.path_file:
         with open(args.path_file, "r", encoding="utf-8") as fh:

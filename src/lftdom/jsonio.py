@@ -14,6 +14,10 @@ from .linalg import DEFAULT_TOL, as_cmatrix
 from .spaces import OperatorSpace, full_space
 from .domains import Domain
 
+# largest side of a domain, target or path matrix read from JSON; bounds the
+# work a crafted request can cause before any chain is built
+MAX_SIDE = 16
+
 
 def _reject_constant(token):
     raise ValueError(f"non-finite numeric token {token!r} is not allowed")
@@ -58,7 +62,8 @@ def _numeric_grid(value, rows, cols, name):
     return grid
 
 
-def matrix_from_obj(obj):
+def matrix_from_obj(obj, max_side=None):
+    """A matrix from its JSON object; with max_side, larger sides are rejected."""
     if not isinstance(obj, dict):
         raise ValueError("a matrix object must be a JSON mapping")
     missing = {"rows", "cols", "re", "im"} - set(obj)
@@ -68,6 +73,8 @@ def matrix_from_obj(obj):
     for name, value in (("rows", rows), ("cols", cols)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"field {name!r} must be a positive integer")
+        if max_side is not None and value > max_side:
+            raise ValueError(f"field {name!r} is {value}; at most {max_side} is accepted")
     re = _numeric_grid(obj["re"], rows, cols, "re")
     im = _numeric_grid(obj["im"], rows, cols, "im")
     return re + 1j * im
@@ -82,20 +89,20 @@ def matrix_loads(text):
 
 
 def domain_from_obj(obj, tol=DEFAULT_TOL):
-    """Build a Domain from {"space", "C", "D", "Z0"}."""
+    """Build a Domain from {"space", "C", "D", "Z0"}, every side at most MAX_SIDE."""
     if not isinstance(obj, dict):
         raise ValueError("a domain object must be a JSON mapping")
     missing = {"space", "C", "D", "Z0"} - set(obj)
     if missing:
         raise ValueError(f"domain object lacks fields: {sorted(missing)}")
-    z0 = matrix_from_obj(obj["Z0"])
-    c = matrix_from_obj(obj["C"])
-    d = matrix_from_obj(obj["D"])
+    z0 = matrix_from_obj(obj["Z0"], MAX_SIDE)
+    c = matrix_from_obj(obj["C"], MAX_SIDE)
+    d = matrix_from_obj(obj["D"], MAX_SIDE)
     space_obj = obj["space"]
     if space_obj == "full":
         space = full_space(z0.shape[0], z0.shape[1])
     elif isinstance(space_obj, dict) and "basis" in space_obj:
-        basis = [matrix_from_obj(b) for b in space_obj["basis"]]
+        basis = [matrix_from_obj(b, MAX_SIDE) for b in space_obj["basis"]]
         if not basis:
             raise ValueError("space basis must not be empty")
         space = OperatorSpace(basis[0].shape[0], basis[0].shape[1], basis)
@@ -127,10 +134,10 @@ def chain_to_obj(chain):
 
 
 def path_from_obj(obj):
-    """A path file: {"waypoints": [matrix, ...]}."""
+    """A path file: {"waypoints": [matrix, ...]}, every side at most MAX_SIDE."""
     if not isinstance(obj, dict) or "waypoints" not in obj:
         raise ValueError('a path object needs a "waypoints" list')
     points = obj["waypoints"]
     if not isinstance(points, list) or len(points) < 2:
         raise ValueError("a path needs at least two waypoints")
-    return [matrix_from_obj(p) for p in points]
+    return [matrix_from_obj(p, MAX_SIDE) for p in points]

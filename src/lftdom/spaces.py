@@ -94,8 +94,11 @@ def closed_under_quadratic(space, x0, tol=DEFAULT_TOL):
 
     By polarisation the quadratic condition is equivalent to membership of
     Bi @ x0 @ Bj + Bj @ x0 @ Bi for every basis pair, which is what is checked.
+    A full space holds every dim_k x dim_h product, so it passes at once.
     """
     x0 = as_cmatrix(x0, rows=space.dim_h, cols=space.dim_k)
+    if space.is_full:
+        return True
     bs = space.basis
     for i in range(len(bs)):
         for j in range(i, len(bs)):

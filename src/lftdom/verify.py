@@ -6,7 +6,9 @@ together with the identity it checked. The command line front end renders the
 rows; callers that want programmatic access use run_verify directly.
 """
 
+import os
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +103,8 @@ class SuiteResult:
             "name": self.name,
             "anchor": self.anchor,
             "trials": self.trials,
-            "max_residual": float(self.max_residual),
+            # JSON has no infinity; an aborted suite reports null
+            "max_residual": float(self.max_residual) if np.isfinite(self.max_residual) else None,
             "passed": bool(self.passed),
             "elapsed": float(self.elapsed),
         }
@@ -762,25 +765,26 @@ def suite_quadric(config, rng):
     )
 
 
+# (report name, suite) in report order; an aborted suite keeps its name
 SUITES = (
-    suite_symmetry,
-    suite_symmetry_routes,
-    suite_midpoint,
-    suite_chain,
-    suite_affine_pairs,
-    suite_transport,
-    suite_swap,
-    suite_equivalence,
-    suite_potapov_ginzburg,
-    suite_liouville,
-    suite_determinant,
-    suite_connectivity,
-    suite_siegel,
-    suite_exterior,
-    suite_mobius,
-    suite_product,
-    suite_hyperbolic,
-    suite_quadric,
+    ("symmetry-involution", suite_symmetry),
+    ("symmetry-dual-route", suite_symmetry_routes),
+    ("midpoint-swap", suite_midpoint),
+    ("chain-transitivity", suite_chain),
+    ("affine-pair-fold", suite_affine_pairs),
+    ("affine-transport", suite_transport),
+    ("swap-involution", suite_swap),
+    ("affine-equivalence", suite_equivalence),
+    ("potapov-ginzburg", suite_potapov_ginzburg),
+    ("liouville-curve", suite_liouville),
+    ("determinant-membership", suite_determinant),
+    ("connectivity-class", suite_connectivity),
+    ("siegel-stacked", suite_siegel),
+    ("exterior-isometry", suite_exterior),
+    ("mobius-ball", suite_mobius),
+    ("product-transport", suite_product),
+    ("hyperbolic-transport", suite_hyperbolic),
+    ("quadric-closed-form", suite_quadric),
 )
 
 
@@ -788,14 +792,21 @@ def run_verify(config):
     """Run every suite with its own (seed, index) generator; return the report."""
     rows = []
     all_passed = True
-    for index, suite in enumerate(SUITES):
+    for index, (name, suite) in enumerate(SUITES):
         rng = np.random.default_rng([config.seed, index])
         try:
             result = suite(config, rng)
-        except LftdomError as exc:
+        except Exception as exc:  # any failure aborts only its own row
+            # the innermost frame inside this package says where it failed
+            here = os.path.dirname(__file__)
+            frames = traceback.extract_tb(exc.__traceback__)
+            frame = [f for f in frames if os.path.dirname(f.filename) == here][-1]
             result = SuiteResult(
-                name=suite.__name__.replace("suite_", "").replace("_", "-"),
-                anchor=f"suite aborted: {exc}",
+                name=name,
+                anchor=(
+                    f"suite aborted: {type(exc).__name__}: {exc} "
+                    f"(in {frame.name}, {os.path.basename(frame.filename)}:{frame.lineno})"
+                ),
                 trials=0,
                 max_residual=float("inf"),
                 passed=False,

@@ -38,6 +38,7 @@ from lftdom import (
     transitive_chain,
     whole_space_domain,
 )
+from lftdom.verify import RunConfig, example_domains
 from lftdom.sampling import (
     random_domain_member,
     random_matrix,
@@ -236,6 +237,105 @@ def test_chain_validates_margin_and_path():
         transitive_chain(dom, target, path=[np.array([[3.0]]), target])
     with pytest.raises(PathLeavesDomainError):
         transitive_chain(dom, target, path=[dom.z0, np.array([[0.0]]), target])
+
+
+def doubling_steps(dom, a, b, margin=0.9, cap=2**14):
+    """Steps the former uniform doubling took on [a, b], with its worst step.
+
+    Tries n = 1, 2, 4, ... equal steps until every step norm
+    ||(C W + D)^-1 C (W' - W)|| is at most margin; None when a subdivision
+    point is singular or n would pass cap.
+    """
+    r = b - a
+    n = 1
+    while n <= cap:
+        pts = a + (np.arange(n + 1) / n)[:, None, None] * r
+        den = dom.c @ pts + dom.d
+        if (np.linalg.svd(den, compute_uv=False)[:, -1] <= 1e-10).any():
+            return None
+        x = np.linalg.solve(den[:-1], np.broadcast_to(dom.c, (n,) + dom.c.shape))
+        worst = np.linalg.svd(x @ (pts[1:] - pts[:-1]), compute_uv=False)[:, 0].max()
+        if worst <= margin:
+            return n, worst
+        n *= 2
+    return None
+
+
+def recomputed_step_norms(dom, chain):
+    w = chain.waypoints
+    return [
+        operator_norm(np.linalg.solve(dom.denominator(w[i]), dom.c) @ (w[i + 1] - w[i]))
+        for i in range(len(w) - 1)
+    ]
+
+
+def test_greedy_chain_never_takes_more_factors_than_doubling():
+    rng = np.random.default_rng(61)
+    compared = 0
+    for dom in example_domains(RunConfig()):
+        for _ in range(10):
+            target = random_domain_member(rng, dom, margin=0.05)
+            old = doubling_steps(dom, dom.z0, target)
+            if old is None or old[1] > 0.9 * (1.0 - 1e-3):
+                continue
+            old_factors = old[0] + old[0] % 2
+            chain = transitive_chain(dom, target)
+            assert chain.factor_count <= old_factors, dom.label
+            compared += 1
+    assert compared >= 40
+
+
+def test_greedy_chain_step_norms_recomputed_stay_within_the_margin():
+    rng = np.random.default_rng(62)
+    for dom in example_domains(RunConfig()):
+        for margin in (0.3, 0.9):
+            target = random_target_in_reach(rng, dom, max_pull=0.8)
+            chain = transitive_chain(dom, target, margin=margin)
+            recomputed = recomputed_step_norms(dom, chain)
+            assert max(recomputed) <= margin, dom.label
+            assert np.allclose(recomputed, chain.step_norms, rtol=1e-9, atol=1e-12)
+
+
+def test_chain_through_a_defective_singular_point_fails_at_once():
+    # C is a Jordan block and C (I + t J) has a double zero of det at t = 1/2;
+    # steps toward it shrink without end, so only the crossing test stops it
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+    dom = Domain(full_space(2, 2), jordan, np.zeros((2, 2)), np.eye(2))
+    target = np.eye(2) + np.array([[-2.0, 1.0], [0.0, -2.0]])
+    with pytest.raises(PathLeavesDomainError) as err:
+        transitive_chain(dom, target, max_steps=8)
+    assert err.value.index == 1
+    # the same crossing with the defective eigenvalue split by rounding
+    u = np.linalg.qr(random_matrix(np.random.default_rng(63), 2, 2))[0]
+    r = u @ np.array([[-2.0, 1.0], [0.0, -2.0]]) @ u.conj().T
+    with pytest.raises(PathLeavesDomainError) as err:
+        transitive_chain(invertibles_domain(full_space(2, 2)), np.eye(2) + r, max_steps=8)
+    assert err.value.index == 1
+
+
+def test_chain_passing_close_to_the_singular_set_takes_few_steps():
+    # the straight route from 1 to -1 + 2e-6 i passes 1e-6 from 0
+    dom = scalar_invertibles()
+    target = np.array([[-1.0 + 2e-6j]])
+    chain = transitive_chain(dom, target)
+    assert chain.factor_count <= 64
+    assert chain.residual <= 1e-8
+    assert max(recomputed_step_norms(dom, chain)) <= 0.9
+
+
+def test_quadric_tail_target_takes_few_factors():
+    dom = example_domains(RunConfig())[5]
+    coords = [
+        -0.7637895456982826 - 0.47927155530378274j,
+        -0.27947223063271365 - 0.471320541735349j,
+        -0.8128262939148008 - 0.42334402270426885j,
+        0.19904894610655433 - 0.8045686848312199j,
+    ]
+    target = dom.space.lincomb(coords)
+    assert doubling_steps(dom, dom.z0, target)[0] == 512
+    chain = transitive_chain(dom, target)
+    assert chain.factor_count <= 32
+    assert chain.residual <= 1e-8 * (1 + operator_norm(target))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lftdom import jsonio
+from lftdom import SingularMatrixError, full_space, jsonio, verify, whole_space_domain
 from lftdom.cli import main
 from lftdom.domains import LFTMap, lft_apply
 
@@ -138,6 +138,34 @@ def test_verify_same_seed_reports_match(tmp_path, capsys):
     assert a == b
 
 
+def test_verify_aborted_suites_keep_their_rows(monkeypatch, tmp_path, capsys):
+    def raise_lftdom(config, rng):
+        raise SingularMatrixError("planted failure")
+
+    def raise_linalg(config, rng):
+        raise np.linalg.LinAlgError("planted failure")
+
+    planted = {"midpoint-swap": raise_lftdom, "liouville-curve": raise_linalg}
+    names = [name for name, _ in verify.SUITES]
+    suites = tuple((name, planted.get(name, suite)) for name, suite in verify.SUITES)
+    monkeypatch.setattr(verify, "SUITES", suites)
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--trials", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out.strip().splitlines()[-1] == "overall: FAIL"
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["passed"] is False
+    assert [row["name"] for row in report["suites"]] == names
+    assert len(names) == 18
+    for row in report["suites"]:
+        assert row["passed"] is (row["name"] not in planted), row["name"]
+        assert (row["max_residual"] is None) is (row["name"] in planted), row["name"]
+    by_name = {row["name"]: row for row in report["suites"]}
+    assert by_name["midpoint-swap"]["anchor"].startswith("suite aborted: SingularMatrixError")
+    assert by_name["liouville-curve"]["anchor"].startswith("suite aborted: LinAlgError")
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["verify", "--trials", "0"]) == 2
     assert "usage error:" in capsys.readouterr().err
@@ -233,6 +261,31 @@ def test_transit_straight_path_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error at waypoint 1:")
+
+
+def test_transit_rejects_matrices_above_sixteen(tmp_path, capsys):
+    dom_file = tmp_path / "dom.json"
+    target_file = tmp_path / "target.json"
+    eye = np.eye(17)
+    write_text(
+        dom_file,
+        jsonio.dumps(
+            {"space": "full", "C": matrix_obj(eye), "D": matrix_obj(0 * eye), "Z0": matrix_obj(eye)}
+        ),
+    )
+    write_text(target_file, jsonio.matrix_dumps(eye))
+    rc = main(["transit", str(dom_file), str(target_file)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "input error:" in captured.err and "at most 16" in captured.err
+
+    # a 16 x 16 request is accepted; the 17 x 17 target alone is rejected
+    write_text(dom_file, jsonio.dumps(jsonio.domain_to_obj(whole_space_domain(full_space(16, 16)))))
+    write_text(target_file, jsonio.matrix_dumps(np.eye(16)))
+    assert main(["transit", str(dom_file), str(target_file)]) == 0
+    write_text(target_file, jsonio.matrix_dumps(eye))
+    assert main(["transit", str(dom_file), str(target_file)]) == 2
+    capsys.readouterr()
 
 
 def test_transit_input_errors(tmp_path, capsys):

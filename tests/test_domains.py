@@ -149,6 +149,22 @@ def test_domain_quadratic_closure_gate():
         Domain(off, np.eye(2), np.eye(2) - z0, z0)
 
 
+def test_full_space_domain_at_the_largest_size_builds_at_once(monkeypatch):
+    # a full space holds every product, so only the base point is projected
+    rng = np.random.default_rng(29)
+    c = rand_c(rng, 16, 16)
+    z0 = rand_c(rng, 16, 16)
+    projections = []
+    contains = OperatorSpace.contains
+    monkeypatch.setattr(
+        OperatorSpace, "contains", lambda *args: projections.append(1) or contains(*args)
+    )
+    dom = Domain(full_space(16, 16), c, np.eye(16) - c @ z0, z0)
+    assert len(projections) == 1
+    assert dom.membership(z0) is Verdict.MEMBER
+    assert operator_norm(dom.x0 - c) <= 1e-9 * operator_norm(c)
+
+
 def test_every_stock_domain_contains_its_base_point():
     doms = [
         whole_space_domain(full_space(2, 2)),
