@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import Domain, LFTMap, Verdict, lft_apply
+from .domains import Domain, LFTMap, lft_apply
 from .exceptions import (
     HypothesisError,
     InternalCheckError,
@@ -32,13 +32,14 @@ CHAIN_AIM_INSET = 1e-6
 
 
 def _require_member(dom, z, tol, what):
+    """Validate z as a member of dom; returns z and the inverse (c z + d)^-1."""
     z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
-    verdict = dom.membership(z, tol)
-    if verdict is Verdict.NOT_IN_SPACE:
+    if not dom.space.contains(z, tol):
         raise SpaceClosureError(f"{what} does not belong to the operator space")
-    if verdict is Verdict.SINGULAR:
+    den_inv = try_invert(dom.denominator(z), tol)
+    if den_inv is None:
         raise SingularMatrixError(f"c z + d is singular at {what}")
-    return z
+    return z, den_inv
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,12 @@ def symmetry_map(dom, y, tol=DEFAULT_TOL):
     Blocks are [[-(I - y x), 2 y - y x y], [x, I - x y]] with x the kernel
     (c y + d)^-1 c; the assembled coefficient matrix squares to the identity.
     """
-    y = _require_member(dom, y, tol, "the symmetry point y")
-    x = dom.kernel_at(y, tol)
+    y, den_inv = _require_member(dom, y, tol, "the symmetry point y")
+    return _symmetry_blocks(dom, y, den_inv @ dom.c)
+
+
+def _symmetry_blocks(dom, y, x):
+    """The blocks of the symmetry at y, given its kernel x = (c y + d)^-1 c."""
     eye_k = np.eye(dom.dim_k, dtype=complex)
     eye_h = np.eye(dom.dim_h, dtype=complex)
     yx = y @ x
@@ -116,7 +121,12 @@ def symmetry_direct(dom, y, z, tol=DEFAULT_TOL):
     den_inv = try_invert(dom.denominator(z), tol)
     if den_inv is None:
         raise SingularMatrixError("c z + d is singular at z")
-    return y - (z - y) @ den_inv @ dom.denominator(y)
+    return _symmetry_at(dom, y, z, den_inv)
+
+
+def _symmetry_at(dom, y, z, z_den_inv):
+    """y - (z - y)(c z + d)^-1 (c y + d), given z_den_inv = (c z + d)^-1."""
+    return y - (z - y) @ z_den_inv @ dom.denominator(y)
 
 
 def fixed_point_derivative(dom, y, direction, step=1e-4, tol=DEFAULT_TOL):
@@ -144,9 +154,19 @@ def find_midpoint(dom, z, w, tol=DEFAULT_TOL):
     midpoint is guaranteed to land in the domain; a numerical violation is
     an internal error, not bad input.
     """
-    z = _require_member(dom, z, tol, "the start point z")
-    w = _require_member(dom, w, tol, "the end point w")
-    x = dom.kernel_at(z, tol)
+    z, z_den_inv = _require_member(dom, z, tol, "the start point z")
+    w, _ = _require_member(dom, w, tol, "the end point w")
+    return _midpoint(dom, z, z_den_inv, w, tol)[0]
+
+
+def _midpoint(dom, z, z_den_inv, w, tol):
+    """The point y whose symmetry sends the member z to w, and (c y + d)^-1.
+
+    z_den_inv is (c z + d)^-1. The inversion that checks y's membership is
+    redundant in exact arithmetic, since c y + d = (c z + d) q, but it is
+    kept: it guards against ill conditioned input and yields y's kernel.
+    """
+    x = z_den_inv @ dom.c
     r = w - z
     xr = x @ r
     bound = operator_norm(xr)
@@ -159,12 +179,13 @@ def find_midpoint(dom, z, w, tol=DEFAULT_TOL):
     if den_inv is None:
         raise InternalCheckError("I + q is singular although ||x r|| < 1")
     y = z + r @ den_inv
-    if not dom.is_member(y, tol):
+    y_den_inv = try_invert(dom.denominator(y), tol) if dom.space.contains(y, tol) else None
+    if y_den_inv is None:
         raise InternalCheckError("midpoint fell outside the domain; ill conditioned input")
-    reached = symmetry_direct(dom, y, z, tol)
+    reached = _symmetry_at(dom, y, z, z_den_inv)
     if operator_norm(reached - w) > 1e-6 * (1.0 + operator_norm(w)):
         raise InternalCheckError("midpoint symmetry failed to reproduce the target point")
-    return y
+    return y, y_den_inv
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +263,8 @@ def _walk_polyline(dom, points, margin, max_steps, tol, user_path):
     Every point within the bound is a member, since
     C w + D = (C z + D)(I + x_z (w - z)), so the only check per waypoint is
     the inversion that yields its kernel. Returns the waypoints (both
-    endpoints included; every vertex of the polyline among them) and the
-    per-step norms ||x (next - prev)||.
+    endpoints included; every vertex of the polyline among them), the
+    inverses (C w + D)^-1 at them, and the per-step norms ||x (next - prev)||.
     """
     hint = (
         "refine the supplied path away from the singular set"
@@ -251,9 +272,11 @@ def _walk_polyline(dom, points, margin, max_steps, tol, user_path):
         else "supply an explicit path avoiding the singular set"
     )
     aim = margin * (1.0 - CHAIN_AIM_INSET)
+    den_inv = dom.denominator_inverse(points[0], tol)
     waypoints = [points[0]]
+    den_invs = [den_inv]
     step_norms = []
-    x = dom.kernel_at(points[0], tol)
+    x = den_inv @ dom.c
     for seg, (a, b) in enumerate(zip(points, points[1:])):
         r = b - a
         if _meets_singular_set(x @ r, tol):
@@ -275,6 +298,7 @@ def _walk_polyline(dom, points, margin, max_steps, tol, user_path):
                     index=len(waypoints),
                 )
             waypoints.append(w)
+            den_invs.append(den_inv)
             step_norms.append((t_next - t) * pull)
             x = den_inv @ dom.c
             t = t_next
@@ -286,7 +310,7 @@ def _walk_polyline(dom, points, margin, max_steps, tol, user_path):
                 f"within {max_steps} steps on segment {seg}; the path runs too close to "
                 "the singular set"
             )
-    return waypoints, step_norms
+    return waypoints, den_invs, step_norms
 
 
 def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CAP, tol=DEFAULT_TOL):
@@ -304,7 +328,7 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie strictly between 0 and 1")
     source = dom.z0
-    target = _require_member(dom, target, tol, "the chain target")
+    target, _ = _require_member(dom, target, tol, "the chain target")
     if path is None:
         points = [source, target]
         user_path = False
@@ -323,22 +347,34 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
                 )
         user_path = True
 
-    waypoints, step_norms = _walk_polyline(dom, points, margin, max_steps, tol, user_path)
+    waypoints, den_invs, step_norms = _walk_polyline(
+        dom, points, margin, max_steps, tol, user_path
+    )
     if len(waypoints) % 2 == 0:
         # odd number of steps; duplicate the source so the factor count is even
+        # (a supplied path starts within eq_tol of the source, not at it)
+        if waypoints[0] is source:
+            source_den_inv = den_invs[0]
+        else:
+            source_den_inv = dom.denominator_inverse(source, tol)
         waypoints = [source] + waypoints
+        den_invs = [source_den_inv] + den_invs
         step_norms = [0.0] + step_norms
 
+    # each factor reuses the walk's inversion at its start; the midpoint's
+    # membership check supplies the factor's kernel
     midpoints = []
+    mid_den_invs = []
     factors = []
-    for i in range(len(waypoints) - 1):
-        y = find_midpoint(dom, waypoints[i], waypoints[i + 1], tol)
+    for z, z_den_inv, w in zip(waypoints, den_invs, waypoints[1:]):
+        y, y_den_inv = _midpoint(dom, z, z_den_inv, w, tol)
         midpoints.append(y)
-        factors.append(symmetry_map(dom, y, tol))
+        mid_den_invs.append(y_den_inv)
+        factors.append(_symmetry_blocks(dom, y, y_den_inv @ dom.c))
 
     affine = AffineMap.identity(dom.dim_k, dom.dim_h)
     for i in range(0, len(factors), 2):
-        pair = compose_symmetries_affine(dom, midpoints[i + 1], midpoints[i], tol)
+        pair = _pair_fold(dom, midpoints[i + 1], midpoints[i], mid_den_invs[i])
         affine = pair.compose(affine)
     # rebase so the record is anchored at the source
     affine = AffineMap(
@@ -373,11 +409,16 @@ def compose_symmetries_affine(dom, w, y, tol=DEFAULT_TOL):
     matrix vanishes, leaving offset U_w(y) with linear factors
     I + (w - y) x and I + x (w - y), x the kernel at y.
     """
-    w = _require_member(dom, w, tol, "the outer symmetry point w")
-    y = _require_member(dom, y, tol, "the inner symmetry point y")
-    x = dom.kernel_at(y, tol)
+    w, _ = _require_member(dom, w, tol, "the outer symmetry point w")
+    y, y_den_inv = _require_member(dom, y, tol, "the inner symmetry point y")
+    return _pair_fold(dom, w, y, y_den_inv)
+
+
+def _pair_fold(dom, w, y, y_den_inv):
+    """The affine record of U_w after U_y, given y_den_inv = (c y + d)^-1."""
+    x = y_den_inv @ dom.c
     d = w - y
-    offset = symmetry_direct(dom, w, y, tol)
+    offset = _symmetry_at(dom, w, y, y_den_inv)
     return AffineMap(
         base=y,
         offset=offset,
@@ -392,7 +433,7 @@ def affine_transport(dom, w0, tol=DEFAULT_TOL):
     phi(z) = w0 + (I + (w0 - z0) x0)^(1/2) (z - z0) (I + x0 (w0 - z0))^(1/2),
     defined when ||x0 (w0 - z0)|| < 1.
     """
-    w0 = _require_member(dom, w0, tol, "the transport target w0")
+    w0, _ = _require_member(dom, w0, tol, "the transport target w0")
     a = w0 - dom.z0
     bound = operator_norm(dom.x0 @ a)
     if bound >= 1.0:
@@ -463,7 +504,7 @@ def swap_involution(dom, w0, tol=DEFAULT_TOL):
     Requires ||x0 (w0 - z0)|| < 1 so both square roots exist on the
     principal branch.
     """
-    w0 = _require_member(dom, w0, tol, "the swap target w0")
+    w0, _ = _require_member(dom, w0, tol, "the swap target w0")
     a = w0 - dom.z0
     bound = operator_norm(dom.x0 @ a)
     if bound >= 1.0:
@@ -564,7 +605,7 @@ def liouville_curve(dom, z, tol=DEFAULT_TOL):
 
     Requires ||x0 (z - z0)|| < 1 for the series to converge.
     """
-    z = _require_member(dom, z, tol, "the curve endpoint z")
+    z, _ = _require_member(dom, z, tol, "the curve endpoint z")
     w = dom.x0 @ (z - dom.z0)
     bound = operator_norm(w)
     if bound >= 1.0:
@@ -641,8 +682,8 @@ def affine_equivalence(dom1, dom2, r, z1, z2, tol=DEFAULT_TOL):
     defect = operator_norm(dom2.c - dom1.c @ r)
     if defect > tol.eq_tol * (1.0 + operator_norm(dom2.c)):
         raise HypothesisError(f"c2 = c1 r fails with defect {defect:.3g}")
-    z1 = _require_member(dom1, z1, tol, "z1")
-    z2 = _require_member(dom2, z2, tol, "z2")
+    z1, _ = _require_member(dom1, z1, tol, "z1")
+    z2, _ = _require_member(dom2, z2, tol, "z2")
     right = np.linalg.solve(dom1.denominator(z1), dom2.denominator(z2))
     phi = AffineMap(base=z1, offset=z2, left=r_inv, right=right)
     return AffineEquivalence(phi=phi, r=r, dom1=dom1, dom2=dom2)

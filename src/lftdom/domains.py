@@ -149,12 +149,16 @@ class Domain:
     def denominator(self, z):
         return self.c @ z + self.d
 
-    def kernel_at(self, y, tol=DEFAULT_TOL):
-        """X = (c y + d)^-1 c, the local kernel entering every automorphism formula."""
+    def denominator_inverse(self, y, tol=DEFAULT_TOL):
+        """(c y + d)^-1; raises SingularMatrixError where c y + d is singular."""
         den_inv = try_invert(self.c @ y + self.d, tol)
         if den_inv is None:
             raise SingularMatrixError("c y + d is singular; point is outside the domain")
-        return den_inv @ self.c
+        return den_inv
+
+    def kernel_at(self, y, tol=DEFAULT_TOL):
+        """X = (c y + d)^-1 c, the local kernel entering every automorphism formula."""
+        return self.denominator_inverse(y, tol) @ self.c
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,8 @@ def matrix_to_obj(m):
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "re": [[float(v.real) for v in row] for row in m],
-        "im": [[float(v.imag) for v in row] for row in m],
+        "re": m.real.tolist(),
+        "im": m.imag.tolist(),
     }
 
 

@@ -64,7 +64,7 @@ def dagger(z):
 def operator_norm(z):
     """Largest singular value of ``z``."""
     z = np.asarray(z, dtype=complex)
-    return float(np.linalg.norm(z, 2))
+    return float(np.linalg.svd(z, compute_uv=False)[0])
 
 
 def _require_square(z, who):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from lftdom import (
+    DEFAULT_TOL,
+    AffineMap,
     ConvergenceError,
     Domain,
     HypothesisError,
@@ -36,6 +38,7 @@ from lftdom import (
     symmetry_direct,
     symmetry_map,
     transitive_chain,
+    try_invert,
     whole_space_domain,
 )
 from lftdom.verify import RunConfig, example_domains
@@ -336,6 +339,64 @@ def test_quadric_tail_target_takes_few_factors():
     chain = transitive_chain(dom, target)
     assert chain.factor_count <= 32
     assert chain.residual <= 1e-8 * (1 + operator_norm(target))
+
+
+def rebuilt_from_waypoints(dom, chain):
+    """Midpoints, factor matrices and affine record through the public functions."""
+    w = chain.waypoints
+    midpoints = [find_midpoint(dom, a, b) for a, b in zip(w, w[1:])]
+    factors = [symmetry_map(dom, y).coefficient_matrix() for y in midpoints]
+    affine = AffineMap.identity(dom.dim_k, dom.dim_h)
+    for i in range(0, len(midpoints), 2):
+        affine = compose_symmetries_affine(dom, midpoints[i + 1], midpoints[i]).compose(affine)
+    affine = AffineMap(
+        base=chain.source, offset=affine(chain.source), left=affine.left, right=affine.right
+    )
+    return midpoints, factors, affine
+
+
+def test_chain_factors_equal_the_public_constructions_bit_for_bit():
+    rng = np.random.default_rng(64)
+    # with generic coefficients a changed operation order shows in the last bits
+    c, d = random_matrix(rng, 3, 3), np.eye(3) + random_matrix(rng, 3, 3)
+    generic = Domain(full_space(3, 3), c, d, np.zeros((3, 3)))
+    compared = 0
+    for dom in example_domains(RunConfig()) + [generic]:
+        for _ in range(20):
+            target = random_domain_member(rng, dom, margin=0.05)
+            try:
+                chain = transitive_chain(dom, target)
+            except PathLeavesDomainError:
+                continue
+            midpoints, factors, affine = rebuilt_from_waypoints(dom, chain)
+            assert all(np.array_equal(a, b) for a, b in zip(chain.midpoints, midpoints))
+            got = [f.coefficient_matrix() for f in chain.factors]
+            assert all(np.array_equal(a, b) for a, b in zip(got, factors)), dom.label
+            for field in ("base", "offset", "left", "right"):
+                assert np.array_equal(getattr(chain.affine, field), getattr(affine, field))
+            compared += 1
+    assert compared >= 100
+
+
+def test_chain_inverts_at_most_four_times_per_factor(monkeypatch):
+    import lftdom.automorphisms
+    import lftdom.domains
+
+    calls = []
+
+    def counting_try_invert(z, tol=DEFAULT_TOL):
+        calls.append(None)
+        return try_invert(z, tol)
+
+    monkeypatch.setattr(lftdom.automorphisms, "try_invert", counting_try_invert)
+    monkeypatch.setattr(lftdom.domains, "try_invert", counting_try_invert)
+    rng = np.random.default_rng(65)
+    for dom in example_domains(RunConfig()):
+        for _ in range(3):
+            target = random_target_in_reach(rng, dom, max_pull=0.8)
+            calls.clear()
+            chain = transitive_chain(dom, target)
+            assert len(calls) <= 4 * chain.factor_count + 2, dom.label
 
 
 # ---------------------------------------------------------------------------

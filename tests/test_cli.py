@@ -53,6 +53,22 @@ def test_matrix_json_round_trip_is_exact():
         assert np.array_equal(back, m)
 
 
+def test_matrix_json_matches_per_entry_floats_byte_for_byte():
+    rng = np.random.default_rng(49)
+    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    m[0, 0] = complex(-0.0, -0.0)
+    m[1, 2] = complex(5e-324, -2.2250738585072014e-309)
+    m[3, 4] = complex(-4e-320, 0.0)
+    per_entry = {
+        "rows": 16,
+        "cols": 16,
+        "re": [[float(v.real) for v in row] for row in m],
+        "im": [[float(v.imag) for v in row] for row in m],
+    }
+    assert jsonio.dumps(jsonio.matrix_to_obj(m)) == jsonio.dumps(per_entry)
+    assert '"re": [\n    [\n      -0.0,' in jsonio.dumps(jsonio.matrix_to_obj(m))
+
+
 def test_matrix_json_rejects_bad_payloads():
     with pytest.raises(ValueError, match="lacks fields"):
         jsonio.matrix_from_obj({"rows": 1, "cols": 1, "re": [[0.0]]})

@@ -77,6 +77,15 @@ def test_operator_norm_of_known_matrices():
     assert abs(operator_norm(u @ v) - 5.0 * math.sqrt(5.0)) <= 1e-12
 
 
+def test_operator_norm_equals_the_numpy_two_norm_exactly():
+    rng = np.random.default_rng(12)
+    for rows in (1, 2, 3, 4, 8, 16):
+        for cols in {1, rows, 16 // rows + 1, 16}:
+            for _ in range(20):
+                z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+                assert operator_norm(z) == float(np.linalg.norm(z, 2))
+
+
 def test_try_invert_returns_inverse_or_none():
     rng = np.random.default_rng(12)
     for _ in range(20):

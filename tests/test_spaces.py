@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lftdom import (
+    DEFAULT_TOL,
     OperatorSpace,
     ShapeError,
     SpaceClosureError,
@@ -91,6 +92,43 @@ def test_closed_under_quadratic_agrees_with_sampling():
             coeffs = rng.uniform(-1, 1, space.dim) + 1j * rng.uniform(-1, 1, space.dim)
             z = space.lincomb(coeffs)
             assert space.contains(z @ x0 @ z)
+
+
+def pairwise_products_stay(space, x, tol=DEFAULT_TOL):
+    """The former per-pair loop: one space.contains per symmetrised product."""
+    bs = space.basis
+    return all(
+        space.contains(bs[i] @ x @ bs[j] + bs[j] @ x @ bs[i], tol)
+        for i in range(len(bs))
+        for j in range(i, len(bs))
+    )
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_stacked_closure_checks_match_the_pairwise_loop(n):
+    rng = np.random.default_rng(24 + n)
+    eye = np.eye(n, dtype=complex)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    cases = [
+        # x0 symmetric closes the symmetric space; a generic x0 does not
+        (symmetric_space(n), g + g.T, True),
+        (symmetric_space(n), g, False),
+        # x0 upper triangular closes the upper-triangular space
+        (upper_triangular_space(n), np.triu(g), True),
+        (upper_triangular_space(n), g, False),
+    ]
+    for space, x0, closes in cases:
+        assert closed_under_quadratic(space, x0) is closes
+        assert pairwise_products_stay(space, x0) is closes
+        assert is_power_algebra(space)
+    # contains I but not the symmetrised product E01 E12 + E12 E01 = E02
+    e = np.zeros((3, n, n), dtype=complex)
+    e[0] = np.eye(n)
+    e[1, 0, 1] = 1.0
+    e[2, 1, 2] = 1.0
+    chain_space = OperatorSpace(n, n, list(e))
+    assert not is_power_algebra(chain_space)
+    assert not pairwise_products_stay(chain_space, eye)
 
 
 def test_is_power_algebra_examples():
