@@ -28,7 +28,6 @@ from .linalg import (
     dagger,
     operator_norm,
     principal_sqrt,
-    spectral_radius,
     try_invert,
 )
 from .spaces import (
@@ -74,7 +73,6 @@ from .automorphisms import (
     potapov_ginzburg_map,
     signature_from_projection,
     swap_involution,
-    symmetry_coefficient_matrix,
     symmetry_direct,
     symmetry_map,
     transitive_chain,
@@ -88,7 +86,6 @@ from .circular import (
     SiegelLinearAuto,
     SiegelSpec,
     SpaceLinearMap,
-    ball_signature,
     cayley_map,
     exterior_linear_auto_check,
     exterior_member,
@@ -105,7 +102,7 @@ from .circular import (
     siegel_linear_auto,
     siegel_member,
 )
-from .verify import RunConfig, SuiteResult, example_domains, run_verify
+from .verify import RunConfig, example_domains, run_verify
 
 __version__ = "0.1.0"
 

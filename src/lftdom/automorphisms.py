@@ -22,7 +22,15 @@ from .exceptions import (
     SpaceClosureError,
     StepBoundError,
 )
-from .linalg import DEFAULT_TOL, as_cmatrix, operator_norm, principal_sqrt, try_invert
+from .linalg import (
+    DEFAULT_TOL,
+    as_cmatrix,
+    binomial_series,
+    binomial_series_shifted,
+    operator_norm,
+    principal_sqrt,
+    try_invert,
+)
 from .spaces import is_power_algebra
 
 CHAIN_STEP_CAP = 2**14
@@ -104,10 +112,6 @@ def _symmetry_blocks(dom, y, x):
     eye_h = np.eye(dom.dim_h, dtype=complex)
     yx = y @ x
     return LFTMap(-(eye_k - yx), 2.0 * y - yx @ y, x, eye_h - x @ y)
-
-
-def symmetry_coefficient_matrix(dom, y, tol=DEFAULT_TOL):
-    return symmetry_map(dom, y, tol).coefficient_matrix()
 
 
 def symmetry_direct(dom, y, z, tol=DEFAULT_TOL):
@@ -582,15 +586,11 @@ class LiouvilleCurve:
     tol: object
 
     def __call__(self, lam):
-        from .linalg import binomial_series_shifted
-
         s = binomial_series_shifted(lam, self.w, self.tol)
         return self.z0 + (self.z - self.z0) @ s
 
     def series_factor(self, lam):
         """b(lam) = (I + w)^lam as the full binomial series."""
-        from .linalg import binomial_series
-
         return binomial_series(lam, self.w, self.tol)
 
     def identity_residual(self, lam):

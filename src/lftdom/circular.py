@@ -23,6 +23,7 @@ from .exceptions import (
 )
 from .domains import LFTMap
 from .linalg import DEFAULT_TOL, as_cmatrix, operator_norm, principal_sqrt, try_invert
+from .sampling import random_space_member
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +206,6 @@ class IsometryReport:
     u: np.ndarray
 
 
-def _random_space_member(space, rng):
-    coords = rng.uniform(-1.0, 1.0, space.dim) + 1j * rng.uniform(-1.0, 1.0, space.dim)
-    return space.lincomb(coords)
-
-
 def isometry_inverse_identity_check(space, images, rng, trials=100, tol=DEFAULT_TOL):
     """Check L(z^-1) = U L(z)^-1 U with U = L(I) on random invertible members.
 
@@ -225,7 +221,7 @@ def isometry_inverse_identity_check(space, images, rng, trials=100, tol=DEFAULT_
 
     iso_defect = 0.0
     for _ in range(trials):
-        z = _random_space_member(space, rng)
+        z = random_space_member(rng, space)
         defect = abs(operator_norm(lmap(z)) - operator_norm(z))
         iso_defect = max(iso_defect, defect)
         if defect > tol.eq_tol * (1.0 + operator_norm(z)):
@@ -243,7 +239,7 @@ def isometry_inverse_identity_check(space, images, rng, trials=100, tol=DEFAULT_
     attempts = 0
     while done < trials and attempts < 50 * trials:
         attempts += 1
-        z = _random_space_member(space, rng)
+        z = random_space_member(rng, space)
         z_inv = try_invert(z, tol)
         if z_inv is None or operator_norm(z_inv) > 1e6:
             continue
@@ -280,7 +276,7 @@ def exterior_linear_auto_check(space, images, rng, trials=100, tol=DEFAULT_TOL):
     attempts = 0
     while done < trials and attempts < 50 * trials:
         attempts += 1
-        z = _random_space_member(space, rng)
+        z = random_space_member(rng, space)
         smin = float(np.linalg.svd(z, compute_uv=False).min())
         if smin < 1e-8:
             continue
@@ -333,11 +329,6 @@ def mobius_direct(b, z, tol=DEFAULT_TOL):
     left = np.linalg.inv(principal_sqrt(np.eye(k, dtype=complex) - b @ b.conj().T, tol))
     right = principal_sqrt(np.eye(h, dtype=complex) - b.conj().T @ b, tol)
     return left @ (z + b) @ den_inv @ right
-
-
-def ball_signature(dim_k, dim_h):
-    """J = diag(I_k, -I_h) on the coefficient space of ball automorphisms."""
-    return np.diag(np.concatenate([np.ones(dim_k), -np.ones(dim_h)])).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +453,6 @@ class HyperbolicSpec:
         if hits.size == 0:
             raise SpectrumError(f"J has no eigenvalue {target:+.0f} within 1e-8")
         return eigvecs[:, hits[0]]
-
-    def validate_frame(self, tol=DEFAULT_TOL):
-        """Residuals of J e = e and J f = -f (useful when vectors were supplied)."""
-        return (
-            float(np.linalg.norm(self.j @ self.e - self.e)),
-            float(np.linalg.norm(self.j @ self.f + self.f)),
-        )
 
     def form(self, z):
         """(Jz, z); real for Hermitian J, negative inside the domain."""

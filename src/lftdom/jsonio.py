@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_cmatrix
+from .linalg import DEFAULT_TOL
 from .spaces import OperatorSpace, full_space
 from .domains import Domain
 

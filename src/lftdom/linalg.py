@@ -87,12 +87,6 @@ def try_invert(z, tol=DEFAULT_TOL):
     return np.linalg.inv(z)
 
 
-def spectral_radius(z):
-    """Maximum eigenvalue modulus of a square matrix."""
-    z = _require_square(z, "spectral_radius")
-    return float(np.max(np.abs(np.linalg.eigvals(z))))
-
-
 def principal_sqrt(m, tol=DEFAULT_TOL):
     """Principal square root: Q with Q @ Q = m and spectrum in the right half-plane.
 

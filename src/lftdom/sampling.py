@@ -89,16 +89,6 @@ def random_siegel_member(rng, spec, tol=DEFAULT_TOL):
     return spec.stack(z1, z2)
 
 
-def random_exterior_member(rng, space, tol=DEFAULT_TOL, max_attempts=200):
-    for _ in range(max_attempts):
-        z = random_space_member(rng, space)
-        smin = float(np.linalg.svd(z, compute_uv=False).min())
-        if smin < 1e-8:
-            continue
-        return (rng.uniform(1.05, 2.0) / smin) * z
-    raise InternalCheckError("could not sample an exterior member")
-
-
 def random_product_member(rng, spec, tol=DEFAULT_TOL):
     z1 = random_matrix(rng, spec.dim_k, spec.dim_h)
     t = rng.uniform(0.1, 4.0)

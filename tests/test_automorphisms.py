@@ -34,7 +34,6 @@ from lftdom import (
     potapov_ginzburg_map,
     signature_from_projection,
     swap_involution,
-    symmetry_coefficient_matrix,
     symmetry_direct,
     symmetry_map,
     transitive_chain,
@@ -68,7 +67,7 @@ def scalar_invertibles():
 
 
 def test_symmetry_blocks_scalar_oracle():
-    m = symmetry_coefficient_matrix(scalar_invertibles(), np.array([[2.0]]))
+    m = symmetry_map(scalar_invertibles(), np.array([[2.0]])).coefficient_matrix()
     assert np.allclose(m, np.array([[0.0, 2.0], [0.5, 0.0]]))
 
 
@@ -102,7 +101,7 @@ def test_symmetry_is_involutive_and_fixes_its_point():
         u = symmetry_map(dom, y)
         assert operator_norm(u(u(z)) - z) <= 1e-8 * (1 + operator_norm(z))
         assert operator_norm(u(y) - y) <= 1e-10
-        m = symmetry_coefficient_matrix(dom, y)
+        m = symmetry_map(dom, y).coefficient_matrix()
         assert operator_norm(m @ m - eye) <= 1e-10
 
 

@@ -13,7 +13,6 @@ from lftdom import (
     SpaceClosureError,
     SpaceLinearMap,
     SpectrumError,
-    ball_signature,
     cayley_map,
     diagonal_space,
     exterior_linear_auto_check,
@@ -255,7 +254,7 @@ def test_mobius_coefficients_are_j_unitary():
     for shape in ((1, 1), (2, 1), (2, 2)):
         b = random_ball_point(rng, *shape, max_norm=0.8)
         m = mobius_map(b).coefficient_matrix()
-        j = ball_signature(*shape)
+        j = SiegelSpec(*shape).j
         assert operator_norm(m.conj().T @ j @ m - j) <= 1e-10
 
 
@@ -302,7 +301,7 @@ def test_product_transport_scalar_oracle():
 def test_product_transport_properties():
     rng = np.random.default_rng(74)
     spec = SiegelSpec(2, 2)
-    j = ball_signature(2, 2)
+    j = spec.j
     base = axis_point(spec, 1.0)
     for _ in range(10):
         w = random_product_member(rng, spec)

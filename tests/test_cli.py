@@ -155,15 +155,17 @@ def test_verify_same_seed_reports_match(tmp_path, capsys):
 
 
 def test_verify_aborted_suites_keep_their_rows(monkeypatch, tmp_path, capsys):
-    def raise_lftdom(config, rng):
+    def raise_lftdom(config, rng, track):
         raise SingularMatrixError("planted failure")
 
-    def raise_linalg(config, rng):
+    def raise_linalg(config, rng, track):
         raise np.linalg.LinAlgError("planted failure")
 
     planted = {"midpoint-swap": raise_lftdom, "liouville-curve": raise_linalg}
-    names = [name for name, _ in verify.SUITES]
-    suites = tuple((name, planted.get(name, suite)) for name, suite in verify.SUITES)
+    names = [name for name, _, _ in verify.SUITES]
+    suites = tuple(
+        (name, planted.get(name, suite), anchor) for name, suite, anchor in verify.SUITES
+    )
     monkeypatch.setattr(verify, "SUITES", suites)
     out = tmp_path / "report.json"
     rc = main(["verify", "--trials", "1", "--out", str(out)])
@@ -180,6 +182,28 @@ def test_verify_aborted_suites_keep_their_rows(monkeypatch, tmp_path, capsys):
     by_name = {row["name"]: row for row in report["suites"]}
     assert by_name["midpoint-swap"]["anchor"].startswith("suite aborted: SingularMatrixError")
     assert by_name["liouville-curve"]["anchor"].startswith("suite aborted: LinAlgError")
+
+
+def test_verify_failed_check_gives_a_fail_row(monkeypatch, tmp_path, capsys):
+    def fail_one_check(config, rng, track):
+        track.add(1e-14, 1e-12)
+        track.require(False)
+        return 1
+
+    name, _, anchor = verify.SUITES[0]
+    monkeypatch.setattr(verify, "SUITES", ((name, fail_one_check, anchor),))
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--trials", "1", "--out", str(out)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert rc == 1
+    assert lines[0].startswith(f"FAIL  {name}")
+    assert lines[-1] == "overall: FAIL"
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["passed"] is False
+    (row,) = report["suites"]
+    assert row["name"] == name and row["anchor"] == anchor
+    assert row["passed"] is False and row["trials"] == 1
+    assert np.isfinite(row["max_residual"]) and row["max_residual"] >= 1.0
 
 
 def test_usage_errors_exit_two(capsys):

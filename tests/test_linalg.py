@@ -16,7 +16,6 @@ from lftdom import (
     dagger,
     operator_norm,
     principal_sqrt,
-    spectral_radius,
     try_invert,
 )
 
@@ -103,11 +102,6 @@ def test_try_invert_threshold_respects_inv_tol():
     z = np.diag([1.0, 1e-6]).astype(complex)
     assert try_invert(z) is not None
     assert try_invert(z, Tolerance(inv_tol=1e-3)) is None
-
-
-def test_spectral_radius_of_known_matrices():
-    assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)) <= 1e-12
-    assert abs(spectral_radius(np.diag([1.0, -3.0]).astype(complex)) - 3.0) <= 1e-12
 
 
 def test_principal_sqrt_on_diagonalizable_inputs():
