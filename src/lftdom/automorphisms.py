@@ -26,6 +26,7 @@ from .linalg import (
     DEFAULT_TOL,
     as_cmatrix,
     binomial_series,
+    binomial_series_grid,
     binomial_series_shifted,
     operator_norm,
     principal_sqrt,
@@ -580,7 +581,7 @@ class LiouvilleCurve:
     z0: np.ndarray
     z: np.ndarray
     w: np.ndarray
-    den0: np.ndarray
+    den0_inv: np.ndarray
     c: np.ndarray
     d: np.ndarray
     tol: object
@@ -593,11 +594,27 @@ class LiouvilleCurve:
         """b(lam) = (I + w)^lam as the full binomial series."""
         return binomial_series(lam, self.w, self.tol)
 
+    def evaluate(self, lams):
+        """(f(lam), b(lam)) stacks over every lam in ``lams``, from one series evaluation."""
+        full, shifted = binomial_series_grid(lams, self.w, self.tol)
+        return self.z0 + (self.z - self.z0) @ shifted, full
+
+    def values(self, lams):
+        """f(lam) for every lam in ``lams``, as an (m, k, h) stack."""
+        return self.evaluate(lams)[0]
+
+    def series_factors(self, lams):
+        """b(lam) for every lam in ``lams``, as an (m, h, h) stack."""
+        return self.evaluate(lams)[1]
+
+    def identity_residuals(self, values, factors):
+        """Residuals of (c z0 + d)^-1 (c f + d) = b over stacks of f(lam) and b(lam)."""
+        lhs = self.den0_inv @ (self.c @ values + self.d)
+        return np.linalg.svd(lhs - factors, compute_uv=False)[:, 0]
+
     def identity_residual(self, lam):
         """Residual of (c z0 + d)^-1 (c f(lam) + d) = b(lam)."""
-        f = self(lam)
-        lhs = np.linalg.solve(self.den0, self.c @ f + self.d)
-        return float(operator_norm(lhs - self.series_factor(lam)))
+        return float(self.identity_residuals(*self.evaluate([lam]))[0])
 
 
 def liouville_curve(dom, z, tol=DEFAULT_TOL):
@@ -611,7 +628,8 @@ def liouville_curve(dom, z, tol=DEFAULT_TOL):
     if bound >= 1.0:
         raise StepBoundError(f"curve requires ||x0 (z - z0)|| < 1; got {bound:.6g}")
     return LiouvilleCurve(
-        z0=dom.z0, z=z, w=w, den0=dom.denominator(dom.z0), c=dom.c, d=dom.d, tol=tol
+        z0=dom.z0, z=z, w=w, den0_inv=dom.denominator_inverse(dom.z0, tol),
+        c=dom.c, d=dom.d, tol=tol,
     )
 
 

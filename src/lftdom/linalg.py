@@ -5,6 +5,7 @@ Matrices are plain ``numpy.ndarray`` values with dtype ``complex128``;
 (finite entries, 2-D shape). Everything here is a pure function.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,8 @@ import scipy.linalg
 from .exceptions import ConvergenceError, ShapeError, SpectrumError
 
 SERIES_TERM_CAP = 10_000
+# most powers of w held at once by binomial_series_grid
+SERIES_BLOCK_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -108,14 +111,80 @@ def principal_sqrt(m, tol=DEFAULT_TOL):
     return np.asarray(q, dtype=complex)
 
 
-def _binomial_coefficients(lam):
-    """Yield (n, binom(lam, n)) for n = 1, 2, ... via the ratio recurrence."""
-    c = 1.0 + 0.0j
-    n = 0
+def _series_block(nw, tol):
+    """Terms that bring ||w||^j below the tail bound, between 1 and SERIES_BLOCK_CAP."""
+    if nw == 0.0:
+        return 1
+    target = tol.series_tol * (1.0 - nw)
+    if target == 0.0:
+        return SERIES_BLOCK_CAP
+    return min(SERIES_BLOCK_CAP, max(1, math.ceil(math.log(target) / math.log(nw))))
+
+
+def binomial_series_grid(lams, w, tol=DEFAULT_TOL):
+    """Both binomial sums of w at every lam in ``lams``, as (m, n, n) stacks.
+
+    Returns (full, shifted) with full[i] = sum_{j>=0} binom(lam_i, j) w^j,
+    i.e. (I + w)^lam_i, and shifted[i] = sum_{j>=1} binom(lam_i, j) w^(j-1).
+    Requires ||w|| < 1. Each lam stops at the first j where binom(lam, j) = 0,
+    or where j >= |lam| and the tail bound |binom(lam, j)| ||w||^j / (1 - ||w||)
+    drops below ``tol.series_tol``; a lam still running after SERIES_TERM_CAP
+    terms raises ConvergenceError.
+
+    The powers w^j come in blocks of a fixed size, sized from ||w|| so that
+    short series take one block: each block is one stacked product of the
+    previous block's last power with w, ..., w^size, contracted with the
+    block's binomial coefficients into both sums. Memory stays
+    O(size (n^2 + m)) whatever the term count. The two sums are formed
+    separately from the same powers; the full sum is not I + w @ shifted, so
+    that identity stays a check.
+    """
+    w = _require_square(w, "binomial_series_grid")
+    nw = operator_norm(w)
+    if nw >= 1.0:
+        raise ConvergenceError(f"binomial series requires ||w|| < 1, got {nw:.6g}")
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    m, n = lams.size, w.shape[0]
+    size = _series_block(nw, tol)
+    powers = np.empty((size + 1, n, n), dtype=complex)  # w^j0, ..., w^(j0+size)
+    powers[0] = np.eye(n)
+    powers[1] = w
+    have = 1
+    while have < size:  # doubling: w^(have+i) = w^have w^i
+        more = min(have, size - have)
+        np.matmul(powers[have], powers[1 : more + 1], out=powers[have + 1 : have + more + 1])
+        have += more
+    base = powers[1:].copy()  # w, ..., w^size
+    full = np.zeros((m, n * n), dtype=complex)
+    full[:, :: n + 1] = 1.0
+    shifted = np.zeros((m, n * n), dtype=complex)
+    coef = np.ones(m, dtype=complex)
+    radius = np.abs(lams)[:, None]
+    stopped = np.zeros(m, dtype=bool)
+    j0 = 0
     while True:
-        n += 1
-        c = c * (lam - n + 1) / n
-        yield n, c
+        j = np.arange(j0 + 1, j0 + size + 1, dtype=float)
+        block = coef[:, None] * np.cumprod((lams[:, None] - j + 1.0) / j, axis=1)
+        done = (block == 0) | (
+            (j >= radius) & (np.abs(block) * nw**j / (1.0 - nw) < tol.series_tol)
+        )
+        done &= j <= SERIES_TERM_CAP
+        # a lam keeps the term where it stops and drops every later one
+        ran_out = np.cumsum(done, axis=1) > done
+        used = np.where(ran_out | stopped[:, None], 0.0, block)
+        full += used @ powers[1:].reshape(size, n * n)
+        shifted += used @ powers[:-1].reshape(size, n * n)
+        stopped |= done.any(axis=1)
+        if stopped.all():
+            return full.reshape(m, n, n), shifted.reshape(m, n, n)
+        j0 += size
+        if j0 >= SERIES_TERM_CAP:
+            raise ConvergenceError(
+                f"binomial series did not meet the tail bound in {SERIES_TERM_CAP} terms"
+            )
+        coef = block[:, -1]
+        powers[0] = powers[-1]
+        np.matmul(powers[0], base, out=powers[1:])
 
 
 def binomial_series(lam, w, tol=DEFAULT_TOL):
@@ -123,26 +192,9 @@ def binomial_series(lam, w, tol=DEFAULT_TOL):
 
     Requires ||w|| < 1. Truncates once the tail bound
     |binom(lam, n)| ||w||^n / (1 - ||w||) drops below ``tol.series_tol``
-    (capped at SERIES_TERM_CAP terms).
+    (capped at SERIES_TERM_CAP terms); one-lam call of ``binomial_series_grid``.
     """
-    w = _require_square(w, "binomial_series")
-    nw = operator_norm(w)
-    if nw >= 1.0:
-        raise ConvergenceError(f"binomial series requires ||w|| < 1, got {nw:.6g}")
-    s = np.eye(w.shape[0], dtype=complex)
-    p = np.eye(w.shape[0], dtype=complex)
-    for n, c in _binomial_coefficients(lam):
-        if c == 0:
-            return s
-        p = p @ w
-        s = s + c * p
-        if n >= abs(lam) and abs(c) * nw**n / (1.0 - nw) < tol.series_tol:
-            return s
-        if n >= SERIES_TERM_CAP:
-            raise ConvergenceError(
-                f"binomial series did not meet the tail bound in {SERIES_TERM_CAP} terms"
-            )
-    raise AssertionError("unreachable")
+    return binomial_series_grid([lam], w, tol)[0][0]
 
 
 def binomial_series_shifted(lam, w, tol=DEFAULT_TOL):
@@ -150,22 +202,4 @@ def binomial_series_shifted(lam, w, tol=DEFAULT_TOL):
 
     Same convergence contract as ``binomial_series``.
     """
-    w = _require_square(w, "binomial_series_shifted")
-    nw = operator_norm(w)
-    if nw >= 1.0:
-        raise ConvergenceError(f"binomial series requires ||w|| < 1, got {nw:.6g}")
-    s = np.zeros_like(w)
-    p = np.eye(w.shape[0], dtype=complex)
-    for n, c in _binomial_coefficients(lam):
-        if c == 0:
-            return s
-        if n > 1:
-            p = p @ w
-        s = s + c * p
-        if n >= abs(lam) and abs(c) * nw**n / (1.0 - nw) < tol.series_tol:
-            return s
-        if n >= SERIES_TERM_CAP:
-            raise ConvergenceError(
-                f"binomial series did not meet the tail bound in {SERIES_TERM_CAP} terms"
-            )
-    raise AssertionError("unreachable")
+    return binomial_series_grid([lam], w, tol)[1][0]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lftdom import (
     DEFAULT_TOL,
@@ -40,7 +41,7 @@ from lftdom import (
     try_invert,
     whole_space_domain,
 )
-from lftdom.verify import RunConfig, example_domains
+from lftdom.verify import RunConfig, _lambda_grid, example_domains
 from lftdom.sampling import (
     random_domain_member,
     random_matrix,
@@ -615,3 +616,41 @@ def test_liouville_requires_a_contractive_displacement():
     with pytest.raises(ConvergenceError):
         # |w| = 0.99995 needs far more terms than the series cap allows
         f(0.5)
+
+
+def test_liouville_values_match_pointwise_calls():
+    rng = np.random.default_rng(58)
+    grid = _lambda_grid()
+    for dom in example_domains(RunConfig()):
+        z = random_target_in_reach(rng, dom, max_pull=0.8)
+        f = liouville_curve(dom, z)
+        values = f.values(grid)
+        factors = f.series_factors(grid)
+        assert values.shape == (len(grid), dom.dim_k, dom.dim_h)
+        for lam, value, factor in zip(grid, values, factors):
+            want = f(lam)
+            assert operator_norm(value - want) <= 1e-13 * operator_norm(want)
+            want = f.series_factor(lam)
+            assert operator_norm(factor - want) <= 1e-13 * operator_norm(want)
+        identity = f.identity_residuals(values, factors)
+        assert identity.shape == (len(grid),)
+        assert identity.max() <= 1e-8
+        assert f.identity_residual(grid[-1]) <= 1e-8
+
+
+def test_liouville_series_factors_match_the_matrix_power():
+    # independent of the series: (I + w)^lam = expm(lam logm(I + w))
+    rng = np.random.default_rng(59)
+    grid = _lambda_grid()
+    worst = 0.0
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        w = random_matrix(rng, n, n)
+        w *= rng.uniform(0.05, 0.8) / operator_norm(w)
+        eye = np.eye(n, dtype=complex)
+        f = liouville_curve(invertibles_domain(full_space(n, n)), eye + w)
+        log = scipy.linalg.logm(eye + w)
+        for lam, factor in zip(grid, f.series_factors(grid)):
+            want = scipy.linalg.expm(lam * log)
+            worst = max(worst, operator_norm(factor - want) / operator_norm(want))
+    assert worst <= 1e-10

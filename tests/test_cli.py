@@ -206,6 +206,28 @@ def test_verify_failed_check_gives_a_fail_row(monkeypatch, tmp_path, capsys):
     assert np.isfinite(row["max_residual"]) and row["max_residual"] >= 1.0
 
 
+def test_verify_nan_residual_gives_a_fail_row(monkeypatch, tmp_path, capsys):
+    def nan_check(config, rng, track):
+        track.add(1e-14, 1e-12)
+        track.add(float("nan"), 1e-8)
+        track.add(1e-13, 1e-12)
+        return 1
+
+    name, _, anchor = verify.SUITES[0]
+    monkeypatch.setattr(verify, "SUITES", ((name, nan_check, anchor),))
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--trials", "1", "--out", str(out)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert rc == 1
+    assert lines[0].startswith(f"FAIL  {name}")
+    assert lines[-1] == "overall: FAIL"
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["passed"] is False
+    (row,) = report["suites"]
+    assert row["passed"] is False and row["trials"] == 1
+    assert row["max_residual"] is None
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["verify", "--trials", "0"]) == 2
     assert "usage error:" in capsys.readouterr().err

@@ -1,23 +1,28 @@
 """Tests for the dense matrix kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lftdom import (
+    DEFAULT_TOL,
     ConvergenceError,
     ShapeError,
     SpectrumError,
     Tolerance,
     as_cmatrix,
     binomial_series,
+    binomial_series_grid,
     binomial_series_shifted,
     dagger,
     operator_norm,
     principal_sqrt,
     try_invert,
 )
+from lftdom.linalg import SERIES_TERM_CAP
+from lftdom.verify import _lambda_grid
 
 
 def power_iteration_norm(z, steps=2000):
@@ -194,3 +199,87 @@ def test_binomial_series_requires_contraction():
         binomial_series_shifted(0.5, 1.5 * np.eye(2, dtype=complex))
     with pytest.raises(ShapeError):
         binomial_series(0.5, np.ones((2, 3), dtype=complex))
+
+
+def series_by_terms(lam, w, tol=DEFAULT_TOL):
+    """Term-by-term reference for the full and shifted sums, same stopping rule."""
+    nw = np.linalg.norm(w, 2)
+    eye = np.eye(w.shape[0], dtype=complex)
+    full, shifted, prev, c = eye, np.zeros_like(eye), eye, 1.0
+    for n in range(1, SERIES_TERM_CAP + 1):
+        c = c * (lam - n + 1) / n
+        if c == 0:
+            break
+        power = prev @ w
+        full = full + c * power
+        shifted = shifted + c * prev
+        prev = power
+        if n >= abs(lam) and abs(c) * nw**n / (1.0 - nw) < tol.series_tol:
+            break
+    return full, shifted
+
+
+def close_relative(got, want, bound):
+    return operator_norm(got - want) <= bound * operator_norm(want)
+
+
+def contraction(rng, n, norm):
+    w = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    return w * (norm / operator_norm(w))
+
+
+def test_binomial_series_matches_a_term_by_term_loop():
+    rng = np.random.default_rng(18)
+    for trial in range(60):
+        w = contraction(rng, int(rng.integers(1, 9)), rng.uniform(0.05, 0.9))
+        if trial % 6 == 0:
+            lam = float(rng.integers(-3, 4))
+        else:
+            lam = complex(2.0 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
+        full, shifted = series_by_terms(lam, w)
+        assert close_relative(binomial_series(lam, w), full, 1e-14)
+        assert close_relative(binomial_series_shifted(lam, w), shifted, 1e-14)
+
+
+def test_binomial_series_grid_stops_each_lambda_on_its_own():
+    # exponents that stop at very different term counts share one call
+    rng = np.random.default_rng(19)
+    lams = np.array([0.0, 1.0, 2.0, -1.0, 0.5, 1.5 - 0.5j, 2.0j, -2.0, 0.01])
+    for n, norm in ((1, 0.3), (3, 0.6), (5, 0.85)):
+        w = contraction(rng, n, norm)
+        full, shifted = binomial_series_grid(lams, w)
+        assert full.shape == shifted.shape == (len(lams), n, n)
+        for lam, f, s in zip(lams, full, shifted):
+            want_full, want_shifted = series_by_terms(lam, w)
+            assert close_relative(f, want_full, 1e-14)
+            assert close_relative(s, want_shifted, 1e-14)
+
+
+def test_binomial_series_grid_integer_exponents_terminate_exactly():
+    # ||w|| = 0.99995 is far beyond the term cap for any non-integer exponent
+    rng = np.random.default_rng(20)
+    w = contraction(rng, 3, 0.99995)
+    eye = np.eye(3)
+    w2 = w @ w
+    full, shifted = binomial_series_grid([0, 1, 2, 3], w)
+    want_full = [eye, eye + w, eye + 2 * w + w2, eye + 3 * w + 3 * w2 + w2 @ w]
+    want_shifted = [0 * eye, eye, 2 * eye + w, 3 * eye + 3 * w + w2]
+    for got, want in zip([*full, *shifted], want_full + want_shifted):
+        assert operator_norm(got - want) <= 1e-13
+    with pytest.raises(ConvergenceError):
+        binomial_series_grid([2, 0.5], w)
+
+
+def test_binomial_series_grid_memory_stays_bounded_up_to_the_term_cap():
+    # all 10,000 powers of a 16x16 matrix would take 41 MB
+    rng = np.random.default_rng(21)
+    w = contraction(rng, 16, 0.99995)
+    grid = _lambda_grid()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError):
+            binomial_series_grid(grid, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
