@@ -40,12 +40,12 @@ CHAIN_STEP_CAP = 2**14
 CHAIN_AIM_INSET = 1e-6
 
 
-def _require_member(dom, z, tol, what):
+def _require_member(dom, z, what):
     """Validate z as a member of dom; returns z and the inverse (c z + d)^-1."""
     z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
-    if not dom.space.contains(z, tol):
+    if not dom.space.contains(z, dom.tol):
         raise SpaceClosureError(f"{what} does not belong to the operator space")
-    den_inv = try_invert(dom.denominator(z), tol)
+    den_inv = dom.try_denominator_inverse(z)
     if den_inv is None:
         raise SingularMatrixError(f"c z + d is singular at {what}")
     return z, den_inv
@@ -97,13 +97,13 @@ class AffineMap:
 # Symmetries
 
 
-def symmetry_map(dom, y, tol=DEFAULT_TOL):
+def symmetry_map(dom, y):
     """The involutive automorphism fixing y, as an LFT.
 
     Blocks are [[-(I - y x), 2 y - y x y], [x, I - x y]] with x the kernel
     (c y + d)^-1 c; the assembled coefficient matrix squares to the identity.
     """
-    y, den_inv = _require_member(dom, y, tol, "the symmetry point y")
+    y, den_inv = _require_member(dom, y, "the symmetry point y")
     return _symmetry_blocks(dom, y, den_inv @ dom.c)
 
 
@@ -115,7 +115,7 @@ def _symmetry_blocks(dom, y, x):
     return LFTMap(-(eye_k - yx), 2.0 * y - yx @ y, x, eye_h - x @ y)
 
 
-def symmetry_direct(dom, y, z, tol=DEFAULT_TOL):
+def symmetry_direct(dom, y, z):
     """Evaluate the symmetry at y on z from its defining expression.
 
     Computes y - (z - y)(c z + d)^-1 (c y + d) without assembling the
@@ -123,10 +123,7 @@ def symmetry_direct(dom, y, z, tol=DEFAULT_TOL):
     """
     y = as_cmatrix(y, rows=dom.dim_k, cols=dom.dim_h)
     z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
-    den_inv = try_invert(dom.denominator(z), tol)
-    if den_inv is None:
-        raise SingularMatrixError("c z + d is singular at z")
-    return _symmetry_at(dom, y, z, den_inv)
+    return _symmetry_at(dom, y, z, dom.denominator_inverse(z))
 
 
 def _symmetry_at(dom, y, z, z_den_inv):
@@ -134,7 +131,7 @@ def _symmetry_at(dom, y, z, z_den_inv):
     return y - (z - y) @ z_den_inv @ dom.denominator(y)
 
 
-def fixed_point_derivative(dom, y, direction, step=1e-4, tol=DEFAULT_TOL):
+def fixed_point_derivative(dom, y, direction, step=1e-4):
     """Central difference of the symmetry at y, at its fixed point.
 
     Returns (U(y + t v) - U(y - t v)) / (2 t) with t = step; the exact
@@ -143,15 +140,15 @@ def fixed_point_derivative(dom, y, direction, step=1e-4, tol=DEFAULT_TOL):
     if step < 1e-8:
         raise ValueError("finite-difference step below 1e-8 is dominated by roundoff")
     direction = as_cmatrix(direction, rows=dom.dim_k, cols=dom.dim_h)
-    if not dom.space.contains(direction, tol):
+    if not dom.space.contains(direction, dom.tol):
         raise SpaceClosureError("direction does not belong to the operator space")
-    u = symmetry_map(dom, y, tol)
-    return (lft_apply(u, y + step * direction, tol) - lft_apply(u, y - step * direction, tol)) / (
-        2.0 * step
-    )
+    u = symmetry_map(dom, y)
+    ahead = lft_apply(u, y + step * direction, dom.tol)
+    behind = lft_apply(u, y - step * direction, dom.tol)
+    return (ahead - behind) / (2.0 * step)
 
 
-def find_midpoint(dom, z, w, tol=DEFAULT_TOL):
+def find_midpoint(dom, z, w):
     """The point y whose symmetry sends z to w.
 
     Valid when r = w - z satisfies ||x r|| < 1 for x the kernel at z; then
@@ -159,12 +156,12 @@ def find_midpoint(dom, z, w, tol=DEFAULT_TOL):
     midpoint is guaranteed to land in the domain; a numerical violation is
     an internal error, not bad input.
     """
-    z, z_den_inv = _require_member(dom, z, tol, "the start point z")
-    w, _ = _require_member(dom, w, tol, "the end point w")
-    return _midpoint(dom, z, z_den_inv, w, tol)[0]
+    z, z_den_inv = _require_member(dom, z, "the start point z")
+    w, _ = _require_member(dom, w, "the end point w")
+    return _midpoint(dom, z, z_den_inv, w)[0]
 
 
-def _midpoint(dom, z, z_den_inv, w, tol):
+def _midpoint(dom, z, z_den_inv, w):
     """The point y whose symmetry sends the member z to w, and (c y + d)^-1.
 
     z_den_inv is (c z + d)^-1. The inversion that checks y's membership is
@@ -179,12 +176,12 @@ def _midpoint(dom, z, z_den_inv, w, tol):
         raise StepBoundError(
             f"step bound ||x (w - z)|| < 1 fails: got {bound:.6g}; subdivide the displacement"
         )
-    q = principal_sqrt(np.eye(dom.dim_h, dtype=complex) + xr, tol)
-    den_inv = try_invert(np.eye(dom.dim_h, dtype=complex) + q, tol)
+    q = principal_sqrt(np.eye(dom.dim_h, dtype=complex) + xr, dom.tol)
+    den_inv = try_invert(np.eye(dom.dim_h, dtype=complex) + q, dom.tol)
     if den_inv is None:
         raise InternalCheckError("I + q is singular although ||x r|| < 1")
     y = z + r @ den_inv
-    y_den_inv = try_invert(dom.denominator(y), tol) if dom.space.contains(y, tol) else None
+    y_den_inv = dom.try_denominator_inverse(y) if dom.space.contains(y, dom.tol) else None
     if y_den_inv is None:
         raise InternalCheckError("midpoint fell outside the domain; ill conditioned input")
     reached = _symmetry_at(dom, y, z, z_den_inv)
@@ -236,7 +233,7 @@ class AutomorphismChain:
         return total
 
 
-def _meets_singular_set(xr, tol):
+def _meets_singular_set(dom, xr):
     """Whether I + t xr is singular for some t in (0, 1].
 
     Along w = a + t r the denominator factors as C w + D = (C a + D)(I + t x_a r),
@@ -250,12 +247,12 @@ def _meets_singular_set(xr, tol):
     for lam in np.linalg.eigvals(xr):
         if lam.real <= -1.0:
             s = np.linalg.svd(eye - xr / lam.real, compute_uv=False)
-            if s[-1] <= tol.eq_tol * (1.0 + s[0]):
+            if s[-1] <= dom.tol.eq_tol * (1.0 + s[0]):
                 return True
     return False
 
 
-def _walk_polyline(dom, points, margin, max_steps, tol, user_path):
+def _walk_polyline(dom, points, margin, max_steps, user_path):
     """Walk each polyline segment in greedy steps that obey the bound.
 
     On the segment z = a + t (b - a) the step bound is linear in the next
@@ -277,14 +274,14 @@ def _walk_polyline(dom, points, margin, max_steps, tol, user_path):
         else "supply an explicit path avoiding the singular set"
     )
     aim = margin * (1.0 - CHAIN_AIM_INSET)
-    den_inv = dom.denominator_inverse(points[0], tol)
+    den_inv = dom.denominator_inverse(points[0])
     waypoints = [points[0]]
     den_invs = [den_inv]
     step_norms = []
     x = den_inv @ dom.c
     for seg, (a, b) in enumerate(zip(points, points[1:])):
         r = b - a
-        if _meets_singular_set(x @ r, tol):
+        if _meets_singular_set(dom, x @ r):
             raise PathLeavesDomainError(
                 f"segment {seg} of the path crosses the singular set at or after "
                 f"waypoint {len(waypoints)}; {hint}",
@@ -295,7 +292,7 @@ def _walk_polyline(dom, points, margin, max_steps, tol, user_path):
             pull = operator_norm(x @ r)
             t_next = 1.0 if pull * (1.0 - t) <= aim else t + aim / pull
             w = b if t_next == 1.0 else a + t_next * r
-            den_inv = try_invert(dom.denominator(w), tol)
+            den_inv = dom.try_denominator_inverse(w)
             if den_inv is None:
                 raise PathLeavesDomainError(
                     f"waypoint {len(waypoints)} of the path is not a domain member "
@@ -318,7 +315,7 @@ def _walk_polyline(dom, points, margin, max_steps, tol, user_path):
     return waypoints, den_invs, step_norms
 
 
-def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CAP, tol=DEFAULT_TOL):
+def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CAP):
     """Build a chain of symmetries mapping the domain base point to target.
 
     The default route is the straight segment; a path (sequence of domain
@@ -333,7 +330,7 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie strictly between 0 and 1")
     source = dom.z0
-    target, _ = _require_member(dom, target, tol, "the chain target")
+    target, _ = _require_member(dom, target, "the chain target")
     if path is None:
         points = [source, target]
         user_path = False
@@ -341,27 +338,22 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
         points = [as_cmatrix(p, rows=dom.dim_k, cols=dom.dim_h) for p in path]
         if len(points) < 2:
             raise ValueError("a path needs at least its two endpoints")
-        if operator_norm(points[0] - source) > tol.eq_tol * (1.0 + operator_norm(source)):
+        if operator_norm(points[0] - source) > dom.tol.eq_tol * (1.0 + operator_norm(source)):
             raise ValueError("path must start at the domain base point")
-        if operator_norm(points[-1] - target) > tol.eq_tol * (1.0 + operator_norm(target)):
+        if operator_norm(points[-1] - target) > dom.tol.eq_tol * (1.0 + operator_norm(target)):
             raise ValueError("path must end at the target")
         for i, p in enumerate(points):
-            if not dom.is_member(p, tol):
+            if not dom.is_member(p):
                 raise PathLeavesDomainError(
                     f"supplied path point {i} is not a domain member", index=i
                 )
         user_path = True
 
-    waypoints, den_invs, step_norms = _walk_polyline(
-        dom, points, margin, max_steps, tol, user_path
-    )
+    waypoints, den_invs, step_norms = _walk_polyline(dom, points, margin, max_steps, user_path)
     if len(waypoints) % 2 == 0:
         # odd number of steps; duplicate the source so the factor count is even
         # (a supplied path starts within eq_tol of the source, not at it)
-        if waypoints[0] is source:
-            source_den_inv = den_invs[0]
-        else:
-            source_den_inv = dom.denominator_inverse(source, tol)
+        source_den_inv = den_invs[0] if waypoints[0] is source else dom.denominator_inverse(source)
         waypoints = [source] + waypoints
         den_invs = [source_den_inv] + den_invs
         step_norms = [0.0] + step_norms
@@ -372,7 +364,7 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
     mid_den_invs = []
     factors = []
     for z, z_den_inv, w in zip(waypoints, den_invs, waypoints[1:]):
-        y, y_den_inv = _midpoint(dom, z, z_den_inv, w, tol)
+        y, y_den_inv = _midpoint(dom, z, z_den_inv, w)
         midpoints.append(y)
         mid_den_invs.append(y_den_inv)
         factors.append(_symmetry_blocks(dom, y, y_den_inv @ dom.c))
@@ -388,7 +380,7 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
 
     reached = source
     for f in factors:
-        reached = lft_apply(f, reached, tol)
+        reached = lft_apply(f, reached, dom.tol)
     residual = float(operator_norm(reached - target))
 
     return AutomorphismChain(
@@ -407,15 +399,15 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
 # Affine maps from symmetry pairs and the base-point transport
 
 
-def compose_symmetries_affine(dom, w, y, tol=DEFAULT_TOL):
+def compose_symmetries_affine(dom, w, y):
     """The composition (symmetry at w) after (symmetry at y), folded to affine form.
 
     Equals U_w(U_y(z)) pointwise; the c block of the product coefficient
     matrix vanishes, leaving offset U_w(y) with linear factors
     I + (w - y) x and I + x (w - y), x the kernel at y.
     """
-    w, _ = _require_member(dom, w, tol, "the outer symmetry point w")
-    y, y_den_inv = _require_member(dom, y, tol, "the inner symmetry point y")
+    w, _ = _require_member(dom, w, "the outer symmetry point w")
+    y, y_den_inv = _require_member(dom, y, "the inner symmetry point y")
     return _pair_fold(dom, w, y, y_den_inv)
 
 
@@ -432,25 +424,25 @@ def _pair_fold(dom, w, y, y_den_inv):
     )
 
 
-def affine_transport(dom, w0, tol=DEFAULT_TOL):
+def affine_transport(dom, w0):
     """The affine automorphism carrying the base point to w0.
 
     phi(z) = w0 + (I + (w0 - z0) x0)^(1/2) (z - z0) (I + x0 (w0 - z0))^(1/2),
     defined when ||x0 (w0 - z0)|| < 1.
     """
-    w0, _ = _require_member(dom, w0, tol, "the transport target w0")
+    w0, _ = _require_member(dom, w0, "the transport target w0")
     a = w0 - dom.z0
     bound = operator_norm(dom.x0 @ a)
     if bound >= 1.0:
         raise StepBoundError(
             f"transport requires ||x0 (w0 - z0)|| < 1; got {bound:.6g}"
         )
-    left = principal_sqrt(np.eye(dom.dim_k, dtype=complex) + a @ dom.x0, tol)
-    right = principal_sqrt(np.eye(dom.dim_h, dtype=complex) + dom.x0 @ a, tol)
+    left = principal_sqrt(np.eye(dom.dim_k, dtype=complex) + a @ dom.x0, dom.tol)
+    right = principal_sqrt(np.eye(dom.dim_h, dtype=complex) + dom.x0 @ a, dom.tol)
     return AffineMap(base=dom.z0, offset=w0, left=left, right=right)
 
 
-def affine_transport_identity_residual(dom, phi, z, tol=DEFAULT_TOL):
+def affine_transport_identity_residual(dom, phi, z):
     """Residual of I + x0 (phi(z) - z0) = r^(1/2) (I + x0 (z - z0)) r^(1/2).
 
     Here r^(1/2) is the right factor of the transport record; a small value
@@ -503,24 +495,24 @@ class SwapInvolution:
         return LFTMap(a_blk, b_blk, c, d)
 
 
-def swap_involution(dom, w0, tol=DEFAULT_TOL):
+def swap_involution(dom, w0):
     """Build the involution exchanging the base point with w0.
 
     Requires ||x0 (w0 - z0)|| < 1 so both square roots exist on the
     principal branch.
     """
-    w0, _ = _require_member(dom, w0, tol, "the swap target w0")
+    w0, _ = _require_member(dom, w0, "the swap target w0")
     a = w0 - dom.z0
     bound = operator_norm(dom.x0 @ a)
     if bound >= 1.0:
         raise StepBoundError(
             f"involution requires ||x0 (w0 - z0)|| < 1; got {bound:.6g}"
         )
-    sl = principal_sqrt(np.eye(dom.dim_k, dtype=complex) + a @ dom.x0, tol)
-    gl = try_invert(sl, tol)
+    sl = principal_sqrt(np.eye(dom.dim_k, dtype=complex) + a @ dom.x0, dom.tol)
+    gl = try_invert(sl, dom.tol)
     if gl is None:
         raise SingularMatrixError("I + (w0 - z0) x0 has no invertible square root")
-    gr = principal_sqrt(np.eye(dom.dim_h, dtype=complex) + dom.x0 @ a, tol)
+    gr = principal_sqrt(np.eye(dom.dim_h, dtype=complex) + dom.x0 @ a, dom.tol)
     return SwapInvolution(z0=dom.z0, w0=w0, x0=dom.x0, gl=gl, gr=gr)
 
 
@@ -617,19 +609,19 @@ class LiouvilleCurve:
         return float(self.identity_residuals(*self.evaluate([lam]))[0])
 
 
-def liouville_curve(dom, z, tol=DEFAULT_TOL):
+def liouville_curve(dom, z):
     """Construct the entire curve joining the base point to z.
 
     Requires ||x0 (z - z0)|| < 1 for the series to converge.
     """
-    z, _ = _require_member(dom, z, tol, "the curve endpoint z")
+    z, _ = _require_member(dom, z, "the curve endpoint z")
     w = dom.x0 @ (z - dom.z0)
     bound = operator_norm(w)
     if bound >= 1.0:
         raise StepBoundError(f"curve requires ||x0 (z - z0)|| < 1; got {bound:.6g}")
     return LiouvilleCurve(
-        z0=dom.z0, z=z, w=w, den0_inv=dom.denominator_inverse(dom.z0, tol),
-        c=dom.c, d=dom.d, tol=tol,
+        z0=dom.z0, z=z, w=w, den0_inv=dom.denominator_inverse(dom.z0),
+        c=dom.c, d=dom.d, tol=dom.tol,
     )
 
 
@@ -664,14 +656,16 @@ class AffineEquivalence:
         return float(operator_norm(lhs - rhs))
 
 
-def affine_equivalence(dom1, dom2, r, z1, z2, tol=DEFAULT_TOL):
+def affine_equivalence(dom1, dom2, r, z1, z2):
     """Affine map between two domains whose c blocks differ by a right factor.
 
     Both domains must live on the same space, which must be full or a power
     algebra containing all four coefficient blocks; r must be invertible
     with c2 = c1 r; z1 and z2 are members of their respective domains and
-    phi(z1) = z2.
+    phi(z1) = z2. dom1.tol judges the shared-space, r and c2 = c1 r checks;
+    z1 and z2 are each checked against their own domain.
     """
+    tol = dom1.tol
     if dom1.space.shape != dom2.space.shape:
         raise ShapeError("domains live on different matrix shapes")
     same = all(dom2.space.contains(b, tol) for b in dom1.space.basis) and all(
@@ -700,8 +694,8 @@ def affine_equivalence(dom1, dom2, r, z1, z2, tol=DEFAULT_TOL):
     defect = operator_norm(dom2.c - dom1.c @ r)
     if defect > tol.eq_tol * (1.0 + operator_norm(dom2.c)):
         raise HypothesisError(f"c2 = c1 r fails with defect {defect:.3g}")
-    z1, _ = _require_member(dom1, z1, tol, "z1")
-    z2, _ = _require_member(dom2, z2, tol, "z2")
+    z1, _ = _require_member(dom1, z1, "z1")
+    z2, _ = _require_member(dom2, z2, "z2")
     right = np.linalg.solve(dom1.denominator(z1), dom2.denominator(z2))
     phi = AffineMap(base=z1, offset=z2, left=r_inv, right=right)
     return AffineEquivalence(phi=phi, r=r, dom1=dom1, dom2=dom2)

@@ -209,12 +209,13 @@ class IsometryReport:
 def isometry_inverse_identity_check(space, images, rng, trials=100, tol=DEFAULT_TOL):
     """Check L(z^-1) = U L(z)^-1 U with U = L(I) on random invertible members.
 
+    L is given by images, the list of images of the space's basis elements.
     The isometry property is pre-checked on samples (a necessary condition
     only); a detected norm change rejects the map. U must be invertible.
     """
     if not space.is_square:
         raise ShapeError("the inverse identity needs a square space")
-    lmap = images if isinstance(images, SpaceLinearMap) else SpaceLinearMap(space, images, tol)
+    lmap = SpaceLinearMap(space, images, tol)
     eye = np.eye(space.dim_h, dtype=complex)
     if not space.contains(eye, tol):
         raise SpaceClosureError("the space does not contain the identity")
@@ -268,8 +269,8 @@ class ExteriorAutoReport:
 
 
 def exterior_linear_auto_check(space, images, rng, trials=100, tol=DEFAULT_TOL):
-    """Confirm on samples that members with I < Z*Z map to members again."""
-    lmap = images if isinstance(images, SpaceLinearMap) else SpaceLinearMap(space, images, tol)
+    """Confirm on samples that the map L with basis images ``images`` keeps I < Z*Z."""
+    lmap = SpaceLinearMap(space, images, tol)
     preserved = 0
     margin = np.inf
     done = 0

@@ -101,10 +101,10 @@ def cmd_verify(config, out_path):
     for row in report["suites"]:
         status = "PASS" if row["passed"] else "FAIL"
         residual = row["max_residual"]
-        residual = float("inf") if residual is None else residual
+        residual = "null" if residual is None else f"{residual:.3e}"
         print(
             f"{status}  {row['name']:<24} trials={row['trials']:<6} "
-            f"max_residual={residual:.3e}  [{row['anchor']}]"
+            f"max_residual={residual}  [{row['anchor']}]"
         )
     print("overall:", "PASS" if report["passed"] else "FAIL")
     if out_path:
@@ -119,9 +119,9 @@ def _demo_lines(example, config):
     if example in {"0", "1", "2", "4", "5", "6"}:
         index = {"0": 0, "1": 1, "2": 2, "4": 3, "5": 4, "6": 5}[example]
         dom = example_domains(config)[index]
-        y = samp.random_domain_member(rng, dom, tol, margin=0.05)
-        z = samp.random_domain_member(rng, dom, tol, margin=0.05)
-        u = symmetry_map(dom, y, tol)
+        y = samp.random_domain_member(rng, dom, margin=0.05)
+        z = samp.random_domain_member(rng, dom, margin=0.05)
+        u = symmetry_map(dom, y)
         uz = lft_apply(u, z, tol)
         m = u.coefficient_matrix()
         lines.append(f"domain: {dom.label or 'custom'}; member shape {dom.space.shape}")
@@ -143,7 +143,7 @@ def _demo_lines(example, config):
             yv = rng.uniform(-1, 1, model.n) + 1j * rng.uniform(-1, 1, model.n)
             closed = model.closed_form_symmetry(yv, zv)
             via = model.unembed(
-                symmetry_direct(model.domain, model.embed(yv), model.embed(zv), tol)
+                symmetry_direct(model.domain, model.embed(yv), model.embed(zv))
             )
             lines.append(
                 f"  vector form matches matrix route: {np.linalg.norm(closed - via):.3e}"
@@ -210,11 +210,11 @@ def cmd_transit(args, config):
     if args.path_file:
         with open(args.path_file, "r", encoding="utf-8") as fh:
             path = jsonio.path_from_obj(jsonio.loads(fh.read()))
-    if dom.membership(target, config.tol) is not Verdict.MEMBER:
+    if dom.membership(target) is not Verdict.MEMBER:
         print("error: the target is not a member of the domain", file=sys.stderr)
         return 2
     try:
-        chain = transitive_chain(dom, target, path=path, tol=config.tol)
+        chain = transitive_chain(dom, target, path=path)
     except PathLeavesDomainError as exc:
         print(f"error at waypoint {exc.index}: {exc}", file=sys.stderr)
         return 1

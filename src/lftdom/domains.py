@@ -7,6 +7,9 @@ stays invertible, provided the space absorbs the quadratic products
 Z X0 Z with X0 = (C Z0 + D)^-1 C. In finite dimensions that set is connected
 (the complement is the zero set of a determinant), so no component tracking
 is needed and membership is just the two checks.
+
+A Domain takes its Tolerance once, when it is built, and every operation on
+it judges with that one; lft_apply, on a bare map, still takes its own.
 """
 
 import enum
@@ -95,8 +98,9 @@ class Verdict(enum.Enum):
 class Domain:
     """Domain of a linear fractional transformation on an operator space.
 
-    Holds the space, the coefficients (c, d), the base point z0 and the cached
-    kernel x0 = (c z0 + d)^-1 c. Construction validates that z0 belongs to the
+    Holds the space, the coefficients (c, d), the base point z0, the cached
+    kernel x0 = (c z0 + d)^-1 c and the Tolerance tol that every operation on
+    the domain judges with. Construction validates that z0 belongs to the
     space, that c z0 + d is invertible, and that the space is closed under the
     quadratic products Z x0 Z.
     """
@@ -106,10 +110,11 @@ class Domain:
         self.c = as_cmatrix(c, rows=space.dim_h, cols=space.dim_k)
         self.d = as_cmatrix(d, rows=space.dim_h, cols=space.dim_h)
         self.z0 = as_cmatrix(z0, rows=space.dim_k, cols=space.dim_h)
+        self.tol = tol
         self.label = label or space.label
         if not space.contains(self.z0, tol):
             raise SpaceClosureError("base point does not belong to the operator space")
-        den_inv = try_invert(self.c @ self.z0 + self.d, tol)
+        den_inv = self.try_denominator_inverse(self.z0)
         if den_inv is None:
             raise SingularMatrixError("c z0 + d is singular at the base point")
         self.x0 = den_inv @ self.c
@@ -130,35 +135,39 @@ class Domain:
         tag = f" {self.label!r}" if self.label else ""
         return f"Domain({self.dim_k}x{self.dim_h}{tag})"
 
-    def membership(self, z, tol=DEFAULT_TOL):
+    def membership(self, z):
         """Classify z as MEMBER, NOT_IN_SPACE, or SINGULAR.
 
         In finite dimensions the invertibility set inside the space is
         connected, so membership needs no component test.
         """
         z = as_cmatrix(z, rows=self.dim_k, cols=self.dim_h)
-        if not self.space.contains(z, tol):
+        if not self.space.contains(z, self.tol):
             return Verdict.NOT_IN_SPACE
-        if try_invert(self.c @ z + self.d, tol) is None:
+        if self.try_denominator_inverse(z) is None:
             return Verdict.SINGULAR
         return Verdict.MEMBER
 
-    def is_member(self, z, tol=DEFAULT_TOL):
-        return self.membership(z, tol) is Verdict.MEMBER
+    def is_member(self, z):
+        return self.membership(z) is Verdict.MEMBER
 
     def denominator(self, z):
         return self.c @ z + self.d
 
-    def denominator_inverse(self, y, tol=DEFAULT_TOL):
-        """(c y + d)^-1; raises SingularMatrixError where c y + d is singular."""
-        den_inv = try_invert(self.c @ y + self.d, tol)
+    def try_denominator_inverse(self, z):
+        """(c z + d)^-1, or None where c z + d is singular: the domain's one singular-set test."""
+        return try_invert(self.c @ z + self.d, self.tol)
+
+    def denominator_inverse(self, z):
+        """(c z + d)^-1; raises SingularMatrixError where c z + d is singular."""
+        den_inv = self.try_denominator_inverse(z)
         if den_inv is None:
-            raise SingularMatrixError("c y + d is singular; point is outside the domain")
+            raise SingularMatrixError("c z + d is singular; the point is outside the domain")
         return den_inv
 
-    def kernel_at(self, y, tol=DEFAULT_TOL):
+    def kernel_at(self, y):
         """X = (c y + d)^-1 c, the local kernel entering every automorphism formula."""
-        return self.denominator_inverse(y, tol) @ self.c
+        return self.denominator_inverse(y) @ self.c
 
 
 @dataclass(frozen=True)
@@ -202,13 +211,13 @@ def connectivity_class(dom):
     )
 
 
-def det_membership(dom, z, tol=DEFAULT_TOL):
+def det_membership(dom, z):
     """Determinant witness f(z) = det(I + d^-1 c z); zero exactly on the singular set.
 
     Requires an invertible d block (the coefficients are normalised by d^-1
     on the left, which preserves the zero set of det(c z + d)).
     """
-    d_inv = try_invert(dom.d, tol)
+    d_inv = try_invert(dom.d, dom.tol)
     if d_inv is None:
         raise SingularMatrixError("determinant witness requires an invertible d block")
     z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)

@@ -43,11 +43,11 @@ def random_invertible_member(rng, space, tol=DEFAULT_TOL, max_attempts=200):
     raise InternalCheckError("could not sample an invertible member")
 
 
-def random_domain_member(rng, dom, tol=DEFAULT_TOL, scale=1.0, margin=0.0, max_attempts=2000):
+def random_domain_member(rng, dom, scale=1.0, margin=0.0, max_attempts=2000):
     """Rejection-sample a member whose denominator clears the given margin."""
     for _ in range(max_attempts):
         z = random_space_member(rng, dom.space, scale=scale)
-        if dom.membership(z, tol) is not Verdict.MEMBER:
+        if dom.membership(z) is not Verdict.MEMBER:
             continue
         if margin > 0.0:
             smin = float(np.linalg.svd(dom.denominator(z), compute_uv=False).min())
@@ -65,7 +65,7 @@ def random_ball_point(rng, rows, cols, max_norm=0.9, min_norm=0.0):
     return (rng.uniform(min_norm, max_norm) / top) * z
 
 
-def random_target_in_reach(rng, dom, max_pull=0.8, tol=DEFAULT_TOL, max_attempts=500):
+def random_target_in_reach(rng, dom, max_pull=0.8, max_attempts=500):
     """A member z with ||x0 (z - z0)|| below max_pull, for series-based maps."""
     x0_norm = operator_norm(dom.x0)
     for _ in range(max_attempts):
@@ -74,7 +74,7 @@ def random_target_in_reach(rng, dom, max_pull=0.8, tol=DEFAULT_TOL, max_attempts
         if pull > 1e-12:
             d = d * (rng.uniform(0.1, 1.0) * max_pull / pull)
         z = dom.z0 + d
-        if dom.membership(z, tol) is Verdict.MEMBER:
+        if dom.membership(z) is Verdict.MEMBER:
             if x0_norm < 1e-12 or operator_norm(dom.x0 @ (z - dom.z0)) < max_pull:
                 return z
     raise InternalCheckError("could not sample a target within reach of the base point")

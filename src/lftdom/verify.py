@@ -113,31 +113,31 @@ class _Tracker:
 
 def example_domains(config):
     """The six reference domains, shaped by the configured dimensions."""
-    k, h = config.dim_k, config.dim_h
+    k, h, tol = config.dim_k, config.dim_h, config.tol
     n = max(2, h)
-    items = [whole_space_domain(full_space(k, h))]
-    items.append(invertibles_domain(full_space(n, n)))
+    items = [whole_space_domain(full_space(k, h), tol)]
+    items.append(invertibles_domain(full_space(n, n), tol))
     e = np.zeros((n, n), dtype=complex)
     e[0, 0] = 1.0
     e[0, 1] = 0.5
-    items.append(projection_domain(full_space(n, n), e))
+    items.append(projection_domain(full_space(n, n), e, tol))
     m = max(2, k)
     pattern = np.array([1.0, 1.0j, -1.0, -1.0j, 1.0, 1.0j, -1.0, -1.0j][:m], dtype=complex)
     c_vec = (pattern / np.linalg.norm(pattern)).reshape(m, 1)
-    items.append(hyperplane_complement_domain(c_vec, 0.7))
+    items.append(hyperplane_complement_domain(c_vec, 0.7, tol))
     x = np.zeros((n, 1), dtype=complex)
     x[0, 0] = 1.0
     y = np.zeros((n, 1), dtype=complex)
     y[0, 0] = 1.0 / np.sqrt(2.0)
     y[1, 0] = 1.0j / np.sqrt(2.0)
-    items.append(rank_one_pairing_domain(full_space(n, n), x, y, 0.6))
-    items.append(quadric_domain(min(k + h, 4)).domain)
+    items.append(rank_one_pairing_domain(full_space(n, n), x, y, 0.6, tol))
+    items.append(quadric_domain(min(k + h, 4), tol).domain)
     return items
 
 
-def _member_pair(rng, dom, tol, margin=0.05):
-    y = samp.random_domain_member(rng, dom, tol, margin=margin)
-    z = samp.random_domain_member(rng, dom, tol, margin=margin)
+def _member_pair(rng, dom, margin=0.05):
+    y = samp.random_domain_member(rng, dom, margin=margin)
+    z = samp.random_domain_member(rng, dom, margin=margin)
     return y, z
 
 
@@ -148,15 +148,15 @@ def suite_symmetry(config, rng, track):
     trials = 4 * config.trials
     for i in range(trials):
         dom = domains[i % len(domains)]
-        y, z = _member_pair(rng, dom, tol)
-        u = symmetry_map(dom, y, tol)
+        y, z = _member_pair(rng, dom)
+        u = symmetry_map(dom, y)
         double = lft_apply(u, lft_apply(u, z, tol), tol)
         track.add(operator_norm(double - z), 1e-8 * (1.0 + operator_norm(z)))
         track.add(operator_norm(lft_apply(u, y, tol) - y), 1e-10)
         m = u.coefficient_matrix()
         track.add(operator_norm(m @ m - np.eye(m.shape[0])), 1e-10)
         direction = samp.random_space_member(rng, dom.space, scale=0.1)
-        deriv = fixed_point_derivative(dom, y, direction, tol=tol)
+        deriv = fixed_point_derivative(dom, y, direction)
         track.add(operator_norm(deriv + direction), 1e-6)
     return trials
 
@@ -168,29 +168,28 @@ def suite_symmetry_routes(config, rng, track):
     trials = 2 * config.trials
     for i in range(trials):
         dom = domains[i % len(domains)]
-        y, z = _member_pair(rng, dom, tol)
-        via_blocks = lft_apply(symmetry_map(dom, y, tol), z, tol)
-        direct = symmetry_direct(dom, y, z, tol)
+        y, z = _member_pair(rng, dom)
+        via_blocks = lft_apply(symmetry_map(dom, y), z, tol)
+        direct = symmetry_direct(dom, y, z)
         track.add(operator_norm(via_blocks - direct), 1e-9 * (1.0 + operator_norm(z)))
     return trials
 
 
 def suite_midpoint(config, rng, track):
     """A midpoint symmetry swaps its two endpoints."""
-    tol = config.tol
     domains = example_domains(config)
     trials = 2 * config.trials
     for i in range(trials):
         dom = domains[i % len(domains)]
-        z, w = _member_pair(rng, dom, tol)
-        pull = operator_norm(dom.kernel_at(z, tol) @ (w - z))
+        z, w = _member_pair(rng, dom)
+        pull = operator_norm(dom.kernel_at(z) @ (w - z))
         if pull >= 0.95:
             w = z + (w - z) * (0.8 / pull)
-            if dom.membership(w, tol) is not Verdict.MEMBER:
+            if dom.membership(w) is not Verdict.MEMBER:
                 continue
-        y = find_midpoint(dom, z, w, tol)
+        y = find_midpoint(dom, z, w)
         track.add(
-            operator_norm(symmetry_direct(dom, y, z, tol) - w),
+            operator_norm(symmetry_direct(dom, y, z) - w),
             1e-8 * (1.0 + operator_norm(w)),
         )
     return trials
@@ -205,9 +204,9 @@ def suite_chain(config, rng, track):
         for _ in range(config.trials):
             chain = None
             for _ in range(30):
-                target = samp.random_domain_member(rng, dom, tol, margin=0.05)
+                target = samp.random_domain_member(rng, dom, margin=0.05)
                 try:
-                    chain = transitive_chain(dom, target, tol=tol)
+                    chain = transitive_chain(dom, target)
                     break
                 except (PathLeavesDomainError, StepBoundError):
                     continue
@@ -219,7 +218,7 @@ def suite_chain(config, rng, track):
             track.require(chain.factor_count % 2 == 0)
             track.require(all(s <= 0.9 + 1e-12 for s in chain.step_norms))
             for _ in range(20):
-                probe = samp.random_domain_member(rng, dom, tol, margin=0.05)
+                probe = samp.random_domain_member(rng, dom, margin=0.05)
                 try:
                     pointwise = chain.apply(probe, tol)
                 except LftdomError:
@@ -230,16 +229,15 @@ def suite_chain(config, rng, track):
 
 def suite_affine_pairs(config, rng, track):
     """A pair of symmetries folds into one affine map."""
-    tol = config.tol
     domains = example_domains(config)
     trials = 2 * config.trials
     for i in range(trials):
         dom = domains[i % len(domains)]
-        y, w = _member_pair(rng, dom, tol)
-        z, _ = _member_pair(rng, dom, tol)
-        aff = compose_symmetries_affine(dom, w, y, tol)
+        y, w = _member_pair(rng, dom)
+        z, _ = _member_pair(rng, dom)
+        aff = compose_symmetries_affine(dom, w, y)
         try:
-            pointwise = symmetry_direct(dom, w, symmetry_direct(dom, y, z, tol), tol)
+            pointwise = symmetry_direct(dom, w, symmetry_direct(dom, y, z))
         except LftdomError:
             continue
         track.add(operator_norm(aff(z) - pointwise), 1e-9 * (1.0 + operator_norm(pointwise)))
@@ -248,17 +246,16 @@ def suite_affine_pairs(config, rng, track):
 
 def suite_transport(config, rng, track):
     """Square-root transport maps the base point and satisfies its identity."""
-    tol = config.tol
     domains = example_domains(config)
     trials = 2 * config.trials
     for i in range(trials):
         dom = domains[i % len(domains)]
-        w0 = samp.random_target_in_reach(rng, dom, max_pull=0.8, tol=tol)
-        phi = affine_transport(dom, w0, tol)
+        w0 = samp.random_target_in_reach(rng, dom, max_pull=0.8)
+        phi = affine_transport(dom, w0)
         track.add(operator_norm(phi(dom.z0) - w0), 1e-10 * (1.0 + operator_norm(w0)))
-        z, _ = _member_pair(rng, dom, tol)
-        track.add(affine_transport_identity_residual(dom, phi, z, tol), 1e-9)
-        track.require(dom.membership(phi(z), tol) is Verdict.MEMBER)
+        z, _ = _member_pair(rng, dom)
+        track.add(affine_transport_identity_residual(dom, phi, z), 1e-9)
+        track.require(dom.membership(phi(z)) is Verdict.MEMBER)
     return trials
 
 
@@ -269,17 +266,17 @@ def suite_swap(config, rng, track):
     trials = 2 * config.trials
     for i in range(trials):
         dom = domains[i % len(domains)]
-        w0 = samp.random_target_in_reach(rng, dom, max_pull=0.8, tol=tol)
-        v = swap_involution(dom, w0, tol)
+        w0 = samp.random_target_in_reach(rng, dom, max_pull=0.8)
+        v = swap_involution(dom, w0)
         track.add(operator_norm(v(dom.z0, tol) - w0), 1e-9 * (1.0 + operator_norm(w0)))
-        z, _ = _member_pair(rng, dom, tol)
+        z, _ = _member_pair(rng, dom)
         try:
             track.add(operator_norm(v(v(z, tol), tol) - z), 1e-9 * (1.0 + operator_norm(z)))
         except LftdomError:
             pass
-        v0 = swap_involution(dom, dom.z0, tol)
+        v0 = swap_involution(dom, dom.z0)
         track.add(
-            operator_norm(v0(z, tol) - symmetry_direct(dom, dom.z0, z, tol)),
+            operator_norm(v0(z, tol) - symmetry_direct(dom, dom.z0, z)),
             1e-9 * (1.0 + operator_norm(z)),
         )
         track.add(operator_norm(lft_apply(v.as_lft(), z, tol) - v(z, tol)), 1e-8)
@@ -303,11 +300,11 @@ def suite_equivalence(config, rng, track):
         c2 = c1 @ r
         d2 = eye - c2 @ z2
         dom2 = Domain(space, c2, d2, z2, tol)
-        eq = affine_equivalence(dom1, dom2, r, z1, z2, tol)
+        eq = affine_equivalence(dom1, dom2, r, z1, z2)
         track.add(operator_norm(eq(z1) - z2), 1e-10 * (1.0 + operator_norm(z2)))
-        z = samp.random_domain_member(rng, dom1, tol, margin=0.05)
+        z = samp.random_domain_member(rng, dom1, margin=0.05)
         track.add(eq.certificate_residual(z), 1e-9 * (1.0 + operator_norm(z)))
-        track.require(dom2.membership(eq(z), tol) is Verdict.MEMBER)
+        track.require(dom2.membership(eq(z)) is Verdict.MEMBER)
     return trials
 
 
@@ -345,7 +342,6 @@ def _lambda_grid():
 
 def suite_liouville(config, rng, track):
     """The entire curve through Z: endpoints, invertibility, series identity."""
-    tol = config.tol
     domains = example_domains(config)
     targets = max(1, config.trials // 10)
     grid = _lambda_grid()
@@ -355,14 +351,14 @@ def suite_liouville(config, rng, track):
     count = 0
     for i, dom in enumerate(domains):
         for _ in range(targets):
-            z = samp.random_target_in_reach(rng, dom, max_pull=0.8, tol=tol)
-            curve = liouville_curve(dom, z, tol)
+            z = samp.random_target_in_reach(rng, dom, max_pull=0.8)
+            curve = liouville_curve(dom, z)
             count += 1
             values, factors = curve.evaluate(lams)
             track.add(operator_norm(values[-2] - dom.z0), 1e-8)
             track.add(operator_norm(values[-1] - z), 1e-8)
             for value in values[:m]:
-                track.require(dom.membership(value, tol) is Verdict.MEMBER)
+                track.require(dom.membership(value) is Verdict.MEMBER)
             identity = curve.identity_residuals(values[:m], factors[:m])
             prod = factors[:m] @ factors[m : 2 * m]
             pairing = np.linalg.svd(prod - np.eye(prod.shape[-1]), compute_uv=False)[:, 0]
@@ -397,7 +393,7 @@ def suite_determinant(config, rng, track):
                 z = c_inv @ (den - np.eye(n))
             else:
                 z = samp.random_matrix(rng, n, n) * rng.uniform(0.1, 2.0)
-            f = det_membership(dom, z, tol)
+            f = det_membership(dom, z)
             smin = float(np.linalg.svd(dom.denominator(z), compute_uv=False).min())
             if smin <= band or abs(f) <= band:
                 continue
@@ -425,14 +421,14 @@ def suite_connectivity(config, rng, track):
         and rep.full_space_closed_range
         and rep.range_inclusion
     )
-    rep = connectivity_class(whole_space_domain(space))
+    rep = connectivity_class(whole_space_domain(space, tol))
     track.require(
         rep.compact_coefficients
         and rep.polynomial_identity
         and rep.full_space_closed_range
         and not rep.range_inclusion
     )
-    rep = connectivity_class(quadric_domain(min(config.dim_k + config.dim_h, 4)).domain)
+    rep = connectivity_class(quadric_domain(min(config.dim_k + config.dim_h, 4), tol).domain)
     track.require(
         rep.compact_coefficients and rep.polynomial_identity and not rep.full_space_closed_range
     )
@@ -584,7 +580,7 @@ def suite_quadric(config, rng, track):
         track.add(operator_norm(square), 1e-12 * (1.0 + np.linalg.norm(z)) ** 2)
         closed = model.closed_form_symmetry(y, z)
         via_matrix = model.unembed(
-            symmetry_direct(model.domain, model.embed(y), big_z, tol)
+            symmetry_direct(model.domain, model.embed(y), big_z)
         )
         track.add(float(np.linalg.norm(closed - via_matrix)), 1e-9 * (1.0 + np.linalg.norm(z)))
     return trials

@@ -78,9 +78,9 @@ def test_criterion_1_symmetry_suite():
     start = time.perf_counter()
     for i in range(200):
         dom = domains[i % len(domains)]
-        y = samp.random_domain_member(rng, dom, TOL, margin=0.1)
-        z = samp.random_domain_member(rng, dom, TOL, scale=0.5, margin=0.05)
-        u = symmetry_map(dom, y, TOL)
+        y = samp.random_domain_member(rng, dom, margin=0.1)
+        z = samp.random_domain_member(rng, dom, scale=0.5, margin=0.05)
+        u = symmetry_map(dom, y)
         uz = lft_apply(u, z, TOL)
         back = lft_apply(u, uz, TOL)
         worst_involution = max(
@@ -89,7 +89,7 @@ def test_criterion_1_symmetry_suite():
         worst_fixed = max(worst_fixed, operator_norm(lft_apply(u, y, TOL) - y))
         m = u.coefficient_matrix()
         worst_coeff = max(worst_coeff, operator_norm(m @ m - np.eye(m.shape[0])))
-        fd = fixed_point_derivative(dom, y, z, step=1e-5, tol=TOL)
+        fd = fixed_point_derivative(dom, y, z, step=1e-5)
         worst_derivative = max(worst_derivative, operator_norm(fd + z))
     elapsed = time.perf_counter() - start
     print(
@@ -114,11 +114,11 @@ def test_criterion_2_transitive_chains():
             chain = None
             based = None
             for _ in range(40):
-                z0 = samp.random_domain_member(rng, dom, TOL, margin=0.05)
-                w0 = samp.random_domain_member(rng, dom, TOL, margin=0.05)
+                z0 = samp.random_domain_member(rng, dom, margin=0.05)
+                w0 = samp.random_domain_member(rng, dom, margin=0.05)
                 based = Domain(dom.space, dom.c, dom.d, z0, TOL)
                 try:
-                    chain = transitive_chain(based, w0, tol=TOL)
+                    chain = transitive_chain(based, w0)
                     break
                 except (PathLeavesDomainError, StepBoundError):
                     continue
@@ -131,7 +131,7 @@ def test_criterion_2_transitive_chains():
             for _ in range(100):
                 if probes == 20:
                     break
-                probe = samp.random_domain_member(rng, based, TOL, margin=0.05)
+                probe = samp.random_domain_member(rng, based, margin=0.05)
                 try:
                     pointwise = chain.apply(probe, TOL)
                 except LftdomError:
@@ -158,12 +158,12 @@ def test_criterion_3_affine_formulas():
     done = 0
     while done < 100:
         dom = domains[done % len(domains)]
-        y = samp.random_domain_member(rng, dom, TOL, margin=0.05)
-        w = samp.random_domain_member(rng, dom, TOL, margin=0.05)
-        z = samp.random_domain_member(rng, dom, TOL, margin=0.05)
-        aff = compose_symmetries_affine(dom, w, y, TOL)
+        y = samp.random_domain_member(rng, dom, margin=0.05)
+        w = samp.random_domain_member(rng, dom, margin=0.05)
+        z = samp.random_domain_member(rng, dom, margin=0.05)
+        aff = compose_symmetries_affine(dom, w, y)
         try:
-            pointwise = symmetry_direct(dom, w, symmetry_direct(dom, y, z, TOL), TOL)
+            pointwise = symmetry_direct(dom, w, symmetry_direct(dom, y, z))
         except LftdomError:
             continue
         worst_pair = max(worst_pair, operator_norm(aff(z) - pointwise))
@@ -173,12 +173,12 @@ def test_criterion_3_affine_formulas():
     worst_transport = 0.0
     for i in range(100):
         dom = domains[i % len(domains)]
-        w0 = samp.random_target_in_reach(rng, dom, max_pull=0.8, tol=TOL)
-        phi = affine_transport(dom, w0, TOL)
+        w0 = samp.random_target_in_reach(rng, dom, max_pull=0.8)
+        phi = affine_transport(dom, w0)
         worst_transport = max(worst_transport, operator_norm(phi(dom.z0) - w0))
-        z = samp.random_domain_member(rng, dom, TOL, margin=0.05)
+        z = samp.random_domain_member(rng, dom, margin=0.05)
         worst_transport = max(
-            worst_transport, affine_transport_identity_residual(dom, phi, z, TOL)
+            worst_transport, affine_transport_identity_residual(dom, phi, z)
         )
     assert worst_transport <= 1e-9
 
@@ -186,14 +186,14 @@ def test_criterion_3_affine_formulas():
     done = 0
     while done < 100:
         dom = domains[done % len(domains)]
-        w0 = samp.random_target_in_reach(rng, dom, max_pull=0.8, tol=TOL)
-        v = swap_involution(dom, w0, TOL)
-        z = samp.random_domain_member(rng, dom, TOL, margin=0.05)
+        w0 = samp.random_target_in_reach(rng, dom, max_pull=0.8)
+        v = swap_involution(dom, w0)
+        z = samp.random_domain_member(rng, dom, margin=0.05)
         try:
             twice = v(v(z, TOL), TOL)
-            base_swap = swap_involution(dom, dom.z0, TOL)
+            base_swap = swap_involution(dom, dom.z0)
             base_residual = operator_norm(
-                base_swap(z, TOL) - symmetry_direct(dom, dom.z0, z, TOL)
+                base_swap(z, TOL) - symmetry_direct(dom, dom.z0, z)
             )
         except LftdomError:
             continue
@@ -215,11 +215,11 @@ def test_criterion_3_affine_formulas():
         z2 = samp.random_matrix(rng, n, n)
         c2 = c1 @ r
         dom2 = Domain(space, c2, eye - c2 @ z2, z2, TOL)
-        eq = affine_equivalence(dom1, dom2, r, z1, z2, TOL)
+        eq = affine_equivalence(dom1, dom2, r, z1, z2)
         worst_equiv = max(worst_equiv, operator_norm(eq(z1) - z2))
-        z = samp.random_domain_member(rng, dom1, TOL, margin=0.05)
+        z = samp.random_domain_member(rng, dom1, margin=0.05)
         worst_equiv = max(worst_equiv, eq.certificate_residual(z))
-        assert dom2.membership(eq(z), TOL) is Verdict.MEMBER
+        assert dom2.membership(eq(z)) is Verdict.MEMBER
     assert worst_equiv <= 1e-9
 
     print(
@@ -265,14 +265,14 @@ def test_criterion_5_liouville_curve():
     worst_pairing = 0.0
     for dom in domains:
         for _ in range(3):
-            z = samp.random_target_in_reach(rng, dom, max_pull=0.8, tol=TOL)
+            z = samp.random_target_in_reach(rng, dom, max_pull=0.8)
             assert operator_norm(dom.x0 @ (z - dom.z0)) < 0.8
-            curve = liouville_curve(dom, z, TOL)
+            curve = liouville_curve(dom, z)
             worst_end = max(worst_end, operator_norm(curve(0.0) - dom.z0))
             worst_end = max(worst_end, operator_norm(curve(1.0) - z))
             for lam in grid:
                 value = curve(lam)
-                assert dom.membership(value, TOL) is Verdict.MEMBER
+                assert dom.membership(value) is Verdict.MEMBER
                 worst_identity = max(worst_identity, curve.identity_residual(lam))
                 prod = curve.series_factor(lam) @ curve.series_factor(-lam)
                 worst_pairing = max(
@@ -310,7 +310,7 @@ def test_criterion_6_determinant_membership():
                 z = c_inv @ (den - np.eye(n))
             else:
                 z = samp.random_matrix(rng, n, n) * rng.uniform(0.1, 2.0)
-            f = det_membership(dom, z, TOL)
+            f = det_membership(dom, z)
             smin = float(np.linalg.svd(dom.denominator(z), compute_uv=False).min())
             if smin <= band or abs(f) <= band:
                 continue

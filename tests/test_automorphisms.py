@@ -17,6 +17,7 @@ from lftdom import (
     SingularMatrixError,
     SpaceClosureError,
     StepBoundError,
+    Tolerance,
     Verdict,
     affine_equivalence,
     affine_transport,
@@ -125,6 +126,31 @@ def test_symmetry_rejects_points_outside_the_domain():
     dom = invertibles_domain(diagonal_space(2))
     with pytest.raises(SpaceClosureError):
         symmetry_map(dom, np.eye(2) + np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_every_operation_judges_with_the_domain_tolerance():
+    # sigma_min(C Z + D) = 1e-6 lies below this domain's inv_tol of 1e-4,
+    # though far above the default threshold of 1e-10
+    dom = invertibles_domain(full_space(2, 2), Tolerance(eq_tol=1e-3, inv_tol=1e-4))
+    near = np.diag([1.0, 1e-6]).astype(complex)
+    clear = np.diag([1.0, 0.5]).astype(complex)
+    eye = np.eye(2, dtype=complex)
+    assert dom.membership(near) is Verdict.SINGULAR
+    assert dom.membership(clear) is Verdict.MEMBER
+    calls = {
+        "symmetry_map": lambda: symmetry_map(dom, near),
+        "symmetry_direct": lambda: symmetry_direct(dom, eye, near),
+        "find_midpoint": lambda: find_midpoint(dom, near, clear),
+        "compose_symmetries_affine": lambda: compose_symmetries_affine(dom, clear, near),
+        "affine_transport": lambda: affine_transport(dom, near),
+        "swap_involution": lambda: swap_involution(dom, near),
+        "liouville_curve": lambda: liouville_curve(dom, near),
+        "transitive_chain": lambda: transitive_chain(dom, near),
+    }
+    for name, call in calls.items():
+        with pytest.raises(SingularMatrixError):
+            call()
+            pytest.fail(f"{name} accepted a point on the domain's singular set")
 
 
 def test_fixed_point_derivative_is_minus_identity():

@@ -172,6 +172,9 @@ def test_verify_aborted_suites_keep_their_rows(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out.strip().splitlines()[-1] == "overall: FAIL"
+    for line in captured.out.strip().splitlines()[:-1]:
+        name = line.split()[1]
+        assert ("max_residual=null" in line) is (name in planted), line
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["passed"] is False
     assert [row["name"] for row in report["suites"]] == names
@@ -220,6 +223,7 @@ def test_verify_nan_residual_gives_a_fail_row(monkeypatch, tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert rc == 1
     assert lines[0].startswith(f"FAIL  {name}")
+    assert "max_residual=null  [" in lines[0]
     assert lines[-1] == "overall: FAIL"
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["passed"] is False

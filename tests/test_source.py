@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import lftdom
+from lftdom import automorphisms, domains, sampling
 
 PACKAGE = Path(lftdom.__file__).parent
 
@@ -34,3 +36,24 @@ def test_every_imported_name_is_used():
             if name not in used:
                 unused.append(f"{path.name}:{line} {name}")
     assert unused == []
+
+
+def test_domain_bound_functions_take_no_tolerance():
+    # a Domain keeps the Tolerance it was built with; a per-call knob would
+    # let two calls on one domain disagree about the same point
+    candidates = [
+        (f"Domain.{name}", fn)
+        for name, fn in inspect.getmembers(domains.Domain, inspect.isfunction)
+        if not name.startswith("_")
+    ]
+    for module in (domains, automorphisms, sampling):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            params = inspect.signature(fn).parameters
+            if fn.__module__ == module.__name__ and not name.startswith("_"):
+                if "dom" in params or "dom1" in params:
+                    candidates.append((f"{module.__name__}.{name}", fn))
+    assert len(candidates) >= 20
+    offenders = [
+        name for name, fn in candidates if "tol" in inspect.signature(fn).parameters
+    ]
+    assert offenders == []
