@@ -6,6 +6,9 @@ points, the affine maps arising from pairs of symmetries, the point-swapping
 involutions, the Potapov-Ginzburg projection transform, the entire curve
 through two domain points, and affine equivalences between domains sharing a
 common c coefficient up to a right factor.
+
+Operations on a domain, and the chains, swap involutions and curves that hold
+it, judge with the domain's Tolerance; potapov_ginzburg_map takes its own.
 """
 
 from dataclasses import dataclass
@@ -196,16 +199,16 @@ def _midpoint(dom, z, z_den_inv, w):
 
 @dataclass(frozen=True)
 class AutomorphismChain:
-    """A sequence of symmetries whose composition carries source to target.
+    """Symmetries of domain whose composition carries its base point z0 to target.
 
     factors[i] maps waypoints[i] to waypoints[i+1]; midpoints[i] is the
     fixed point of factors[i]. The factor count is even, so consecutive
     pairs fold into affine maps; `affine` is the full folded composition.
     step_norms[i] is ||x_i (waypoints[i+1] - waypoints[i])||, each below the
-    subdivision margin. residual is the defect of the composite at source.
+    subdivision margin. residual is the defect of the composite at z0.
     """
 
-    source: np.ndarray
+    domain: Domain
     target: np.ndarray
     waypoints: tuple
     midpoints: tuple
@@ -218,11 +221,11 @@ class AutomorphismChain:
     def factor_count(self):
         return len(self.factors)
 
-    def apply(self, z, tol=DEFAULT_TOL):
+    def apply(self, z):
         """Apply the factors in order (numerically preferable to one big LFT)."""
         out = as_cmatrix(z)
         for f in self.factors:
-            out = lft_apply(f, out, tol)
+            out = lft_apply(f, out, self.domain.tol)
         return out
 
     def as_lft(self):
@@ -384,7 +387,7 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
     residual = float(operator_norm(reached - target))
 
     return AutomorphismChain(
-        source=source,
+        domain=dom,
         target=target,
         waypoints=tuple(waypoints),
         midpoints=tuple(midpoints),
@@ -461,59 +464,51 @@ def affine_transport_identity_residual(dom, phi, z):
 
 @dataclass(frozen=True)
 class SwapInvolution:
-    """The involutive automorphism exchanging the base point z0 with w0.
+    """The involutive automorphism of domain exchanging its base point z0 with w0.
 
     v(z) = z0 - gl (z - z0 - a) (I + x0 (z - z0))^-1 gr with a = w0 - z0,
     gl = (I + a x0)^(-1/2) and gr = (I + x0 a)^(1/2). Satisfies v(v(z)) = z,
     and for w0 = z0 it reduces to the symmetry at z0.
     """
 
-    z0: np.ndarray
+    domain: Domain
     w0: np.ndarray
-    x0: np.ndarray
     gl: np.ndarray
     gr: np.ndarray
 
-    def __call__(self, z, tol=DEFAULT_TOL):
-        z = as_cmatrix(z, rows=self.z0.shape[0], cols=self.z0.shape[1])
-        eye = np.eye(self.z0.shape[1], dtype=complex)
-        den_inv = try_invert(eye + self.x0 @ (z - self.z0), tol)
+    def __call__(self, z):
+        dom = self.domain
+        z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
+        eye = np.eye(dom.dim_h, dtype=complex)
+        den_inv = try_invert(eye + dom.x0 @ (z - dom.z0), dom.tol)
         if den_inv is None:
             raise SingularMatrixError("z is outside the domain of the involution")
-        a = self.w0 - self.z0
-        return self.z0 - self.gl @ (z - self.z0 - a) @ den_inv @ self.gr
+        a = self.w0 - dom.z0
+        return dom.z0 - self.gl @ (z - dom.z0 - a) @ den_inv @ self.gr
 
     def as_lft(self):
         """The same map as explicit LFT blocks (independent evaluation route)."""
-        k, h = self.z0.shape
+        z0, x0 = self.domain.z0, self.domain.x0
         gr_inv = np.linalg.inv(self.gr)
-        c = gr_inv @ self.x0
-        d = gr_inv @ (np.eye(h, dtype=complex) - self.x0 @ self.z0)
-        a_disp = self.w0 - self.z0
-        a_blk = self.z0 @ gr_inv @ self.x0 - self.gl
-        b_blk = self.z0 @ d + self.gl @ (self.z0 + a_disp)
+        c = gr_inv @ x0
+        d = gr_inv @ (np.eye(self.domain.dim_h, dtype=complex) - x0 @ z0)
+        a_blk = z0 @ gr_inv @ x0 - self.gl
+        b_blk = z0 @ d + self.gl @ self.w0
         return LFTMap(a_blk, b_blk, c, d)
 
 
 def swap_involution(dom, w0):
     """Build the involution exchanging the base point with w0.
 
-    Requires ||x0 (w0 - z0)|| < 1 so both square roots exist on the
-    principal branch.
+    Its factors are those of the affine transport to w0: gl inverts the
+    transport's left factor and gr is its right factor, so the transport's
+    hypothesis ||x0 (w0 - z0)|| < 1 applies.
     """
-    w0, _ = _require_member(dom, w0, "the swap target w0")
-    a = w0 - dom.z0
-    bound = operator_norm(dom.x0 @ a)
-    if bound >= 1.0:
-        raise StepBoundError(
-            f"involution requires ||x0 (w0 - z0)|| < 1; got {bound:.6g}"
-        )
-    sl = principal_sqrt(np.eye(dom.dim_k, dtype=complex) + a @ dom.x0, dom.tol)
-    gl = try_invert(sl, dom.tol)
+    phi = affine_transport(dom, w0)
+    gl = try_invert(phi.left, dom.tol)
     if gl is None:
         raise SingularMatrixError("I + (w0 - z0) x0 has no invertible square root")
-    gr = principal_sqrt(np.eye(dom.dim_h, dtype=complex) + dom.x0 @ a, dom.tol)
-    return SwapInvolution(z0=dom.z0, w0=w0, x0=dom.x0, gl=gl, gr=gr)
+    return SwapInvolution(domain=dom, w0=phi.offset, gl=gl, gr=phi.right)
 
 
 # ---------------------------------------------------------------------------
@@ -563,33 +558,31 @@ def potapov_ginzburg_map(e, tol=DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class LiouvilleCurve:
-    """An entire curve f with f(0) = z0, f(1) = z, staying inside the domain.
+    """An entire curve f with f(0) = z0, f(1) = z, staying inside domain.
 
     f(lam) = z0 + (z - z0) sum_{n>=1} binom(lam, n) w^(n-1) with
     w = x0 (z - z0); the normalized denominator along the curve equals the
     binomial series (I + w)^lam, which is invertible for every lam.
     """
 
-    z0: np.ndarray
+    domain: Domain
     z: np.ndarray
     w: np.ndarray
     den0_inv: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    tol: object
 
     def __call__(self, lam):
-        s = binomial_series_shifted(lam, self.w, self.tol)
-        return self.z0 + (self.z - self.z0) @ s
+        z0 = self.domain.z0
+        return z0 + (self.z - z0) @ binomial_series_shifted(lam, self.w, self.domain.tol)
 
     def series_factor(self, lam):
         """b(lam) = (I + w)^lam as the full binomial series."""
-        return binomial_series(lam, self.w, self.tol)
+        return binomial_series(lam, self.w, self.domain.tol)
 
     def evaluate(self, lams):
         """(f(lam), b(lam)) stacks over every lam in ``lams``, from one series evaluation."""
-        full, shifted = binomial_series_grid(lams, self.w, self.tol)
-        return self.z0 + (self.z - self.z0) @ shifted, full
+        z0 = self.domain.z0
+        full, shifted = binomial_series_grid(lams, self.w, self.domain.tol)
+        return z0 + (self.z - z0) @ shifted, full
 
     def values(self, lams):
         """f(lam) for every lam in ``lams``, as an (m, k, h) stack."""
@@ -601,7 +594,7 @@ class LiouvilleCurve:
 
     def identity_residuals(self, values, factors):
         """Residuals of (c z0 + d)^-1 (c f + d) = b over stacks of f(lam) and b(lam)."""
-        lhs = self.den0_inv @ (self.c @ values + self.d)
+        lhs = self.den0_inv @ (self.domain.c @ values + self.domain.d)
         return np.linalg.svd(lhs - factors, compute_uv=False)[:, 0]
 
     def identity_residual(self, lam):
@@ -619,10 +612,7 @@ def liouville_curve(dom, z):
     bound = operator_norm(w)
     if bound >= 1.0:
         raise StepBoundError(f"curve requires ||x0 (z - z0)|| < 1; got {bound:.6g}")
-    return LiouvilleCurve(
-        z0=dom.z0, z=z, w=w, den0_inv=dom.denominator_inverse(dom.z0),
-        c=dom.c, d=dom.d, tol=dom.tol,
-    )
+    return LiouvilleCurve(domain=dom, z=z, w=w, den0_inv=dom.denominator_inverse(dom.z0))
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +637,10 @@ class AffineEquivalence:
         return self.phi(z)
 
     def certificate_residual(self, z):
+        """Defect of the denominator identity at z; phi.right is (c1 z1 + d1)^-1 (c2 z2 + d2)."""
         z = as_cmatrix(z, rows=self.dom1.dim_k, cols=self.dom1.dim_h)
         lhs = self.dom2.denominator(self.phi(z))
-        mid = np.linalg.solve(
-            self.dom1.denominator(self.phi.base), self.dom2.denominator(self.phi.offset)
-        )
-        rhs = self.dom1.denominator(z) @ mid
+        rhs = self.dom1.denominator(z) @ self.phi.right
         return float(operator_norm(lhs - rhs))
 
 
@@ -694,8 +682,8 @@ def affine_equivalence(dom1, dom2, r, z1, z2):
     defect = operator_norm(dom2.c - dom1.c @ r)
     if defect > tol.eq_tol * (1.0 + operator_norm(dom2.c)):
         raise HypothesisError(f"c2 = c1 r fails with defect {defect:.3g}")
-    z1, _ = _require_member(dom1, z1, "z1")
+    z1, z1_den_inv = _require_member(dom1, z1, "z1")
     z2, _ = _require_member(dom2, z2, "z2")
-    right = np.linalg.solve(dom1.denominator(z1), dom2.denominator(z2))
+    right = z1_den_inv @ dom2.denominator(z2)
     phi = AffineMap(base=z1, offset=z2, left=r_inv, right=right)
     return AffineEquivalence(phi=phi, r=r, dom1=dom1, dom2=dom2)

@@ -6,6 +6,9 @@ the exterior domain I < Z*Z inside a power algebra, with the inverse identity
 of linear isometries; the Mobius automorphisms of the unit operator ball; and
 the two transitive linear groups, one for the product-type stacked domain
 Z1*Z1 < Z2*Z2 and one for the hyperbolic vector domain (Jz, z) < 0.
+
+A SiegelSpec or HyperbolicSpec takes its Tolerance once, when it is built, and
+every function on a spec judges with spec.tol.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +25,7 @@ from .exceptions import (
     SpectrumError,
 )
 from .domains import LFTMap
-from .linalg import DEFAULT_TOL, as_cmatrix, operator_norm, principal_sqrt, try_invert
+from .linalg import DEFAULT_TOL, Tolerance, as_cmatrix, operator_norm, principal_sqrt, try_invert
 from .sampling import random_space_member
 
 
@@ -32,14 +35,16 @@ from .sampling import random_space_member
 
 @dataclass(frozen=True)
 class SiegelSpec:
-    """Shape data for domains of stacked matrices [Z1; Z2].
+    """Shape data for domains of stacked matrices [Z1; Z2], and their Tolerance.
 
     Members are (dim_k + dim_h) x dim_h with Z1 the top dim_k rows and Z2 the
-    square bottom block; the signature matrix is J = diag(I_k, -I_h).
+    square bottom block; the signature matrix is J = diag(I_k, -I_h). The
+    Siegel-type and product-type functions and samplers judge with tol.
     """
 
     dim_k: int
     dim_h: int
+    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self):
         if self.dim_k < 1 or self.dim_h < 1:
@@ -69,11 +74,11 @@ def _min_eig_hermitian(m):
     return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
 
 
-def siegel_member(spec, z, tol=DEFAULT_TOL):
+def siegel_member(spec, z):
     """True iff Z2*Z2 - Z1*Z1 - I is positive definite (strict interior)."""
     z1, z2 = spec.split(z)
     gram = z2.conj().T @ z2 - z1.conj().T @ z1 - np.eye(spec.dim_h, dtype=complex)
-    return _min_eig_hermitian(gram) > tol.eq_tol
+    return _min_eig_hermitian(gram) > spec.tol.eq_tol
 
 
 def siegel_gram(spec, z):
@@ -104,7 +109,7 @@ class SiegelLinearAuto:
         return self.l_inv @ z @ self.u.conj().T
 
 
-def siegel_linear_auto(spec, l, u, tol=DEFAULT_TOL):
+def siegel_linear_auto(spec, l, u):
     """Validate (L, U) and wrap them as a domain automorphism.
 
     Requires L*JL = J, U unitary, and L invertible.
@@ -113,11 +118,11 @@ def siegel_linear_auto(spec, l, u, tol=DEFAULT_TOL):
     l = as_cmatrix(l, rows=n, cols=n)
     u = as_cmatrix(u, rows=spec.dim_h, cols=spec.dim_h)
     j = spec.j
-    if operator_norm(l.conj().T @ j @ l - j) > tol.eq_tol * (1.0 + operator_norm(l)) ** 2:
+    if operator_norm(l.conj().T @ j @ l - j) > spec.tol.eq_tol * (1.0 + operator_norm(l)) ** 2:
         raise HypothesisError("L is not J-unitary: L*JL differs from J")
-    if operator_norm(u.conj().T @ u - np.eye(spec.dim_h)) > tol.eq_tol:
+    if operator_norm(u.conj().T @ u - np.eye(spec.dim_h)) > spec.tol.eq_tol:
         raise HypothesisError("U is not unitary")
-    l_inv = try_invert(l, tol)
+    l_inv = try_invert(l, spec.tol)
     if l_inv is None:
         raise SingularMatrixError("L must be invertible")
     return SiegelLinearAuto(spec=spec, l=l, u=u, l_inv=l_inv)
@@ -141,10 +146,10 @@ def siegel_invariant_residual(spec, auto, r):
     return float(operator_norm(value - expected))
 
 
-def cayley_map(spec, z, tol=DEFAULT_TOL):
+def cayley_map(spec, z):
     """The involution [Z1; Z2] -> [Z1 Z2^-1; Z2^-1] (its own inverse)."""
     z1, z2 = spec.split(z)
-    z2_inv = try_invert(z2, tol)
+    z2_inv = try_invert(z2, spec.tol)
     if z2_inv is None:
         raise SingularMatrixError("the bottom block Z2 must be invertible")
     return np.vstack([z1 @ z2_inv, z2_inv])
@@ -336,19 +341,19 @@ def mobius_direct(b, z, tol=DEFAULT_TOL):
 # Product-type stacked domain and its transitive linear maps
 
 
-def product_member(spec, z, tol=DEFAULT_TOL):
+def product_member(spec, z):
     """True iff Z2 is invertible and Z2*Z2 - Z1*Z1 is positive definite."""
     z1, z2 = spec.split(z)
-    if try_invert(z2, tol) is None:
+    if try_invert(z2, spec.tol) is None:
         return False
     gram = z2.conj().T @ z2 - z1.conj().T @ z1
-    return _min_eig_hermitian(gram) > tol.eq_tol
+    return _min_eig_hermitian(gram) > spec.tol.eq_tol
 
 
-def product_split(spec, z, tol=DEFAULT_TOL):
+def product_split(spec, z):
     """The pair (Z1 Z2^-1, Z2^-1): ball point and invertible operator."""
     z1, z2 = spec.split(z)
-    z2_inv = try_invert(z2, tol)
+    z2_inv = try_invert(z2, spec.tol)
     if z2_inv is None:
         raise SingularMatrixError("the bottom block Z2 must be invertible")
     return z1 @ z2_inv, z2_inv
@@ -380,15 +385,15 @@ class ProductTransport:
         return self.m_inv @ z @ self.r_inv
 
 
-def product_transitive(spec, w, tol=DEFAULT_TOL):
+def product_transitive(spec, w):
     """Build the linear map carrying the axis point [0; I] to the member w."""
-    if not product_member(spec, w, tol):
+    if not product_member(spec, w):
         raise HypothesisError("w is not a member of the product-type domain")
     w1, w2 = spec.split(w)
     b = w1 @ np.linalg.inv(w2)
-    m = mobius_map(b, tol).coefficient_matrix()
-    m_inv = mobius_map(-b, tol).coefficient_matrix()
-    r = principal_sqrt(np.eye(spec.dim_h, dtype=complex) - b.conj().T @ b, tol) @ w2
+    m = mobius_map(b, spec.tol).coefficient_matrix()
+    m_inv = mobius_map(-b, spec.tol).coefficient_matrix()
+    r = principal_sqrt(np.eye(spec.dim_h, dtype=complex) - b.conj().T @ b, spec.tol) @ w2
     r_inv = np.linalg.inv(r)
     return ProductTransport(spec=spec, w=w, b=b, m=m, r=r, m_inv=m_inv, r_inv=r_inv)
 
@@ -404,7 +409,8 @@ class HyperbolicSpec:
     f (eigenvalue -1) and an orthonormal basis of their orthocomplement K;
     the compression of J to K is the Hermitian block b. Eigenvectors may be
     supplied explicitly; otherwise the first matching eigenvectors of the
-    eigendecomposition are used and recorded.
+    eigendecomposition are used and recorded. Membership and transport
+    judge with tol, kept as spec.tol.
     """
 
     def __init__(self, j, eigvec_plus=None, eigvec_minus=None, tol=DEFAULT_TOL):
@@ -416,6 +422,7 @@ class HyperbolicSpec:
             raise SpectrumError("J must be Hermitian")
         self.j = 0.5 * (j + j.conj().T)
         self.dim = n
+        self.tol = tol
 
         eigvals, eigvecs = np.linalg.eigh(self.j)
         self.e = self._resolve_eigvec(eigvec_plus, eigvals, eigvecs, 1.0)
@@ -467,8 +474,8 @@ class HyperbolicSpec:
         return coords[0], coords[1 : self.dim - 1], coords[self.dim - 1]
 
 
-def hyperbolic_member(spec, z, tol=DEFAULT_TOL):
-    return spec.form(z).real < -tol.eq_tol
+def hyperbolic_member(spec, z):
+    return spec.form(z).real < -spec.tol.eq_tol
 
 
 def _l_w_matrix(spec, w):
@@ -543,7 +550,7 @@ def _hyperbolic_branch_a(spec, coords):
     return l_2 @ l_w @ l_1, b * b - a * a
 
 
-def hyperbolic_transitive(spec, z1, tol=DEFAULT_TOL):
+def hyperbolic_transitive(spec, z1):
     """Build a linear automorphism of {(Jz, z) < 0} taking f to z1.
 
     The generic branch composes a diagonal phase map, a shear, and a
@@ -553,7 +560,7 @@ def hyperbolic_transitive(spec, z1, tol=DEFAULT_TOL):
     z1 = np.asarray(z1, dtype=complex).reshape(-1)
     if z1.shape != (spec.dim,):
         raise ShapeError(f"expected a vector of length {spec.dim}")
-    if not hyperbolic_member(spec, z1, tol):
+    if not hyperbolic_member(spec, z1):
         raise HypothesisError("z1 is not inside the domain: (J z1, z1) must be negative")
     alpha, w1, beta = spec.coordinates(z1)
     degenerate = abs(alpha) + abs(beta) <= 1e-8 * (1.0 + np.linalg.norm(z1))

@@ -149,12 +149,12 @@ def _demo_lines(example, config):
                 f"  vector form matches matrix route: {np.linalg.norm(closed - via):.3e}"
             )
     elif example == "siegel":
-        spec = SiegelSpec(config.dim_k, config.dim_h)
-        z = samp.random_siegel_member(rng, spec, tol)
-        t = cayley_map(spec, z, tol)
-        lines.append(f"stacked member of shape {spec.shape}; member: {siegel_member(spec, z, tol)}")
+        spec = SiegelSpec(config.dim_k, config.dim_h, tol)
+        z = samp.random_siegel_member(rng, spec)
+        t = cayley_map(spec, z)
+        lines.append(f"stacked member of shape {spec.shape}; member: {siegel_member(spec, z)}")
         lines.append(f"||T(Z)|| = {operator_norm(t):.6f} (inside the unit ball)")
-        lines.append(f"||T(T(Z)) - Z|| = {operator_norm(cayley_map(spec, t, tol) - z):.3e}")
+        lines.append(f"||T(T(Z)) - Z|| = {operator_norm(cayley_map(spec, t) - z):.3e}")
     elif example == "exterior":
         n = max(2, config.dim_h)
         space = full_space(n, n)
@@ -163,9 +163,9 @@ def _demo_lines(example, config):
         lines.append(f"transpose map on {n} x {n}: U = L(I), unitary defect {rep.unitary_defect:.3e}")
         lines.append(f"max ||L(Z^-1) - U L(Z)^-1 U|| = {rep.max_identity_residual:.3e}")
     elif example == "product":
-        spec = SiegelSpec(config.dim_k, config.dim_h)
-        w = samp.random_product_member(rng, spec, tol)
-        transport = product_transitive(spec, w, tol)
+        spec = SiegelSpec(config.dim_k, config.dim_h, tol)
+        w = samp.random_product_member(rng, spec)
+        transport = product_transitive(spec, w)
         axis = spec.stack(
             np.zeros((spec.dim_k, spec.dim_h)), np.eye(spec.dim_h)
         )
@@ -181,7 +181,7 @@ def _demo_lines(example, config):
         j = (v * np.concatenate([[1.0], interior, [-1.0]])) @ v.conj().T
         spec = HyperbolicSpec(j, tol=tol)
         z1 = samp.random_hyperbolic_member(rng, spec)
-        transport = hyperbolic_transitive(spec, z1, tol)
+        transport = hyperbolic_transitive(spec, z1)
         lines.append(f"form value at target: {spec.form(z1).real:.6f} (negative inside)")
         lines.append("L composed from phase, shear, and stretch factors")
         lines.append(f"||L f - z1|| = {transport.endpoint_residual():.3e}")

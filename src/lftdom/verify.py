@@ -143,16 +143,15 @@ def _member_pair(rng, dom, margin=0.05):
 
 def suite_symmetry(config, rng, track):
     """Involution, fixed point, coefficient involution, and derivative checks."""
-    tol = config.tol
     domains = example_domains(config)
     trials = 4 * config.trials
     for i in range(trials):
         dom = domains[i % len(domains)]
         y, z = _member_pair(rng, dom)
         u = symmetry_map(dom, y)
-        double = lft_apply(u, lft_apply(u, z, tol), tol)
+        double = lft_apply(u, lft_apply(u, z, dom.tol), dom.tol)
         track.add(operator_norm(double - z), 1e-8 * (1.0 + operator_norm(z)))
-        track.add(operator_norm(lft_apply(u, y, tol) - y), 1e-10)
+        track.add(operator_norm(lft_apply(u, y, dom.tol) - y), 1e-10)
         m = u.coefficient_matrix()
         track.add(operator_norm(m @ m - np.eye(m.shape[0])), 1e-10)
         direction = samp.random_space_member(rng, dom.space, scale=0.1)
@@ -163,13 +162,12 @@ def suite_symmetry(config, rng, track):
 
 def suite_symmetry_routes(config, rng, track):
     """The coefficient-block route against the direct resolvent formula."""
-    tol = config.tol
     domains = example_domains(config)
     trials = 2 * config.trials
     for i in range(trials):
         dom = domains[i % len(domains)]
         y, z = _member_pair(rng, dom)
-        via_blocks = lft_apply(symmetry_map(dom, y), z, tol)
+        via_blocks = lft_apply(symmetry_map(dom, y), z, dom.tol)
         direct = symmetry_direct(dom, y, z)
         track.add(operator_norm(via_blocks - direct), 1e-9 * (1.0 + operator_norm(z)))
     return trials
@@ -197,7 +195,6 @@ def suite_midpoint(config, rng, track):
 
 def suite_chain(config, rng, track):
     """Transitive chains: composite reaches the target through domain points."""
-    tol = config.tol
     domains = example_domains(config)
     built = 0
     for dom in domains:
@@ -220,7 +217,7 @@ def suite_chain(config, rng, track):
             for _ in range(20):
                 probe = samp.random_domain_member(rng, dom, margin=0.05)
                 try:
-                    pointwise = chain.apply(probe, tol)
+                    pointwise = chain.apply(probe)
                 except LftdomError:
                     continue
                 track.add(operator_norm(chain.affine(probe) - pointwise), 1e-9)
@@ -250,7 +247,7 @@ def suite_transport(config, rng, track):
     trials = 2 * config.trials
     for i in range(trials):
         dom = domains[i % len(domains)]
-        w0 = samp.random_target_in_reach(rng, dom, max_pull=0.8)
+        w0 = samp.random_target_in_reach(rng, dom)
         phi = affine_transport(dom, w0)
         track.add(operator_norm(phi(dom.z0) - w0), 1e-10 * (1.0 + operator_norm(w0)))
         z, _ = _member_pair(rng, dom)
@@ -261,25 +258,24 @@ def suite_transport(config, rng, track):
 
 def suite_swap(config, rng, track):
     """The exchanging involution: self-inverse, swaps base and target."""
-    tol = config.tol
     domains = example_domains(config)
     trials = 2 * config.trials
     for i in range(trials):
         dom = domains[i % len(domains)]
-        w0 = samp.random_target_in_reach(rng, dom, max_pull=0.8)
+        w0 = samp.random_target_in_reach(rng, dom)
         v = swap_involution(dom, w0)
-        track.add(operator_norm(v(dom.z0, tol) - w0), 1e-9 * (1.0 + operator_norm(w0)))
+        track.add(operator_norm(v(dom.z0) - w0), 1e-9 * (1.0 + operator_norm(w0)))
         z, _ = _member_pair(rng, dom)
         try:
-            track.add(operator_norm(v(v(z, tol), tol) - z), 1e-9 * (1.0 + operator_norm(z)))
+            track.add(operator_norm(v(v(z)) - z), 1e-9 * (1.0 + operator_norm(z)))
         except LftdomError:
             pass
         v0 = swap_involution(dom, dom.z0)
         track.add(
-            operator_norm(v0(z, tol) - symmetry_direct(dom, dom.z0, z)),
+            operator_norm(v0(z) - symmetry_direct(dom, dom.z0, z)),
             1e-9 * (1.0 + operator_norm(z)),
         )
-        track.add(operator_norm(lft_apply(v.as_lft(), z, tol) - v(z, tol)), 1e-8)
+        track.add(operator_norm(lft_apply(v.as_lft(), z, dom.tol) - v(z)), 1e-8)
     return trials
 
 
@@ -351,7 +347,7 @@ def suite_liouville(config, rng, track):
     count = 0
     for i, dom in enumerate(domains):
         for _ in range(targets):
-            z = samp.random_target_in_reach(rng, dom, max_pull=0.8)
+            z = samp.random_target_in_reach(rng, dom)
             curve = liouville_curve(dom, z)
             count += 1
             values, factors = curve.evaluate(lams)
@@ -446,21 +442,20 @@ def _random_j_unitary(rng, j, scale=0.4):
 
 def suite_siegel(config, rng, track):
     """Validated linear maps preserve the stacked domain; Cayley involutes."""
-    tol = config.tol
-    spec = SiegelSpec(config.dim_k, config.dim_h)
+    spec = SiegelSpec(config.dim_k, config.dim_h, config.tol)
     trials = 2 * config.trials
     for _ in range(trials):
         l = _random_j_unitary(rng, spec.j)
         u = samp.random_unitary(rng, spec.dim_h)
-        auto = siegel_linear_auto(spec, l, u, tol)
-        z = samp.random_siegel_member(rng, spec, tol)
-        track.require(siegel_member(spec, auto(z), tol))
+        auto = siegel_linear_auto(spec, l, u)
+        z = samp.random_siegel_member(rng, spec)
+        track.require(siegel_member(spec, auto(z)))
         track.add(
             operator_norm(auto.inverse(auto(z)) - z), 1e-9 * (1.0 + operator_norm(z))
         )
         track.add(siegel_invariant_residual(spec, auto, 1.5), 1e-8)
-        tz = cayley_map(spec, z, tol)
-        track.add(operator_norm(cayley_map(spec, tz, tol) - z), 1e-10 * (1.0 + operator_norm(z)))
+        tz = cayley_map(spec, z)
+        track.add(operator_norm(cayley_map(spec, tz) - z), 1e-10 * (1.0 + operator_norm(z)))
         track.require(operator_norm(tz) < 1.0)
     return trials
 
@@ -510,31 +505,29 @@ def suite_mobius(config, rng, track):
 
 def suite_product(config, rng, track):
     """Transitive linear maps of the product-type stacked domain."""
-    tol = config.tol
-    spec = SiegelSpec(config.dim_k, config.dim_h)
+    spec = SiegelSpec(config.dim_k, config.dim_h, config.tol)
     axis = spec.stack(
         np.zeros((spec.dim_k, spec.dim_h), dtype=complex),
         np.eye(spec.dim_h, dtype=complex),
     )
     trials = 2 * config.trials
     for _ in range(trials):
-        w = samp.random_product_member(rng, spec, tol)
-        transport = product_transitive(spec, w, tol)
+        w = samp.random_product_member(rng, spec)
+        transport = product_transitive(spec, w)
         track.add(operator_norm(transport(axis) - w), 1e-10 * (1.0 + operator_norm(w)))
         track.add(operator_norm(transport.m.conj().T @ spec.j @ transport.m - spec.j), 1e-10)
-        z = samp.random_product_member(rng, spec, tol)
+        z = samp.random_product_member(rng, spec)
         image = transport(z)
-        track.require(product_member(spec, image, tol))
+        track.require(product_member(spec, image))
         track.add(operator_norm(transport.inverse(image) - z), 1e-9 * (1.0 + operator_norm(z)))
-        ball_part, inv_part = product_split(spec, image, tol)
+        ball_part, inv_part = product_split(spec, image)
         track.require(operator_norm(ball_part) < 1.0)
-        track.require(try_invert(inv_part, tol) is not None)
+        track.require(try_invert(inv_part, spec.tol) is not None)
     return trials
 
 
 def suite_hyperbolic(config, rng, track):
     """Transitive maps of the vector domain (Jz, z) < 0, both branches."""
-    tol = config.tol
     n = max(3, min(config.dim_k + config.dim_h, 6))
     trials = 4 * config.trials
     degenerate_seen = 0
@@ -545,9 +538,9 @@ def suite_hyperbolic(config, rng, track):
             interior[0] = -abs(interior[0]) - 0.2
         v = samp.random_unitary(rng, n)
         j = (v * np.concatenate([[1.0], interior, [-1.0]])) @ v.conj().T
-        spec = HyperbolicSpec(j, tol=tol)
+        spec = HyperbolicSpec(j, tol=config.tol)
         z1 = samp.random_hyperbolic_member(rng, spec, degenerate=want_degenerate)
-        transport = hyperbolic_transitive(spec, z1, tol)
+        transport = hyperbolic_transitive(spec, z1)
         if transport.degenerate:
             degenerate_seen += 1
         scale = 1.0 + np.linalg.norm(z1)
@@ -558,7 +551,7 @@ def suite_hyperbolic(config, rng, track):
         )
         track.require(transport.c > 0.0)
         z = samp.random_hyperbolic_member(rng, spec)
-        track.require(hyperbolic_member(spec, transport(z), tol))
+        track.require(hyperbolic_member(spec, transport(z)))
     track.require(degenerate_seen >= trials // 10)
     return trials
 

@@ -133,7 +133,7 @@ def test_criterion_2_transitive_chains():
                     break
                 probe = samp.random_domain_member(rng, based, margin=0.05)
                 try:
-                    pointwise = chain.apply(probe, TOL)
+                    pointwise = chain.apply(probe)
                 except LftdomError:
                     continue
                 probes += 1
@@ -173,7 +173,7 @@ def test_criterion_3_affine_formulas():
     worst_transport = 0.0
     for i in range(100):
         dom = domains[i % len(domains)]
-        w0 = samp.random_target_in_reach(rng, dom, max_pull=0.8)
+        w0 = samp.random_target_in_reach(rng, dom)
         phi = affine_transport(dom, w0)
         worst_transport = max(worst_transport, operator_norm(phi(dom.z0) - w0))
         z = samp.random_domain_member(rng, dom, margin=0.05)
@@ -186,19 +186,19 @@ def test_criterion_3_affine_formulas():
     done = 0
     while done < 100:
         dom = domains[done % len(domains)]
-        w0 = samp.random_target_in_reach(rng, dom, max_pull=0.8)
+        w0 = samp.random_target_in_reach(rng, dom)
         v = swap_involution(dom, w0)
         z = samp.random_domain_member(rng, dom, margin=0.05)
         try:
-            twice = v(v(z, TOL), TOL)
+            twice = v(v(z))
             base_swap = swap_involution(dom, dom.z0)
             base_residual = operator_norm(
-                base_swap(z, TOL) - symmetry_direct(dom, dom.z0, z)
+                base_swap(z) - symmetry_direct(dom, dom.z0, z)
             )
         except LftdomError:
             continue
         worst_swap = max(worst_swap, operator_norm(twice - z))
-        worst_swap = max(worst_swap, operator_norm(v(dom.z0, TOL) - w0))
+        worst_swap = max(worst_swap, operator_norm(v(dom.z0) - w0))
         worst_swap = max(worst_swap, base_residual)
         done += 1
     assert worst_swap <= 1e-9
@@ -265,7 +265,7 @@ def test_criterion_5_liouville_curve():
     worst_pairing = 0.0
     for dom in domains:
         for _ in range(3):
-            z = samp.random_target_in_reach(rng, dom, max_pull=0.8)
+            z = samp.random_target_in_reach(rng, dom)
             assert operator_norm(dom.x0 @ (z - dom.z0)) < 0.8
             curve = liouville_curve(dom, z)
             worst_end = max(worst_end, operator_norm(curve(0.0) - dom.z0))
@@ -326,19 +326,19 @@ def test_criterion_6_determinant_membership():
 
 def test_criterion_7_circular_suite():
     rng = np.random.default_rng(707)
-    spec = SiegelSpec(2, 2)
+    spec = SiegelSpec(2, 2, TOL)
 
     worst_cayley = 0.0
     preserved = 0
     for _ in range(100):
-        z = samp.random_siegel_member(rng, spec, TOL)
-        t = cayley_map(spec, z, TOL)
+        z = samp.random_siegel_member(rng, spec)
+        t = cayley_map(spec, z)
         assert operator_norm(t) < 1.0
-        worst_cayley = max(worst_cayley, operator_norm(cayley_map(spec, t, TOL) - z))
+        worst_cayley = max(worst_cayley, operator_norm(cayley_map(spec, t) - z))
         l = random_j_unitary(rng, spec.j)
         u = samp.random_unitary(rng, spec.dim_h)
-        auto = siegel_linear_auto(spec, l, u, TOL)
-        if siegel_member(spec, auto(z), TOL):
+        auto = siegel_linear_auto(spec, l, u)
+        if siegel_member(spec, auto(z)):
             preserved += 1
     assert worst_cayley <= 1e-10
     assert preserved == 100
@@ -370,8 +370,8 @@ def test_criterion_7_circular_suite():
     worst_endpoint = 0.0
     worst_form = 0.0
     for _ in range(100):
-        w = samp.random_product_member(rng, spec, TOL)
-        transport = product_transitive(spec, w, TOL)
+        w = samp.random_product_member(rng, spec)
+        transport = product_transitive(spec, w)
         worst_endpoint = max(worst_endpoint, operator_norm(transport(axis) - w))
         worst_form = max(
             worst_form,
@@ -392,7 +392,7 @@ def test_criterion_7_circular_suite():
         j = (v * np.concatenate([[1.0], interior, [-1.0]])) @ v.conj().T
         hspec = HyperbolicSpec(j, tol=TOL)
         z1 = samp.random_hyperbolic_member(rng, hspec, degenerate=want_degenerate)
-        transport = hyperbolic_transitive(hspec, z1, TOL)
+        transport = hyperbolic_transitive(hspec, z1)
         if transport.degenerate:
             degenerate_seen += 1
         worst_hyper_end = max(worst_hyper_end, transport.endpoint_residual())
@@ -400,7 +400,7 @@ def test_criterion_7_circular_suite():
         assert transport.certificate_residual() <= 1e-9 * scale
         assert transport.c > 0.0
         z = samp.random_hyperbolic_member(rng, hspec)
-        assert hyperbolic_member(hspec, transport(z), TOL)
+        assert hyperbolic_member(hspec, transport(z))
     assert worst_hyper_end <= 1e-9
     assert degenerate_seen >= 20
 

@@ -146,6 +146,9 @@ def test_every_operation_judges_with_the_domain_tolerance():
         "swap_involution": lambda: swap_involution(dom, near),
         "liouville_curve": lambda: liouville_curve(dom, near),
         "transitive_chain": lambda: transitive_chain(dom, near),
+        # the records built on the domain judge with its tolerance too
+        "chain.apply": lambda: transitive_chain(dom, clear).apply(near),
+        "swap involution": lambda: swap_involution(dom, clear)(near),
     }
     for name, call in calls.items():
         with pytest.raises(SingularMatrixError):
@@ -187,7 +190,7 @@ def test_midpoint_symmetry_reaches_the_target():
     for _ in range(15):
         z = random_domain_member(rng, dom, margin=0.05)
         shifted = Domain(dom.space, dom.c, dom.d, z)
-        w = random_target_in_reach(rng, shifted, max_pull=0.8)
+        w = random_target_in_reach(rng, shifted)
         y = find_midpoint(dom, z, w)
         assert dom.is_member(y)
         assert operator_norm(symmetry_direct(dom, y, z) - w) <= 1e-8 * (
@@ -240,7 +243,7 @@ def test_chain_matches_pointwise_composition_on_matrices():
     rng = np.random.default_rng(48)
     dom = invertibles_domain(full_space(2, 2))
     for _ in range(5):
-        target = random_target_in_reach(rng, dom, max_pull=0.8)
+        target = random_target_in_reach(rng, dom)
         chain = transitive_chain(dom, target)
         assert chain.factor_count % 2 == 0
         assert chain.residual <= 1e-8 * (1 + operator_norm(target))
@@ -318,7 +321,7 @@ def test_greedy_chain_step_norms_recomputed_stay_within_the_margin():
     rng = np.random.default_rng(62)
     for dom in example_domains(RunConfig()):
         for margin in (0.3, 0.9):
-            target = random_target_in_reach(rng, dom, max_pull=0.8)
+            target = random_target_in_reach(rng, dom)
             chain = transitive_chain(dom, target, margin=margin)
             recomputed = recomputed_step_norms(dom, chain)
             assert max(recomputed) <= margin, dom.label
@@ -376,7 +379,7 @@ def rebuilt_from_waypoints(dom, chain):
     for i in range(0, len(midpoints), 2):
         affine = compose_symmetries_affine(dom, midpoints[i + 1], midpoints[i]).compose(affine)
     affine = AffineMap(
-        base=chain.source, offset=affine(chain.source), left=affine.left, right=affine.right
+        base=dom.z0, offset=affine(dom.z0), left=affine.left, right=affine.right
     )
     return midpoints, factors, affine
 
@@ -419,7 +422,7 @@ def test_chain_inverts_at_most_four_times_per_factor(monkeypatch):
     rng = np.random.default_rng(65)
     for dom in example_domains(RunConfig()):
         for _ in range(3):
-            target = random_target_in_reach(rng, dom, max_pull=0.8)
+            target = random_target_in_reach(rng, dom)
             calls.clear()
             chain = transitive_chain(dom, target)
             assert len(calls) <= 4 * chain.factor_count + 2, dom.label
@@ -476,7 +479,7 @@ def test_affine_transport_certifying_identity():
     rng = np.random.default_rng(51)
     dom = invertibles_domain(full_space(2, 2))
     for _ in range(10):
-        w0 = random_target_in_reach(rng, dom, max_pull=0.8)
+        w0 = random_target_in_reach(rng, dom)
         phi = affine_transport(dom, w0)
         assert operator_norm(phi(dom.z0) - w0) <= 1e-10 * (1 + operator_norm(w0))
         z = random_domain_member(rng, dom, margin=0.05)
@@ -495,7 +498,7 @@ def test_swap_involution_properties():
     rng = np.random.default_rng(52)
     dom = invertibles_domain(full_space(2, 2))
     for _ in range(10):
-        w0 = random_target_in_reach(rng, dom, max_pull=0.8)
+        w0 = random_target_in_reach(rng, dom)
         v = swap_involution(dom, w0)
         assert operator_norm(v(dom.z0) - w0) <= 1e-10 * (1 + operator_norm(w0))
         assert operator_norm(v(w0) - dom.z0) <= 1e-9 * (1 + operator_norm(w0))
@@ -545,6 +548,34 @@ def test_affine_equivalence_certificate_on_matrices():
         z = random_domain_member(rng, dom1, margin=0.05)
         assert eq.certificate_residual(z) <= 1e-9 * (1 + operator_norm(z))
         assert dom2.membership(eq(z)) is Verdict.MEMBER
+
+
+def test_affine_equivalence_solves_nothing_after_the_membership_checks(monkeypatch):
+    # (c1 z1 + d1)^-1 comes from z1's membership check, and every certificate
+    # reuses the stored right factor (c1 z1 + d1)^-1 (c2 z2 + d2)
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        calls.append(None)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    rng = np.random.default_rng(55)
+    space = full_space(2, 2)
+    eye = np.eye(2)
+    c1 = random_matrix(rng, 2, 2)
+    z1 = random_matrix(rng, 2, 2)
+    dom1 = Domain(space, c1, eye - c1 @ z1, z1)
+    r = random_matrix(rng, 2, 2) + 2 * eye
+    z2 = random_matrix(rng, 2, 2)
+    dom2 = Domain(space, c1 @ r, eye - c1 @ r @ z2, z2)
+    probes = [random_domain_member(rng, dom1, margin=0.05) for _ in range(10)]
+    calls.clear()
+    eq = affine_equivalence(dom1, dom2, r, z1, z2)
+    for z in probes:
+        assert eq.certificate_residual(z) <= 1e-9 * (1 + operator_norm(z))
+    assert calls == []
 
 
 def test_affine_equivalence_validates_inputs():
@@ -623,7 +654,7 @@ def test_liouville_endpoint_and_identity_on_matrices():
     rng = np.random.default_rng(57)
     dom = invertibles_domain(full_space(2, 2))
     for _ in range(5):
-        z = random_target_in_reach(rng, dom, max_pull=0.8)
+        z = random_target_in_reach(rng, dom)
         f = liouville_curve(dom, z)
         assert operator_norm(f(0) - dom.z0) <= 1e-8
         assert operator_norm(f(1) - z) <= 1e-8
@@ -648,7 +679,7 @@ def test_liouville_values_match_pointwise_calls():
     rng = np.random.default_rng(58)
     grid = _lambda_grid()
     for dom in example_domains(RunConfig()):
-        z = random_target_in_reach(rng, dom, max_pull=0.8)
+        z = random_target_in_reach(rng, dom)
         f = liouville_curve(dom, z)
         values = f.values(grid)
         factors = f.series_factors(grid)

@@ -13,6 +13,7 @@ from lftdom import (
     SpaceClosureError,
     SpaceLinearMap,
     SpectrumError,
+    Tolerance,
     cayley_map,
     diagonal_space,
     exterior_linear_auto_check,
@@ -415,3 +416,43 @@ def test_hyperbolic_degenerate_sampling_needs_a_negative_direction():
         random_hyperbolic_member(rng, spec, degenerate=True)
     with pytest.raises(ValueError):
         random_hyperbolic_member(rng, HyperbolicSpec(np.diag([1.0, -1.0])), degenerate=True)
+
+
+# ---------------------------------------------------------------------------
+# One tolerance per spec
+
+
+def test_specs_judge_with_the_tolerance_they_were_built_with():
+    # every point below sits inside the 1e-3 / 1e-4 margin of the coarse
+    # specs, though well clear of the default thresholds
+    coarse = Tolerance(eq_tol=1e-3, inv_tol=1e-4)
+    j = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    frame = {"eigvec_plus": np.array([1.0, 0, 0]), "eigvec_minus": np.array([0, 0, 1.0])}
+    hyperbolic = HyperbolicSpec(j, **frame)
+    hyperbolic_coarse = HyperbolicSpec(j, **frame, tol=coarse)
+    assert hyperbolic_coarse.tol == coarse
+    z = np.array([0.0, 0.0, np.sqrt(2e-6)])  # (Jz, z) = -2e-6
+    assert hyperbolic_member(hyperbolic, z)
+    assert not hyperbolic_member(hyperbolic_coarse, z)
+    with pytest.raises(HypothesisError):
+        hyperbolic_transitive(hyperbolic_coarse, z)
+
+    siegel, siegel_coarse = SiegelSpec(1, 1), SiegelSpec(1, 1, coarse)
+    assert siegel_coarse.tol == coarse
+    z = axis_point(siegel, np.sqrt(1.0 + 2e-6))  # Z2*Z2 - Z1*Z1 - I = 2e-6
+    assert siegel_member(siegel, z)
+    assert not siegel_member(siegel_coarse, z)
+    z = np.array([[1.0], [np.sqrt(1.0 + 2e-6)]])  # Z2*Z2 - Z1*Z1 = 2e-6
+    assert product_member(siegel, z)
+    assert not product_member(siegel_coarse, z)
+    with pytest.raises(HypothesisError):
+        product_transitive(siegel_coarse, z)
+
+    for smin in (1e-9, 1e-6, 1e-5):  # sigma_min(Z2) in (1e-10, 1e-4)
+        z = np.array([[1.0], [smin]])
+        cayley_map(siegel, z)
+        product_split(siegel, z)
+        with pytest.raises(SingularMatrixError):
+            cayley_map(siegel_coarse, z)
+        with pytest.raises(SingularMatrixError):
+            product_split(siegel_coarse, z)

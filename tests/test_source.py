@@ -1,11 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import lftdom
-from lftdom import automorphisms, domains, sampling
+from lftdom import automorphisms, circular, domains, sampling
 
 PACKAGE = Path(lftdom.__file__).parent
 
@@ -53,7 +54,42 @@ def test_domain_bound_functions_take_no_tolerance():
                 if "dom" in params or "dom1" in params:
                     candidates.append((f"{module.__name__}.{name}", fn))
     assert len(candidates) >= 20
+    # records hold their domain and judge with its tolerance
+    candidates += [
+        ("AutomorphismChain.apply", automorphisms.AutomorphismChain.apply),
+        ("SwapInvolution.__call__", automorphisms.SwapInvolution.__call__),
+    ]
+    # a SiegelSpec or HyperbolicSpec keeps the Tolerance it was built with
+    spec_bound = [
+        circular.siegel_member,
+        circular.siegel_linear_auto,
+        circular.cayley_map,
+        circular.product_member,
+        circular.product_split,
+        circular.product_transitive,
+        circular.hyperbolic_member,
+        circular.hyperbolic_transitive,
+        sampling.random_siegel_member,
+        sampling.random_product_member,
+    ]
+    candidates += [(f"{fn.__module__}.{fn.__name__}", fn) for fn in spec_bound]
     offenders = [
         name for name, fn in candidates if "tol" in inspect.signature(fn).parameters
     ]
     assert offenders == []
+    assert "tol" in inspect.signature(circular.SiegelSpec).parameters
+    assert "tol" in inspect.signature(circular.HyperbolicSpec).parameters
+
+
+def test_records_hold_their_domain_instead_of_copies():
+    # chains, swap involutions and curves read z0, x0, c, d and tol off the
+    # domain they were built on, so they cannot drift from it
+    copied = {"source", "z0", "x0", "c", "d", "tol"}
+    for record in (
+        automorphisms.AutomorphismChain,
+        automorphisms.SwapInvolution,
+        automorphisms.LiouvilleCurve,
+    ):
+        fields = {f.name for f in dataclasses.fields(record)}
+        assert "domain" in fields, record.__name__
+        assert fields & copied == set(), record.__name__
