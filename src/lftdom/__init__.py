@@ -27,6 +27,7 @@ from .linalg import (
     binomial_series_grid,
     binomial_series_shifted,
     dagger,
+    invert,
     operator_norm,
     principal_sqrt,
     try_invert,

@@ -31,6 +31,7 @@ from .linalg import (
     binomial_series,
     binomial_series_grid,
     binomial_series_shifted,
+    invert,
     operator_norm,
     principal_sqrt,
     try_invert,
@@ -479,17 +480,14 @@ class SwapInvolution:
     def __call__(self, z):
         dom = self.domain
         z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
-        eye = np.eye(dom.dim_h, dtype=complex)
-        den_inv = try_invert(eye + dom.x0 @ (z - dom.z0), dom.tol)
-        if den_inv is None:
-            raise SingularMatrixError("z is outside the domain of the involution")
+        den_inv = dom.denominator_inverse(z) @ dom.denominator(dom.z0)  # (I + x0 (z - z0))^-1
         a = self.w0 - dom.z0
         return dom.z0 - self.gl @ (z - dom.z0 - a) @ den_inv @ self.gr
 
     def as_lft(self):
         """The same map as explicit LFT blocks (independent evaluation route)."""
         z0, x0 = self.domain.z0, self.domain.x0
-        gr_inv = np.linalg.inv(self.gr)
+        gr_inv = invert(self.gr, self.domain.tol, "I + x0 (w0 - z0) has no invertible square root")
         c = gr_inv @ x0
         d = gr_inv @ (np.eye(self.domain.dim_h, dtype=complex) - x0 @ z0)
         a_blk = z0 @ gr_inv @ x0 - self.gl
@@ -505,9 +503,7 @@ def swap_involution(dom, w0):
     hypothesis ||x0 (w0 - z0)|| < 1 applies.
     """
     phi = affine_transport(dom, w0)
-    gl = try_invert(phi.left, dom.tol)
-    if gl is None:
-        raise SingularMatrixError("I + (w0 - z0) x0 has no invertible square root")
+    gl = invert(phi.left, dom.tol, "I + (w0 - z0) x0 has no invertible square root")
     return SwapInvolution(domain=dom, w0=phi.offset, gl=gl, gr=phi.right)
 
 
@@ -676,9 +672,7 @@ def affine_equivalence(dom1, dom2, r, z1, z2):
             if not space.contains(blk, tol):
                 raise HypothesisError(f"coefficient {name} is outside the power algebra")
     r = as_cmatrix(r, rows=dom1.dim_k, cols=dom1.dim_k)
-    r_inv = try_invert(r, tol)
-    if r_inv is None:
-        raise SingularMatrixError("r must be invertible")
+    r_inv = invert(r, tol, "r must be invertible")
     defect = operator_norm(dom2.c - dom1.c @ r)
     if defect > tol.eq_tol * (1.0 + operator_norm(dom2.c)):
         raise HypothesisError(f"c2 = c1 r fails with defect {defect:.3g}")

@@ -25,7 +25,9 @@ from .exceptions import (
     SpectrumError,
 )
 from .domains import LFTMap
-from .linalg import DEFAULT_TOL, Tolerance, as_cmatrix, operator_norm, principal_sqrt, try_invert
+from .linalg import (
+    DEFAULT_TOL, Tolerance, as_cmatrix, invert, operator_norm, principal_sqrt, try_invert
+)
 from .sampling import random_space_member
 
 
@@ -122,9 +124,7 @@ def siegel_linear_auto(spec, l, u):
         raise HypothesisError("L is not J-unitary: L*JL differs from J")
     if operator_norm(u.conj().T @ u - np.eye(spec.dim_h)) > spec.tol.eq_tol:
         raise HypothesisError("U is not unitary")
-    l_inv = try_invert(l, spec.tol)
-    if l_inv is None:
-        raise SingularMatrixError("L must be invertible")
+    l_inv = invert(l, spec.tol, "L must be invertible")
     return SiegelLinearAuto(spec=spec, l=l, u=u, l_inv=l_inv)
 
 
@@ -148,11 +148,7 @@ def siegel_invariant_residual(spec, auto, r):
 
 def cayley_map(spec, z):
     """The involution [Z1; Z2] -> [Z1 Z2^-1; Z2^-1] (its own inverse)."""
-    z1, z2 = spec.split(z)
-    z2_inv = try_invert(z2, spec.tol)
-    if z2_inv is None:
-        raise SingularMatrixError("the bottom block Z2 must be invertible")
-    return np.vstack([z1 @ z2_inv, z2_inv])
+    return np.vstack(product_split(spec, z))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +232,7 @@ def isometry_inverse_identity_check(space, images, rng, trials=100, tol=DEFAULT_
             )
 
     u = lmap(eye)
-    if try_invert(u, tol) is None:
-        raise SingularMatrixError("L(I) is singular")
+    invert(u, tol, "L(I) is singular")
     unitary_defect = float(operator_norm(u.conj().T @ u - eye))
 
     worst = 0.0
@@ -250,7 +245,7 @@ def isometry_inverse_identity_check(space, images, rng, trials=100, tol=DEFAULT_
         if z_inv is None or operator_norm(z_inv) > 1e6:
             continue
         lhs = lmap(z_inv)
-        rhs = u @ np.linalg.inv(lmap(z)) @ u
+        rhs = u @ invert(lmap(z), tol, "L(z) is singular") @ u
         worst = max(worst, float(operator_norm(lhs - rhs)))
         done += 1
     if done < trials:
@@ -316,8 +311,10 @@ def mobius_map(b, tol=DEFAULT_TOL):
     if operator_norm(b) >= 1.0:
         raise HypothesisError(f"mobius parameter needs ||b|| < 1; got {operator_norm(b):.6g}")
     k, h = b.shape
-    left = np.linalg.inv(principal_sqrt(np.eye(k, dtype=complex) - b @ b.conj().T, tol))
-    right = np.linalg.inv(principal_sqrt(np.eye(h, dtype=complex) - b.conj().T @ b, tol))
+    left = principal_sqrt(np.eye(k, dtype=complex) - b @ b.conj().T, tol)
+    left = invert(left, tol, "(I - b b*)^(1/2) is singular")
+    right = principal_sqrt(np.eye(h, dtype=complex) - b.conj().T @ b, tol)
+    right = invert(right, tol, "(I - b* b)^(1/2) is singular")
     return LFTMap(left, b @ right, right @ b.conj().T, right)
 
 
@@ -329,12 +326,10 @@ def mobius_direct(b, z, tol=DEFAULT_TOL):
     b = as_cmatrix(b)
     z = as_cmatrix(z, rows=b.shape[0], cols=b.shape[1])
     k, h = b.shape
-    den_inv = try_invert(np.eye(h, dtype=complex) + b.conj().T @ z, tol)
-    if den_inv is None:
-        raise SingularMatrixError("I + b* z is singular")
-    left = np.linalg.inv(principal_sqrt(np.eye(k, dtype=complex) - b @ b.conj().T, tol))
+    den_inv = invert(np.eye(h, dtype=complex) + b.conj().T @ z, tol, "I + b* z is singular")
+    left = principal_sqrt(np.eye(k, dtype=complex) - b @ b.conj().T, tol)
     right = principal_sqrt(np.eye(h, dtype=complex) - b.conj().T @ b, tol)
-    return left @ (z + b) @ den_inv @ right
+    return invert(left, tol, "(I - b b*)^(1/2) is singular") @ (z + b) @ den_inv @ right
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +348,7 @@ def product_member(spec, z):
 def product_split(spec, z):
     """The pair (Z1 Z2^-1, Z2^-1): ball point and invertible operator."""
     z1, z2 = spec.split(z)
-    z2_inv = try_invert(z2, spec.tol)
-    if z2_inv is None:
-        raise SingularMatrixError("the bottom block Z2 must be invertible")
+    z2_inv = invert(z2, spec.tol, "the bottom block Z2 must be invertible")
     return z1 @ z2_inv, z2_inv
 
 
@@ -389,12 +382,12 @@ def product_transitive(spec, w):
     """Build the linear map carrying the axis point [0; I] to the member w."""
     if not product_member(spec, w):
         raise HypothesisError("w is not a member of the product-type domain")
-    w1, w2 = spec.split(w)
-    b = w1 @ np.linalg.inv(w2)
+    _, w2 = spec.split(w)
+    b, _ = product_split(spec, w)
     m = mobius_map(b, spec.tol).coefficient_matrix()
     m_inv = mobius_map(-b, spec.tol).coefficient_matrix()
     r = principal_sqrt(np.eye(spec.dim_h, dtype=complex) - b.conj().T @ b, spec.tol) @ w2
-    r_inv = np.linalg.inv(r)
+    r_inv = invert(r, spec.tol, "the transport factor R is singular")
     return ProductTransport(spec=spec, w=w, b=b, m=m, r=r, m_inv=m_inv, r_inv=r_inv)
 
 

@@ -1,6 +1,6 @@
 """Command line front end: verification suites, demos, and chain building.
 
-Exit codes: 0 when everything passed, 1 when a suite or chain failed
+Exit codes: 0 when everything passed, 1 when a suite, chain or demo failed
 numerically, 2 for usage or input-file errors.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 from . import jsonio
 from . import sampling as samp
 from .exceptions import LftdomError, PathLeavesDomainError
-from .linalg import DEFAULT_TOL, Tolerance, operator_norm
+from .linalg import DEFAULT_TOL, Tolerance, invert, operator_norm
 from .spaces import full_space
 from .domains import Verdict, lft_apply, quadric_domain
 from .automorphisms import symmetry_direct, symmetry_map, transitive_chain
@@ -135,7 +135,7 @@ def _demo_lines(example, config):
                 "  (translation-reflection form)"
             )
         if example == "1":
-            closed = y @ np.linalg.inv(z) @ y
+            closed = y @ invert(z, tol, "Z is singular") @ y
             lines.append(f"  ||U_Y(Z) - Y Z^-1 Y|| = {operator_norm(uz - closed):.3e}")
         if example == "6":
             model = quadric_domain(min(config.dim_k + config.dim_h, 4), tol)
@@ -193,7 +193,11 @@ def _demo_lines(example, config):
 
 
 def cmd_demo(example, config, out_path):
-    lines = _demo_lines(example, config)
+    try:
+        lines = _demo_lines(example, config)
+    except LftdomError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     text = "\n".join(lines)
     print(text)
     if out_path:

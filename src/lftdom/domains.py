@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ShapeError, SingularMatrixError, SpaceClosureError
-from .linalg import DEFAULT_TOL, as_cmatrix, dagger, operator_norm, try_invert
+from .linalg import DEFAULT_TOL, as_cmatrix, dagger, invert, operator_norm, try_invert
 from .spaces import OperatorSpace, closed_under_quadratic, full_space, is_power_algebra
 
 
@@ -82,10 +82,7 @@ class LFTMap:
 def lft_apply(t, z, tol=DEFAULT_TOL):
     """Evaluate (a z + b)(c z + d)^-1; raises SingularMatrixError on a singular denominator."""
     z = as_cmatrix(z, rows=t.dim_k, cols=t.dim_h)
-    den = t.c @ z + t.d
-    den_inv = try_invert(den, tol)
-    if den_inv is None:
-        raise SingularMatrixError("linear fractional map denominator c z + d is singular")
+    den_inv = invert(t.c @ z + t.d, tol, "linear fractional map denominator c z + d is singular")
     return (t.a @ z + t.b) @ den_inv
 
 
@@ -217,9 +214,7 @@ def det_membership(dom, z):
     Requires an invertible d block (the coefficients are normalised by d^-1
     on the left, which preserves the zero set of det(c z + d)).
     """
-    d_inv = try_invert(dom.d, dom.tol)
-    if d_inv is None:
-        raise SingularMatrixError("determinant witness requires an invertible d block")
+    d_inv = invert(dom.d, dom.tol, "determinant witness requires an invertible d block")
     z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
     return complex(np.linalg.det(np.eye(dom.dim_h, dtype=complex) + d_inv @ dom.c @ z))
 

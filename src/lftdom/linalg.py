@@ -3,6 +3,9 @@
 Matrices are plain ``numpy.ndarray`` values with dtype ``complex128``;
 ``as_cmatrix`` is the validating entry point for data coming from outside
 (finite entries, 2-D shape). Everything here is a pure function.
+
+Every matrix inverse comes from ``try_invert``, the verdict (the inverse or
+None); ``invert`` is the typed failure (SingularMatrixError in place of None).
 """
 
 import math
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .exceptions import ConvergenceError, ShapeError, SpectrumError
+from .exceptions import ConvergenceError, ShapeError, SingularMatrixError, SpectrumError
 
 SERIES_TERM_CAP = 10_000
 # most powers of w held at once by binomial_series_grid
@@ -78,16 +81,23 @@ def _require_square(z, who):
 
 
 def try_invert(z, tol=DEFAULT_TOL):
-    """Invert ``z`` if its smallest singular value exceeds ``tol.inv_tol``.
+    """The verdict: ``z``^-1, or None where its smallest singular value is at most ``tol.inv_tol``.
 
-    Returns the inverse, or None when ``z`` is numerically singular.
-    Non-square input is a contract violation and raises ShapeError.
+    The package's one matrix inversion. Non-square input raises ShapeError.
     """
     z = _require_square(z, "try_invert")
     smin = np.linalg.svd(z, compute_uv=False)[-1]
     if smin <= tol.inv_tol:
         return None
     return np.linalg.inv(z)
+
+
+def invert(z, tol, message):
+    """The typed failure: ``try_invert(z, tol)``, raising SingularMatrixError(message) on None."""
+    z_inv = try_invert(z, tol)
+    if z_inv is None:
+        raise SingularMatrixError(message)
+    return z_inv
 
 
 def principal_sqrt(m, tol=DEFAULT_TOL):

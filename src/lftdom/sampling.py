@@ -126,7 +126,7 @@ def random_hyperbolic_member(rng, spec, degenerate=False):
             w = eigvecs[:, neg[0]] * rng.uniform(0.5, 2.0)
             w = w + 0.2 * (rng.uniform(-1, 1, nk) + 1j * rng.uniform(-1, 1, nk))
             q = float(np.vdot(w, spec.b @ w).real)
-            if q < -1e-6:
+            if q < -spec.tol.eq_tol:
                 coords = np.concatenate([[0.0], w, [0.0]])
                 return spec.frame @ coords.astype(complex)
         raise InternalCheckError("could not sample a degenerate hyperbolic member")
@@ -139,7 +139,7 @@ def random_hyperbolic_member(rng, spec, degenerate=False):
         phase = np.exp(2j * np.pi * rng.uniform())
         coords = np.concatenate([[alpha], w, [beta_mod * phase]])
         z = spec.frame @ coords.astype(complex)
-        if spec.form(z).real < -1e-6:
+        if spec.form(z).real < -spec.tol.eq_tol:
             return z
     raise InternalCheckError("could not sample a hyperbolic member")
 

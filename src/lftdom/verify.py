@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import LftdomError, PathLeavesDomainError, StepBoundError
-from .linalg import DEFAULT_TOL, Tolerance, operator_norm, try_invert
+from .linalg import DEFAULT_TOL, Tolerance, invert, operator_norm, try_invert
 from .spaces import full_space
 from .domains import (
     Domain,
@@ -377,7 +377,7 @@ def suite_determinant(config, rng, track):
     for _ in range(3):
         c = samp.random_invertible_member(rng, space, tol)
         dom = Domain(space, c, np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex), tol)
-        c_inv = np.linalg.inv(c)
+        c_inv = invert(c, tol, "c must be invertible")
         for sample in range(per_domain):
             if sample % 5 == 4:
                 raw = samp.random_matrix(rng, n, n)

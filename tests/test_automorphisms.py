@@ -520,6 +520,19 @@ def test_swap_involution_at_base_point_is_the_symmetry():
         )
 
 
+def test_swap_involution_accepts_every_member_of_its_domain():
+    # at z = 5e-8 the normalized denominator I + x0 (z - z0) = z / 1000 falls
+    # below inv_tol while c z + d = z does not: z is a member
+    dom = scalar_domain(1.0, 0.0, 1000.0)
+    z = np.array([[5e-8]], dtype=complex)
+    assert dom.membership(z) is Verdict.MEMBER
+    v = swap_involution(dom, dom.z0)
+    expected = symmetry_direct(dom, dom.z0, z)
+    assert operator_norm(v(z) - expected) <= 1e-12 * operator_norm(expected)
+    with pytest.raises(SingularMatrixError, match="outside the domain"):
+        v(np.zeros((1, 1), dtype=complex))
+
+
 def test_affine_equivalence_scalar_oracle():
     dom1 = scalar_domain(2.0, 0.5, 0.25)
     dom2 = scalar_domain(6.0, 0.25, 0.125)

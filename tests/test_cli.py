@@ -250,6 +250,23 @@ def test_demo_runs_every_example(capsys):
         assert captured.out.strip(), name
 
 
+def test_demo_hyperbolic_samples_at_the_spec_tolerance(capsys):
+    # the sampler accepts at the spec's own eq_tol, so the transport's
+    # membership check takes every sample it draws
+    assert main(["demo", "hyperbolic", "--tol", "0.9", "--seed", "3"]) == 0
+    assert "||L f - z1||" in capsys.readouterr().out
+
+
+def test_demo_numerical_failure_exits_one_with_an_error_line(capsys):
+    rc = main(["demo", "siegel", "--tol", "0.9"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: matrix has an eigenvalue on the closed negative real axis"
+    )
+
+
 def test_demo_rejects_unknown_example():
     with pytest.raises(SystemExit) as exc:
         main(["demo", "3"])

@@ -1,5 +1,6 @@
 """Tests for the dense matrix kernels."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from lftdom import (
     DEFAULT_TOL,
     ConvergenceError,
     ShapeError,
+    SingularMatrixError,
     SpectrumError,
     Tolerance,
     as_cmatrix,
@@ -17,6 +19,7 @@ from lftdom import (
     binomial_series_grid,
     binomial_series_shifted,
     dagger,
+    invert,
     operator_norm,
     principal_sqrt,
     try_invert,
@@ -107,6 +110,23 @@ def test_try_invert_threshold_respects_inv_tol():
     z = np.diag([1.0, 1e-6]).astype(complex)
     assert try_invert(z) is not None
     assert try_invert(z, Tolerance(inv_tol=1e-3)) is None
+
+
+def test_invert_is_try_invert_with_a_typed_failure():
+    rng = np.random.default_rng(14)
+    for n in range(2, 17):
+        z = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        expected = try_invert(z, DEFAULT_TOL)
+        assert expected is not None
+        assert np.array_equal(invert(z, DEFAULT_TOL, "unused"), expected)
+    with pytest.raises(SingularMatrixError) as exc:
+        invert(np.diag([1.0, 1e-11]).astype(complex), DEFAULT_TOL, "the block B is singular")
+    assert str(exc.value) == "the block B is singular"
+    with pytest.raises(ShapeError):
+        invert(np.ones((2, 3), dtype=complex), DEFAULT_TOL, "unused")
+    # every caller states its tolerance and its failure
+    params = inspect.signature(invert).parameters.values()
+    assert all(p.default is inspect.Parameter.empty for p in params)
 
 
 def test_principal_sqrt_on_diagonalizable_inputs():

@@ -39,6 +39,81 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def owned_nodes(tree):
+    """Yield (name of the innermost enclosing function or None, node) for every node."""
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            yield owner, child
+            inner = child.name if isinstance(child, ast.FunctionDef) else owner
+            yield from walk(child, inner)
+
+    yield from walk(tree, None)
+
+
+def dotted(node):
+    """The dotted name of an expression such as np.linalg.inv, with np spelled numpy."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append("numpy" if node.id == "np" else node.id)
+    return ".".join(reversed(parts))
+
+
+def package_nodes():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner, node in owned_nodes(tree):
+            yield path.name, owner, node
+
+
+def test_only_try_invert_inverts():
+    # one kernel decides invertibility, so every inverse or solve is try_invert's
+    inverting = {f"{lib}.linalg.{fn}" for lib in ("numpy", "scipy") for fn in ("inv", "solve")}
+    sites = []
+    for name, owner, node in package_nodes():
+        if isinstance(node, ast.Call) and dotted(node.func) in inverting:
+            sites.append((name, owner, node.lineno))
+        if isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "scipy.linalg"):
+            sites += [(name, f"import {a.name}", node.lineno) for a in node.names]
+    assert [(name, owner) for name, owner, _ in sites] == [("linalg.py", "try_invert")], sites
+
+
+def test_only_invert_turns_a_singular_verdict_into_an_error():
+    # `if try_invert(...) is None: raise SingularMatrixError(...)`, directly or
+    # through a name bound to try_invert's result, is written once, in invert
+    def calls(node, name):
+        return dotted(getattr(node, "func", None)) == name
+
+    sites = []
+    for module, _, fn in package_nodes():
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        verdicts = {
+            target.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and calls(node.value, "try_invert")
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)):
+                continue
+            left, first = node.test.left, node.body[0]
+            tested = calls(left, "try_invert") or getattr(left, "id", None) in verdicts
+            if (
+                tested
+                and isinstance(node.test.ops[0], ast.Is)
+                and isinstance(first, ast.Raise)
+                and calls(first.exc, "SingularMatrixError")
+            ):
+                sites.append((module, fn.name, node.lineno))
+    assert [(module, fn) for module, fn, _ in sites] == [("linalg.py", "invert")], sites
+
+
 def test_domain_bound_functions_take_no_tolerance():
     # a Domain keeps the Tolerance it was built with; a per-call knob would
     # let two calls on one domain disagree about the same point
