@@ -23,6 +23,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_cmatrix,
+    as_cstack,
     binomial_series,
     binomial_series_grid,
     binomial_series_shifted,
@@ -30,6 +31,7 @@ from .linalg import (
     invert,
     operator_norm,
     principal_sqrt,
+    singular_test,
     try_invert,
 )
 from .spaces import (

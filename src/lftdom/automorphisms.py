@@ -28,6 +28,7 @@ from .exceptions import (
 from .linalg import (
     DEFAULT_TOL,
     as_cmatrix,
+    as_cstack,
     binomial_series,
     binomial_series_grid,
     binomial_series_shifted,
@@ -70,12 +71,21 @@ class AffineMap:
     right: np.ndarray
 
     def __post_init__(self):
-        base = as_cmatrix(self.base)
-        k, h = base.shape
+        # shapes only: records are built from validated data, and __call__
+        # checks the points it is given
+        base, offset, left, right = (
+            np.asarray(m, dtype=complex) for m in (self.base, self.offset, self.left, self.right)
+        )
+        k, h = base.shape if base.ndim == 2 else (0, 0)
+        if k == 0 or h == 0 or offset.shape != (k, h) or left.shape != (k, k) or right.shape != (h, h):
+            raise ShapeError(
+                f"inconsistent affine shapes base={base.shape} offset={offset.shape} "
+                f"left={left.shape} right={right.shape}"
+            )
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "offset", as_cmatrix(self.offset, rows=k, cols=h))
-        object.__setattr__(self, "left", as_cmatrix(self.left, rows=k, cols=k))
-        object.__setattr__(self, "right", as_cmatrix(self.right, rows=h, cols=h))
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @classmethod
     def identity(cls, dim_k, dim_h):
@@ -83,7 +93,8 @@ class AffineMap:
         return cls(zero, zero, np.eye(dim_k, dtype=complex), np.eye(dim_h, dtype=complex))
 
     def __call__(self, z):
-        z = as_cmatrix(z, rows=self.base.shape[0], cols=self.base.shape[1])
+        """The image of z, or of each item of an (..., k, h) stack."""
+        z = as_cstack(z, rows=self.base.shape[0], cols=self.base.shape[1])
         return self.offset + self.left @ (z - self.base) @ self.right
 
     def compose(self, inner):
@@ -223,11 +234,39 @@ class AutomorphismChain:
         return len(self.factors)
 
     def apply(self, z):
-        """Apply the factors in order (numerically preferable to one big LFT)."""
-        out = as_cmatrix(z)
+        """Apply the factors in order (numerically preferable to one big LFT).
+
+        A single z whose denominator is singular at some factor raises
+        SingularMatrixError. On an (m, k, h) stack of probes, returns
+        (images, singular): a probe that meets a singular denominator is
+        marked in ``singular``, gets a NaN image and leaves the stack, so the
+        later factors see only live probes. Each probe gets exactly the image
+        or the failure of a call on it alone.
+        """
+        dom = self.domain
+        zs = as_cstack(z, rows=dom.dim_k, cols=dom.dim_h)
+        if zs.ndim > 3:
+            raise ShapeError(f"expected one matrix or an (m, k, h) stack, got shape {zs.shape}")
+        if zs.ndim == 2:
+            images, singular = self.apply(zs[None])
+            if singular[0]:
+                raise SingularMatrixError("linear fractional map denominator c z + d is singular")
+            return images[0]
+        live = np.arange(len(zs))
+        out = zs
         for f in self.factors:
-            out = lft_apply(f, out, self.domain.tol)
-        return out
+            den_inv, singular = try_invert(f.c @ out + f.d, dom.tol)
+            if singular.any():
+                keep = ~singular
+                live, out, den_inv = live[keep], out[keep], den_inv[keep]
+                if not live.size:
+                    break
+            out = (f.a @ out + f.b) @ den_inv
+        images = np.full(zs.shape, np.nan, dtype=complex)
+        images[live] = out
+        singular = np.ones(len(zs), dtype=bool)
+        singular[live] = False
+        return images, singular
 
     def as_lft(self):
         """Compose all coefficient matrices into a single LFTMap."""
@@ -523,6 +562,11 @@ def form_margin(z, j):
     """Smallest eigenvalue of j - z* j z; positive inside the j-contractive set."""
     z = as_cmatrix(z)
     j = as_cmatrix(j, rows=z.shape[0], cols=z.shape[0])
+    return _form_margin(z, j)
+
+
+def _form_margin(z, j):
+    """form_margin on validated z and j, for samplers that reuse one j."""
     gram = j - z.conj().T @ j @ z
     return float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min())
 

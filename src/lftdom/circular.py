@@ -338,11 +338,19 @@ def mobius_direct(b, z, tol=DEFAULT_TOL):
 
 def product_member(spec, z):
     """True iff Z2 is invertible and Z2*Z2 - Z1*Z1 is positive definite."""
+    return _member_split(spec, z) is not None
+
+
+def _member_split(spec, z):
+    """product_split(spec, z) for a member z, None for a non-member; inverts Z2 once."""
     z1, z2 = spec.split(z)
-    if try_invert(z2, spec.tol) is None:
-        return False
+    z2_inv = try_invert(z2, spec.tol)
+    if z2_inv is None:
+        return None
     gram = z2.conj().T @ z2 - z1.conj().T @ z1
-    return _min_eig_hermitian(gram) > spec.tol.eq_tol
+    if not _min_eig_hermitian(gram) > spec.tol.eq_tol:
+        return None
+    return z1 @ z2_inv, z2_inv
 
 
 def product_split(spec, z):
@@ -380,10 +388,11 @@ class ProductTransport:
 
 def product_transitive(spec, w):
     """Build the linear map carrying the axis point [0; I] to the member w."""
-    if not product_member(spec, w):
+    split = _member_split(spec, w)
+    if split is None:
         raise HypothesisError("w is not a member of the product-type domain")
     _, w2 = spec.split(w)
-    b, _ = product_split(spec, w)
+    b, _ = split
     m = mobius_map(b, spec.tol).coefficient_matrix()
     m_inv = mobius_map(-b, spec.tol).coefficient_matrix()
     r = principal_sqrt(np.eye(spec.dim_h, dtype=complex) - b.conj().T @ b, spec.tol) @ w2

@@ -18,7 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ShapeError, SingularMatrixError, SpaceClosureError
-from .linalg import DEFAULT_TOL, as_cmatrix, dagger, invert, operator_norm, try_invert
+from .linalg import (
+    DEFAULT_TOL,
+    as_cmatrix,
+    as_cstack,
+    dagger,
+    invert,
+    operator_norm,
+    singular_test,
+    try_invert,
+)
 from .spaces import OperatorSpace, closed_under_quadratic, full_space, is_power_algebra
 
 
@@ -136,14 +145,29 @@ class Domain:
         """Classify z as MEMBER, NOT_IN_SPACE, or SINGULAR.
 
         In finite dimensions the invertibility set inside the space is
-        connected, so membership needs no component test.
+        connected, so membership needs no component test. On an
+        (..., dim_k, dim_h) stack, returns an object array of verdicts, one
+        per item.
         """
-        z = as_cmatrix(z, rows=self.dim_k, cols=self.dim_h)
-        if not self.space.contains(z, self.tol):
-            return Verdict.NOT_IN_SPACE
-        if self.try_denominator_inverse(z) is None:
-            return Verdict.SINGULAR
-        return Verdict.MEMBER
+        return self.membership_margin(z)[0]
+
+    def membership_margin(self, z):
+        """(verdict, smin): ``membership(z)`` and the smallest singular value of c z + d.
+
+        Both come from one SVD, without an inverse; smin is None for a single
+        z outside the space. On a stack both are arrays, one entry per item.
+        """
+        z = as_cstack(z, rows=self.dim_k, cols=self.dim_h)
+        inside = self.space.contains(z, self.tol)
+        if z.ndim == 2 and not inside:
+            return Verdict.NOT_IN_SPACE, None
+        smin, singular = singular_test(self.c @ z + self.d, self.tol)
+        if z.ndim == 2:
+            return (Verdict.SINGULAR if singular else Verdict.MEMBER), smin
+        verdicts = np.full(z.shape[:-2], Verdict.MEMBER, dtype=object)
+        verdicts[singular] = Verdict.SINGULAR
+        verdicts[~inside] = Verdict.NOT_IN_SPACE
+        return verdicts, smin
 
     def is_member(self, z):
         return self.membership(z) is Verdict.MEMBER
@@ -152,7 +176,7 @@ class Domain:
         return self.c @ z + self.d
 
     def try_denominator_inverse(self, z):
-        """(c z + d)^-1, or None where c z + d is singular: the domain's one singular-set test."""
+        """(c z + d)^-1, or None where c z + d is singular; on a stack, try_invert's (inverses, singular)."""
         return try_invert(self.c @ z + self.d, self.tol)
 
     def denominator_inverse(self, z):

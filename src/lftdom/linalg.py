@@ -2,10 +2,13 @@
 
 Matrices are plain ``numpy.ndarray`` values with dtype ``complex128``;
 ``as_cmatrix`` is the validating entry point for data coming from outside
-(finite entries, 2-D shape). Everything here is a pure function.
+(finite entries, 2-D shape), and ``as_cstack`` the same for a stack of
+matrices. Everything here is a pure function.
 
 Every matrix inverse comes from ``try_invert``, the verdict (the inverse or
-None); ``invert`` is the typed failure (SingularMatrixError in place of None).
+None; on a stack, the inverses and a per-item singular mask); ``invert`` is
+the typed failure (SingularMatrixError in place of None). ``singular_test``
+holds the one singular-value threshold that both judge by.
 """
 
 import math
@@ -51,14 +54,27 @@ def as_cmatrix(data, rows=None, cols=None):
     a = np.asarray(data, dtype=complex)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] == 0 or a.shape[1] == 0:
+    return _validated(a, rows, cols)
+
+
+def as_cstack(data, rows=None, cols=None):
+    """``as_cmatrix`` for one matrix or an (..., rows, cols) stack of them."""
+    a = np.asarray(data, dtype=complex)
+    if a.ndim < 2:
+        raise ShapeError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+    return _validated(a, rows, cols)
+
+
+def _validated(a, rows, cols):
+    """Check the trailing matrix shape and the finiteness of a complex array."""
+    if a.shape[-2] == 0 or a.shape[-1] == 0:
         raise ShapeError(f"matrix dimensions must be positive, got {a.shape}")
     if not (np.isfinite(a.real).all() and np.isfinite(a.imag).all()):
         raise ValueError("matrix entries must be finite (no NaN/inf)")
-    if rows is not None and a.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {a.shape[0]}")
-    if cols is not None and a.shape[1] != cols:
-        raise ShapeError(f"expected {cols} cols, got {a.shape[1]}")
+    if rows is not None and a.shape[-2] != rows:
+        raise ShapeError(f"expected {rows} rows, got {a.shape[-2]}")
+    if cols is not None and a.shape[-1] != cols:
+        raise ShapeError(f"expected {cols} cols, got {a.shape[-1]}")
     return a
 
 
@@ -73,27 +89,60 @@ def operator_norm(z):
     return float(np.linalg.svd(z, compute_uv=False)[0])
 
 
-def _require_square(z, who):
+def _require_square(z, who, stack=False):
+    """z as a complex square matrix, or with ``stack`` also an (..., n, n) stack of them."""
     z = np.asarray(z, dtype=complex)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
+    if z.ndim < 2 or (z.ndim > 2 and not stack) or z.shape[-2] != z.shape[-1]:
         raise ShapeError(f"{who} requires a square matrix, got shape {z.shape}")
     return z
+
+
+def singular_test(z, tol=DEFAULT_TOL):
+    """(smin, singular): the smallest singular value of ``z`` and whether it is at most ``tol.inv_tol``.
+
+    On an (..., n, n) stack both are per item, from one stacked SVD. This is
+    the package's one invertibility threshold: ``try_invert`` inverts exactly
+    what it passes.
+    """
+    return _singular_test(_require_square(z, "singular_test", stack=True), tol)
+
+
+def _singular_test(z, tol):
+    s = np.linalg.svd(z, compute_uv=False)
+    # s[-1] keeps one matrix's smin a numpy scalar, not a 0-d array
+    smin = s[-1] if z.ndim == 2 else s[..., -1]
+    return smin, smin <= tol.inv_tol
 
 
 def try_invert(z, tol=DEFAULT_TOL):
     """The verdict: ``z``^-1, or None where its smallest singular value is at most ``tol.inv_tol``.
 
-    The package's one matrix inversion. Non-square input raises ShapeError.
+    The package's one matrix inversion. On an (..., n, n) stack it returns
+    (inverses, singular) instead: ``singular`` is the per-item verdict and
+    ``inverses`` holds each regular item's inverse, NaN at singular items.
+    Each item gets exactly the verdict and the inverse of a call on it alone.
+    Non-square input raises ShapeError.
     """
-    z = _require_square(z, "try_invert")
-    smin = np.linalg.svd(z, compute_uv=False)[-1]
-    if smin <= tol.inv_tol:
-        return None
-    return np.linalg.inv(z)
+    z = _require_square(z, "try_invert", stack=True)
+    _, singular = _singular_test(z, tol)
+    if z.ndim == 2:
+        if singular:
+            return None
+        some = False
+    else:
+        some = singular.any()
+    # only the regular items are inverted: a singular one may have no inverse
+    inverses = np.linalg.inv(z[~singular] if some else z)
+    if z.ndim == 2:
+        return inverses
+    if some:
+        inverses, regular = np.full(z.shape, np.nan, dtype=complex), inverses
+        inverses[~singular] = regular
+    return inverses, singular
 
 
 def invert(z, tol, message):
-    """The typed failure: ``try_invert(z, tol)``, raising SingularMatrixError(message) on None."""
+    """The typed failure: ``try_invert(z, tol)`` on one matrix, raising SingularMatrixError(message) on None."""
     z_inv = try_invert(z, tol)
     if z_inv is None:
         raise SingularMatrixError(message)

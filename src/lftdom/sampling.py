@@ -11,7 +11,7 @@ import numpy as np
 from .exceptions import InternalCheckError
 from .linalg import DEFAULT_TOL, operator_norm, principal_sqrt, try_invert
 from .domains import Verdict
-from .automorphisms import form_margin, signature_from_projection
+from .automorphisms import _form_margin, signature_from_projection
 
 # draws each rejection sampler makes before it gives up
 INVERTIBLE_ATTEMPTS = 200
@@ -57,12 +57,9 @@ def random_domain_member(rng, dom, scale=1.0, margin=0.0):
     """Rejection-sample a member whose denominator clears the given margin."""
     for _ in range(DOMAIN_ATTEMPTS):
         z = random_space_member(rng, dom.space, scale=scale)
-        if dom.membership(z) is not Verdict.MEMBER:
+        verdict, smin = dom.membership_margin(z)
+        if verdict is not Verdict.MEMBER or smin <= margin:
             continue
-        if margin > 0.0:
-            smin = float(np.linalg.svd(dom.denominator(z), compute_uv=False).min())
-            if smin <= margin:
-                continue
         return z
     raise InternalCheckError(f"could not sample a member of {dom.label or 'the domain'}")
 
@@ -169,7 +166,7 @@ def random_pg_member(rng, e, tol=DEFAULT_TOL):
             z = (rng.uniform(1.05, 1.8) / smin) * z
         else:
             z = z @ np.diag(rng.uniform(0.1, 2.0, n))
-        if form_margin(z, j) <= PG_MIN_MARGIN:
+        if _form_margin(z, j) <= PG_MIN_MARGIN:
             continue
         if try_invert(e @ z + d_blk, tol) is None:
             continue

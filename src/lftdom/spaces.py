@@ -30,6 +30,9 @@ class OperatorSpace:
             raise ValueError("basis elements are linearly dependent")
         self._coord = coord
         self._onb, _ = np.linalg.qr(coord)
+        self._onb_h = self._onb.conj().T
+        # the basis as one (dim, dim_k, dim_h) array, for lincomb and the closure checks
+        self._stacked = np.stack(self.basis)
 
     @property
     def shape(self):
@@ -51,28 +54,34 @@ class OperatorSpace:
         tag = f" {self.label!r}" if self.label else ""
         return f"OperatorSpace({self.dim_k}x{self.dim_h}, dim={self.dim}{tag})"
 
-    def _check_shape(self, z):
+    def _check_shape(self, z, stack=False):
         z = np.asarray(z, dtype=complex)
-        if z.shape != self.shape:
+        if z.shape[-2:] != self.shape or (z.ndim > 2 and not stack):
             raise ShapeError(f"expected shape {self.shape}, got {z.shape}")
         return z
 
     def residual(self, z):
-        """Frobenius norm of z minus its orthogonal projection onto the span."""
-        z = self._check_shape(z)
-        v = z.ravel()
-        r = v - self._onb @ (self._onb.conj().T @ v)
-        return float(np.linalg.norm(r))
+        """Frobenius norm of z minus its orthogonal projection onto the span.
+
+        On an (..., dim_k, dim_h) stack, one residual per item.
+        """
+        return self._residual(self._check_shape(z, stack=True))
+
+    def _residual(self, z):
+        v = z.reshape(z.shape[:-2] + (-1, 1))
+        r = v - self._onb @ (self._onb_h @ v)
+        return float(np.linalg.norm(r)) if z.ndim == 2 else np.linalg.norm(r[..., 0], axis=-1)
 
     def contains(self, z, tol=DEFAULT_TOL):
-        """True iff the projection residual is at most eq_tol * (1 + ||z||_F)."""
-        z = self._check_shape(z)
-        return self.residual(z) <= tol.eq_tol * (1.0 + np.linalg.norm(z))
+        """True iff the projection residual is at most eq_tol * (1 + ||z||_F); per item on a stack."""
+        z = self._check_shape(z, stack=True)
+        size = np.linalg.norm(z) if z.ndim == 2 else np.linalg.norm(z, axis=(-2, -1))
+        return self._residual(z) <= tol.eq_tol * (1.0 + size)
 
     def project(self, z):
         """Orthogonal projection of z onto the span."""
         z = self._check_shape(z)
-        v = self._onb @ (self._onb.conj().T @ z.ravel())
+        v = self._onb @ (self._onb_h @ z.ravel())
         return v.reshape(self.shape)
 
     def coordinates(self, z):
@@ -86,7 +95,7 @@ class OperatorSpace:
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (self.dim,):
             raise ShapeError(f"expected {self.dim} coefficients, got {coeffs.shape}")
-        return np.tensordot(coeffs, np.stack(self.basis), axes=1)
+        return np.tensordot(coeffs, self._stacked, axes=1)
 
 
 def closed_under_quadratic(space, x0, tol=DEFAULT_TOL):
@@ -121,11 +130,11 @@ def _holds_symmetrised_products(space, x, tol):
     Each basis element Bi is tested against all Bj with j >= i in one stacked
     projection; stacking every pair at once would hold dim^2 / 2 products.
     """
-    bs = np.stack(space.basis)
+    bs = space._stacked
     onb = space._onb
     for i, bi in enumerate(bs):
         p = (bi @ x @ bs[i:] + bs[i:] @ x @ bi).reshape(len(bs) - i, -1).T
-        resid = np.linalg.norm(p - onb @ (onb.conj().T @ p), axis=0)
+        resid = np.linalg.norm(p - onb @ (space._onb_h @ p), axis=0)
         if (resid > tol.eq_tol * (1.0 + np.linalg.norm(p, axis=0))).any():
             return False
     return True

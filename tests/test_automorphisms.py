@@ -258,6 +258,48 @@ def test_chain_matches_pointwise_composition_on_matrices():
             )
 
 
+def test_stacked_chain_apply_matches_the_scalar_call_bit_for_bit():
+    rng = np.random.default_rng(49)
+    for dom in example_domains(RunConfig(dim_k=3, dim_h=1)) + example_domains(RunConfig()):
+        chain = transitive_chain(dom, random_domain_member(rng, dom, margin=0.05))
+        probes = np.stack([random_domain_member(rng, dom, margin=0.05) for _ in range(6)])
+        images, singular = chain.apply(probes)
+        assert images.shape == probes.shape and not singular.any()
+        for probe, image in zip(probes, images):
+            assert np.array_equal(chain.apply(probe), image)
+        # the affine fold takes the stack too, item by item
+        folded = chain.affine(probes)
+        assert all(np.array_equal(chain.affine(p), f) for p, f in zip(probes, folded))
+
+
+def test_stacked_chain_apply_drops_a_probe_that_dies_at_a_middle_factor():
+    tol = Tolerance(1e-3, 1e-4)
+    dom = invertibles_domain(full_space(2, 2), tol)
+    chain = transitive_chain(dom, np.array([[1.0, 2.0], [0.0, 1.0]]))
+    assert chain.factor_count >= 4
+    # a member whose image under the first factor is near diag(1, 1e-6)
+    doomed = np.diag([1.0, 1e6]).astype(complex)
+    assert dom.membership(doomed) is Verdict.MEMBER
+    first = lft_apply(chain.factors[0], doomed, tol)
+    with pytest.raises(SingularMatrixError):
+        lft_apply(chain.factors[1], first, tol)
+    with pytest.raises(SingularMatrixError):
+        chain.apply(doomed)
+    rng = np.random.default_rng(50)
+    members = [random_domain_member(rng, dom, margin=0.05) for _ in range(4)]
+    probes = np.stack(members[:2] + [doomed] + members[2:])
+    images, singular = chain.apply(probes)
+    assert singular.tolist() == [False, False, True, False, False]
+    assert np.isnan(images[2]).all()
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(images[i], chain.apply(probes[i]))
+    # only dead probes: no stacked kernel ever sees a NaN
+    images, singular = chain.apply(np.stack([doomed, doomed]))
+    assert singular.all() and np.isnan(images).all()
+    with pytest.raises(ShapeError):
+        chain.apply(np.stack([probes, probes]))
+
+
 def test_chain_validates_margin_and_path():
     dom = scalar_invertibles()
     target = np.array([[2.0]])
@@ -430,6 +472,20 @@ def test_chain_inverts_at_most_four_times_per_factor(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Affine records
+
+
+def test_affine_record_checks_shapes_and_its_call_checks_points():
+    eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+    record = AffineMap(zero, zero, eye, eye)
+    assert np.array_equal(record(2 * eye), 2 * eye)
+    with pytest.raises(ShapeError):
+        AffineMap(zero, zero, np.eye(3), eye)
+    with pytest.raises(ShapeError):
+        AffineMap(np.zeros(2), zero, eye, eye)
+    with pytest.raises(ValueError):
+        record(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ShapeError):
+        record(np.zeros((2, 3)))
 
 
 def test_composed_symmetries_scalar_oracle():
@@ -646,6 +702,25 @@ def test_potapov_ginzburg_exchanges_form_set_and_ball():
             image = u(z)
             assert ball_margin(image) > 0
             assert operator_norm(u(image) - z) <= 1e-9 * (1 + operator_norm(z))
+
+
+def test_signed_contraction_sampler_validates_its_signature_once(monkeypatch):
+    import lftdom.automorphisms
+
+    scans = []
+    as_cmatrix = lftdom.automorphisms.as_cmatrix
+
+    def counting_as_cmatrix(*args, **kwargs):
+        scans.append(None)
+        return as_cmatrix(*args, **kwargs)
+
+    monkeypatch.setattr(lftdom.automorphisms, "as_cmatrix", counting_as_cmatrix)
+    rng = np.random.default_rng(57)
+    for _ in range(10):
+        scans.clear()
+        random_pg_member(rng, np.diag([1.0, 0.0]).astype(complex))
+        # building j scans e; the proposals are drawn finite and not scanned
+        assert len(scans) == 1
 
 
 # ---------------------------------------------------------------------------

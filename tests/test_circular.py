@@ -317,8 +317,26 @@ def test_product_transport_properties():
 
 def test_product_transport_rejects_outsiders():
     spec = SiegelSpec(1, 1)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError, match="w is not a member"):
         product_transitive(spec, np.array([[2.0], [0.5]]))
+    with pytest.raises(HypothesisError, match="w is not a member"):
+        product_transitive(spec, np.array([[0.0], [0.0]]))
+
+
+def test_product_transport_inverts_the_bottom_block_once(monkeypatch):
+    spec = SiegelSpec(2, 2)
+    w = random_product_member(np.random.default_rng(81), spec)
+    w2 = spec.split(w)[1]
+    inverted = []
+    inv = np.linalg.inv
+
+    def recording_inv(z):
+        inverted.append(np.array(z))
+        return inv(z)
+
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    product_transitive(spec, w)
+    assert sum(np.array_equal(z, w2) for z in inverted) == 1
 
 
 # ---------------------------------------------------------------------------

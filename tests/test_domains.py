@@ -16,6 +16,7 @@ from lftdom import (
     diagonal_space,
     full_space,
     hyperplane_complement_domain,
+    invert,
     invertibles_domain,
     lft_apply,
     operator_norm,
@@ -24,8 +25,10 @@ from lftdom import (
     rank_one_pairing_domain,
     symmetry_direct,
     try_invert,
+    upper_triangular_space,
     whole_space_domain,
 )
+from lftdom.sampling import random_domain_member
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -339,6 +342,34 @@ def test_quadric_form_and_membership():
     assert model.domain.membership(model.embed(z)) is Verdict.SINGULAR
     z = np.array([1.0, 2.0], dtype=complex)
     assert model.domain.membership(model.embed(z)) is Verdict.MEMBER
+
+
+def test_stacked_membership_matches_the_scalar_verdicts():
+    rng = np.random.default_rng(41)
+    model = quadric_domain(3)
+    upper = Domain(
+        upper_triangular_space(3),
+        np.triu(rand_c(rng, 3, 3)),
+        np.eye(3, dtype=complex),
+        np.zeros((3, 3), dtype=complex),
+    )
+    null = model.embed([1.0, 1j, 0.0])
+    strict_lower = np.tril(rand_c(rng, 3, 3), -1)
+    for dom, singular, outside in (
+        (model.domain, null, rand_c(rng, 4, 4)),
+        (upper, -invert(upper.c, upper.tol, "unused"), np.eye(3) + strict_lower),
+    ):
+        members = [random_domain_member(rng, dom) for _ in range(3)]
+        stack = np.stack(members[:1] + [singular, outside] + members[1:] + [singular])
+        verdicts, smin = dom.membership_margin(stack)
+        assert verdicts.shape == (6,) and smin.shape == (6,)
+        assert list(verdicts) == [dom.membership(z) for z in stack]
+        assert {*verdicts} == {Verdict.MEMBER, Verdict.SINGULAR, Verdict.NOT_IN_SPACE}
+        for z, item_smin, verdict in zip(stack, smin, verdicts):
+            if verdict is not Verdict.NOT_IN_SPACE:
+                assert item_smin == dom.membership_margin(z)[1]
+        assert dom.membership_margin(outside) == (Verdict.NOT_IN_SPACE, None)
+        assert list(dom.membership(stack.reshape(2, 3, *dom.space.shape)).ravel()) == list(verdicts)
 
 
 def test_quadric_closed_form_symmetry_matches_matrix_route():

@@ -15,6 +15,7 @@ from lftdom import (
     SpectrumError,
     Tolerance,
     as_cmatrix,
+    as_cstack,
     binomial_series,
     binomial_series_grid,
     binomial_series_shifted,
@@ -22,6 +23,7 @@ from lftdom import (
     invert,
     operator_norm,
     principal_sqrt,
+    singular_test,
     try_invert,
 )
 from lftdom.linalg import SERIES_TERM_CAP
@@ -60,6 +62,24 @@ def test_as_cmatrix_validates_shape_and_finiteness():
         as_cmatrix([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         as_cmatrix([[np.inf]])
+    with pytest.raises(ShapeError):
+        as_cmatrix(np.zeros((3, 2, 2)))
+
+
+def test_as_cstack_validates_every_item():
+    z = as_cstack(np.ones((3, 2, 4)), rows=2, cols=4)
+    assert z.dtype == complex and z.shape == (3, 2, 4)
+    assert as_cstack([[1, 2]]).shape == (1, 2)
+    with pytest.raises(ShapeError):
+        as_cstack([1, 2, 3])
+    with pytest.raises(ShapeError):
+        as_cstack(np.ones((3, 2, 4)), rows=4)
+    with pytest.raises(ShapeError):
+        as_cstack(np.ones((3, 0, 4)))
+    bad = np.ones((3, 2, 2))
+    bad[2, 1, 0] = np.nan
+    with pytest.raises(ValueError):
+        as_cstack(bad)
 
 
 def test_dagger_is_conjugate_transpose():
@@ -110,6 +130,57 @@ def test_try_invert_threshold_respects_inv_tol():
     z = np.diag([1.0, 1e-6]).astype(complex)
     assert try_invert(z) is not None
     assert try_invert(z, Tolerance(inv_tol=1e-3)) is None
+
+
+def stack_with_singular_items(rng, n, m):
+    """m random n x n matrices, every third one of rank n - 1 and one nearly singular."""
+    z = rng.uniform(-1, 1, (m, n, n)) + 1j * rng.uniform(-1, 1, (m, n, n))
+    for i in range(0, m, 3):
+        u, s, vh = np.linalg.svd(z[i])
+        s[-1] = 0.0
+        z[i] = (u * s) @ vh
+    z[1] = np.diag(np.r_[np.ones(n - 1), 1e-11])
+    return z
+
+
+def test_stacked_try_invert_matches_the_scalar_call_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 3, 5):
+        z = stack_with_singular_items(rng, n, 10)
+        inverses, singular = try_invert(z)
+        assert inverses.shape == z.shape and singular.shape == (10,)
+        assert singular.any() and not singular.all()
+        for item, inverse, dead in zip(z, inverses, singular):
+            alone = try_invert(item)
+            assert dead == (alone is None)
+            if dead:
+                assert np.isnan(inverse).all()
+            else:
+                assert np.array_equal(inverse, alone)
+        # leading dimensions beyond one are items too
+        grid_inverses, grid_singular = try_invert(z.reshape(2, 5, n, n))
+        assert np.array_equal(grid_singular.ravel(), singular)
+        assert np.array_equal(grid_inverses.reshape(z.shape), inverses, equal_nan=True)
+        # singular_test gives the smallest singular values behind the verdicts
+        smin, verdict = singular_test(z)
+        assert np.array_equal(verdict, singular)
+        assert np.array_equal(smin, [np.linalg.svd(item, compute_uv=False)[-1] for item in z])
+
+
+def test_stacked_try_invert_on_an_all_singular_stack():
+    z = np.zeros((4, 3, 3), dtype=complex)
+    z[:, 0, 0] = 1.0
+    inverses, singular = try_invert(z)
+    assert singular.all()
+    assert np.isnan(inverses).all() and inverses.shape == z.shape
+
+
+def test_stacked_try_invert_rejects_non_square_stacks():
+    for shape in ((5, 2, 3), (2, 2, 1, 3), (3,)):
+        with pytest.raises(ShapeError):
+            try_invert(np.ones(shape, dtype=complex))
+        with pytest.raises(ShapeError):
+            singular_test(np.ones(shape, dtype=complex))
 
 
 def test_invert_is_try_invert_with_a_typed_failure():

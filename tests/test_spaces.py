@@ -54,6 +54,30 @@ def test_contains_rejects_wrong_shape():
         full_space(2, 2).contains(np.ones((3, 3), dtype=complex))
 
 
+def test_stacked_contains_matches_the_scalar_verdicts():
+    rng = np.random.default_rng(21)
+    space = upper_triangular_space(3)
+    members = [space.lincomb(rng.uniform(-1, 1, space.dim)) for _ in range(3)]
+    others = [rng.uniform(-1, 1, (3, 3)) for _ in range(3)]
+    stack = np.stack(members + others)
+    verdicts = space.contains(stack)
+    assert verdicts.tolist() == [bool(space.contains(z)) for z in stack] == [True] * 3 + [False] * 3
+    assert np.allclose(space.residual(stack), [space.residual(z) for z in stack], rtol=1e-14)
+    with pytest.raises(ShapeError):
+        space.contains(np.ones((2, 3, 2)))
+    with pytest.raises(ShapeError):
+        space.project(stack)
+
+
+def test_lincomb_uses_the_basis_stacked_at_construction(monkeypatch):
+    rng = np.random.default_rng(23)
+    space = symmetric_space(3)
+    coeffs = rng.uniform(-1, 1, space.dim) + 1j * rng.uniform(-1, 1, space.dim)
+    expected = np.tensordot(coeffs, np.stack(space.basis), axes=1)
+    monkeypatch.setattr(np, "stack", None)
+    assert np.array_equal(space.lincomb(coeffs), expected)
+
+
 def test_projection_and_coordinates_round_trip():
     rng = np.random.default_rng(22)
     space = upper_triangular_space(3)
