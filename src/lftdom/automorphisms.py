@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import Domain, LFTMap, lft_apply
+from .domains import Domain, LFTMap, lft_apply, require_idempotent
 from .exceptions import (
     HypothesisError,
     InternalCheckError,
@@ -32,6 +32,7 @@ from .linalg import (
     binomial_series,
     binomial_series_grid,
     binomial_series_shifted,
+    hermitian_margin,
     invert,
     operator_norm,
     principal_sqrt,
@@ -50,10 +51,7 @@ def _require_member(dom, z, what):
     z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
     if not dom.space.contains(z, dom.tol):
         raise SpaceClosureError(f"{what} does not belong to the operator space")
-    den_inv = dom.try_denominator_inverse(z)
-    if den_inv is None:
-        raise SingularMatrixError(f"c z + d is singular at {what}")
-    return z, den_inv
+    return z, invert(dom.denominator(z), dom.tol, f"c z + d is singular at {what}")
 
 
 @dataclass(frozen=True)
@@ -550,11 +548,16 @@ def swap_involution(dom, w0):
 # Potapov-Ginzburg transform
 
 
-def signature_from_projection(e):
-    """J = I - 2e; an involution (J^2 = I) whenever e is idempotent."""
+def _square_projection(e):
     e = as_cmatrix(e)
     if e.shape[0] != e.shape[1]:
         raise ShapeError("projection must be square")
+    return e
+
+
+def signature_from_projection(e):
+    """J = I - 2e; an involution (J^2 = I) whenever e is idempotent."""
+    e = _square_projection(e)
     return np.eye(e.shape[0], dtype=complex) - 2.0 * e
 
 
@@ -562,13 +565,7 @@ def form_margin(z, j):
     """Smallest eigenvalue of j - z* j z; positive inside the j-contractive set."""
     z = as_cmatrix(z)
     j = as_cmatrix(j, rows=z.shape[0], cols=z.shape[0])
-    return _form_margin(z, j)
-
-
-def _form_margin(z, j):
-    """form_margin on validated z and j, for samplers that reuse one j."""
-    gram = j - z.conj().T @ j @ z
-    return float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min())
+    return hermitian_margin(j - z.conj().T @ j @ z)
 
 
 def ball_margin(z):
@@ -582,12 +579,8 @@ def potapov_ginzburg_map(e, tol=DEFAULT_TOL):
     Exchanges the j-contractive set {z : z* j z < j}, j = I - 2e, with the
     open unit norm ball, on the set where the denominator stays invertible.
     """
-    e = as_cmatrix(e)
-    if e.shape[0] != e.shape[1]:
-        raise ShapeError("projection must be square")
-    scale = (1.0 + operator_norm(e)) ** 2
-    if operator_norm(e @ e - e) > tol.eq_tol * scale:
-        raise ValueError("e is not idempotent")
+    e = _square_projection(e)
+    require_idempotent(e, tol)
     eye = np.eye(e.shape[0], dtype=complex)
     return LFTMap(e - eye, e, e, eye - e)
 
@@ -612,16 +605,16 @@ class LiouvilleCurve:
 
     def __call__(self, lam):
         z0 = self.domain.z0
-        return z0 + (self.z - z0) @ binomial_series_shifted(lam, self.w, self.domain.tol)
+        return z0 + (self.z - z0) @ binomial_series_shifted(lam, self.w)
 
     def series_factor(self, lam):
         """b(lam) = (I + w)^lam as the full binomial series."""
-        return binomial_series(lam, self.w, self.domain.tol)
+        return binomial_series(lam, self.w)
 
     def evaluate(self, lams):
         """(f(lam), b(lam)) stacks over every lam in ``lams``, from one series evaluation."""
         z0 = self.domain.z0
-        full, shifted = binomial_series_grid(lams, self.w, self.domain.tol)
+        full, shifted = binomial_series_grid(lams, self.w)
         return z0 + (self.z - z0) @ shifted, full
 
     def values(self, lams):

@@ -26,7 +26,8 @@ from .exceptions import (
 )
 from .domains import LFTMap
 from .linalg import (
-    DEFAULT_TOL, Tolerance, as_cmatrix, invert, operator_norm, principal_sqrt, try_invert
+    DEFAULT_TOL, Tolerance, as_cmatrix, hermitian_margin, invert, operator_norm, principal_sqrt,
+    try_invert,
 )
 from .sampling import random_space_member
 
@@ -72,15 +73,11 @@ class SiegelSpec:
         return np.vstack([z1, z2])
 
 
-def _min_eig_hermitian(m):
-    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-
-
 def siegel_member(spec, z):
     """True iff Z2*Z2 - Z1*Z1 - I is positive definite (strict interior)."""
     z1, z2 = spec.split(z)
     gram = z2.conj().T @ z2 - z1.conj().T @ z1 - np.eye(spec.dim_h, dtype=complex)
-    return _min_eig_hermitian(gram) > spec.tol.eq_tol
+    return hermitian_margin(gram) > spec.tol.eq_tol
 
 
 def siegel_gram(spec, z):
@@ -348,7 +345,7 @@ def _member_split(spec, z):
     if z2_inv is None:
         return None
     gram = z2.conj().T @ z2 - z1.conj().T @ z1
-    if not _min_eig_hermitian(gram) > spec.tol.eq_tol:
+    if not hermitian_margin(gram) > spec.tol.eq_tol:
         return None
     return z1 @ z2_inv, z2_inv
 

@@ -73,12 +73,11 @@ def build_parser():
 
 
 def _config_from_args(args):
+    tol = DEFAULT_TOL
     if args.tol is not None:
         if not (0.0 < args.tol < 1.0):
             raise ValueError("--tol must lie strictly between 0 and 1")
-        tol = Tolerance(eq_tol=args.tol, inv_tol=args.tol / 10.0)
-    else:
-        tol = DEFAULT_TOL
+        tol = Tolerance(args.tol)
     return RunConfig(
         seed=args.seed,
         trials=args.trials,
@@ -176,10 +175,7 @@ def _demo_lines(example, config):
         )
     elif example == "hyperbolic":
         n = max(3, min(config.dim_k + config.dim_h, 6))
-        interior = rng.uniform(-2.0, 2.0, n - 2)
-        v = samp.random_unitary(rng, n)
-        j = (v * np.concatenate([[1.0], interior, [-1.0]])) @ v.conj().T
-        spec = HyperbolicSpec(j, tol=tol)
+        spec = HyperbolicSpec(samp.random_hyperbolic_form(rng, n), tol=tol)
         z1 = samp.random_hyperbolic_member(rng, spec)
         transport = hyperbolic_transitive(spec, z1)
         lines.append(f"form value at target: {spec.form(z1).real:.6f} (negative inside)")

@@ -120,9 +120,7 @@ class Domain:
         self.label = label or space.label
         if not space.contains(self.z0, tol):
             raise SpaceClosureError("base point does not belong to the operator space")
-        den_inv = self.try_denominator_inverse(self.z0)
-        if den_inv is None:
-            raise SingularMatrixError("c z0 + d is singular at the base point")
+        den_inv = invert(self.denominator(self.z0), tol, "c z0 + d is singular at the base point")
         self.x0 = den_inv @ self.c
         if not closed_under_quadratic(space, self.x0, tol):
             raise SpaceClosureError(
@@ -181,10 +179,9 @@ class Domain:
 
     def denominator_inverse(self, z):
         """(c z + d)^-1; raises SingularMatrixError where c z + d is singular."""
-        den_inv = self.try_denominator_inverse(z)
-        if den_inv is None:
-            raise SingularMatrixError("c z + d is singular; the point is outside the domain")
-        return den_inv
+        return invert(
+            self.denominator(z), self.tol, "c z + d is singular; the point is outside the domain"
+        )
 
     def kernel_at(self, y):
         """X = (c y + d)^-1 c, the local kernel entering every automorphism formula."""
@@ -263,6 +260,12 @@ def invertibles_domain(space, tol=DEFAULT_TOL):
     return Domain(space, eye, np.zeros_like(eye), eye, tol, label="invertibles")
 
 
+def require_idempotent(e, tol):
+    """Raise ValueError unless ||e^2 - e|| is within ``tol.eq_tol`` (1 + ||e||)^2."""
+    if operator_norm(e @ e - e) > tol.eq_tol * (1.0 + operator_norm(e)) ** 2:
+        raise ValueError("e is not idempotent")
+
+
 def projection_domain(space, e, tol=DEFAULT_TOL):
     """Domain from a projection e in the space: c = e, d = I - e, base point e.
 
@@ -271,8 +274,7 @@ def projection_domain(space, e, tol=DEFAULT_TOL):
     e = as_cmatrix(e, rows=space.dim_k, cols=space.dim_h)
     if not space.is_square:
         raise ShapeError("projection domain requires a square space")
-    if operator_norm(e @ e - e) > tol.eq_tol * (1.0 + operator_norm(e)) ** 2:
-        raise ValueError("e is not idempotent")
+    require_idempotent(e, tol)
     if not space.contains(e, tol):
         raise SpaceClosureError("projection e does not belong to the space")
     eye = np.eye(space.dim_h, dtype=complex)

@@ -26,9 +26,9 @@ class StepBoundError(LftdomError):
 
 
 class PathLeavesDomainError(LftdomError):
-    """A subdivision waypoint is not a member of the domain.
+    """A chain waypoint or a supplied path point is not a member of the domain.
 
-    `index` is the offending waypoint position in the attempted subdivision.
+    `index` is the chain waypoint's position, or the point's index in a supplied path.
     """
 
     def __init__(self, message, index=None):

@@ -22,24 +22,26 @@ from .exceptions import ConvergenceError, ShapeError, SingularMatrixError, Spect
 SERIES_TERM_CAP = 10_000
 # most powers of w held at once by binomial_series_grid
 SERIES_BLOCK_CAP = 128
+SERIES_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical thresholds shared across the library.
+    """The library's one settable numerical threshold.
 
-    eq_tol     entrywise/operator-norm comparison bound
-    inv_tol    smallest-singular-value threshold for invertibility
-    series_tol truncation bound for power series tails
+    eq_tol   entrywise/operator-norm comparison bound
+    inv_tol  smallest-singular-value threshold for invertibility, eq_tol / 10
     """
 
     eq_tol: float = 1e-9
-    inv_tol: float = 1e-10
-    series_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.eq_tol < 0 or self.inv_tol < 0 or self.series_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not self.eq_tol >= 0:  # also rejects NaN
+            raise ValueError("eq_tol must be nonnegative")
+
+    @property
+    def inv_tol(self):
+        return self.eq_tol / 10.0
 
 
 DEFAULT_TOL = Tolerance()
@@ -87,6 +89,11 @@ def operator_norm(z):
     """Largest singular value of ``z``."""
     z = np.asarray(z, dtype=complex)
     return float(np.linalg.svd(z, compute_uv=False)[0])
+
+
+def hermitian_margin(m):
+    """Smallest eigenvalue of the Hermitian part (m + m*) / 2; positive iff that part is positive definite."""
+    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
 
 
 def _require_square(z, who, stack=False):
@@ -170,24 +177,24 @@ def principal_sqrt(m, tol=DEFAULT_TOL):
     return np.asarray(q, dtype=complex)
 
 
-def _series_block(nw, tol):
+def _series_block(nw):
     """Terms that bring ||w||^j below the tail bound, between 1 and SERIES_BLOCK_CAP."""
     if nw == 0.0:
         return 1
-    target = tol.series_tol * (1.0 - nw)
+    target = SERIES_TOL * (1.0 - nw)
     if target == 0.0:
         return SERIES_BLOCK_CAP
     return min(SERIES_BLOCK_CAP, max(1, math.ceil(math.log(target) / math.log(nw))))
 
 
-def binomial_series_grid(lams, w, tol=DEFAULT_TOL):
+def binomial_series_grid(lams, w):
     """Both binomial sums of w at every lam in ``lams``, as (m, n, n) stacks.
 
     Returns (full, shifted) with full[i] = sum_{j>=0} binom(lam_i, j) w^j,
     i.e. (I + w)^lam_i, and shifted[i] = sum_{j>=1} binom(lam_i, j) w^(j-1).
     Requires ||w|| < 1. Each lam stops at the first j where binom(lam, j) = 0,
     or where j >= |lam| and the tail bound |binom(lam, j)| ||w||^j / (1 - ||w||)
-    drops below ``tol.series_tol``; a lam still running after SERIES_TERM_CAP
+    drops below SERIES_TOL; a lam still running after SERIES_TERM_CAP
     terms raises ConvergenceError.
 
     The powers w^j come in blocks of a fixed size, sized from ||w|| so that
@@ -204,7 +211,7 @@ def binomial_series_grid(lams, w, tol=DEFAULT_TOL):
         raise ConvergenceError(f"binomial series requires ||w|| < 1, got {nw:.6g}")
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     m, n = lams.size, w.shape[0]
-    size = _series_block(nw, tol)
+    size = _series_block(nw)
     powers = np.empty((size + 1, n, n), dtype=complex)  # w^j0, ..., w^(j0+size)
     powers[0] = np.eye(n)
     powers[1] = w
@@ -225,7 +232,7 @@ def binomial_series_grid(lams, w, tol=DEFAULT_TOL):
         j = np.arange(j0 + 1, j0 + size + 1, dtype=float)
         block = coef[:, None] * np.cumprod((lams[:, None] - j + 1.0) / j, axis=1)
         done = (block == 0) | (
-            (j >= radius) & (np.abs(block) * nw**j / (1.0 - nw) < tol.series_tol)
+            (j >= radius) & (np.abs(block) * nw**j / (1.0 - nw) < SERIES_TOL)
         )
         done &= j <= SERIES_TERM_CAP
         # a lam keeps the term where it stops and drops every later one
@@ -246,19 +253,19 @@ def binomial_series_grid(lams, w, tol=DEFAULT_TOL):
         np.matmul(powers[0], base, out=powers[1:])
 
 
-def binomial_series(lam, w, tol=DEFAULT_TOL):
+def binomial_series(lam, w):
     """Matrix binomial series b_lam(w) = sum_n binom(lam, n) w^n, i.e. (I+w)^lam.
 
     Requires ||w|| < 1. Truncates once the tail bound
-    |binom(lam, n)| ||w||^n / (1 - ||w||) drops below ``tol.series_tol``
+    |binom(lam, n)| ||w||^n / (1 - ||w||) drops below SERIES_TOL
     (capped at SERIES_TERM_CAP terms); one-lam call of ``binomial_series_grid``.
     """
-    return binomial_series_grid([lam], w, tol)[0][0]
+    return binomial_series_grid([lam], w)[0][0]
 
 
-def binomial_series_shifted(lam, w, tol=DEFAULT_TOL):
+def binomial_series_shifted(lam, w):
     """sum_{n>=1} binom(lam, n) w^(n-1), the factor with b_lam(w) = I + w @ (this).
 
     Same convergence contract as ``binomial_series``.
     """
-    return binomial_series_grid([lam], w, tol)[1][0]
+    return binomial_series_grid([lam], w)[1][0]

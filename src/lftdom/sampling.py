@@ -9,9 +9,9 @@ caps that raise instead of looping forever.
 import numpy as np
 
 from .exceptions import InternalCheckError
-from .linalg import DEFAULT_TOL, operator_norm, principal_sqrt, try_invert
+from .linalg import DEFAULT_TOL, hermitian_margin, operator_norm, principal_sqrt, try_invert
 from .domains import Verdict
-from .automorphisms import _form_margin, signature_from_projection
+from .automorphisms import signature_from_projection
 
 # draws each rejection sampler makes before it gives up
 INVERTIBLE_ATTEMPTS = 200
@@ -105,6 +105,15 @@ def random_product_member(rng, spec):
     return spec.stack(z1, z2)
 
 
+def random_hyperbolic_form(rng, n, degenerate=False):
+    """J = V diag(1, t, -1) V*, V unitary, t in [-2, 2]^(n-2); ``degenerate`` puts t[0] below -0.2."""
+    interior = rng.uniform(-2.0, 2.0, n - 2)
+    if degenerate:
+        interior[0] = -abs(interior[0]) - 0.2
+    v = random_unitary(rng, n)
+    return (v * np.concatenate([[1.0], interior, [-1.0]])) @ v.conj().T
+
+
 def random_hyperbolic_member(rng, spec, degenerate=False):
     """A vector with (Jz, z) < 0; optionally with no e or f component.
 
@@ -166,7 +175,7 @@ def random_pg_member(rng, e, tol=DEFAULT_TOL):
             z = (rng.uniform(1.05, 1.8) / smin) * z
         else:
             z = z @ np.diag(rng.uniform(0.1, 2.0, n))
-        if _form_margin(z, j) <= PG_MIN_MARGIN:
+        if hermitian_margin(j - z.conj().T @ j @ z) <= PG_MIN_MARGIN:
             continue
         if try_invert(e @ z + d_blk, tol) is None:
             continue

@@ -72,7 +72,7 @@ from . import sampling as samp
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by every suite: seed, work volume, shapes, tolerances."""
+    """Knobs shared by every suite: seed, work volume, shapes, tolerance."""
 
     seed: int = 0
     trials: int = 50
@@ -533,12 +533,7 @@ def suite_hyperbolic(config, rng, track):
     degenerate_seen = 0
     for i in range(trials):
         want_degenerate = i % 10 == 0
-        interior = rng.uniform(-2.0, 2.0, n - 2)
-        if want_degenerate:
-            interior[0] = -abs(interior[0]) - 0.2
-        v = samp.random_unitary(rng, n)
-        j = (v * np.concatenate([[1.0], interior, [-1.0]])) @ v.conj().T
-        spec = HyperbolicSpec(j, tol=config.tol)
+        spec = HyperbolicSpec(samp.random_hyperbolic_form(rng, n, want_degenerate), tol=config.tol)
         z1 = samp.random_hyperbolic_member(rng, spec, degenerate=want_degenerate)
         transport = hyperbolic_transitive(spec, z1)
         if transport.degenerate:

@@ -131,7 +131,7 @@ def test_symmetry_rejects_points_outside_the_domain():
 def test_every_operation_judges_with_the_domain_tolerance():
     # sigma_min(C Z + D) = 1e-6 lies below this domain's inv_tol of 1e-4,
     # though far above the default threshold of 1e-10
-    dom = invertibles_domain(full_space(2, 2), Tolerance(eq_tol=1e-3, inv_tol=1e-4))
+    dom = invertibles_domain(full_space(2, 2), Tolerance(1e-3))
     near = np.diag([1.0, 1e-6]).astype(complex)
     clear = np.diag([1.0, 0.5]).astype(complex)
     eye = np.eye(2, dtype=complex)
@@ -273,7 +273,7 @@ def test_stacked_chain_apply_matches_the_scalar_call_bit_for_bit():
 
 
 def test_stacked_chain_apply_drops_a_probe_that_dies_at_a_middle_factor():
-    tol = Tolerance(1e-3, 1e-4)
+    tol = Tolerance(1e-3)
     dom = invertibles_domain(full_space(2, 2), tol)
     chain = transitive_chain(dom, np.array([[1.0, 2.0], [0.0, 1.0]]))
     assert chain.factor_count >= 4

@@ -443,7 +443,7 @@ def test_hyperbolic_degenerate_sampling_needs_a_negative_direction():
 def test_specs_judge_with_the_tolerance_they_were_built_with():
     # every point below sits inside the 1e-3 / 1e-4 margin of the coarse
     # specs, though well clear of the default thresholds
-    coarse = Tolerance(eq_tol=1e-3, inv_tol=1e-4)
+    coarse = Tolerance(1e-3)
     j = np.diag([1.0, 1.0, -1.0]).astype(complex)
     frame = {"eigvec_plus": np.array([1.0, 0, 0]), "eigvec_minus": np.array([0, 0, 1.0])}
     hyperbolic = HyperbolicSpec(j, **frame)

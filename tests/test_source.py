@@ -6,7 +6,7 @@ import inspect
 from pathlib import Path
 
 import lftdom
-from lftdom import automorphisms, circular, domains, sampling
+from lftdom import automorphisms, circular, domains, linalg, sampling
 
 PACKAGE = Path(lftdom.__file__).parent
 
@@ -84,9 +84,13 @@ def test_only_try_invert_inverts():
 
 def test_only_invert_turns_a_singular_verdict_into_an_error():
     # `if try_invert(...) is None: raise SingularMatrixError(...)`, directly or
-    # through a name bound to try_invert's result, is written once, in invert
-    def calls(node, name):
-        return dotted(getattr(node, "func", None)) == name
+    # through a name bound to the verdict of try_invert or of a domain's
+    # try_denominator_inverse, is written once, in invert
+    verdict_makers = {"try_invert", "try_denominator_inverse"}
+
+    def calls(node, names):
+        name = dotted(getattr(node, "func", None))
+        return name is not None and name.split(".")[-1] in names
 
     sites = []
     for module, _, fn in package_nodes():
@@ -95,7 +99,7 @@ def test_only_invert_turns_a_singular_verdict_into_an_error():
         verdicts = {
             target.id
             for node in ast.walk(fn)
-            if isinstance(node, ast.Assign) and calls(node.value, "try_invert")
+            if isinstance(node, ast.Assign) and calls(node.value, verdict_makers)
             for target in node.targets
             if isinstance(target, ast.Name)
         }
@@ -103,12 +107,12 @@ def test_only_invert_turns_a_singular_verdict_into_an_error():
             if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)):
                 continue
             left, first = node.test.left, node.body[0]
-            tested = calls(left, "try_invert") or getattr(left, "id", None) in verdicts
+            tested = calls(left, verdict_makers) or getattr(left, "id", None) in verdicts
             if (
                 tested
                 and isinstance(node.test.ops[0], ast.Is)
                 and isinstance(first, ast.Raise)
-                and calls(first.exc, "SingularMatrixError")
+                and calls(first.exc, {"SingularMatrixError"})
             ):
                 sites.append((module, fn.name, node.lineno))
     assert [(module, fn) for module, fn, _ in sites] == [("linalg.py", "invert")], sites
@@ -168,3 +172,15 @@ def test_records_hold_their_domain_instead_of_copies():
         fields = {f.name for f in dataclasses.fields(record)}
         assert "domain" in fields, record.__name__
         assert fields & copied == set(), record.__name__
+
+
+def test_one_settable_tolerance():
+    # the invertibility threshold follows from eq_tol and the series tail
+    # bound is a module constant, so no caller can set either on its own
+    assert list(inspect.signature(linalg.Tolerance).parameters) == ["eq_tol"]
+    assert [f.name for f in dataclasses.fields(linalg.Tolerance)] == ["eq_tol"]
+    for t in (1e-9, 1e-6, 1e-3, 0.9):
+        assert linalg.Tolerance(t).inv_tol == t / 10
+    assert linalg.DEFAULT_TOL.inv_tol == 1e-10
+    for fn in (linalg.binomial_series, linalg.binomial_series_shifted, linalg.binomial_series_grid):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__
