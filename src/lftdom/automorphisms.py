@@ -29,13 +29,13 @@ from .linalg import (
     DEFAULT_TOL,
     as_cmatrix,
     as_cstack,
-    binomial_series,
     binomial_series_grid,
     binomial_series_shifted,
     hermitian_margin,
     invert,
     operator_norm,
     principal_sqrt,
+    singular_test,
     try_invert,
 )
 from .spaces import is_power_algebra
@@ -287,8 +287,8 @@ def _meets_singular_set(dom, xr):
     eye = np.eye(xr.shape[0], dtype=complex)
     for lam in np.linalg.eigvals(xr):
         if lam.real <= -1.0:
-            s = np.linalg.svd(eye - xr / lam.real, compute_uv=False)
-            if s[-1] <= dom.tol.eq_tol * (1.0 + s[0]):
+            m = eye - xr / lam.real
+            if singular_test(m)[0] <= dom.tol.eq_tol * (1.0 + operator_norm(m)):
                 return True
     return False
 
@@ -607,32 +607,16 @@ class LiouvilleCurve:
         z0 = self.domain.z0
         return z0 + (self.z - z0) @ binomial_series_shifted(lam, self.w)
 
-    def series_factor(self, lam):
-        """b(lam) = (I + w)^lam as the full binomial series."""
-        return binomial_series(lam, self.w)
-
     def evaluate(self, lams):
         """(f(lam), b(lam)) stacks over every lam in ``lams``, from one series evaluation."""
         z0 = self.domain.z0
         full, shifted = binomial_series_grid(lams, self.w)
         return z0 + (self.z - z0) @ shifted, full
 
-    def values(self, lams):
-        """f(lam) for every lam in ``lams``, as an (m, k, h) stack."""
-        return self.evaluate(lams)[0]
-
-    def series_factors(self, lams):
-        """b(lam) for every lam in ``lams``, as an (m, h, h) stack."""
-        return self.evaluate(lams)[1]
-
     def identity_residuals(self, values, factors):
         """Residuals of (c z0 + d)^-1 (c f + d) = b over stacks of f(lam) and b(lam)."""
         lhs = self.den0_inv @ (self.domain.c @ values + self.domain.d)
-        return np.linalg.svd(lhs - factors, compute_uv=False)[:, 0]
-
-    def identity_residual(self, lam):
-        """Residual of (c z0 + d)^-1 (c f(lam) + d) = b(lam)."""
-        return float(self.identity_residuals(*self.evaluate([lam]))[0])
+        return operator_norm(lhs - factors)
 
 
 def liouville_curve(dom, z):

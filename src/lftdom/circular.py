@@ -27,9 +27,9 @@ from .exceptions import (
 from .domains import LFTMap
 from .linalg import (
     DEFAULT_TOL, Tolerance, as_cmatrix, hermitian_margin, invert, operator_norm, principal_sqrt,
-    try_invert,
+    singular_test, try_invert,
 )
-from .sampling import random_space_member
+from .sampling import random_invertible_member, random_space_member
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +162,7 @@ def exterior_member(space, z, tol=DEFAULT_TOL):
     z = as_cmatrix(z, rows=space.dim_k, cols=space.dim_h)
     if not space.contains(z, tol):
         raise SpaceClosureError("z does not belong to the operator space")
-    smin = float(np.linalg.svd(z, compute_uv=False).min())
-    return smin > 1.0 + tol.eq_tol
+    return float(singular_test(z, tol)[0]) > 1.0 + tol.eq_tol
 
 
 class SpaceLinearMap:
@@ -179,7 +178,7 @@ class SpaceLinearMap:
                 raise SpaceClosureError(f"image of basis element {i} leaves the space")
         cols = [space.coordinates(m) for m in self.images]
         self.matrix = np.stack(cols, axis=1)
-        if np.linalg.matrix_rank(self.matrix) < space.dim:
+        if singular_test(self.matrix, tol)[1]:
             raise SingularMatrixError("the linear map is not invertible on the space")
 
     def __call__(self, z):
@@ -233,22 +232,13 @@ def isometry_inverse_identity_check(space, images, rng, trials=100, tol=DEFAULT_
     unitary_defect = float(operator_norm(u.conj().T @ u - eye))
 
     worst = 0.0
-    done = 0
-    attempts = 0
-    while done < trials and attempts < 50 * trials:
-        attempts += 1
-        z = random_space_member(rng, space)
-        z_inv = try_invert(z, tol)
-        if z_inv is None or operator_norm(z_inv) > 1e6:
-            continue
-        lhs = lmap(z_inv)
+    for _ in range(trials):
+        z = random_invertible_member(rng, space, tol)
+        lhs = lmap(invert(z, tol, "z is singular"))
         rhs = u @ invert(lmap(z), tol, "L(z) is singular") @ u
         worst = max(worst, float(operator_norm(lhs - rhs)))
-        done += 1
-    if done < trials:
-        raise InternalCheckError("could not sample enough invertible members")
     return IsometryReport(
-        trials=done,
+        trials=trials,
         isometry_defect=float(iso_defect),
         unitary_defect=unitary_defect,
         max_identity_residual=worst,
@@ -275,7 +265,7 @@ def exterior_linear_auto_check(space, images, rng, trials=100, tol=DEFAULT_TOL):
     while done < trials and attempts < 50 * trials:
         attempts += 1
         z = random_space_member(rng, space)
-        smin = float(np.linalg.svd(z, compute_uv=False).min())
+        smin = float(singular_test(z, tol)[0])
         if smin < 1e-8:
             continue
         target = rng.uniform(1.05, 2.0)
@@ -284,7 +274,7 @@ def exterior_linear_auto_check(space, images, rng, trials=100, tol=DEFAULT_TOL):
             continue
         done += 1
         image = lmap(z)
-        image_smin = float(np.linalg.svd(image, compute_uv=False).min())
+        image_smin = float(singular_test(image, tol)[0])
         margin = min(margin, image_smin - 1.0)
         if exterior_member(space, image, tol):
             preserved += 1

@@ -29,23 +29,15 @@ from .verify import RunConfig, run_verify, example_domains
 from . import __version__
 
 
-def _add_common_flags(parser, top):
-    def default(value):
-        return value if top else argparse.SUPPRESS
-
+def _add_common_flags(parser):
+    parser.add_argument("--seed", type=int, default=0, help="seed for all randomized suites")
+    parser.add_argument("--trials", type=int, default=50, help="work volume per suite")
+    parser.add_argument("--dim-h", type=int, default=2, help="column dimension (at most 8)")
+    parser.add_argument("--dim-k", type=int, default=2, help="row dimension (at most 8)")
     parser.add_argument(
-        "--seed", type=int, default=default(0), help="seed for all randomized suites"
+        "--tol", type=float, help="equality tolerance; the invertibility tolerance is a tenth of it"
     )
-    parser.add_argument("--trials", type=int, default=default(50), help="work volume per suite")
-    parser.add_argument("--dim-h", type=int, default=default(2), help="column dimension (at most 8)")
-    parser.add_argument("--dim-k", type=int, default=default(2), help="row dimension (at most 8)")
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=default(None),
-        help="equality tolerance; the invertibility tolerance is a tenth of it",
-    )
-    parser.add_argument("--out", default=default(None), help="write the JSON report to this file")
+    parser.add_argument("--out", help="write the JSON report to this file")
 
 
 def build_parser():
@@ -54,21 +46,20 @@ def build_parser():
         description="Linear fractional domains: verification, demos, transitive chains.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    _add_common_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run every verification suite")
-    _add_common_flags(verify, top=False)
+    _add_common_flags(verify)
     demo = sub.add_parser("demo", help="walk through one example construction")
     demo.add_argument(
         "example",
         choices=["0", "1", "2", "4", "5", "6", "siegel", "exterior", "product", "hyperbolic"],
     )
-    _add_common_flags(demo, top=False)
+    _add_common_flags(demo)
     transit = sub.add_parser("transit", help="build a transitive chain from files")
     transit.add_argument("domain_file")
     transit.add_argument("target_file")
     transit.add_argument("path_file", nargs="?", default=None)
-    _add_common_flags(transit, top=False)
+    _add_common_flags(transit)
     return parser
 
 

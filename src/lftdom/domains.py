@@ -293,9 +293,9 @@ def hyperplane_complement_domain(c_vec, d, tol=DEFAULT_TOL):
         raise ValueError("hyperplane normal must be nonzero")
     space = full_space(n, 1)
     c = dagger(c_vec)
-    d_blk = np.array([[d]], dtype=complex)
+    d_blk = as_cmatrix([[d]])
     for z0 in (np.zeros((n, 1), dtype=complex), c_vec, -c_vec, 2 * c_vec):
-        if abs((c @ z0)[0, 0] + d) > tol.inv_tol:
+        if not singular_test(c @ z0 + d_blk, tol)[1]:
             return Domain(space, c, d_blk, z0, tol, label="hyperplane-complement")
     raise SingularMatrixError("could not find a base point off the hyperplane")
 
@@ -310,7 +310,7 @@ def rank_one_pairing_domain(space, x, y, d, tol=DEFAULT_TOL):
     y = as_cmatrix(np.reshape(np.asarray(y, dtype=complex), (-1, 1)), rows=space.dim_k)
     if abs(np.linalg.norm(x) - 1.0) > 1e-8 or abs(np.linalg.norm(y) - 1.0) > 1e-8:
         raise ValueError("x and y must be unit vectors")
-    if abs(d) <= tol.inv_tol:
+    if singular_test(as_cmatrix([[d]]), tol)[1]:
         raise ValueError("d must be nonzero")
     c = x @ dagger(y)
     d_blk = d * np.eye(space.dim_h, dtype=complex)

@@ -8,7 +8,9 @@ matrices. Everything here is a pure function.
 Every matrix inverse comes from ``try_invert``, the verdict (the inverse or
 None; on a stack, the inverses and a per-item singular mask); ``invert`` is
 the typed failure (SingularMatrixError in place of None). ``singular_test``
-holds the one singular-value threshold that both judge by.
+holds the one singular-value threshold that both judge by. Every operator
+norm and every smallest singular value in the package is taken here, by
+``operator_norm`` and ``singular_test``.
 """
 
 import math
@@ -86,9 +88,10 @@ def dagger(z):
 
 
 def operator_norm(z):
-    """Largest singular value of ``z``."""
+    """Largest singular value of ``z``; on an (..., m, n) stack, one per item from one stacked SVD."""
     z = np.asarray(z, dtype=complex)
-    return float(np.linalg.svd(z, compute_uv=False)[0])
+    s = np.linalg.svd(z, compute_uv=False)
+    return float(s[0]) if z.ndim == 2 else s[..., 0]
 
 
 def hermitian_margin(m):

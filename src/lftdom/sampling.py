@@ -9,7 +9,7 @@ caps that raise instead of looping forever.
 import numpy as np
 
 from .exceptions import InternalCheckError
-from .linalg import DEFAULT_TOL, hermitian_margin, operator_norm, principal_sqrt, try_invert
+from .linalg import DEFAULT_TOL, hermitian_margin, operator_norm, principal_sqrt, singular_test, try_invert
 from .domains import Verdict
 from .automorphisms import signature_from_projection
 
@@ -169,7 +169,7 @@ def random_pg_member(rng, e, tol=DEFAULT_TOL):
                 continue
             z = (rng.uniform(0.05, 0.9) / top) * z
         elif kind == 1:
-            smin = float(np.linalg.svd(z, compute_uv=False).min())
+            smin = float(singular_test(z, tol)[0])
             if smin < 1e-8:
                 continue
             z = (rng.uniform(1.05, 1.8) / smin) * z

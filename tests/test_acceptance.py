@@ -273,8 +273,10 @@ def test_criterion_5_liouville_curve():
             for lam in grid:
                 value = curve(lam)
                 assert dom.membership(value) is Verdict.MEMBER
-                worst_identity = max(worst_identity, curve.identity_residual(lam))
-                prod = curve.series_factor(lam) @ curve.series_factor(-lam)
+                values, factors = curve.evaluate([lam, -lam])
+                identity = curve.identity_residuals(values[:1], factors[:1])[0]
+                worst_identity = max(worst_identity, identity)
+                prod = factors[0] @ factors[1]
                 worst_pairing = max(
                     worst_pairing, operator_norm(prod - np.eye(prod.shape[0]))
                 )

@@ -23,6 +23,7 @@ from lftdom import (
     affine_transport,
     affine_transport_identity_residual,
     ball_margin,
+    binomial_series,
     compose_symmetries_affine,
     diagonal_space,
     find_midpoint,
@@ -748,8 +749,9 @@ def test_liouville_endpoint_and_identity_on_matrices():
         assert operator_norm(f(1) - z) <= 1e-8
         for lam in (2.0, -1.5, 0.5 + 1j, -0.25 - 0.75j):
             assert dom.membership(f(lam)) is Verdict.MEMBER
-            assert f.identity_residual(lam) <= 1e-8
-            prod = f.series_factor(lam) @ f.series_factor(-lam)
+            values, factors = f.evaluate([lam, -lam])
+            assert f.identity_residuals(values[:1], factors[:1])[0] <= 1e-8
+            prod = factors[0] @ factors[1]
             assert operator_norm(prod - np.eye(2)) <= 1e-9
 
 
@@ -769,18 +771,17 @@ def test_liouville_values_match_pointwise_calls():
     for dom in example_domains(RunConfig()):
         z = random_target_in_reach(rng, dom)
         f = liouville_curve(dom, z)
-        values = f.values(grid)
-        factors = f.series_factors(grid)
+        values, factors = f.evaluate(grid)
         assert values.shape == (len(grid), dom.dim_k, dom.dim_h)
         for lam, value, factor in zip(grid, values, factors):
             want = f(lam)
             assert operator_norm(value - want) <= 1e-13 * operator_norm(want)
-            want = f.series_factor(lam)
+            want = binomial_series(lam, f.w)
             assert operator_norm(factor - want) <= 1e-13 * operator_norm(want)
         identity = f.identity_residuals(values, factors)
         assert identity.shape == (len(grid),)
         assert identity.max() <= 1e-8
-        assert f.identity_residual(grid[-1]) <= 1e-8
+        assert f.identity_residuals(*f.evaluate([grid[-1]]))[0] <= 1e-8
 
 
 def test_liouville_series_factors_match_the_matrix_power():
@@ -795,7 +796,7 @@ def test_liouville_series_factors_match_the_matrix_power():
         eye = np.eye(n, dtype=complex)
         f = liouville_curve(invertibles_domain(full_space(n, n)), eye + w)
         log = scipy.linalg.logm(eye + w)
-        for lam, factor in zip(grid, f.series_factors(grid)):
+        for lam, factor in zip(grid, f.evaluate(grid)[1]):
             want = scipy.linalg.expm(lam * log)
             worst = max(worst, operator_norm(factor - want) / operator_norm(want))
     assert worst <= 1e-10

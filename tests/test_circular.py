@@ -162,6 +162,17 @@ def test_space_linear_map_validation():
         SpaceLinearMap(space, collapse)
 
 
+def test_space_linear_map_judges_invertibility_with_its_tolerance():
+    # the coordinate matrix is diag(1, 1, 1, 1e-12): singular at the default
+    # inv_tol of 1e-10, regular at Tolerance(1e-13), whose inv_tol is 1e-14
+    space = full_space(2, 2)
+    images = [*space.basis[:3], 1e-12 * space.basis[3]]
+    with pytest.raises(SingularMatrixError):
+        SpaceLinearMap(space, images)
+    lmap = SpaceLinearMap(space, images, Tolerance(1e-13))
+    assert np.array_equal(lmap.matrix, np.diag([1.0, 1.0, 1.0, 1e-12]))
+
+
 def test_inverse_identity_for_sandwich_isometries():
     rng = np.random.default_rng(65)
     space = full_space(3, 3)

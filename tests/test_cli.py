@@ -242,6 +242,14 @@ def test_usage_errors_exit_two(capsys):
     assert "usage error:" in err and "between 0 and 1" in err
 
 
+def test_flags_belong_to_the_subcommand(capsys):
+    # the common flags exist once, on each subcommand, not on the top parser
+    with pytest.raises(SystemExit) as exc:
+        main(["--trials", "3", "verify"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_demo_runs_every_example(capsys):
     for name in ["0", "1", "2", "4", "5", "6", "siegel", "exterior", "product", "hyperbolic"]:
         rc = main(["demo", name, "--trials", "2", "--seed", "5"])

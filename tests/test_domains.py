@@ -208,6 +208,9 @@ def test_hyperplane_domain_verdicts():
     assert dom.membership(np.array([[-1.0], [0.0]])) is Verdict.SINGULAR
     with pytest.raises(ValueError):
         hyperplane_complement_domain(np.zeros(2), 1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            hyperplane_complement_domain(np.array([1.0, 0.0]), bad)
 
 
 def test_rank_one_domain_scalar_denominator_test():
@@ -231,8 +234,12 @@ def test_rank_one_domain_rejects_bad_parameters():
     y = np.array([0.0, 1.0])
     with pytest.raises(ValueError):
         rank_one_pairing_domain(space, 2 * x, y, 0.5)
-    with pytest.raises(ValueError):
-        rank_one_pairing_domain(space, x, y, 0.0)
+    for bad in (0.0, 1e-11):
+        with pytest.raises(ValueError, match="nonzero"):
+            rank_one_pairing_domain(space, x, y, bad)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            rank_one_pairing_domain(space, x, y, bad)
     with pytest.raises(SpaceClosureError):
         rank_one_pairing_domain(diagonal_space(2), x, y, 0.5)
 

@@ -166,6 +166,13 @@ def test_stacked_try_invert_matches_the_scalar_call_bit_for_bit():
         smin, verdict = singular_test(z)
         assert np.array_equal(verdict, singular)
         assert np.array_equal(smin, [np.linalg.svd(item, compute_uv=False)[-1] for item in z])
+        # operator_norm takes the same stacks, and rectangular ones, one norm per item
+        for stack in (z, z.reshape(2, 5, n, n), z[:, :, : max(1, n - 1)]):
+            items = stack.reshape(-1, *stack.shape[-2:])
+            norms = operator_norm(stack)
+            assert norms.shape == stack.shape[:-2]
+            assert np.array_equal(norms.ravel(), [operator_norm(item) for item in items])
+        assert type(operator_norm(z[0])) is float
 
 
 def test_stacked_try_invert_on_an_all_singular_stack():

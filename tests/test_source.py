@@ -184,3 +184,23 @@ def test_one_settable_tolerance():
     assert linalg.DEFAULT_TOL.inv_tol == 1e-10
     for fn in (linalg.binomial_series, linalg.binomial_series_shifted, linalg.binomial_series_grid):
         assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_linalg_takes_every_singular_value_and_owns_the_threshold():
+    # the largest and smallest singular values come from operator_norm and
+    # singular_test, and only linalg compares against inv_tol, so no module
+    # keeps a second threshold; verify reads inv_tol for the determinant band,
+    # the determinant's own verdict and the report
+    svd_sites, inv_tol_reads = [], []
+    for name, owner, node in package_nodes():
+        if name == "linalg.py":
+            continue
+        if isinstance(node, ast.Call) and dotted(node.func) == "numpy.linalg.svd":
+            if any(
+                kw.arg == "compute_uv" and getattr(kw.value, "value", None) is False
+                for kw in node.keywords
+            ):
+                svd_sites.append((name, owner, node.lineno))
+        if isinstance(node, ast.Attribute) and node.attr == "inv_tol" and name != "verify.py":
+            inv_tol_reads.append((name, owner, node.lineno))
+    assert (svd_sites, inv_tol_reads) == ([], [])
