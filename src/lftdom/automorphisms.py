@@ -35,7 +35,7 @@ from .linalg import (
     invert,
     operator_norm,
     principal_sqrt,
-    singular_test,
+    singular_range,
     try_invert,
 )
 from .spaces import is_power_algebra
@@ -287,8 +287,8 @@ def _meets_singular_set(dom, xr):
     eye = np.eye(xr.shape[0], dtype=complex)
     for lam in np.linalg.eigvals(xr):
         if lam.real <= -1.0:
-            m = eye - xr / lam.real
-            if singular_test(m)[0] <= dom.tol.eq_tol * (1.0 + operator_norm(m)):
+            top, smin = singular_range(eye - xr / lam.real)
+            if smin <= dom.tol.eq_tol * (1.0 + top):
                 return True
     return False
 

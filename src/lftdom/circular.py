@@ -233,8 +233,8 @@ def isometry_inverse_identity_check(space, images, rng, trials=100, tol=DEFAULT_
 
     worst = 0.0
     for _ in range(trials):
-        z = random_invertible_member(rng, space, tol)
-        lhs = lmap(invert(z, tol, "z is singular"))
+        z, z_inv = random_invertible_member(rng, space, tol)
+        lhs = lmap(z_inv)
         rhs = u @ invert(lmap(z), tol, "L(z) is singular") @ u
         worst = max(worst, float(operator_norm(lhs - rhs)))
     return IsometryReport(

@@ -109,8 +109,7 @@ def _demo_lines(example, config):
     if example in {"0", "1", "2", "4", "5", "6"}:
         index = {"0": 0, "1": 1, "2": 2, "4": 3, "5": 4, "6": 5}[example]
         dom = example_domains(config)[index]
-        y = samp.random_domain_member(rng, dom, margin=0.05)
-        z = samp.random_domain_member(rng, dom, margin=0.05)
+        y, z = samp.sample_members(rng, dom, 2, margin=0.05)
         u = symmetry_map(dom, y)
         uz = lft_apply(u, z, tol)
         m = u.coefficient_matrix()

@@ -10,7 +10,8 @@ None; on a stack, the inverses and a per-item singular mask); ``invert`` is
 the typed failure (SingularMatrixError in place of None). ``singular_test``
 holds the one singular-value threshold that both judge by. Every operator
 norm and every smallest singular value in the package is taken here, by
-``operator_norm`` and ``singular_test``.
+``operator_norm`` and ``singular_test``, or both ends of one spectrum by
+``singular_range``.
 """
 
 import math
@@ -83,8 +84,8 @@ def _validated(a, rows, cols):
 
 
 def dagger(z):
-    """Conjugate transpose."""
-    return z.conj().T
+    """Conjugate transpose; of each item on an (..., m, n) stack."""
+    return np.swapaxes(z.conj(), -1, -2)
 
 
 def operator_norm(z):
@@ -94,9 +95,20 @@ def operator_norm(z):
     return float(s[0]) if z.ndim == 2 else s[..., 0]
 
 
+def singular_range(z):
+    """(largest, smallest) singular value of one matrix, both from one SVD."""
+    s = np.linalg.svd(np.asarray(z, dtype=complex), compute_uv=False)
+    return float(s[0]), s[-1]
+
+
 def hermitian_margin(m):
-    """Smallest eigenvalue of the Hermitian part (m + m*) / 2; positive iff that part is positive definite."""
-    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
+    """Smallest eigenvalue of the Hermitian part (m + m*) / 2; positive iff that part is positive definite.
+
+    On an (..., n, n) stack, one per item from one stacked ``eigvalsh``.
+    """
+    # eigvalsh sorts ascending
+    low = np.linalg.eigvalsh(0.5 * (m + dagger(m)))[..., 0]
+    return float(low) if m.ndim == 2 else low
 
 
 def _require_square(z, who, stack=False):

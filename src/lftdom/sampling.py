@@ -9,7 +9,7 @@ caps that raise instead of looping forever.
 import numpy as np
 
 from .exceptions import InternalCheckError
-from .linalg import DEFAULT_TOL, hermitian_margin, operator_norm, principal_sqrt, singular_test, try_invert
+from .linalg import DEFAULT_TOL, dagger, hermitian_margin, operator_norm, principal_sqrt, singular_test, try_invert
 from .domains import Verdict
 from .automorphisms import signature_from_projection
 
@@ -22,6 +22,12 @@ PG_ATTEMPTS = 20000
 MAX_PULL = 0.8
 # least form_margin of a signed-contraction sample
 PG_MIN_MARGIN = 1e-6
+# uniform bounds of the norm, smallest-singular-value and column scales of
+# signed-contraction proposals, and the least norm and smallest singular
+# value that a proposal needs to be scaled
+PG_SCALES = ((0.05, 0.9), (1.05, 1.8), (0.1, 2.0))
+PG_MIN_NORM = 1e-12
+PG_MIN_SMIN = 1e-8
 
 
 def random_matrix(rng, rows, cols):
@@ -43,25 +49,82 @@ def random_space_member(rng, space, scale=1.0):
 
 
 def random_invertible_member(rng, space, tol=DEFAULT_TOL):
+    """(z, z^-1) for a member z with ||z^-1|| < 1e6; the inverse is the one that judged z."""
     if not space.is_square:
         raise ValueError("invertible members need a square space")
     for _ in range(INVERTIBLE_ATTEMPTS):
         z = random_space_member(rng, space)
         inv = try_invert(z, tol)
         if inv is not None and operator_norm(inv) < 1e6:
-            return z
+            return z, inv
     raise InternalCheckError("could not sample an invertible member")
 
 
+def _rewinds(rng):
+    """Whether a block may draw ahead and put the stream back.
+
+    PCG64 turns each double into one 64-bit word and can ``advance`` by words;
+    other bit generators draw one proposal at a time.
+    """
+    return isinstance(rng.bit_generator, np.random.PCG64)
+
+
+def _rewind(rng, state, words):
+    """Set the stream to ``state`` moved on by ``words`` 64-bit draws."""
+    bitgen = rng.bit_generator
+    bitgen.state = state
+    bitgen.advance(int(words))
+    # advance clears the buffered half word, which double draws leave alone
+    moved = bitgen.state
+    moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+    bitgen.state = moved
+
+
+def sample_members(rng, dom, count, scale=1.0, margin=0.0):
+    """``count`` members whose denominator clears ``margin``, as a (count, k, h) stack.
+
+    The members, and the stream left behind, are exactly those of ``count``
+    one-member rejection loops: each proposal is ``random_space_member``'s
+    draw, and a member still missing after DOMAIN_ATTEMPTS proposals raises
+    InternalCheckError. Proposals come in blocks, each one ``uniform`` call,
+    one stacked ``lincomb`` and one stacked ``membership_margin``. The first
+    block is ``count`` proposals, so it never draws ahead; each later one is
+    twice what the share of members seen so far asks for, and one that draws
+    past the last member puts the stream back after it (PCG64 only: see
+    ``_rewinds``).
+    """
+    space = dom.space
+    rewinds = _rewinds(rng)
+    members = np.empty((count, *space.shape), dtype=complex)
+    got = drawn = misses = 0  # misses: proposals since the last member
+    while got < count:
+        need = count - got
+        size = 2 * need * (drawn + 1) // (got + 1) if drawn else need
+        size = min(size, DOMAIN_ATTEMPTS - misses) if rewinds else 1
+        if size == 1:  # the single-matrix test costs less than a stack of one
+            zs = random_space_member(rng, space, scale=scale)[None]
+            verdict, smin = dom.membership_margin(zs[0])
+            hits = np.flatnonzero([verdict is Verdict.MEMBER and smin > margin])
+        else:
+            state = rng.bit_generator.state if size > need else None
+            draws = rng.uniform(-1.0, 1.0, (size, 2, space.dim))
+            zs = space.lincomb(scale * (draws[:, 0] + 1j * draws[:, 1]))
+            verdicts, smin = dom.membership_margin(zs)
+            hits = np.flatnonzero((verdicts == Verdict.MEMBER) & (smin > margin))[:need]
+            if hits.size == need and hits[-1] + 1 < size:
+                _rewind(rng, state, (hits[-1] + 1) * 2 * space.dim)
+        members[got : got + hits.size] = zs[hits]
+        got += hits.size
+        drawn += size
+        misses = misses + size if hits.size == 0 else size - 1 - hits[-1]
+        if misses >= DOMAIN_ATTEMPTS:
+            raise InternalCheckError(f"could not sample a member of {dom.label or 'the domain'}")
+    return members
+
+
 def random_domain_member(rng, dom, scale=1.0, margin=0.0):
-    """Rejection-sample a member whose denominator clears the given margin."""
-    for _ in range(DOMAIN_ATTEMPTS):
-        z = random_space_member(rng, dom.space, scale=scale)
-        verdict, smin = dom.membership_margin(z)
-        if verdict is not Verdict.MEMBER or smin <= margin:
-            continue
-        return z
-    raise InternalCheckError(f"could not sample a member of {dom.label or 'the domain'}")
+    """Rejection-sample a member whose denominator clears the given margin: ``sample_members`` of one."""
+    return sample_members(rng, dom, 1, scale, margin)[0]
 
 
 def random_ball_point(rng, rows, cols, max_norm=0.9):
@@ -154,30 +217,112 @@ def random_pg_member(rng, e, tol=DEFAULT_TOL):
     """Rejection-sample the domain Z*JZ < J, J = I - 2E, with denominator EZ + I - E invertible.
 
     Cycles through ball-sized, exterior-sized, and anisotropic proposals so
-    the sampler works whatever the signature of J.
+    the sampler works whatever the signature of J: proposal ``attempt``
+    draws a random matrix and then, by kind ``attempt % 3``, one scale for
+    its norm, one for its smallest singular value, or n column scales, from
+    PG_SCALES. A proposal whose norm or smallest singular value is below
+    PG_MIN_NORM or PG_MIN_SMIN is rejected before its scale is drawn.
+
+    The first three proposals, one of each kind, are judged one at a time:
+    the ball and the exterior accept among them. Later proposals come in
+    blocks of 3, 6, 12, ... (see ``_pg_blocks``), which give the same member
+    and leave the stream in the same place.
     """
     e = np.asarray(e, dtype=complex)
     n = e.shape[0]
     j = signature_from_projection(e)
     d_blk = np.eye(n, dtype=complex) - e
-    for attempt in range(PG_ATTEMPTS):
+    rewinds = _rewinds(rng)
+    z = _pg_one_at_a_time(rng, e, j, d_blk, tol, 0, 3 if rewinds else PG_ATTEMPTS)
+    if z is None and rewinds:
+        z = _pg_blocks(rng, e, j, d_blk, tol, 3)
+    if z is None:
+        raise InternalCheckError("could not sample the signed-contraction domain")
+    return z
+
+
+def _pg_accepts(zs, e, j, d_blk, tol):
+    """Per item of a stack: Z*JZ < J by more than PG_MIN_MARGIN, with EZ + I - E invertible."""
+    accepts = hermitian_margin(j - dagger(zs) @ j @ zs) > PG_MIN_MARGIN
+    # only the items inside the form need the denominator's verdict
+    accepts[accepts] = ~singular_test(e @ zs[accepts] + d_blk, tol)[1]
+    return accepts
+
+
+def _pg_one_at_a_time(rng, e, j, d_blk, tol, start, stop):
+    """The first member among ``random_pg_member``'s proposals start, ..., stop - 1, or None."""
+    n = e.shape[0]
+    for attempt in range(start, stop):
         z = random_matrix(rng, n, n)
         kind = attempt % 3
         if kind == 0:
             top = operator_norm(z)
-            if top < 1e-12:
+            if top < PG_MIN_NORM:
                 continue
-            z = (rng.uniform(0.05, 0.9) / top) * z
+            z = (rng.uniform(*PG_SCALES[0]) / top) * z
         elif kind == 1:
             smin = float(singular_test(z, tol)[0])
-            if smin < 1e-8:
+            if smin < PG_MIN_SMIN:
                 continue
-            z = (rng.uniform(1.05, 1.8) / smin) * z
+            z = (rng.uniform(*PG_SCALES[1]) / smin) * z
         else:
-            z = z @ np.diag(rng.uniform(0.1, 2.0, n))
-        if hermitian_margin(j - z.conj().T @ j @ z) <= PG_MIN_MARGIN:
-            continue
-        if try_invert(e @ z + d_blk, tol) is None:
-            continue
-        return z
-    raise InternalCheckError("could not sample the signed-contraction domain")
+            z = z @ np.diag(rng.uniform(*PG_SCALES[2], n))
+        if _pg_accepts(z[None], e, j, d_blk, tol)[0]:
+            return z
+    return None
+
+
+def _pg_blocks(rng, e, j, d_blk, tol, start):
+    """``_pg_one_at_a_time`` from ``start`` (a multiple of 3) on, in blocks of 3, 6, 12, ... proposals.
+
+    Each block is drawn by one ``uniform`` call whose bounds lay out every
+    proposal's matrix and scales in the order the one-at-a-time draws take
+    them, and judged as stacks; the stream is then put back after the
+    member. A block in which a proposal rejected before its scale comes
+    before the member is judged one at a time instead, from the state saved
+    before it.
+    """
+    n = e.shape[0]
+    cell = 2 * n * n  # the real and imaginary parts of a proposal's matrix
+    # the bounds of one proposal of each kind, matrix then scales, and their lengths
+    low, high = [], []
+    for (lo, hi), width in zip(PG_SCALES, (1, 1, n)):
+        low += [np.full(cell, -1.0), np.full(width, lo)]
+        high += [np.ones(cell), np.full(width, hi)]
+    low, high = np.concatenate(low), np.concatenate(high)
+    words = cell + np.array([1, 1, n])
+    size = 3
+    while start < PG_ATTEMPTS:
+        size = min(size, PG_ATTEMPTS - start)
+        # the kinds repeat in rounds of three, and so do the bounds
+        lengths = np.resize(words, size)
+        ends = np.cumsum(lengths)
+        offsets = ends - lengths
+        state = rng.bit_generator.state
+        draws = rng.uniform(np.resize(low, ends[-1]), np.resize(high, ends[-1]))
+        parts = draws[offsets[:, None] + np.arange(cell)].reshape(size, 2, n, n)
+        zs = parts[:, 0] + 1j * parts[:, 1]
+        unscaled = np.zeros(size, dtype=bool)  # rejected before drawing a scale
+        for kind, floor in ((0, PG_MIN_NORM), (1, PG_MIN_SMIN)):
+            at = np.arange(kind, size, 3)
+            picked = zs[at]
+            gauge = operator_norm(picked) if kind == 0 else singular_test(picked, tol)[0]
+            unscaled[at] = gauge < floor
+            # an unscaled proposal is rejected below; dividing it by 1 only avoids 0 / 0
+            zs[at] = (draws[offsets[at] + cell] / np.where(unscaled[at], 1.0, gauge))[:, None, None] * picked
+        at = np.arange(2, size, 3)
+        cols = np.zeros((at.size, n, n))
+        cols[:, np.arange(n), np.arange(n)] = draws[offsets[at, None] + cell + np.arange(n)]
+        zs[at] = zs[at] @ cols
+        hits = np.flatnonzero(_pg_accepts(zs, e, j, d_blk, tol) & ~unscaled)
+        member = hits[0] if hits.size else size
+        if unscaled[:member].any():
+            rng.bit_generator.state = state
+            return _pg_one_at_a_time(rng, e, j, d_blk, tol, start, PG_ATTEMPTS)
+        if hits.size:
+            if member + 1 < size:
+                _rewind(rng, state, ends[member])
+            return zs[member]
+        start += size
+        size *= 2
+    return None

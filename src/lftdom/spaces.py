@@ -6,6 +6,8 @@ finite dimensions, so the class only tracks the span and offers the closure
 predicates the domain construction needs.
 """
 
+import functools
+
 import numpy as np
 
 from .exceptions import ShapeError, SpaceClosureError
@@ -33,6 +35,19 @@ class OperatorSpace:
         self._onb_h = self._onb.conj().T
         # the basis as one (dim, dim_k, dim_h) array, for lincomb and the closure checks
         self._stacked = np.stack(self.basis)
+
+    @functools.cached_property
+    def _exact_rows(self):
+        """Whether a stack of coefficient rows may be combined in one product.
+
+        With every basis entry 0, +-1 or +-i and at most two basis elements at
+        each entry, each entry of a lincomb is a sum of at most two exact
+        products, rounded once whatever kernel forms it, so one product for
+        all rows matches the row-by-row calls bit for bit.
+        """
+        size = np.abs(self._stacked)
+        unit = ((self._stacked.real == 0) | (self._stacked.imag == 0)) & ((size == 0) | (size == 1))
+        return bool(unit.all() and ((size != 0).sum(axis=0) <= 2).all())
 
     @property
     def shape(self):
@@ -91,11 +106,19 @@ class OperatorSpace:
         return coeffs
 
     def lincomb(self, coeffs):
-        """Member built from basis coefficients."""
+        """Member built from basis coefficients; from an (m, dim) stack of rows, an (m, k, h) stack.
+
+        Each member of a stack is bit for bit the member built from its row alone.
+        """
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (self.dim,):
+        if coeffs.shape[-1:] != (self.dim,) or coeffs.ndim > 2:
             raise ShapeError(f"expected {self.dim} coefficients, got {coeffs.shape}")
-        return np.tensordot(coeffs, self._stacked, axes=1)
+        if coeffs.ndim == 1 or self._exact_rows:
+            return np.tensordot(coeffs, self._stacked, axes=1)
+        members = np.empty((len(coeffs), *self.shape), dtype=complex)
+        for i, row in enumerate(coeffs):
+            members[i] = np.tensordot(row, self._stacked, axes=1)
+        return members
 
 
 def closed_under_quadratic(space, x0, tol=DEFAULT_TOL):

@@ -211,7 +211,7 @@ def test_criterion_3_affine_formulas():
         c1 = samp.random_matrix(rng, n, n)
         z1 = samp.random_matrix(rng, n, n)
         dom1 = Domain(space, c1, eye - c1 @ z1, z1, TOL)
-        r = samp.random_invertible_member(rng, space, TOL)
+        r, _ = samp.random_invertible_member(rng, space, TOL)
         z2 = samp.random_matrix(rng, n, n)
         c2 = c1 @ r
         dom2 = Domain(space, c2, eye - c2 @ z2, z2, TOL)
@@ -297,7 +297,7 @@ def test_criterion_6_determinant_membership():
     checked = 0
     disagreements = 0
     for _ in range(3):
-        c = samp.random_invertible_member(rng, space, TOL)
+        c, _ = samp.random_invertible_member(rng, space, TOL)
         dom = Domain(space, c, np.eye(n, dtype=complex), np.zeros((n, n)), TOL)
         c_inv = np.linalg.inv(c)
         for sample in range(500):

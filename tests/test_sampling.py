@@ -1,0 +1,213 @@
+"""Block samplers against the one-proposal-at-a-time loops they replace.
+
+Each block sampler must give the loop's members bit for bit and leave the
+generator exactly where the loop leaves it, so the reference loops below
+are the sampling contract.
+"""
+
+import numpy as np
+import pytest
+
+from lftdom import (
+    InternalCheckError,
+    OperatorSpace,
+    Verdict,
+    full_space,
+    hyperplane_complement_domain,
+    invertibles_domain,
+    quadric_domain,
+    signature_from_projection,
+    symmetric_space,
+    upper_triangular_space,
+    whole_space_domain,
+)
+from lftdom import sampling as samp
+from lftdom.linalg import hermitian_margin, operator_norm, singular_test, try_invert
+
+
+def loop_members(rng, dom, count, scale=1.0, margin=0.0):
+    """``count`` one-member rejection loops, one proposal judged per step."""
+    members = []
+    for _ in range(count):
+        for _ in range(samp.DOMAIN_ATTEMPTS):
+            z = samp.random_space_member(rng, dom.space, scale=scale)
+            verdict, smin = dom.membership_margin(z)
+            if verdict is Verdict.MEMBER and smin > margin:
+                members.append(z)
+                break
+        else:
+            raise InternalCheckError("no member")
+    return members
+
+
+def loop_pg_member(rng, e, tol=samp.DEFAULT_TOL):
+    """The signed-contraction sampler judging one proposal at a time."""
+    n = e.shape[0]
+    j = signature_from_projection(e)
+    d_blk = np.eye(n, dtype=complex) - e
+    for attempt in range(samp.PG_ATTEMPTS):
+        z = samp.random_matrix(rng, n, n)
+        kind = attempt % 3
+        if kind == 0:
+            top = operator_norm(z)
+            if top < samp.PG_MIN_NORM:
+                continue
+            z = (rng.uniform(0.05, 0.9) / top) * z
+        elif kind == 1:
+            smin = float(singular_test(z, tol)[0])
+            if smin < samp.PG_MIN_SMIN:
+                continue
+            z = (rng.uniform(1.05, 1.8) / smin) * z
+        else:
+            z = z @ np.diag(rng.uniform(0.1, 2.0, n))
+        if hermitian_margin(j - z.conj().T @ j @ z) <= samp.PG_MIN_MARGIN:
+            continue
+        if try_invert(e @ z + d_blk, tol) is None:
+            continue
+        return z
+    raise InternalCheckError("no member")
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_stream(rng, ref):
+    """Whether two generators stand at the same point of the same stream."""
+
+    def flat(state):
+        if isinstance(state, dict):
+            return [(key, flat(value)) for key, value in sorted(state.items())]
+        return np.asarray(state).tolist()
+
+    return flat(rng.bit_generator.state) == flat(ref.bit_generator.state)
+
+
+def twin_generators(seed, bit_generator=np.random.PCG64):
+    return (np.random.Generator(bit_generator(seed)) for _ in range(2))
+
+
+def dense_space():
+    # a basis whose lincomb, formed for many rows in one product, rounds
+    # differently from the product for one row
+    rng = np.random.default_rng(99)
+    return OperatorSpace(3, 3, list(samp.random_matrix(rng, 9, 9).reshape(9, 3, 3)), label="dense")
+
+
+DOMAINS = {
+    "full-square": lambda: invertibles_domain(full_space(2, 2)),
+    "full-rectangular": lambda: whole_space_domain(full_space(3, 2)),
+    "column-hyperplane": lambda: hyperplane_complement_domain(np.ones((3, 1), dtype=complex), 0.7),
+    "symmetric": lambda: invertibles_domain(symmetric_space(2)),
+    "upper-triangular": lambda: invertibles_domain(upper_triangular_space(3)),
+    "quadric": lambda: quadric_domain(3).domain,
+    "dense-basis": lambda: invertibles_domain(dense_space()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_sample_members_is_the_loop_member_for_member(name):
+    dom = DOMAINS[name]()
+    for seed in range(3):
+        for count, scale, margin in [(1, 1.0, 0.0), (2, 1.0, 0.05), (20, 1.0, 0.05), (20, 2.5, 0.3), (2, 0.3, 0.0)]:
+            rng, ref = twin_generators([seed, count])
+            members = samp.sample_members(rng, dom, count, scale=scale, margin=margin)
+            expected = loop_members(ref, dom, count, scale=scale, margin=margin)
+            assert members.shape == (count, *dom.space.shape)
+            assert all(same_bits(z, w) for z, w in zip(members, expected, strict=True))
+            assert same_stream(rng, ref)
+            assert same_bits(rng.uniform(size=3), ref.uniform(size=3))
+            one = samp.random_domain_member(rng, dom, scale=scale, margin=margin)
+            assert same_bits(one, loop_members(ref, dom, 1, scale=scale, margin=margin)[0])
+
+
+def test_sample_members_keeps_a_buffered_half_word(monkeypatch):
+    # a 32-bit draw leaves half a word buffered; a rewind must keep it
+    rewinds = []
+    rewind = samp._rewind
+    monkeypatch.setattr(samp, "_rewind", lambda *args: rewinds.append(None) or rewind(*args))
+    dom = invertibles_domain(full_space(2, 2))
+    rng, ref = twin_generators(5)
+    for _ in range(6):
+        assert same_bits(rng.integers(0, 1000, dtype=np.int32), ref.integers(0, 1000, dtype=np.int32))
+        members = samp.sample_members(rng, dom, 3, margin=0.5)
+        assert all(same_bits(z, w) for z, w in zip(members, loop_members(ref, dom, 3, margin=0.5)))
+        assert same_stream(rng, ref)
+    assert rewinds
+    assert same_bits(rng.integers(0, 2**31, 8, dtype=np.int32), ref.integers(0, 2**31, 8, dtype=np.int32))
+
+
+def test_sample_members_without_rewind_draws_one_proposal_at_a_time():
+    dom = invertibles_domain(full_space(2, 2))
+    rng, ref = twin_generators(7, np.random.Philox)
+    members = samp.sample_members(rng, dom, 20, scale=2.0, margin=0.5)
+    assert all(same_bits(z, w) for z, w in zip(members, loop_members(ref, dom, 20, scale=2.0, margin=0.5)))
+    assert same_stream(rng, ref)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_an_unreachable_margin_raises_where_the_loop_does(count):
+    dom = invertibles_domain(full_space(2, 2))
+    rng, ref = twin_generators(3)
+    with pytest.raises(InternalCheckError, match="could not sample a member"):
+        samp.sample_members(rng, dom, count, margin=1e6)
+    with pytest.raises(InternalCheckError):
+        loop_members(ref, dom, count, margin=1e6)
+    assert same_stream(rng, ref)
+
+
+def test_sample_members_of_none_is_an_empty_stack():
+    dom = whole_space_domain(full_space(3, 2))
+    rng, ref = twin_generators(0)
+    assert samp.sample_members(rng, dom, 0).shape == (0, 3, 2)
+    assert same_stream(rng, ref)
+
+
+def test_lincomb_of_rows_is_lincomb_of_each_row():
+    rng = np.random.default_rng(4)
+    for space in (full_space(3, 2), symmetric_space(3), quadric_domain(4).domain.space, dense_space()):
+        rows = rng.uniform(-1, 1, (9, space.dim)) + 1j * rng.uniform(-1, 1, (9, space.dim))
+        stack = space.lincomb(rows)
+        assert all(same_bits(z, space.lincomb(row)) for z, row in zip(stack, rows, strict=True))
+
+
+PG_CASES = {
+    "ball": np.zeros((2, 2), dtype=complex),
+    "mixed": np.diag([1.0, 0.0]).astype(complex),
+    "exterior": np.eye(2, dtype=complex),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PG_CASES))
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+def test_block_pg_member_is_the_loop_member(case, bit_generator):
+    e = PG_CASES[case]
+    for seed in range(3):
+        rng, ref = twin_generators(seed, bit_generator)
+        for _ in range(8):
+            assert same_bits(samp.random_pg_member(rng, e), loop_pg_member(ref, e))
+            assert same_stream(rng, ref)
+
+
+def test_block_pg_member_falls_back_when_a_proposal_draws_no_scale(monkeypatch):
+    # raising the floors makes proposals that are rejected before their scale
+    # is drawn common, so blocks meet them before and after the member
+    monkeypatch.setattr(samp, "PG_MIN_SMIN", 0.25)
+    monkeypatch.setattr(samp, "PG_MIN_NORM", 1.2)
+    for case, e in PG_CASES.items():
+        rng, ref = twin_generators(11)
+        for _ in range(10):
+            assert same_bits(samp.random_pg_member(rng, e), loop_pg_member(ref, e)), case
+            assert same_stream(rng, ref)
+
+
+def test_an_unreachable_signed_contraction_margin_raises_where_the_loop_does(monkeypatch):
+    monkeypatch.setattr(samp, "PG_ATTEMPTS", 40)
+    monkeypatch.setattr(samp, "PG_MIN_MARGIN", 1e9)
+    rng, ref = twin_generators(8)
+    with pytest.raises(InternalCheckError, match="signed-contraction"):
+        samp.random_pg_member(rng, PG_CASES["mixed"])
+    with pytest.raises(InternalCheckError):
+        loop_pg_member(ref, PG_CASES["mixed"])
+    assert same_stream(rng, ref)

@@ -204,3 +204,58 @@ def test_linalg_takes_every_singular_value_and_owns_the_threshold():
         if isinstance(node, ast.Attribute) and node.attr == "inv_tol" and name != "verify.py":
             inv_tol_reads.append((name, owner, node.lineno))
     assert (svd_sites, inv_tol_reads) == ([], [])
+
+
+def test_members_are_drawn_as_stacks():
+    # sample_members is the one entry point that draws several members of a
+    # domain: it judges its proposals as stacks. A comprehension of
+    # random_domain_member calls, a loop that keeps drawing from one domain
+    # without stopping at its first member, or two draws from one domain in
+    # one body would judge one proposal per call again. A retry loop that
+    # breaks off at the first usable member, or a loop that builds a new
+    # domain every pass, is one draw.
+    loops = (ast.For, ast.While)
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    scopes = loops + comprehensions + (ast.FunctionDef, ast.Lambda)
+
+    def own_nodes(scope):
+        """The nodes of a scope's body, without those of the scopes nested in it."""
+        stack = list(ast.iter_child_nodes(scope))
+        while stack:
+            node = stack.pop()
+            yield node
+            if not isinstance(node, scopes):
+                stack.extend(ast.iter_child_nodes(node))
+
+    def domain_of(call):
+        if len(call.args) > 1:
+            return call.args[1]
+        return next((kw.value for kw in call.keywords if kw.arg == "dom"), None)
+
+    sites = []
+    for module, _, scope in package_nodes():
+        if not isinstance(scope, scopes):
+            continue
+        nodes = list(own_nodes(scope))
+        draws = [
+            ast.dump(domain_of(node))
+            for node in nodes
+            if isinstance(node, ast.Call) and (dotted(node.func) or "").endswith("random_domain_member")
+        ]
+        if not draws:
+            continue
+        rebound = {
+            ast.dump(ast.Name(id=target.id, ctx=ast.Load()))
+            for node in nodes
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        stops = any(isinstance(node, (ast.Break, ast.Return)) for node in nodes)
+        if (
+            isinstance(scope, comprehensions)
+            or len(draws) > len(set(draws))
+            or (isinstance(scope, loops) and not stops and not set(draws) <= rebound)
+        ):
+            sites.append((module, scope.lineno))
+    assert sites == []
