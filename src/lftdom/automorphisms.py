@@ -23,6 +23,7 @@ from .exceptions import (
     ShapeError,
     SingularMatrixError,
     SpaceClosureError,
+    SpectrumError,
     StepBoundError,
 )
 from .linalg import (
@@ -117,15 +118,18 @@ def symmetry_map(dom, y):
     (c y + d)^-1 c; the assembled coefficient matrix squares to the identity.
     """
     y, den_inv = _require_member(dom, y, "the symmetry point y")
-    return _symmetry_blocks(dom, y, den_inv @ dom.c)
+    return LFTMap(*_symmetry_blocks(dom, y, den_inv @ dom.c))
 
 
 def _symmetry_blocks(dom, y, x):
-    """The blocks of the symmetry at y, given its kernel x = (c y + d)^-1 c."""
+    """The blocks (a, b, c, d) of the symmetry at y, given its kernel x = (c y + d)^-1 c.
+
+    On stacks of points and kernels, stacks of blocks.
+    """
     eye_k = np.eye(dom.dim_k, dtype=complex)
     eye_h = np.eye(dom.dim_h, dtype=complex)
     yx = y @ x
-    return LFTMap(-(eye_k - yx), 2.0 * y - yx @ y, x, eye_h - x @ y)
+    return -(eye_k - yx), 2.0 * y - yx @ y, x, eye_h - x @ y
 
 
 def symmetry_direct(dom, y, z):
@@ -171,35 +175,62 @@ def find_midpoint(dom, z, w):
     """
     z, z_den_inv = _require_member(dom, z, "the start point z")
     w, _ = _require_member(dom, w, "the end point w")
-    return _midpoint(dom, z, z_den_inv, w)[0]
+    return _midpoints(dom, z[None], z_den_inv[None], w[None])[0][0]
 
 
-def _midpoint(dom, z, z_den_inv, w):
-    """The point y whose symmetry sends the member z to w, and (c y + d)^-1.
+def _midpoints(dom, z, z_den_inv, w):
+    """The points y[i] whose symmetries send the members z[i] to w[i], and (c y[i] + d)^-1.
 
-    z_den_inv is (c z + d)^-1. The inversion that checks y's membership is
+    Takes (m, k, h) stacks z and w and z_den_inv[i] = (c z[i] + d)^-1, and
+    makes each check on the whole stack at once; each item gets the bits of
+    a construction on it alone. The inversion that checks y's membership is
     redundant in exact arithmetic, since c y + d = (c z + d) q, but it is
     kept: it guards against ill conditioned input and yields y's kernel.
+
+    A construction on one item would stop at its first failed check, so an
+    item that fails is dropped from later checks together with every item
+    after it, and the error raised is that of the first failing item.
     """
+    eye = np.eye(dom.dim_h, dtype=complex)
+    count = len(z)  # items [0, count) have passed every check so far
+    failure = None
+
+    def drop_from(bad, error):
+        nonlocal count, failure
+        hits = np.flatnonzero(bad[:count])
+        if hits.size:
+            count = int(hits[0])
+            failure = error(count)
+            if count == 0:
+                raise failure
+
     x = z_den_inv @ dom.c
     r = w - z
     xr = x @ r
     bound = operator_norm(xr)
-    if bound >= 1.0:
-        raise StepBoundError(
-            f"step bound ||x (w - z)|| < 1 fails: got {bound:.6g}; subdivide the displacement"
-        )
-    q = principal_sqrt(np.eye(dom.dim_h, dtype=complex) + xr, dom.tol)
-    den_inv = try_invert(np.eye(dom.dim_h, dtype=complex) + q, dom.tol)
-    if den_inv is None:
-        raise InternalCheckError("I + q is singular although ||x r|| < 1")
-    y = z + r @ den_inv
-    y_den_inv = dom.try_denominator_inverse(y) if dom.space.contains(y, dom.tol) else None
-    if y_den_inv is None:
-        raise InternalCheckError("midpoint fell outside the domain; ill conditioned input")
-    reached = _symmetry_at(dom, y, z, z_den_inv)
-    if operator_norm(reached - w) > 1e-6 * (1.0 + operator_norm(w)):
-        raise InternalCheckError("midpoint symmetry failed to reproduce the target point")
+    drop_from(bound >= 1.0, lambda i: StepBoundError(
+        f"step bound ||x (w - z)|| < 1 fails: got {bound[i]:.6g}; subdivide the displacement"
+    ))
+    while True:
+        try:
+            q = principal_sqrt(eye + xr[:count], dom.tol)
+            break
+        except SpectrumError as exc:
+            drop_from(np.arange(count) == exc.index, lambda i: exc)
+    den_inv, singular = try_invert(eye + q, dom.tol)
+    drop_from(singular, lambda i: InternalCheckError("I + q is singular although ||x r|| < 1"))
+    y = z[:count] + r[:count] @ den_inv[:count]
+    y_den_inv, singular = dom.try_denominator_inverse(y)
+    drop_from(singular | ~dom.space.contains(y, dom.tol), lambda i: InternalCheckError(
+        "midpoint fell outside the domain; ill conditioned input"
+    ))
+    y, y_den_inv, z, w = y[:count], y_den_inv[:count], z[:count], w[:count]
+    reached = _symmetry_at(dom, y, z, z_den_inv[:count])
+    drop_from(operator_norm(reached - w) > 1e-6 * (1.0 + operator_norm(w)), lambda i: (
+        InternalCheckError("midpoint symmetry failed to reproduce the target point")
+    ))
+    if failure is not None:
+        raise failure
     return y, y_den_inv
 
 
@@ -216,6 +247,8 @@ class AutomorphismChain:
     pairs fold into affine maps; `affine` is the full folded composition.
     step_norms[i] is ||x_i (waypoints[i+1] - waypoints[i])||, each below the
     subdivision margin. residual is the defect of the composite at z0.
+    coefficients[i] is the coefficient matrix of factors[i], whose blocks
+    are views of it.
     """
 
     domain: Domain
@@ -223,6 +256,7 @@ class AutomorphismChain:
     waypoints: tuple
     midpoints: tuple
     factors: tuple
+    coefficients: np.ndarray
     affine: AffineMap
     step_norms: tuple
     residual: float
@@ -399,24 +433,30 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
         den_invs = [source_den_inv] + den_invs
         step_norms = [0.0] + step_norms
 
-    # each factor reuses the walk's inversion at its start; the midpoint's
-    # membership check supplies the factor's kernel
-    midpoints = []
-    mid_den_invs = []
-    factors = []
-    for z, z_den_inv, w in zip(waypoints, den_invs, waypoints[1:]):
-        y, y_den_inv = _midpoint(dom, z, z_den_inv, w)
-        midpoints.append(y)
-        mid_den_invs.append(y_den_inv)
-        factors.append(_symmetry_blocks(dom, y, y_den_inv @ dom.c))
+    # the factors are built as stacks: each reuses the walk's inversion at
+    # its start, and the midpoint's membership check supplies its kernel
+    stops = np.stack(waypoints)
+    midpoints, mid_den_invs = _midpoints(dom, stops[:-1], np.stack(den_invs[:-1]), stops[1:])
+    kernels = mid_den_invs @ dom.c
+    k = dom.dim_k
+    coefficients = np.empty((len(midpoints), k + dom.dim_h, k + dom.dim_h), dtype=complex)
+    (coefficients[:, :k, :k], coefficients[:, :k, k:], coefficients[:, k:, :k],
+     coefficients[:, k:, k:]) = _symmetry_blocks(dom, midpoints, kernels)
+    factors = tuple(LFTMap(m[:k, :k], m[:k, k:], m[k:, :k], m[k:, k:]) for m in coefficients)
 
-    affine = AffineMap.identity(dom.dim_k, dom.dim_h)
-    for i in range(0, len(factors), 2):
-        pair = _pair_fold(dom, midpoints[i + 1], midpoints[i], mid_den_invs[i])
-        affine = pair.compose(affine)
+    # fold the pairs (U_{y[i+1]} after U_{y[i]}) and compose them in order,
+    # as AffineMap.compose would, starting from the identity
+    bases, offsets, lefts, rights = _pair_fold(
+        dom, midpoints[1::2], midpoints[::2], mid_den_invs[::2], kernels[::2]
+    )
+    base = offset = np.zeros_like(source)
+    left, right = np.eye(k, dtype=complex), np.eye(dom.dim_h, dtype=complex)
+    for pair_base, pair_offset, pair_left, pair_right in zip(bases, offsets, lefts, rights):
+        offset = pair_offset + pair_left @ (offset - pair_base) @ pair_right
+        left, right = pair_left @ left, right @ pair_right
     # rebase so the record is anchored at the source
     affine = AffineMap(
-        base=source, offset=affine(source), left=affine.left, right=affine.right
+        base=source, offset=offset + left @ (source - base) @ right, left=left, right=right
     )
 
     reached = source
@@ -429,7 +469,8 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
         target=target,
         waypoints=tuple(waypoints),
         midpoints=tuple(midpoints),
-        factors=tuple(factors),
+        factors=factors,
+        coefficients=coefficients,
         affine=affine,
         step_norms=tuple(step_norms),
         residual=residual,
@@ -449,20 +490,18 @@ def compose_symmetries_affine(dom, w, y):
     """
     w, _ = _require_member(dom, w, "the outer symmetry point w")
     y, y_den_inv = _require_member(dom, y, "the inner symmetry point y")
-    return _pair_fold(dom, w, y, y_den_inv)
+    return AffineMap(*_pair_fold(dom, w, y, y_den_inv, y_den_inv @ dom.c))
 
 
-def _pair_fold(dom, w, y, y_den_inv):
-    """The affine record of U_w after U_y, given y_den_inv = (c y + d)^-1."""
-    x = y_den_inv @ dom.c
+def _pair_fold(dom, w, y, y_den_inv, x):
+    """(base, offset, left, right) of U_w after U_y, given (c y + d)^-1 and the kernel x at y.
+
+    On stacks of pairs, stacks of each.
+    """
     d = w - y
-    offset = _symmetry_at(dom, w, y, y_den_inv)
-    return AffineMap(
-        base=y,
-        offset=offset,
-        left=np.eye(dom.dim_k, dtype=complex) + d @ x,
-        right=np.eye(dom.dim_h, dtype=complex) + x @ d,
-    )
+    left = np.eye(dom.dim_k, dtype=complex) + d @ x
+    right = np.eye(dom.dim_h, dtype=complex) + x @ d
+    return y, _symmetry_at(dom, w, y, y_den_inv), left, right
 
 
 def affine_transport(dom, w0):

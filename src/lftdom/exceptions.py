@@ -14,7 +14,14 @@ class SingularMatrixError(LftdomError):
 
 
 class SpectrumError(LftdomError):
-    """A spectrum constraint is violated (e.g. eigenvalue on the branch cut)."""
+    """A spectrum constraint is violated (e.g. eigenvalue on the branch cut).
+
+    `index` is the first failing item of a stack, or None.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ConvergenceError(LftdomError):

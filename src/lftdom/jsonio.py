@@ -1,11 +1,24 @@
 """JSON encoding of matrices, domain descriptions, and chain output.
 
 Matrices travel as {"rows", "cols", "re", "im"} with row-major nested arrays
-of plain decimal numbers. Parsing rejects NaN and Infinity tokens and any
-shape mismatch; writing refuses non-finite entries. Round-trips reproduce
+of plain decimal numbers. Parsing rejects NaN and Infinity tokens, numbers
+too large for a float, nesting too deep to parse and any shape mismatch, all
+with ValueError; writing refuses non-finite entries. Round-trips reproduce
 every entry exactly because floats are emitted in shortest-round-trip form.
+
+``dumps`` writes exactly the bytes of
+``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, one number
+per line. With an indent, the standard library encodes in pure Python, so
+``dumps`` takes each number grid (a non-empty list of non-empty lists of
+numbers, the body of every matrix) from one call of the compact C encoder,
+whose numbers are the same ``repr`` text, and re-indents that text: numbers
+hold no ", " or "], [" for the re-indenting to meet. Every other value takes
+a small recursive path that lays out lists and sorted mappings as the
+standard library does and encodes scalars, and dicts with keys other than
+strings, with the standard library itself.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -24,40 +37,93 @@ def _reject_constant(token):
 
 
 def loads(text):
-    """json.loads with NaN/Infinity tokens rejected."""
-    return json.loads(text, parse_constant=_reject_constant)
+    """json.loads with NaN/Infinity tokens and nesting too deep to parse rejected by ValueError."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except RecursionError:
+        raise ValueError("JSON nesting is too deep to parse") from None
+
+
+# compact, with the checks and the key order of dumps
+_compact = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    """The text of json.dumps(obj, indent=2, sort_keys=True, allow_nan=False), byte for byte."""
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj, newline):
+    """obj laid out at the level whose lines start with ``newline`` (a newline and its indent)."""
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        grid = _number_grid(obj, newline, inner)
+        if grid is not None:
+            return grid
+        return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in obj) + newline + "]"
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        if not obj:
+            return "{}"
+        items = (_compact(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, dict):
+        # JSON text holds no raw newline, so indenting every line is exact
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False).replace("\n", newline)
+    return _compact(obj)
+
+
+def _number_grid(rows, newline, inner):
+    """The laid-out text of a non-empty list of non-empty lists of numbers, else None."""
+    if not all(isinstance(row, (list, tuple)) for row in rows):
+        return None
+    text = _compact(rows)
+    # one "[" per row, no empty row and no string (so no non-empty mapping):
+    # numbers, true, false, null and {} inside, each laid out on its own line
+    if text.count("[") != len(rows) + 1 or "[]" in text or '"' in text:
+        return None
+    cell = inner + "  "
+    body = text[2:-2].replace("], [", inner + "]," + inner + "[" + cell).replace(", ", "," + cell)
+    return "[" + inner + "[" + cell + body + inner + "]" + newline + "]"
 
 
 def matrix_to_obj(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError("only two-dimensional arrays can be serialized")
-    if not np.all(np.isfinite(m)):
+    return _matrix_objs(m[None])[0]
+
+
+def _matrix_objs(ms):
+    """The matrix object of each item of an (m, rows, cols) stack."""
+    if not np.all(np.isfinite(ms)):
         raise ValueError("matrix entries must be finite")
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
-    }
+    rows, cols = int(ms.shape[1]), int(ms.shape[2])
+    return [
+        {"rows": rows, "cols": cols, "re": re, "im": im}
+        for re, im in zip(ms.real.tolist(), ms.imag.tolist())
+    ]
 
 
 def _numeric_grid(value, rows, cols, name):
     if not isinstance(value, list) or len(value) != rows:
         raise ValueError(f"field {name!r} must be a list of {rows} rows")
-    grid = np.empty((rows, cols), dtype=float)
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise ValueError(f"row {i} of field {name!r} must have {cols} entries")
-        for j, entry in enumerate(row):
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                raise ValueError(f"entry ({i},{j}) of field {name!r} is not a number")
-            grid[i, j] = float(entry)
-    if not np.all(np.isfinite(grid)):
+    # JSON numbers parse to int and float; any other type (bool, str, None,
+    # a list, a subclass) is looked at entry by entry
+    if not set(map(type, itertools.chain.from_iterable(value))) <= {int, float}:
+        for i, row in enumerate(value):
+            for j, entry in enumerate(row):
+                if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+                    raise ValueError(f"entry ({i},{j}) of field {name!r} is not a number")
+    try:
+        grid = np.array(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        grid = None
+    if grid is None or not np.all(np.isfinite(grid)):
         raise ValueError(f"field {name!r} contains non-finite values")
     return grid
 
@@ -127,8 +193,8 @@ def domain_to_obj(dom):
 def chain_to_obj(chain):
     """Chain output: waypoints, factor coefficient matrices, final residual."""
     return {
-        "waypoints": [matrix_to_obj(w) for w in chain.waypoints],
-        "factors": [{"M": matrix_to_obj(f.coefficient_matrix())} for f in chain.factors],
+        "waypoints": _matrix_objs(np.stack(chain.waypoints)),
+        "factors": [{"M": m} for m in _matrix_objs(chain.coefficients)],
         "residual": float(chain.residual),
     }
 

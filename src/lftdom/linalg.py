@@ -175,18 +175,27 @@ def principal_sqrt(m, tol=DEFAULT_TOL):
     """Principal square root: Q with Q @ Q = m and spectrum in the right half-plane.
 
     The spectrum of ``m`` must stay off the closed negative real axis; an
-    eigenvalue on the cut (within ``tol.eq_tol`` relative to ||m||) raises
-    SpectrumError. Computed by the Schur-based principal branch, which also
-    handles defective inputs such as I plus a nilpotent.
+    eigenvalue on the cut (within ``tol.eq_tol`` relative to max(1, ||m||))
+    raises SpectrumError. Computed by the Schur-based principal branch, which
+    also handles defective inputs such as I plus a nilpotent. On an
+    (..., n, n) stack, one root per item from one call of each kernel, each
+    the bits of a call on the item alone; SpectrumError is raised when any
+    item lies on the cut, with ``index`` the first such item of an
+    (m, n, n) stack.
     """
-    m = _require_square(m, "principal_sqrt")
-    scale = max(1.0, operator_norm(m))
+    m = _require_square(m, "principal_sqrt", stack=True)
+    norm = operator_norm(m)
+    if m.ndim == 2:
+        edge = tol.eq_tol * max(1.0, norm)
+    else:
+        edge = tol.eq_tol * np.maximum(1.0, norm)[..., None]
     eigs = np.linalg.eigvals(m)
-    on_cut = (eigs.real <= tol.eq_tol * scale) & (np.abs(eigs.imag) <= tol.eq_tol * scale)
+    on_cut = (eigs.real <= edge) & (np.abs(eigs.imag) <= edge)
     if on_cut.any():
         raise SpectrumError(
             "matrix has an eigenvalue on the closed negative real axis; "
-            "the principal square root is not defined there"
+            "the principal square root is not defined there",
+            index=int(np.flatnonzero(on_cut.any(axis=-1))[0]) if m.ndim == 3 else None,
         )
     q = scipy.linalg.sqrtm(m)
     return np.asarray(q, dtype=complex)

@@ -16,6 +16,7 @@ from lftdom import (
     ShapeError,
     SingularMatrixError,
     SpaceClosureError,
+    SpectrumError,
     StepBoundError,
     Tolerance,
     Verdict,
@@ -35,20 +36,25 @@ from lftdom import (
     liouville_curve,
     operator_norm,
     potapov_ginzburg_map,
+    principal_sqrt,
+    quadric_domain,
     signature_from_projection,
     swap_involution,
+    symmetric_space,
     symmetry_direct,
     symmetry_map,
     transitive_chain,
     try_invert,
     whole_space_domain,
 )
+from lftdom.automorphisms import _midpoints
 from lftdom.verify import RunConfig, _lambda_grid, example_domains
 from lftdom.sampling import (
     random_domain_member,
     random_matrix,
     random_pg_member,
     random_target_in_reach,
+    sample_members,
 )
 
 
@@ -448,6 +454,113 @@ def test_chain_factors_equal_the_public_constructions_bit_for_bit():
                 assert np.array_equal(getattr(chain.affine, field), getattr(affine, field))
             compared += 1
     assert compared >= 100
+
+
+def loop_chain(dom, chain):
+    """Midpoints, factor blocks, affine record and residual, one factor at a time.
+
+    The reference for the stacked build: every kernel call takes one matrix,
+    and every formula is written out here on its own.
+    """
+    eye_k, eye_h = np.eye(dom.dim_k, dtype=complex), np.eye(dom.dim_h, dtype=complex)
+    w = chain.waypoints
+    midpoints, kernels, blocks = [], [], []
+    for z, nxt in zip(w, w[1:]):
+        z_den_inv = try_invert(dom.c @ z + dom.d, dom.tol)
+        x, r = z_den_inv @ dom.c, nxt - z
+        xr = x @ r
+        assert operator_norm(xr) < 1.0
+        q = principal_sqrt(eye_h + xr, dom.tol)
+        y = z + r @ try_invert(eye_h + q, dom.tol)
+        assert dom.space.contains(y, dom.tol)
+        x_y = try_invert(dom.c @ y + dom.d, dom.tol) @ dom.c
+        reached = y - (z - y) @ z_den_inv @ (dom.c @ y + dom.d)
+        assert operator_norm(reached - nxt) <= 1e-6 * (1.0 + operator_norm(nxt))
+        yx = y @ x_y
+        midpoints.append(y)
+        kernels.append(x_y)
+        blocks.append((-(eye_k - yx), 2.0 * y - yx @ y, x_y, eye_h - x_y @ y))
+    affine = AffineMap.identity(dom.dim_k, dom.dim_h)
+    for i in range(0, len(midpoints), 2):
+        y, outer, x_y = midpoints[i], midpoints[i + 1], kernels[i]
+        y_den_inv = try_invert(dom.c @ y + dom.d, dom.tol)
+        offset = outer - (y - outer) @ y_den_inv @ (dom.c @ outer + dom.d)
+        d = outer - y
+        pair = AffineMap(y, offset, eye_k + d @ x_y, eye_h + x_y @ d)
+        affine = pair.compose(affine)
+    affine = AffineMap(dom.z0, affine(dom.z0), affine.left, affine.right)
+    reached = dom.z0
+    for a, b, c, d in blocks:
+        reached = (a @ reached + b) @ try_invert(c @ reached + d, dom.tol)
+    return midpoints, blocks, affine, float(operator_norm(reached - chain.target))
+
+
+def symmetric_domain(rng, n):
+    c = random_matrix(rng, n, n)
+    z0 = random_matrix(rng, n, n)
+    c, z0 = c + c.T, z0 + z0.T
+    return Domain(symmetric_space(n), c, np.eye(n) - c @ z0, z0)
+
+
+def full_domain(rng, n):
+    c, z0 = random_matrix(rng, n, n), random_matrix(rng, n, n)
+    return Domain(full_space(n, n), c, np.eye(n) - c @ z0, z0)
+
+
+@pytest.mark.parametrize("kind", ["quadric-4", "full-8", "symmetric-4", "user-path"])
+def test_stacked_chain_matches_the_per_factor_loop_bit_for_bit(kind):
+    rng = np.random.default_rng(66)
+    if kind == "quadric-4":
+        dom = quadric_domain(4).domain
+    elif kind == "full-8":
+        dom = full_domain(rng, 8)
+    else:
+        dom = symmetric_domain(rng, 4)
+    compared = factors = 0
+    for _ in range(12):
+        if kind == "user-path":
+            turn, target = sample_members(rng, dom, 2, margin=0.05)
+            path = [dom.z0, turn, target]
+        else:
+            target, path = random_domain_member(rng, dom, margin=0.05), None
+        try:
+            chain = transitive_chain(dom, target, path=path)
+        except PathLeavesDomainError:
+            continue
+        midpoints, blocks, affine, residual = loop_chain(dom, chain)
+        assert len(chain.midpoints) == len(midpoints) == chain.factor_count
+        for got, want in zip(chain.midpoints, midpoints):
+            assert np.array_equal(got, want)
+        for f, m, want in zip(chain.factors, chain.coefficients, blocks):
+            assert all(np.array_equal(g, b) for g, b in zip((f.a, f.b, f.c, f.d), want))
+            assert np.array_equal(m, np.block([[want[0], want[1]], [want[2], want[3]]]))
+        for field in ("base", "offset", "left", "right"):
+            assert np.array_equal(getattr(chain.affine, field), getattr(affine, field))
+        assert chain.residual == residual
+        compared += 1
+        factors += chain.factor_count
+    assert compared >= 6 and factors >= 4 * compared
+
+
+def test_stacked_midpoints_raise_the_first_failure_in_chain_order():
+    # on the scalar invertibles at eq_tol 0.9 the pair (1, 3) breaks the step
+    # bound and the pair (1, 0.5) meets the square root's cut
+    dom = scalar_domain(1.0, 0.0, 1.0)
+    dom = Domain(dom.space, dom.c, dom.d, dom.z0, Tolerance(0.9))
+    pairs = {"ok": (1.0, 1.2), "step": (1.0, 3.0), "cut": (1.0, 0.5)}
+    for order in (["ok", "step", "cut"], ["ok", "cut", "step"], ["cut", "ok"], ["ok", "step"]):
+        z = np.array([[[pairs[p][0]]] for p in order], dtype=complex)
+        w = np.array([[[pairs[p][1]]] for p in order], dtype=complex)
+        first = None
+        for zi, wi in zip(z, w):
+            try:
+                find_midpoint(dom, zi, wi)
+            except (StepBoundError, SpectrumError) as exc:
+                first = exc
+                break
+        with pytest.raises(type(first)) as exc:
+            _midpoints(dom, z, 1.0 / z, w)
+        assert str(exc.value) == str(first)
 
 
 def test_chain_inverts_at_most_four_times_per_factor(monkeypatch):

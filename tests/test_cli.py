@@ -80,6 +80,18 @@ def test_matrix_json_rejects_bad_payloads():
         jsonio.matrix_from_obj(
             {"rows": 1, "cols": 2, "re": [[1.0]], "im": [[0.0, 0.0]]}
         )
+    for entry in (True, None, "1.5", [1.0], {}):
+        with pytest.raises(ValueError, match=r"entry \(0,1\) of field 'im' is not a number"):
+            jsonio.matrix_from_obj(
+                {"rows": 1, "cols": 2, "re": [[1.0, 2]], "im": [[0.0, entry]]}
+            )
+    with pytest.raises(ValueError, match="row 1 of field 're' must have 2 entries"):
+        jsonio.matrix_from_obj({"rows": 2, "cols": 2, "re": [[1, 2], 3], "im": [[0, 0], [0, 0]]})
+    # numbers of other numeric types are read as before
+    m = jsonio.matrix_from_obj(
+        {"rows": 1, "cols": 2, "re": [[np.float64(0.5), 2**70]], "im": [[np.float64(-0.0), 3]]}
+    )
+    assert np.array_equal(m, np.array([[0.5 - 0.0j, float(2**70) + 3j]]))
     with pytest.raises(ValueError, match="non-finite numeric token"):
         jsonio.loads('{"rows": 1, "cols": 1, "re": [[Infinity]], "im": [[0.0]]}')
     with pytest.raises(ValueError, match="finite"):
@@ -396,3 +408,17 @@ def test_transit_input_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "input error:" in captured.err
+
+    # an integer beyond the float range is as non-finite as 1e400
+    for entry in ("1" * 401, "-" + "9" * 401, "1e400"):
+        write_text(target_file, f'{{"rows": 1, "cols": 1, "re": [[{entry}]], "im": [[0.0]]}}')
+        rc = main(["transit", str(dom_file), str(target_file)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "input error: field 're' contains non-finite values" in captured.err
+
+    write_text(target_file, "[" * 200_000 + "]" * 200_000)
+    rc = main(["transit", str(dom_file), str(target_file)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "input error: JSON nesting is too deep to parse" in captured.err

@@ -243,6 +243,36 @@ def test_principal_sqrt_rejects_branch_cut_spectrum():
         principal_sqrt(np.zeros((2, 2), dtype=complex))
 
 
+def test_principal_sqrt_of_a_stack_matches_single_calls_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 4, 8):
+        z = rng.uniform(-1, 1, (12, n, n)) + 1j * rng.uniform(-1, 1, (12, n, n))
+        m = np.eye(n) + 0.9 * z / operator_norm(z)[:, None, None]
+        q = principal_sqrt(m)
+        assert q.shape == m.shape
+        for item, root in zip(m, q):
+            assert np.array_equal(root, principal_sqrt(item))
+
+
+def test_principal_sqrt_of_a_stack_names_the_first_item_on_the_cut():
+    m = np.stack([np.eye(2, dtype=complex)] * 5)
+    m[3] = -np.eye(2)
+    m[4] = np.zeros((2, 2))
+    with pytest.raises(SpectrumError) as exc:
+        principal_sqrt(m)
+    assert exc.value.index == 3
+    with pytest.raises(SpectrumError) as exc:
+        principal_sqrt(m[3])
+    assert exc.value.index is None
+    # judged relative to max(1, ||m||) per item, so a large item does not
+    # widen the band of its neighbours
+    m = np.stack([np.diag([1e-8, 1.0]), np.diag([1e-8, 1e9])]).astype(complex)
+    with pytest.raises(SpectrumError) as exc:
+        principal_sqrt(m)
+    assert exc.value.index == 1
+    assert np.array_equal(principal_sqrt(m[:1])[0], principal_sqrt(m[0]))
+
+
 def test_binomial_series_scalar_square_root():
     # (1 + 0.25)^0.5
     b = binomial_series(0.5, np.array([[0.25]], dtype=complex))
