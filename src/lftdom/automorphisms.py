@@ -175,57 +175,68 @@ def find_midpoint(dom, z, w):
     """
     z, z_den_inv = _require_member(dom, z, "the start point z")
     w, _ = _require_member(dom, w, "the end point w")
-    return _midpoints(dom, z[None], z_den_inv[None], w[None])[0][0]
+    return _midpoints(dom, z, z_den_inv, w)[0]
 
 
 def _midpoints(dom, z, z_den_inv, w):
-    """The points y[i] whose symmetries send the members z[i] to w[i], and (c y[i] + d)^-1.
+    """The points y whose symmetries send the members z to w, and (c y + d)^-1.
 
-    Takes (m, k, h) stacks z and w and z_den_inv[i] = (c z[i] + d)^-1, and
-    makes each check on the whole stack at once; each item gets the bits of
-    a construction on it alone. The inversion that checks y's membership is
-    redundant in exact arithmetic, since c y + d = (c z + d) q, but it is
-    kept: it guards against ill conditioned input and yields y's kernel.
+    Takes one member z, its end point w and z_den_inv = (c z + d)^-1, or
+    (m, k, h) stacks of each. A stack gets each check on the whole stack at
+    once, and each item the bits of a construction on it alone; one member
+    takes the single-matrix path of every check. The inversion that checks
+    y's membership is redundant in exact arithmetic, since
+    c y + d = (c z + d) q, but it is kept: it guards against ill conditioned
+    input and yields y's kernel.
 
     A construction on one item would stop at its first failed check, so an
     item that fails is dropped from later checks together with every item
     after it, and the error raised is that of the first failing item.
     """
     eye = np.eye(dom.dim_h, dtype=complex)
-    count = len(z)  # items [0, count) have passed every check so far
+    single = z.ndim == 2
+    live = ... if single else slice(len(z))  # the items that have passed every check so far
     failure = None
 
     def drop_from(bad, error):
-        nonlocal count, failure
-        hits = np.flatnonzero(bad[:count])
-        if hits.size:
-            count = int(hits[0])
-            failure = error(count)
-            if count == 0:
+        # bad holds one verdict per live item
+        nonlocal live, failure
+        if single:
+            if bad:
+                raise error(0)
+        elif bad.any():
+            live = slice(int(bad.argmax()))
+            failure = error(live.stop)
+            if live.stop == 0:
                 raise failure
+
+    def verdict(inverse):
+        # try_invert's result as (inverses, singular), also on one matrix
+        return (inverse, inverse is None) if single else inverse
 
     x = z_den_inv @ dom.c
     r = w - z
     xr = x @ r
     bound = operator_norm(xr)
     drop_from(bound >= 1.0, lambda i: StepBoundError(
-        f"step bound ||x (w - z)|| < 1 fails: got {bound[i]:.6g}; subdivide the displacement"
+        f"step bound ||x (w - z)|| < 1 fails: got {np.ravel(bound)[i]:.6g}; "
+        "subdivide the displacement"
     ))
     while True:
         try:
-            q = principal_sqrt(eye + xr[:count], dom.tol)
+            q = principal_sqrt(eye + xr[live], dom.tol)
             break
         except SpectrumError as exc:
-            drop_from(np.arange(count) == exc.index, lambda i: exc)
-    den_inv, singular = try_invert(eye + q, dom.tol)
+            drop_from(single or np.arange(live.stop) == exc.index, lambda i: exc)
+    den_inv, singular = verdict(try_invert(eye + q, dom.tol))
     drop_from(singular, lambda i: InternalCheckError("I + q is singular although ||x r|| < 1"))
-    y = z[:count] + r[:count] @ den_inv[:count]
-    y_den_inv, singular = dom.try_denominator_inverse(y)
+    y = z[live] + r[live] @ den_inv[live]
+    y_den_inv, singular = verdict(dom.try_denominator_inverse(y))
     drop_from(singular | ~dom.space.contains(y, dom.tol), lambda i: InternalCheckError(
         "midpoint fell outside the domain; ill conditioned input"
     ))
-    y, y_den_inv, z, w = y[:count], y_den_inv[:count], z[:count], w[:count]
-    reached = _symmetry_at(dom, y, z, z_den_inv[:count])
+    y, y_den_inv, z, w = y[live], y_den_inv[live], z[live], w[live]
+    reached = _symmetry_at(dom, y, z, z_den_inv[live])
     drop_from(operator_norm(reached - w) > 1e-6 * (1.0 + operator_norm(w)), lambda i: (
         InternalCheckError("midpoint symmetry failed to reproduce the target point")
     ))
@@ -438,26 +449,19 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
     stops = np.stack(waypoints)
     midpoints, mid_den_invs = _midpoints(dom, stops[:-1], np.stack(den_invs[:-1]), stops[1:])
     kernels = mid_den_invs @ dom.c
-    k = dom.dim_k
-    coefficients = np.empty((len(midpoints), k + dom.dim_h, k + dom.dim_h), dtype=complex)
+    k, h = dom.dim_k, dom.dim_h
+    coefficients = np.empty((len(midpoints), k + h, k + h), dtype=complex)
     (coefficients[:, :k, :k], coefficients[:, :k, k:], coefficients[:, k:, :k],
      coefficients[:, k:, k:]) = _symmetry_blocks(dom, midpoints, kernels)
-    factors = tuple(LFTMap(m[:k, :k], m[:k, k:], m[k:, :k], m[k:, k:]) for m in coefficients)
+    factors = tuple(LFTMap.from_coefficient_matrix(m, k, h) for m in coefficients)
 
-    # fold the pairs (U_{y[i+1]} after U_{y[i]}) and compose them in order,
-    # as AffineMap.compose would, starting from the identity
-    bases, offsets, lefts, rights = _pair_fold(
-        dom, midpoints[1::2], midpoints[::2], mid_den_invs[::2], kernels[::2]
-    )
-    base = offset = np.zeros_like(source)
-    left, right = np.eye(k, dtype=complex), np.eye(dom.dim_h, dtype=complex)
-    for pair_base, pair_offset, pair_left, pair_right in zip(bases, offsets, lefts, rights):
-        offset = pair_offset + pair_left @ (offset - pair_base) @ pair_right
-        left, right = pair_left @ left, right @ pair_right
+    # fold the pairs (U_{y[i+1]} after U_{y[i]}) as one stack, then compose them in order
+    pairs = _pair_fold(dom, midpoints[1::2], midpoints[::2], mid_den_invs[::2], kernels[::2])
+    affine = AffineMap.identity(k, h)
+    for pair in zip(*pairs):
+        affine = AffineMap(*pair).compose(affine)
     # rebase so the record is anchored at the source
-    affine = AffineMap(
-        base=source, offset=offset + left @ (source - base) @ right, left=left, right=right
-    )
+    affine = AffineMap(base=source, offset=affine(source), left=affine.left, right=affine.right)
 
     reached = source
     for f in factors:

@@ -178,9 +178,11 @@ def principal_sqrt(m, tol=DEFAULT_TOL):
     eigenvalue on the cut (within ``tol.eq_tol`` relative to max(1, ||m||))
     raises SpectrumError. Computed by the Schur-based principal branch, which
     also handles defective inputs such as I plus a nilpotent. On an
-    (..., n, n) stack, one root per item from one call of each kernel, each
-    the bits of a call on the item alone; SpectrumError is raised when any
-    item lies on the cut, with ``index`` the first such item of an
+    (..., n, n) stack, one root per item, each the bits of a call on the item
+    alone; the norms and spectra come from one stacked call each, the roots
+    from one ``sqrtm`` call per item, since older SciPy releases take no
+    stacks there. SpectrumError is raised when any item lies on the cut,
+    before any root is taken, with ``index`` the first such item of an
     (m, n, n) stack.
     """
     m = _require_square(m, "principal_sqrt", stack=True)
@@ -197,8 +199,10 @@ def principal_sqrt(m, tol=DEFAULT_TOL):
             "the principal square root is not defined there",
             index=int(np.flatnonzero(on_cut.any(axis=-1))[0]) if m.ndim == 3 else None,
         )
-    q = scipy.linalg.sqrtm(m)
-    return np.asarray(q, dtype=complex)
+    if m.ndim == 2:
+        return np.asarray(scipy.linalg.sqrtm(m), dtype=complex)
+    roots = [scipy.linalg.sqrtm(item) for item in m.reshape(-1, *m.shape[-2:])]
+    return np.array(roots, dtype=complex).reshape(m.shape)
 
 
 def _series_block(nw):

@@ -12,6 +12,7 @@ from lftdom import (
     ConvergenceError,
     Domain,
     HypothesisError,
+    InternalCheckError,
     PathLeavesDomainError,
     ShapeError,
     SingularMatrixError,
@@ -531,6 +532,9 @@ def test_stacked_chain_matches_the_per_factor_loop_bit_for_bit(kind):
         assert len(chain.midpoints) == len(midpoints) == chain.factor_count
         for got, want in zip(chain.midpoints, midpoints):
             assert np.array_equal(got, want)
+        # find_midpoint takes the single-matrix path of the same construction
+        for z, nxt, got in zip(chain.waypoints, chain.waypoints[1:], chain.midpoints):
+            assert np.array_equal(find_midpoint(dom, z, nxt), got)
         for f, m, want in zip(chain.factors, chain.coefficients, blocks):
             assert all(np.array_equal(g, b) for g, b in zip((f.a, f.b, f.c, f.d), want))
             assert np.array_equal(m, np.block([[want[0], want[1]], [want[2], want[3]]]))
@@ -561,6 +565,30 @@ def test_stacked_midpoints_raise_the_first_failure_in_chain_order():
         with pytest.raises(type(first)) as exc:
             _midpoints(dom, z, 1.0 / z, w)
         assert str(exc.value) == str(first)
+
+
+def test_a_singular_i_plus_q_is_an_internal_error_on_one_matrix_and_on_a_stack(monkeypatch):
+    import lftdom.automorphisms
+
+    # the midpoint construction is the only caller of automorphisms.try_invert
+    # before a chain exists; judging from the third item on singular makes
+    # the third factor the first failure of a stack
+    def third_on_singular(z, tol=DEFAULT_TOL):
+        if z.ndim == 2:
+            return None
+        inverses, singular = try_invert(z, tol)
+        singular[2:] = True
+        return inverses, singular
+
+    monkeypatch.setattr(lftdom.automorphisms, "try_invert", third_on_singular)
+    dom = scalar_invertibles()
+    with pytest.raises(InternalCheckError, match="I \\+ q is singular"):
+        find_midpoint(dom, np.array([[1.0]]), np.array([[1.5]]))
+    z = np.array([[[1.0]], [[1.5]], [[2.0]], [[2.5]]], dtype=complex)
+    with pytest.raises(InternalCheckError, match="I \\+ q is singular"):
+        _midpoints(dom, z, 1.0 / z, z + 0.5)
+    y, _ = _midpoints(dom, z[:2], 1.0 / z[:2], z[:2] + 0.5)
+    assert y.shape == (2, 1, 1)
 
 
 def test_chain_inverts_at_most_four_times_per_factor(monkeypatch):

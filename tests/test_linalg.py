@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lftdom import (
     DEFAULT_TOL,
@@ -243,7 +244,15 @@ def test_principal_sqrt_rejects_branch_cut_spectrum():
         principal_sqrt(np.zeros((2, 2), dtype=complex))
 
 
-def test_principal_sqrt_of_a_stack_matches_single_calls_bit_for_bit():
+def test_principal_sqrt_of_a_stack_matches_single_calls_bit_for_bit(monkeypatch):
+    # a stack must not rely on sqrtm taking stacks, which older SciPy lacks
+    single_sqrtm = scipy.linalg.sqrtm
+
+    def sqrtm_of_one_matrix(a, *args, **kwargs):
+        assert np.ndim(a) == 2
+        return single_sqrtm(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "sqrtm", sqrtm_of_one_matrix)
     rng = np.random.default_rng(14)
     for n in (1, 2, 4, 8):
         z = rng.uniform(-1, 1, (12, n, n)) + 1j * rng.uniform(-1, 1, (12, n, n))
