@@ -28,10 +28,11 @@ from .exceptions import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    SeriesTable,
     as_cmatrix,
     as_cstack,
-    binomial_series_grid,
-    binomial_series_shifted,
+    binomial_series_sum,
+    binomial_series_table,
     hermitian_margin,
     invert,
     operator_norm,
@@ -638,22 +639,24 @@ class LiouvilleCurve:
 
     f(lam) = z0 + (z - z0) sum_{n>=1} binom(lam, n) w^(n-1) with
     w = x0 (z - z0); the normalized denominator along the curve equals the
-    binomial series (I + w)^lam, which is invertible for every lam.
+    binomial series (I + w)^lam, which is invertible for every lam. table
+    holds the powers of w that every value is summed from, built once.
     """
 
     domain: Domain
     z: np.ndarray
     w: np.ndarray
     den0_inv: np.ndarray
+    table: SeriesTable
 
     def __call__(self, lam):
         z0 = self.domain.z0
-        return z0 + (self.z - z0) @ binomial_series_shifted(lam, self.w)
+        return z0 + (self.z - z0) @ binomial_series_sum([lam], self.table)[1][0]
 
     def evaluate(self, lams):
         """(f(lam), b(lam)) stacks over every lam in ``lams``, from one series evaluation."""
         z0 = self.domain.z0
-        full, shifted = binomial_series_grid(lams, self.w)
+        full, shifted = binomial_series_sum(lams, self.table)
         return z0 + (self.z - z0) @ shifted, full
 
     def identity_residuals(self, values, factors):
@@ -672,7 +675,13 @@ def liouville_curve(dom, z):
     bound = operator_norm(w)
     if bound >= 1.0:
         raise StepBoundError(f"curve requires ||x0 (z - z0)|| < 1; got {bound:.6g}")
-    return LiouvilleCurve(domain=dom, z=z, w=w, den0_inv=dom.denominator_inverse(dom.z0))
+    return LiouvilleCurve(
+        domain=dom,
+        z=z,
+        w=w,
+        den0_inv=dom.denominator_inverse(dom.z0),
+        table=binomial_series_table(w, bound),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import scipy.linalg
 from .exceptions import ConvergenceError, ShapeError, SingularMatrixError, SpectrumError
 
 SERIES_TERM_CAP = 10_000
-# most powers of w held at once by binomial_series_grid
+# most powers of w in one SeriesTable
 SERIES_BLOCK_CAP = 128
 SERIES_TOL = 1e-12
 
@@ -74,7 +74,8 @@ def _validated(a, rows, cols):
     """Check the trailing matrix shape and the finiteness of a complex array."""
     if a.shape[-2] == 0 or a.shape[-1] == 0:
         raise ShapeError(f"matrix dimensions must be positive, got {a.shape}")
-    if not (np.isfinite(a.real).all() and np.isfinite(a.imag).all()):
+    # a complex entry is finite exactly when both of its parts are
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (no NaN/inf)")
     if rows is not None and a.shape[-2] != rows:
         raise ShapeError(f"expected {rows} rows, got {a.shape[-2]}")
@@ -215,40 +216,62 @@ def _series_block(nw):
     return min(SERIES_BLOCK_CAP, max(1, math.ceil(math.log(target) / math.log(nw))))
 
 
-def binomial_series_grid(lams, w):
-    """Both binomial sums of w at every lam in ``lams``, as (m, n, n) stacks.
+@dataclass(frozen=True)
+class SeriesTable:
+    """The first block of powers of w that every binomial sum of w starts from.
 
-    Returns (full, shifted) with full[i] = sum_{j>=0} binom(lam_i, j) w^j,
-    i.e. (I + w)^lam_i, and shifted[i] = sum_{j>=1} binom(lam_i, j) w^(j-1).
-    Requires ||w|| < 1. Each lam stops at the first j where binom(lam, j) = 0,
-    or where j >= |lam| and the tail bound |binom(lam, j)| ||w||^j / (1 - ||w||)
-    drops below SERIES_TOL; a lam still running after SERIES_TERM_CAP
-    terms raises ConvergenceError.
-
-    The powers w^j come in blocks of a fixed size, sized from ||w|| so that
-    short series take one block: each block is one stacked product of the
-    previous block's last power with w, ..., w^size, contracted with the
-    block's binomial coefficients into both sums. Memory stays
-    O(size (n^2 + m)) whatever the term count. The two sums are formed
-    separately from the same powers; the full sum is not I + w @ shifted, so
-    that identity stays a check.
+    norm is ||w|| < 1; powers is the read-only (size + 1, n, n) stack
+    w^0, ..., w^size, with size from ``_series_block(norm)``. A table never
+    changes, so one table serves any number of sums.
     """
-    w = _require_square(w, "binomial_series_grid")
-    nw = operator_norm(w)
+
+    norm: float
+    powers: np.ndarray
+
+
+def binomial_series_table(w, nw):
+    """The SeriesTable of a square w whose operator norm the caller has taken as ``nw``.
+
+    Raises ConvergenceError unless nw < 1. The block is built by doubling:
+    w^(have+i) = w^have w^i.
+    """
     if nw >= 1.0:
         raise ConvergenceError(f"binomial series requires ||w|| < 1, got {nw:.6g}")
-    lams = np.asarray(lams, dtype=complex).reshape(-1)
-    m, n = lams.size, w.shape[0]
+    n = w.shape[0]
     size = _series_block(nw)
-    powers = np.empty((size + 1, n, n), dtype=complex)  # w^j0, ..., w^(j0+size)
+    powers = np.empty((size + 1, n, n), dtype=complex)
     powers[0] = np.eye(n)
     powers[1] = w
     have = 1
-    while have < size:  # doubling: w^(have+i) = w^have w^i
+    while have < size:
         more = min(have, size - have)
         np.matmul(powers[have], powers[1 : more + 1], out=powers[have + 1 : have + more + 1])
         have += more
-    base = powers[1:].copy()  # w, ..., w^size
+    powers.flags.writeable = False
+    return SeriesTable(norm=nw, powers=powers)
+
+
+def binomial_series_sum(lams, table):
+    """Both binomial sums of the table's w at every lam in ``lams``, as (m, n, n) stacks.
+
+    Returns (full, shifted) with full[i] = sum_{j>=0} binom(lam_i, j) w^j,
+    i.e. (I + w)^lam_i, and shifted[i] = sum_{j>=1} binom(lam_i, j) w^(j-1).
+    Each lam stops at the first j where binom(lam, j) = 0, or where
+    j >= |lam| and the tail bound |binom(lam, j)| ||w||^j / (1 - ||w||)
+    drops below SERIES_TOL; a lam still running after SERIES_TERM_CAP
+    terms raises ConvergenceError.
+
+    The powers come in blocks of the table's size: the first block is the
+    table, and each later one is one stacked product of the previous
+    block's last power with w, ..., w^size, advanced in place in a copy of
+    the table. Each block is contracted with its binomial coefficients into
+    both sums, so memory stays O(size (n^2 + m)) whatever the term count.
+    The two sums are formed separately from the same powers; the full sum
+    is not I + w @ shifted, so that identity stays a check.
+    """
+    nw, powers = table.norm, table.powers
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    m, n, size = lams.size, powers.shape[1], len(powers) - 1
     full = np.zeros((m, n * n), dtype=complex)
     full[:, :: n + 1] = 1.0
     shifted = np.zeros((m, n * n), dtype=complex)
@@ -277,8 +300,19 @@ def binomial_series_grid(lams, w):
                 f"binomial series did not meet the tail bound in {SERIES_TERM_CAP} terms"
             )
         coef = block[:, -1]
+        if j0 == size:  # w^(j0+i) = w^j0 w^i; the table itself stays as built
+            powers = powers.copy()
         powers[0] = powers[-1]
-        np.matmul(powers[0], base, out=powers[1:])
+        np.matmul(powers[0], table.powers[1:], out=powers[1:])
+
+
+def binomial_series_grid(lams, w):
+    """``binomial_series_sum`` of w at every lam in ``lams``, from a table built for this call.
+
+    Requires ||w|| < 1 (ConvergenceError otherwise).
+    """
+    w = _require_square(w, "binomial_series_grid")
+    return binomial_series_sum(lams, binomial_series_table(w, operator_norm(w)))
 
 
 def binomial_series(lam, w):

@@ -33,6 +33,9 @@ class OperatorSpace:
         self._coord = coord
         self._onb, _ = np.linalg.qr(coord)
         self._onb_h = self._onb.conj().T
+        # a full space in the standard basis (every full_space) gets exactly
+        # the identity here: its projection returns a finite z unchanged
+        self._onb_is_identity = np.array_equal(self._onb, np.eye(self.dim))
         # the basis as one (dim, dim_k, dim_h) array, for lincomb and the closure checks
         self._stacked = np.stack(self.basis)
 
@@ -88,8 +91,15 @@ class OperatorSpace:
         return float(np.linalg.norm(r)) if z.ndim == 2 else np.linalg.norm(r[..., 0], axis=-1)
 
     def contains(self, z, tol=DEFAULT_TOL):
-        """True iff the projection residual is at most eq_tol * (1 + ||z||_F); per item on a stack."""
+        """True iff the projection residual is at most eq_tol * (1 + ||z||_F); per item on a stack.
+
+        Where the orthonormal basis is the identity, the residual of a finite
+        z is exactly 0, within any positive eq_tol, so only finiteness is
+        judged there.
+        """
         z = self._check_shape(z, stack=True)
+        if self._onb_is_identity and tol.eq_tol > 0.0:
+            return np.isfinite(z).all(axis=(-2, -1))
         size = np.linalg.norm(z) if z.ndim == 2 else np.linalg.norm(z, axis=(-2, -1))
         return self._residual(z) <= tol.eq_tol * (1.0 + size)
 

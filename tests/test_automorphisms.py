@@ -49,6 +49,7 @@ from lftdom import (
     whole_space_domain,
 )
 from lftdom.automorphisms import _midpoints
+from lftdom.linalg import SERIES_BLOCK_CAP, binomial_series_grid, binomial_series_shifted
 from lftdom.verify import RunConfig, _lambda_grid, example_domains
 from lftdom.sampling import (
     random_domain_member,
@@ -941,3 +942,39 @@ def test_liouville_series_factors_match_the_matrix_power():
             want = scipy.linalg.expm(lam * log)
             worst = max(worst, operator_norm(factor - want) / operator_norm(want))
     assert worst <= 1e-10
+
+
+def test_liouville_curve_sums_its_table_bit_for_bit():
+    # the curve builds its powers of w once; every value must be the bits of
+    # the one-shot series, whatever was evaluated before it
+    rng = np.random.default_rng(60)
+    n = 3
+    w = random_matrix(rng, n, n)
+    w *= 0.9 / operator_norm(w)
+    eye = np.eye(n, dtype=complex)
+    dom = invertibles_domain(full_space(n, n))
+    size = len(liouville_curve(dom, eye + w).table.powers) - 1
+    assert size == SERIES_BLOCK_CAP
+    short, long = 0.7 - 0.4j, 1.05 * size * np.exp(0.3j)  # one block; several blocks
+
+    def oracle(f, lam):
+        return dom.z0 + (f.z - dom.z0) @ binomial_series_shifted(lam, f.w)
+
+    first = liouville_curve(dom, eye + w)
+    powers = first.table.powers
+    before = powers.copy()
+    assert not powers.flags.writeable
+    got = [first(short), first(long), first(short), first(long)]
+    assert not powers.flags.writeable and np.array_equal(powers, before)
+    other = liouville_curve(dom, eye + w)
+    got_reversed = [other(long), other(short)]
+    for lam, value in zip([short, long, short, long], got):
+        assert np.array_equal(value, oracle(first, lam))
+    assert np.array_equal(got_reversed[0], got[1]) and np.array_equal(got_reversed[1], got[0])
+
+    grid = np.concatenate([_lambda_grid(), [short, long]])
+    values, factors = first.evaluate(grid)
+    full, shifted = binomial_series_grid(grid, first.w)
+    assert np.array_equal(factors, full)
+    assert np.array_equal(values, dom.z0 + (first.z - dom.z0) @ shifted)
+    assert np.array_equal(powers, before)

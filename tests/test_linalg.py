@@ -84,6 +84,21 @@ def test_as_cstack_validates_every_item():
         as_cstack(bad)
 
 
+def test_finiteness_is_judged_on_both_parts_of_every_entry():
+    for bad in (complex(0, np.nan), complex(1, np.inf), complex(0, -np.inf), complex(np.nan, 1)):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = bad
+        stack = np.ones((3, 2, 2), dtype=complex)
+        stack[2, 0, 1] = bad
+        for check, data in ((as_cmatrix, m), (as_cstack, m), (as_cstack, stack)):
+            with pytest.raises(ValueError):
+                check(data)
+    for big in (1e308, 1e308j, -1e308 + 1e308j):
+        m = np.full((2, 2), big)
+        assert np.array_equal(as_cmatrix(m), m)
+        assert np.array_equal(as_cstack(np.stack([m, m])), np.stack([m, m]))
+
+
 def test_dagger_is_conjugate_transpose():
     m = np.array([[1 + 2j, 3], [0, 4 - 1j]], dtype=complex)
     assert np.array_equal(dagger(m), m.conj().T)

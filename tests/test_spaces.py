@@ -8,10 +8,12 @@ from lftdom import (
     OperatorSpace,
     ShapeError,
     SpaceClosureError,
+    Tolerance,
     closed_under_quadratic,
     diagonal_space,
     full_space,
     is_power_algebra,
+    quadric_domain,
     symmetric_space,
     upper_triangular_space,
 )
@@ -67,6 +69,50 @@ def test_stacked_contains_matches_the_scalar_verdicts():
         space.contains(np.ones((2, 3, 2)))
     with pytest.raises(ShapeError):
         space.project(stack)
+
+
+def residual_verdicts(space, z, tol):
+    """The residual route of contains, written out."""
+    size = np.linalg.norm(z, axis=(-2, -1))
+    return space.residual(z) <= tol.eq_tol * (1.0 + size)
+
+
+# norms that overflow, and 0 * inf at Tolerance(0), warn on both routes
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (8, 8), (16, 16), (5, 1)])
+def test_full_space_contains_judges_finiteness_alone(shape):
+    rng = np.random.default_rng(22)
+    space = full_space(*shape)
+    assert np.array_equal(space._onb, np.eye(space.dim))
+    stack = rng.uniform(-1, 1, (5, *shape)) + 1j * rng.uniform(-1, 1, (5, *shape))
+    stack[1] *= 1e300  # its Frobenius norm overflows
+    stack[2] *= 1e-300
+    stack[3, 0, 0] = 1e308 - 1e308j
+    stack[4, -1, 0] = complex(0.0, np.inf)
+    for tol in (DEFAULT_TOL, Tolerance(0.9), Tolerance(1e-300), Tolerance(0.0)):
+        verdicts = space.contains(stack, tol)
+        assert verdicts.dtype == bool and verdicts.shape == (5,)
+        assert verdicts.tolist() == residual_verdicts(space, stack, tol).tolist()
+        for z in stack:
+            verdict = space.contains(z, tol)
+            assert type(verdict) is np.bool_
+            assert verdict == residual_verdicts(space, z, tol)
+    # Tolerance(0) rejects the points whose norms overflow, through the residual
+    assert space.contains(stack, Tolerance(0.0)).tolist() == [True, False, True, False, False]
+    assert (~space.contains(stack)).tolist() == [False] * 4 + [True]
+
+
+def test_contains_takes_the_residual_off_the_standard_full_basis(monkeypatch):
+    rng = np.random.default_rng(23)
+    dense = OperatorSpace(2, 2, [rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
+                                 for _ in range(4)])
+    quadric = quadric_domain(4).domain.space
+    for space in (dense, quadric):
+        assert not space._onb_is_identity
+        calls = []
+        monkeypatch.setattr(space, "_residual", lambda z, real=space._residual: calls.append(z) or real(z))
+        z = space.lincomb(rng.uniform(-1, 1, space.dim))
+        assert space.contains(z) and calls
 
 
 def test_lincomb_uses_the_basis_stacked_at_construction(monkeypatch):
