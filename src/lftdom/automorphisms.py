@@ -179,71 +179,68 @@ def find_midpoint(dom, z, w):
     return _midpoints(dom, z, z_den_inv, w)[0]
 
 
+class _Replay(Exception):
+    """A stacked midpoint check flagged an item; the items are built again one at a time."""
+
+
 def _midpoints(dom, z, z_den_inv, w):
     """The points y whose symmetries send the members z to w, and (c y + d)^-1.
 
     Takes one member z, its end point w and z_den_inv = (c z + d)^-1, or
-    (m, k, h) stacks of each. A stack gets each check on the whole stack at
-    once, and each item the bits of a construction on it alone; one member
-    takes the single-matrix path of every check. The inversion that checks
-    y's membership is redundant in exact arithmetic, since
-    c y + d = (c z + d) q, but it is kept: it guards against ill conditioned
-    input and yields y's kernel.
+    (m, k, h) stacks of each. A stack runs each check once on all of its
+    items, and each item gets the bits of a construction on it alone. The
+    inversion that checks y's membership is redundant in exact arithmetic,
+    since c y + d = (c z + d) q, but it is kept: it guards against ill
+    conditioned input and yields y's kernel.
 
-    A construction on one item would stop at its first failed check, so an
-    item that fails is dropped from later checks together with every item
-    after it, and the error raised is that of the first failing item.
+    When a check flags an item of a stack, or its square root meets the
+    cut, the items are built again one at a time, so that the error raised
+    is the one the first failing item raises alone; a SpectrumError then
+    carries that item's position as its index. A chain's factor blocks are
+    views of the block stacks built from these midpoints, not of its coefficients.
     """
     eye = np.eye(dom.dim_h, dtype=complex)
     single = z.ndim == 2
-    live = ... if single else slice(len(z))  # the items that have passed every check so far
-    failure = None
 
-    def drop_from(bad, error):
-        # bad holds one verdict per live item
-        nonlocal live, failure
-        if single:
-            if bad:
-                raise error(0)
-        elif bad.any():
-            live = slice(int(bad.argmax()))
-            failure = error(live.stop)
-            if live.stop == 0:
-                raise failure
+    def check(bad, error):
+        # bad holds one verdict per item
+        if np.any(bad):
+            raise error() if single else _Replay
 
     def verdict(inverse):
         # try_invert's result as (inverses, singular), also on one matrix
         return (inverse, inverse is None) if single else inverse
 
-    x = z_den_inv @ dom.c
-    r = w - z
-    xr = x @ r
-    bound = operator_norm(xr)
-    drop_from(bound >= 1.0, lambda i: StepBoundError(
-        f"step bound ||x (w - z)|| < 1 fails: got {np.ravel(bound)[i]:.6g}; "
-        "subdivide the displacement"
-    ))
-    while True:
+    try:
+        x = z_den_inv @ dom.c
+        r = w - z
+        xr = x @ r
+        bound = operator_norm(xr)
+        check(bound >= 1.0, lambda: StepBoundError(
+            f"step bound ||x (w - z)|| < 1 fails: got {bound:.6g}; subdivide the displacement"
+        ))
+        q = principal_sqrt(eye + xr, dom.tol)
+        den_inv, singular = verdict(try_invert(eye + q, dom.tol))
+        check(singular, lambda: InternalCheckError("I + q is singular although ||x r|| < 1"))
+        y = z + r @ den_inv
+        y_den_inv, singular = verdict(dom.try_denominator_inverse(y))
+        check(singular | ~dom.space.contains(y, dom.tol), lambda: InternalCheckError(
+            "midpoint fell outside the domain; ill conditioned input"
+        ))
+        reached = _symmetry_at(dom, y, z, z_den_inv)
+        check(operator_norm(reached - w) > 1e-6 * (1.0 + operator_norm(w)),
+              lambda: InternalCheckError("midpoint symmetry failed to reproduce the target point"))
+        return y, y_den_inv
+    except (_Replay, SpectrumError):
+        if single:
+            raise
+    for i in range(len(z)):
         try:
-            q = principal_sqrt(eye + xr[live], dom.tol)
-            break
+            _midpoints(dom, z[i], z_den_inv[i], w[i])
         except SpectrumError as exc:
-            drop_from(single or np.arange(live.stop) == exc.index, lambda i: exc)
-    den_inv, singular = verdict(try_invert(eye + q, dom.tol))
-    drop_from(singular, lambda i: InternalCheckError("I + q is singular although ||x r|| < 1"))
-    y = z[live] + r[live] @ den_inv[live]
-    y_den_inv, singular = verdict(dom.try_denominator_inverse(y))
-    drop_from(singular | ~dom.space.contains(y, dom.tol), lambda i: InternalCheckError(
-        "midpoint fell outside the domain; ill conditioned input"
-    ))
-    y, y_den_inv, z, w = y[live], y_den_inv[live], z[live], w[live]
-    reached = _symmetry_at(dom, y, z, z_den_inv[live])
-    drop_from(operator_norm(reached - w) > 1e-6 * (1.0 + operator_norm(w)), lambda i: (
-        InternalCheckError("midpoint symmetry failed to reproduce the target point")
-    ))
-    if failure is not None:
-        raise failure
-    return y, y_den_inv
+            exc.index = i
+            raise
+    raise InternalCheckError("a stacked midpoint check failed where no item built alone fails")
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +256,9 @@ class AutomorphismChain:
     pairs fold into affine maps; `affine` is the full folded composition.
     step_norms[i] is ||x_i (waypoints[i+1] - waypoints[i])||, each below the
     subdivision margin. residual is the defect of the composite at z0.
-    coefficients[i] is the coefficient matrix of factors[i], whose blocks
-    are views of it.
+    coefficients[i] is the coefficient matrix of factors[i]; both come from
+    the same stacks of blocks, and the factors' blocks are views of those
+    stacks, not of coefficients.
     """
 
     domain: Domain
@@ -450,15 +448,13 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
     stops = np.stack(waypoints)
     midpoints, mid_den_invs = _midpoints(dom, stops[:-1], np.stack(den_invs[:-1]), stops[1:])
     kernels = mid_den_invs @ dom.c
-    k, h = dom.dim_k, dom.dim_h
-    coefficients = np.empty((len(midpoints), k + h, k + h), dtype=complex)
-    (coefficients[:, :k, :k], coefficients[:, :k, k:], coefficients[:, k:, :k],
-     coefficients[:, k:, k:]) = _symmetry_blocks(dom, midpoints, kernels)
-    factors = tuple(LFTMap.from_coefficient_matrix(m, k, h) for m in coefficients)
+    a, b, c, d = _symmetry_blocks(dom, midpoints, kernels)
+    coefficients = np.block([[a, b], [c, d]])
+    factors = tuple(LFTMap(*blocks) for blocks in zip(a, b, c, d))
 
     # fold the pairs (U_{y[i+1]} after U_{y[i]}) as one stack, then compose them in order
     pairs = _pair_fold(dom, midpoints[1::2], midpoints[::2], mid_den_invs[::2], kernels[::2])
-    affine = AffineMap.identity(k, h)
+    affine = AffineMap.identity(dom.dim_k, dom.dim_h)
     for pair in zip(*pairs):
         affine = AffineMap(*pair).compose(affine)
     # rebase so the record is anchored at the source

@@ -1,7 +1,8 @@
 """Command line front end: verification suites, demos, and chain building.
 
 Exit codes: 0 when everything passed, 1 when a suite, chain or demo failed
-numerically, 2 for usage or input-file errors.
+numerically, 2 for usage or input-file errors, an --out file that cannot be
+written included.
 """
 
 import argparse
@@ -29,15 +30,18 @@ from .verify import RunConfig, run_verify, example_domains
 from . import __version__
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomized suites")
-    parser.add_argument("--trials", type=int, default=50, help="work volume per suite")
-    parser.add_argument("--dim-h", type=int, default=2, help="column dimension (at most 8)")
-    parser.add_argument("--dim-k", type=int, default=2, help="row dimension (at most 8)")
+def _add_flags(parser, run=True, trials=True):
+    """Add the flags a subcommand reads: the run flags (--trials with trials), --tol and --out."""
+    if run:
+        parser.add_argument("--seed", type=int, default=0, help="seed for all randomized suites")
+        if trials:
+            parser.add_argument("--trials", type=int, default=50, help="work volume per suite")
+        parser.add_argument("--dim-h", type=int, default=2, help="column dimension (at most 8)")
+        parser.add_argument("--dim-k", type=int, default=2, help="row dimension (at most 8)")
     parser.add_argument(
         "--tol", type=float, help="equality tolerance; the invertibility tolerance is a tenth of it"
     )
-    parser.add_argument("--out", help="write the JSON report to this file")
+    parser.add_argument("--out", help="write the output to this file")
 
 
 def build_parser():
@@ -48,34 +52,33 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run every verification suite")
-    _add_common_flags(verify)
+    _add_flags(verify)
     demo = sub.add_parser("demo", help="walk through one example construction")
     demo.add_argument(
         "example",
         choices=["0", "1", "2", "4", "5", "6", "siegel", "exterior", "product", "hyperbolic"],
     )
-    _add_common_flags(demo)
+    _add_flags(demo, trials=False)
     transit = sub.add_parser("transit", help="build a transitive chain from files")
     transit.add_argument("domain_file")
     transit.add_argument("target_file")
     transit.add_argument("path_file", nargs="?", default=None)
-    _add_common_flags(transit)
+    _add_flags(transit, run=False)
     return parser
 
 
-def _config_from_args(args):
-    tol = DEFAULT_TOL
-    if args.tol is not None:
-        if not (0.0 < args.tol < 1.0):
-            raise ValueError("--tol must lie strictly between 0 and 1")
-        tol = Tolerance(args.tol)
-    return RunConfig(
-        seed=args.seed,
-        trials=args.trials,
-        dim_k=args.dim_k,
-        dim_h=args.dim_h,
-        tol=tol,
-    )
+def _tol_from_args(args):
+    if args.tol is None:
+        return DEFAULT_TOL
+    if not (0.0 < args.tol < 1.0):
+        raise ValueError("--tol must lie strictly between 0 and 1")
+    return Tolerance(args.tol)
+
+
+def _config_from_args(args, tol):
+    # demo has no --trials and reads no trial count
+    trials = getattr(args, "trials", RunConfig.trials)
+    return RunConfig(seed=args.seed, trials=trials, dim_k=args.dim_k, dim_h=args.dim_h, tol=tol)
 
 
 def _emit(text, out_path):
@@ -191,9 +194,9 @@ def cmd_demo(example, config, out_path):
     return 0
 
 
-def cmd_transit(args, config):
+def cmd_transit(args, tol):
     with open(args.domain_file, "r", encoding="utf-8") as fh:
-        dom = jsonio.domain_from_obj(jsonio.loads(fh.read()), config.tol)
+        dom = jsonio.domain_from_obj(jsonio.loads(fh.read()), tol)
     with open(args.target_file, "r", encoding="utf-8") as fh:
         target = jsonio.matrix_from_obj(jsonio.loads(fh.read()), jsonio.MAX_SIDE)
     path = None
@@ -220,25 +223,23 @@ def cmd_transit(args, config):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        tol = _tol_from_args(args)
+        config = None if args.command == "transit" else _config_from_args(args, tol)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "verify":
-        return cmd_verify(config, args.out)
-    if args.command == "demo":
-        return cmd_demo(args.example, config, args.out)
-    if args.command == "transit":
-        try:
-            return cmd_transit(args, config)
-        except (OSError, ValueError, LftdomError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    input_errors = (OSError, ValueError, LftdomError) if args.command == "transit" else OSError
+    try:
+        if args.command == "verify":
+            return cmd_verify(config, args.out)
+        if args.command == "demo":
+            return cmd_demo(args.example, config, args.out)
+        return cmd_transit(args, tol)
+    except input_errors as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

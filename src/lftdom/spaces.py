@@ -33,9 +33,6 @@ class OperatorSpace:
         self._coord = coord
         self._onb, _ = np.linalg.qr(coord)
         self._onb_h = self._onb.conj().T
-        # a full space in the standard basis (every full_space) gets exactly
-        # the identity here: its projection returns a finite z unchanged
-        self._onb_is_identity = np.array_equal(self._onb, np.eye(self.dim))
         # the basis as one (dim, dim_k, dim_h) array, for lincomb and the closure checks
         self._stacked = np.stack(self.basis)
 
@@ -93,12 +90,11 @@ class OperatorSpace:
     def contains(self, z, tol=DEFAULT_TOL):
         """True iff the projection residual is at most eq_tol * (1 + ||z||_F); per item on a stack.
 
-        Where the orthonormal basis is the identity, the residual of a finite
-        z is exactly 0, within any positive eq_tol, so only finiteness is
-        judged there.
+        A full space holds every finite dim_k x dim_h matrix, so there only
+        finiteness is judged, at every tolerance.
         """
         z = self._check_shape(z, stack=True)
-        if self._onb_is_identity and tol.eq_tol > 0.0:
+        if self.is_full:
             return np.isfinite(z).all(axis=(-2, -1))
         size = np.linalg.norm(z) if z.ndim == 2 else np.linalg.norm(z, axis=(-2, -1))
         return self._residual(z) <= tol.eq_tol * (1.0 + size)
@@ -147,10 +143,13 @@ def closed_under_quadratic(space, x0, tol=DEFAULT_TOL):
 def is_power_algebra(space, tol=DEFAULT_TOL):
     """True iff the space is square, contains I, and contains all member squares.
 
-    Squares reduce to the symmetrised basis products Bi Bj + Bj Bi.
+    Squares reduce to the symmetrised basis products Bi Bj + Bj Bi. A square
+    full space holds every product, so it passes at once.
     """
     if not space.is_square:
         raise SpaceClosureError("power-algebra check requires a square space")
+    if space.is_full:
+        return True
     eye = np.eye(space.dim_h, dtype=complex)
     if not space.contains(eye, tol):
         return False

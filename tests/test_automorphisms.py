@@ -553,19 +553,81 @@ def test_stacked_midpoints_raise_the_first_failure_in_chain_order():
     dom = scalar_domain(1.0, 0.0, 1.0)
     dom = Domain(dom.space, dom.c, dom.d, dom.z0, Tolerance(0.9))
     pairs = {"ok": (1.0, 1.2), "step": (1.0, 3.0), "cut": (1.0, 0.5)}
-    for order in (["ok", "step", "cut"], ["ok", "cut", "step"], ["cut", "ok"], ["ok", "step"]):
+    orders = (
+        ["ok", "step", "cut"], ["ok", "cut", "step"], ["cut", "ok"], ["ok", "step"],
+        # after two passing items; a cut before the step that the stack flags first
+        ["ok", "ok", "step"], ["ok", "ok", "cut"], ["ok", "ok", "cut", "step"],
+        ["cut", "step"], ["step", "cut"],
+    )
+    for order in orders:
         z = np.array([[[pairs[p][0]]] for p in order], dtype=complex)
         w = np.array([[[pairs[p][1]]] for p in order], dtype=complex)
         first = None
-        for zi, wi in zip(z, w):
+        for i, (zi, wi) in enumerate(zip(z, w)):
             try:
                 find_midpoint(dom, zi, wi)
             except (StepBoundError, SpectrumError) as exc:
-                first = exc
+                first, position = exc, i
                 break
         with pytest.raises(type(first)) as exc:
             _midpoints(dom, z, 1.0 / z, w)
         assert str(exc.value) == str(first)
+        assert order[position] == ("cut" if type(first) is SpectrumError else "step")
+        if type(first) is SpectrumError:
+            assert first.index is None and exc.value.index == position
+
+
+def flag_third_midpoint(monkeypatch, dom, z, w, alone_too):
+    """Patch dom.space.contains to reject the third midpoint of the stack z -> w.
+
+    The stack's verdict always flags it; with alone_too its build alone fails
+    as well. Returns the list of the shapes contains is called on.
+    """
+    third = find_midpoint(dom, z[2], w[2])
+    real = dom.space.contains
+    shapes = []
+
+    def contains(y, tol=DEFAULT_TOL):
+        shapes.append(y.shape)
+        verdicts = real(y, tol)
+        if y.ndim == 3:
+            verdicts[2] = False
+        elif alone_too and np.array_equal(y, third):
+            return np.False_
+        return verdicts
+
+    monkeypatch.setattr(dom.space, "contains", contains)
+    return shapes
+
+
+def test_a_flagged_stack_is_built_again_one_item_at_a_time(monkeypatch):
+    dom = scalar_invertibles()
+    z = np.array([[[1.0]], [[1.5]], [[2.0]], [[2.5]]], dtype=complex)
+    shapes = flag_third_midpoint(monkeypatch, dom, z, z + 0.5, alone_too=True)
+    with pytest.raises(InternalCheckError, match="midpoint fell outside the domain"):
+        _midpoints(dom, z, 1.0 / z, z + 0.5)
+    # one check on the stack, then items 0, 1 and 2 alone; item 2 raises
+    assert shapes == [(4, 1, 1), (1, 1), (1, 1), (1, 1)]
+
+    # at eq_tol 0.9 the fourth pair meets the cut, so the stacked square root
+    # raises before the stack's membership check; item 2 still fails first
+    monkeypatch.undo()
+    dom = Domain(dom.space, dom.c, dom.d, dom.z0, Tolerance(0.9))
+    z = np.array([[[1.0]], [[1.1]], [[1.2]], [[1.0]]], dtype=complex)
+    w = np.array([[[1.2]], [[1.3]], [[1.4]], [[0.5]]], dtype=complex)
+    shapes = flag_third_midpoint(monkeypatch, dom, z, w, alone_too=True)
+    with pytest.raises(InternalCheckError, match="midpoint fell outside the domain"):
+        _midpoints(dom, z, 1.0 / z, w)
+    assert shapes == [(1, 1)] * 3
+
+
+def test_a_stack_flag_that_no_item_alone_repeats_is_an_internal_error(monkeypatch):
+    dom = scalar_invertibles()
+    z = np.array([[[1.0]], [[1.5]], [[2.0]], [[2.5]]], dtype=complex)
+    shapes = flag_third_midpoint(monkeypatch, dom, z, z + 0.5, alone_too=False)
+    with pytest.raises(InternalCheckError, match="no item built alone fails"):
+        _midpoints(dom, z, 1.0 / z, z + 0.5)
+    assert shapes == [(4, 1, 1)] + [(1, 1)] * 4
 
 
 def test_a_singular_i_plus_q_is_an_internal_error_on_one_matrix_and_on_a_stack(monkeypatch):

@@ -262,9 +262,32 @@ def test_flags_belong_to_the_subcommand(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys):
+    files = [str(tmp_path / "dom.json"), str(tmp_path / "target.json")]
+    for argv in (
+        ["demo", "0", "--trials", "2"],
+        ["transit", *files, "--seed", "1"],
+        ["transit", *files, "--trials", "2"],
+        ["transit", *files, "--dim-k", "2"],
+        ["transit", *files, "--dim-h", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_an_unwritable_out_file_is_an_input_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "dir" / "r.json")
+    for argv in (["verify", "--trials", "1", "--out", out], ["demo", "0", "--out", out]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "No such file or directory" in err
+
+
 def test_demo_runs_every_example(capsys):
     for name in ["0", "1", "2", "4", "5", "6", "siegel", "exterior", "product", "hyperbolic"]:
-        rc = main(["demo", name, "--trials", "2", "--seed", "5"])
+        rc = main(["demo", name, "--seed", "5"])
         captured = capsys.readouterr()
         assert rc == 0, name
         assert captured.out.strip(), name

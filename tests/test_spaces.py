@@ -77,7 +77,7 @@ def residual_verdicts(space, z, tol):
     return space.residual(z) <= tol.eq_tol * (1.0 + size)
 
 
-# norms that overflow, and 0 * inf at Tolerance(0), warn on both routes
+# norms that overflow warn on the residual route
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (8, 8), (16, 16), (5, 1)])
 def test_full_space_contains_judges_finiteness_alone(shape):
@@ -92,27 +92,38 @@ def test_full_space_contains_judges_finiteness_alone(shape):
     for tol in (DEFAULT_TOL, Tolerance(0.9), Tolerance(1e-300), Tolerance(0.0)):
         verdicts = space.contains(stack, tol)
         assert verdicts.dtype == bool and verdicts.shape == (5,)
-        assert verdicts.tolist() == residual_verdicts(space, stack, tol).tolist()
+        if tol.eq_tol > 0.0:
+            assert verdicts.tolist() == residual_verdicts(space, stack, tol).tolist()
         for z in stack:
             verdict = space.contains(z, tol)
             assert type(verdict) is np.bool_
-            assert verdict == residual_verdicts(space, z, tol)
-    # Tolerance(0) rejects the points whose norms overflow, through the residual
-    assert space.contains(stack, Tolerance(0.0)).tolist() == [True, False, True, False, False]
+            if tol.eq_tol > 0.0:
+                assert verdict == residual_verdicts(space, z, tol)
+    # at Tolerance(0) the residual route's bound 0 * (1 + ||z||_F) is NaN where
+    # the norm overflows; judged by structure, every finite point is a member
+    assert space.contains(stack, Tolerance(0.0)).tolist() == [True, True, True, True, False]
     assert (~space.contains(stack)).tolist() == [False] * 4 + [True]
 
 
 def test_contains_takes_the_residual_off_the_standard_full_basis(monkeypatch):
+    # a full space is judged by structure whatever its basis; a proper
+    # subspace, dense or not, by its projection residual
     rng = np.random.default_rng(23)
-    dense = OperatorSpace(2, 2, [rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
-                                 for _ in range(4)])
+
+    def dense_basis(count):
+        return [rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)) for _ in range(count)]
+
+    full_dense = OperatorSpace(2, 2, dense_basis(4))
+    part_dense = OperatorSpace(2, 2, dense_basis(3))
     quadric = quadric_domain(4).domain.space
-    for space in (dense, quadric):
-        assert not space._onb_is_identity
+    for space, takes_residual in ((full_dense, False), (part_dense, True), (quadric, True)):
+        assert space.is_full is not takes_residual
         calls = []
         monkeypatch.setattr(space, "_residual", lambda z, real=space._residual: calls.append(z) or real(z))
         z = space.lincomb(rng.uniform(-1, 1, space.dim))
-        assert space.contains(z) and calls
+        assert space.contains(z)
+        assert space.contains(z, Tolerance(0.0)) or takes_residual
+        assert bool(calls) is takes_residual
 
 
 def test_lincomb_uses_the_basis_stacked_at_construction(monkeypatch):
@@ -211,3 +222,17 @@ def test_is_power_algebra_examples():
     assert not is_power_algebra(off_diagonal_space())
     with pytest.raises(SpaceClosureError):
         is_power_algebra(full_space(2, 3))
+
+
+def test_a_square_full_space_is_a_power_algebra_without_products(monkeypatch):
+    import lftdom.spaces
+
+    def no_products(*args):
+        raise AssertionError("a full space needs no basis products")
+
+    monkeypatch.setattr(lftdom.spaces, "_holds_symmetrised_products", no_products)
+    dense = OperatorSpace(2, 2, [E11 + E12, E12, E21 + 1j * E22, E22])
+    for space in (full_space(1, 1), full_space(16, 16), dense):
+        assert is_power_algebra(space, Tolerance(0.0)) is True
+    with pytest.raises(SpaceClosureError):
+        is_power_algebra(full_space(3, 2))
