@@ -24,6 +24,7 @@ from .linalg import (
     Tolerance,
     as_cmatrix,
     as_cstack,
+    ball_roots,
     binomial_series,
     binomial_series_grid,
     binomial_series_shifted,

@@ -26,8 +26,8 @@ from .exceptions import (
 )
 from .domains import LFTMap
 from .linalg import (
-    DEFAULT_TOL, Tolerance, as_cmatrix, hermitian_margin, invert, operator_norm, principal_sqrt,
-    singular_test, try_invert,
+    DEFAULT_TOL, Tolerance, as_cmatrix, ball_roots, hermitian_margin, invert, operator_norm,
+    principal_sqrt, singular_test, try_invert,
 )
 from .sampling import random_invertible_member, random_space_member
 
@@ -308,15 +308,18 @@ def mobius_map(b, tol=DEFAULT_TOL):
 def mobius_direct(b, z, tol=DEFAULT_TOL):
     """Evaluate (I - b b*)^(-1/2) (z + b)(I + b* z)^-1 (I - b* b)^(1/2).
 
-    Kept as an evaluation route independent of the coefficient blocks.
+    The spectral route: both roots come from one SVD of b (``ball_roots``),
+    independent of the principal square roots behind the coefficient blocks.
+    Requires ||b|| < 1.
     """
     b = as_cmatrix(b)
     z = as_cmatrix(z, rows=b.shape[0], cols=b.shape[1])
-    k, h = b.shape
+    norm, left, right = ball_roots(b, tol)
+    if left is None:
+        raise HypothesisError(f"mobius parameter needs ||b|| < 1; got {norm:.6g}")
+    h = b.shape[1]
     den_inv = invert(np.eye(h, dtype=complex) + b.conj().T @ z, tol, "I + b* z is singular")
-    left = principal_sqrt(np.eye(k, dtype=complex) - b @ b.conj().T, tol)
-    right = principal_sqrt(np.eye(h, dtype=complex) - b.conj().T @ b, tol)
-    return invert(left, tol, "(I - b b*)^(1/2) is singular") @ (z + b) @ den_inv @ right
+    return left @ (z + b) @ den_inv @ right
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 Exit codes: 0 when everything passed, 1 when a suite, chain or demo failed
 numerically, 2 for usage or input-file errors, an --out file that cannot be
-written included.
+written included; that one is found before any work, and the file is created
+only when its content is complete.
 """
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
@@ -79,6 +82,20 @@ def _config_from_args(args, tol):
     # demo has no --trials and reads no trial count
     trials = getattr(args, "trials", RunConfig.trials)
     return RunConfig(seed=args.seed, trials=trials, dim_k=args.dim_k, dim_h=args.dim_h, tol=tol)
+
+
+def _check_out_path(out_path):
+    """Raise the OSError that writing ``out_path`` would raise, without creating the file."""
+    folder = os.path.dirname(out_path) or os.curdir
+    if not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.access(out_path if os.path.exists(out_path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), out_path)
 
 
 def _emit(text, out_path):
@@ -232,6 +249,9 @@ def main(argv=None):
         return 2
     input_errors = (OSError, ValueError, LftdomError) if args.command == "transit" else OSError
     try:
+        # an --out file that cannot be written fails before any work
+        if args.out:
+            _check_out_path(args.out)
         if args.command == "verify":
             return cmd_verify(config, args.out)
         if args.command == "demo":

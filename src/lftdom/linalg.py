@@ -11,7 +11,12 @@ the typed failure (SingularMatrixError in place of None). ``singular_test``
 holds the one singular-value threshold that both judge by. Every operator
 norm and every smallest singular value in the package is taken here, by
 ``operator_norm`` and ``singular_test``, or both ends of one spectrum by
-``singular_range``.
+``singular_range``; ``ball_roots`` takes ||b|| from the SVD its roots use.
+
+Square roots come two ways: ``principal_sqrt`` of any matrix off the branch
+cut (Schur-based ``sqrtm``), and ``ball_roots``, which gives
+(I - b b*)^(-1/2) and (I - b* b)^(1/2) of a matrix b from one SVD of b, the
+spectral route of ``mobius_direct``.
 """
 
 import math
@@ -204,6 +209,33 @@ def principal_sqrt(m, tol=DEFAULT_TOL):
         return np.asarray(scipy.linalg.sqrtm(m), dtype=complex)
     roots = [scipy.linalg.sqrtm(item) for item in m.reshape(-1, *m.shape[-2:])]
     return np.array(roots, dtype=complex).reshape(m.shape)
+
+
+def ball_roots(b, tol=DEFAULT_TOL):
+    """(||b||, (I - b b*)^(-1/2), (I - b* b)^(1/2)) of a k x h matrix b, all from one full SVD.
+
+    With b = U S V* and the singular values s padded by zeros up to k and h,
+    the roots are U diag((1 - s^2)^(-1/2)) U* and V diag((1 - s^2)^(1/2)) V*,
+    with 1 - s^2 formed as (1 - s)(1 + s). The roots are None where
+    ||b|| >= 1, the verdict; a gap 1 - ||b||^2 of at most ``tol.eq_tol``
+    raises SpectrumError, the edge ``principal_sqrt`` judges I - b b* by.
+    """
+    u, s, vh = np.linalg.svd(b)
+    norm = float(s[0])
+    if norm >= 1.0:
+        return norm, None, None
+    gap = (1.0 - s) * (1.0 + s)
+    if gap[0] <= tol.eq_tol:
+        raise SpectrumError(
+            f"1 - ||b||^2 = {gap[0]:.3g} is within eq_tol of the branch cut; "
+            "the principal square roots of I - b b* and I - b* b are not taken there"
+        )
+    k, h = b.shape
+    left = np.ones(k)
+    left[: s.size] = 1.0 / np.sqrt(gap)
+    right = np.ones(h)
+    right[: s.size] = np.sqrt(gap)
+    return norm, (u * left) @ dagger(u), (dagger(vh) * right) @ vh
 
 
 def _series_block(nw):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from lftdom import circular, linalg
 from lftdom import (
     HyperbolicSpec,
     HypothesisError,
@@ -25,6 +26,7 @@ from lftdom import (
     mobius_direct,
     mobius_map,
     operator_norm,
+    principal_sqrt,
     product_member,
     product_split,
     product_transitive,
@@ -275,6 +277,74 @@ def test_mobius_rejects_contraction_violations():
         mobius_map(np.array([[1.0]]))
     with pytest.raises(HypothesisError):
         mobius_map(np.array([[1.5, 0.0], [0.0, 0.5]]))
+
+
+def test_mobius_direct_rejects_parameters_outside_the_ball():
+    z = np.zeros((2, 2), dtype=complex)
+    for b in (np.array([[1.5, 0.0], [0.0, 0.5]]), np.eye(2), np.array([[0.0, 1.0, 0.0]])):
+        with pytest.raises(HypothesisError, match=r"mobius parameter needs \|\|b\|\| < 1"):
+            mobius_direct(b, np.zeros(b.shape))
+    # inside the ball but within eq_tol of the cut, where principal_sqrt
+    # refuses I - b b* too
+    for b, tol in (
+        (np.diag([1.0 - 1e-11, 0.5]), Tolerance()),
+        (np.diag([0.9996, 0.0]), Tolerance(1e-3)),
+    ):
+        with pytest.raises(SpectrumError):
+            mobius_direct(b, z, tol)
+        with pytest.raises(SpectrumError):
+            principal_sqrt(np.eye(2) - b @ b.conj().T, tol)
+    assert operator_norm(mobius_direct(np.diag([0.9996, 0.0]), z) - np.diag([0.9996, 0.0])) <= 1e-12
+
+
+def test_mobius_direct_matches_forty_digit_arithmetic():
+    import mpmath as mp
+
+    rng = np.random.default_rng(73)
+
+    def reference(b, z):
+        with mp.workdps(40):
+            bm, zm = mp.matrix(b.tolist()), mp.matrix(z.tolist())
+            k, h = b.shape
+            left = mp.inverse(mp.sqrtm(mp.eye(k) - bm * bm.H))
+            right = mp.sqrtm(mp.eye(h) - bm.H * bm)
+            value = left * (zm + bm) * mp.inverse(mp.eye(h) + bm.H * zm) * right
+            return np.array(value.tolist(), dtype=complex), float(mp.mnorm(value, "f"))
+
+    worst = 0.0
+    for shape in ((1, 1), (2, 2), (2, 3), (3, 2), (1, 3), (4, 4)):
+        for norm_b in (0.5, 0.9, 0.999):
+            b = random_matrix(rng, *shape)
+            b *= norm_b / operator_norm(b)
+            z = random_ball_point(rng, *shape, max_norm=0.9)
+            want, size = reference(b, z)
+            worst = max(worst, np.linalg.norm(mobius_direct(b, z) - want) / size)
+    assert worst <= 1e-13
+    # k > h: (I - b b*)^(-1/2) has root 1 on the padded sigma = 0 directions,
+    # orthogonal to the range of b, so there T_b(z) = z (1 - ||b||^2)^(1/2)
+    b = np.array([[0.6], [0.0], [0.0]], dtype=complex)
+    z = np.array([[0.0], [0.3], [0.2j]], dtype=complex)
+    image = mobius_direct(b, z)
+    assert np.allclose(image, [[0.6], [0.3 * 0.8], [0.2j * 0.8]], rtol=0, atol=1e-15)
+
+
+def test_mobius_direct_takes_no_principal_square_root(monkeypatch):
+    # the two evaluation routes stay independent: mobius_direct takes its
+    # roots from an SVD, mobius_map from principal_sqrt (Schur-based sqrtm)
+    def refuse(*args, **kwargs):
+        raise AssertionError("principal square root taken")
+
+    for holder in (linalg, circular):
+        monkeypatch.setattr(holder, "principal_sqrt", refuse)
+    monkeypatch.setattr(scipy.linalg, "sqrtm", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    rng = np.random.default_rng(74)
+    for shape in ((1, 1), (2, 2), (3, 2)):
+        b = random_ball_point(rng, *shape, max_norm=0.9)
+        z = random_ball_point(rng, *shape, max_norm=0.9)
+        assert np.isfinite(mobius_direct(b, z)).all()
+        with pytest.raises(AssertionError, match="principal square root taken"):
+            mobius_map(b)
 
 
 # ---------------------------------------------------------------------------

@@ -281,8 +281,37 @@ def test_an_unwritable_out_file_is_an_input_error(tmp_path, capsys):
     out = str(tmp_path / "missing" / "dir" / "r.json")
     for argv in (["verify", "--trials", "1", "--out", out], ["demo", "0", "--out", out]):
         assert main(argv) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("input error:") and "No such file or directory" in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error:") and "No such file or directory" in captured.err
+        # found before any suite or demo runs: no row and no demo line
+        assert captured.out == "", argv
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    for out, reason in (
+        (tmp_path / "folder", "Is a directory"),
+        (tmp_path / "file" / "r.json", "Not a directory"),
+    ):
+        assert main(["verify", "--trials", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error:") and reason in captured.err
+        assert captured.out == ""
+
+
+def test_verify_creates_its_out_file_only_with_the_report(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    seen = []
+
+    def look_for_the_file(config, rng, track):
+        seen.append(out.exists())
+        track.add(0.0, 1e-12)
+        return 1
+
+    name, _, anchor = verify.SUITES[0]
+    monkeypatch.setattr(verify, "SUITES", ((name, look_for_the_file, anchor),))
+    assert main(["verify", "--trials", "1", "--out", str(out)]) == 0
+    assert seen == [False]
+    assert json.loads(out.read_text(encoding="utf-8"))["passed"] is True
+    capsys.readouterr()
 
 
 def test_demo_runs_every_example(capsys):

@@ -3,6 +3,7 @@
 import inspect
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lftdom import (
     Tolerance,
     as_cmatrix,
     as_cstack,
+    ball_roots,
     binomial_series,
     binomial_series_grid,
     binomial_series_shifted,
@@ -295,6 +297,47 @@ def test_principal_sqrt_of_a_stack_names_the_first_item_on_the_cut():
         principal_sqrt(m)
     assert exc.value.index == 1
     assert np.array_equal(principal_sqrt(m[:1])[0], principal_sqrt(m[0]))
+
+
+def test_ball_roots_match_the_principal_roots():
+    rng = np.random.default_rng(15)
+    for k, h in ((1, 1), (2, 2), (3, 2), (2, 3), (1, 4), (4, 4)):
+        b = rng.uniform(-1, 1, (k, h)) + 1j * rng.uniform(-1, 1, (k, h))
+        b *= rng.uniform(0.1, 0.99) / operator_norm(b)
+        norm, left, right = ball_roots(b)
+        assert abs(norm - operator_norm(b)) <= 1e-15
+        eye_k, eye_h = np.eye(k), np.eye(h)
+        assert operator_norm(left - dagger(left)) <= 1e-12
+        assert operator_norm(right - dagger(right)) <= 1e-12
+        assert operator_norm(left @ left @ (eye_k - b @ dagger(b)) - eye_k) <= 1e-11
+        assert operator_norm(right @ right - (eye_h - dagger(b) @ b)) <= 1e-12
+        want_left = np.linalg.inv(principal_sqrt(eye_k - b @ dagger(b)))
+        assert operator_norm(left - want_left) <= 1e-11
+        assert operator_norm(right - principal_sqrt(eye_h - dagger(b) @ b)) <= 1e-12
+    # the padded sigma = 0 directions get root 1 on both sides
+    norm, left, right = ball_roots(np.diag([0.6, 0.0]).astype(complex)[:, :1])
+    assert norm == 0.6
+    assert np.allclose(left, np.diag([1.25, 1.0]), rtol=0, atol=1e-15)
+    assert np.allclose(right, [[0.8]], rtol=0, atol=1e-15)
+    norm, left, right = ball_roots(np.zeros((2, 3), dtype=complex))
+    assert (norm, left.tolist(), right.tolist()) == (0.0, np.eye(2).tolist(), np.eye(3).tolist())
+
+
+def test_ball_roots_verdict_and_branch_cut_edge():
+    # ||b|| >= 1 is the verdict, no roots and no warning; 0 < 1 - ||b||^2 <= eq_tol
+    # is the cut edge principal_sqrt refuses too
+    for b in (np.eye(2), np.diag([1.5, 0.5]), np.array([[0.0, 2.0, 0.0]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norm, left, right = ball_roots(b.astype(complex))
+        assert norm >= 1.0 and left is None and right is None
+    for gap, tol in ((1e-10, DEFAULT_TOL), (5e-10, DEFAULT_TOL), (5e-4, Tolerance(1e-3))):
+        b = np.diag([math.sqrt(1.0 - gap), 0.5]).astype(complex)
+        with pytest.raises(SpectrumError):
+            ball_roots(b, tol)
+        with pytest.raises(SpectrumError):
+            principal_sqrt(np.eye(2) - b @ dagger(b), tol)
+    assert ball_roots(np.diag([math.sqrt(1.0 - 1e-8), 0.5]).astype(complex))[1] is not None
 
 
 def test_binomial_series_scalar_square_root():
