@@ -14,7 +14,6 @@ every function on a spec judges with spec.tol.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     HypothesisError,
@@ -426,6 +425,8 @@ class HyperbolicSpec:
             raise SpectrumError("f must be a unit eigenvector of J for eigenvalue -1")
         if abs(np.vdot(self.e, self.f)) > 1e-8:
             raise SpectrumError("eigenvectors for +1 and -1 must be orthogonal")
+
+        import scipy.linalg  # loaded on first use, as in linalg.principal_sqrt
 
         pair = np.stack([self.e.conj(), self.f.conj()])
         self.k_basis = scipy.linalg.null_space(pair)

@@ -8,6 +8,7 @@ only when its content is complete.
 
 import argparse
 import errno
+import functools
 import os
 import sys
 
@@ -47,7 +48,9 @@ def _add_flags(parser, run=True, trials=True):
     parser.add_argument("--out", help="write the output to this file")
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="lftdom",
         description="Linear fractional domains: verification, demos, transitive chains.",

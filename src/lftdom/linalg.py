@@ -17,13 +17,18 @@ Square roots come two ways: ``principal_sqrt`` of any matrix off the branch
 cut (Schur-based ``sqrtm``), and ``ball_roots``, which gives
 (I - b b*)^(-1/2) and (I - b* b)^(1/2) of a matrix b from one SVD of b, the
 spectral route of ``mobius_direct``.
+
+scipy is imported on first use, not with the package: ``principal_sqrt``
+loads ``scipy.linalg`` at its first root (it serves midpoints, chains,
+transports and ``mobius_map``), as do verify's J-unitary draw (``expm``) and
+``HyperbolicSpec`` (``null_space``). Point evaluations (membership,
+symmetries, curve values, ``mobius_direct``) never load it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ConvergenceError, ShapeError, SingularMatrixError, SpectrumError
 
@@ -205,6 +210,10 @@ def principal_sqrt(m, tol=DEFAULT_TOL):
             "the principal square root is not defined there",
             index=int(np.flatnonzero(on_cut.any(axis=-1))[0]) if m.ndim == 3 else None,
         )
+    # imported here, not at module level: scipy.linalg is most of the
+    # package's import time, and point evaluations never take a root
+    import scipy.linalg
+
     if m.ndim == 2:
         return np.asarray(scipy.linalg.sqrtm(m), dtype=complex)
     roots = [scipy.linalg.sqrtm(item) for item in m.reshape(-1, *m.shape[-2:])]

@@ -15,7 +15,6 @@ import traceback
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import LftdomError, PathLeavesDomainError, StepBoundError
 from .linalg import DEFAULT_TOL, Tolerance, operator_norm, singular_test, try_invert
@@ -428,6 +427,8 @@ def suite_connectivity(config, rng, track):
 
 
 def _random_j_unitary(rng, j, scale=0.4):
+    import scipy.linalg  # loaded on first use, as in linalg.principal_sqrt
+
     n = j.shape[0]
     a = samp.random_matrix(rng, n, n)
     k = a - j @ a.conj().T @ j

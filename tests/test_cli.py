@@ -166,6 +166,32 @@ def test_verify_same_seed_reports_match(tmp_path, capsys):
     assert a == b
 
 
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    # main parses every call with the same parser, so no flag value may carry over
+    out = tmp_path / "demo.txt"
+    assert main(["demo", "0", "--out", str(out)]) == 0
+    written = out.read_text(encoding="utf-8")
+    assert capsys.readouterr().out == written
+    assert main(["demo", "0"]) == 0
+    assert capsys.readouterr().out == written
+    assert out.read_text(encoding="utf-8") == written
+
+    seeded, plain = tmp_path / "seed2.json", tmp_path / "plain.json"
+    assert main(["verify", "--trials", "1", "--seed", "2", "--out", str(seeded)]) == 0
+    assert main(["verify", "--trials", "1", "--out", str(plain)]) == 0
+    capsys.readouterr()
+    fresh = json.loads(jsonio.dumps(verify.run_verify(verify.RunConfig(trials=1))))
+    plain = strip_elapsed(json.loads(plain.read_text(encoding="utf-8")))
+    assert plain == strip_elapsed(fresh)
+    assert strip_elapsed(json.loads(seeded.read_text(encoding="utf-8"))) != plain
+
+    assert main(["verify", "--trials", "0"]) == 2
+    assert "usage error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--no-such-flag"])
+    assert exc.value.code == 2
+
+
 def test_verify_aborted_suites_keep_their_rows(monkeypatch, tmp_path, capsys):
     def raise_lftdom(config, rng, track):
         raise SingularMatrixError("planted failure")

@@ -3,6 +3,10 @@
 import ast
 import dataclasses
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lftdom
@@ -259,3 +263,50 @@ def test_members_are_drawn_as_stacks():
         ):
             sites.append((module, scope.lineno))
     assert sites == []
+
+
+# Point evaluations and the command line's usage and input errors, then one
+# square root, in an interpreter that has imported nothing yet.
+COLD_START = """
+import contextlib, io, json, sys
+import numpy as np
+import lftdom.cli
+from lftdom import (
+    full_space, invertibles_domain, lft_apply, liouville_curve, mobius_direct, principal_sqrt,
+    symmetry_direct, symmetry_map,
+)
+
+dom = invertibles_domain(full_space(2, 2))
+y = np.diag([2.0, 1.0]).astype(complex)
+z = np.array([[1.0, 0.5], [0.0, 3.0]], dtype=complex)
+dom.membership(z)
+lft_apply(symmetry_map(dom, y), z)
+symmetry_direct(dom, y, z)
+liouville_curve(dom, np.diag([1.5, 0.75]).astype(complex))(0.5 + 0.25j)
+mobius_direct(0.3 * np.eye(2, dtype=complex), 0.5 * np.eye(2, dtype=complex))
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        lftdom.cli.main(["--version"])
+    except SystemExit as exc:
+        codes.append(exc.code)
+    codes.append(lftdom.cli.main(["verify", "--trials", "0"]))
+    codes.append(lftdom.cli.main(["transit", "no-such-domain.json", "no-such-target.json"]))
+before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+principal_sqrt(np.diag([4.0, 9.0]).astype(complex))
+print(json.dumps({"codes": codes, "before": before, "after": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_a_cold_start_loads_scipy_at_the_first_square_root(tmp_path):
+    # the suite has imported scipy already, so the check needs a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    child = subprocess.run(
+        [sys.executable, "-c", COLD_START], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    seen = json.loads(child.stdout.splitlines()[-1])
+    assert seen["codes"] == [0, 2, 2]
+    assert seen["before"] == []
+    assert seen["after"] is True
