@@ -383,7 +383,10 @@ def product_transitive(spec, w):
     _, w2 = spec.split(w)
     b, _ = split
     m = mobius_map(b, spec.tol).coefficient_matrix()
-    m_inv = mobius_map(-b, spec.tol).coefficient_matrix()
+    # M(-b) = J M(b) J for J = diag(I, -I): M(b) with its off-diagonal blocks negated
+    k = spec.dim_k
+    m_inv = m.copy()
+    m_inv[:k, k:], m_inv[k:, :k] = -m[:k, k:], -m[k:, :k]
     r = principal_sqrt(np.eye(spec.dim_h, dtype=complex) - b.conj().T @ b, spec.tol) @ w2
     r_inv = invert(r, spec.tol, "the transport factor R is singular")
     return ProductTransport(spec=spec, w=w, b=b, m=m, r=r, m_inv=m_inv, r_inv=r_inv)

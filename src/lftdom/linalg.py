@@ -300,7 +300,9 @@ def binomial_series_sum(lams, table):
     Each lam stops at the first j where binom(lam, j) = 0, or where
     j >= |lam| and the tail bound |binom(lam, j)| ||w||^j / (1 - ||w||)
     drops below SERIES_TOL; a lam still running after SERIES_TERM_CAP
-    terms raises ConvergenceError.
+    terms raises ConvergenceError. So does, at entry, a lam that is not
+    finite or has |lam| > SERIES_TERM_CAP, which that rule can never stop,
+    and, for a call that ran past its first block, a sum that overflowed.
 
     The powers come in blocks of the table's size: the first block is the
     table, and each later one is one stacked product of the previous
@@ -318,6 +320,8 @@ def binomial_series_sum(lams, table):
     shifted = np.zeros((m, n * n), dtype=complex)
     coef = np.ones(m, dtype=complex)
     radius = np.abs(lams)[:, None]
+    if not radius.max(initial=0.0) <= SERIES_TERM_CAP:
+        raise ConvergenceError(f"binomial series needs finite exponents with |lam| <= {SERIES_TERM_CAP}")
     stopped = np.zeros(m, dtype=bool)
     j0 = 0
     while True:
@@ -334,6 +338,9 @@ def binomial_series_sum(lams, table):
         shifted += used @ powers[:-1].reshape(size, n * n)
         stopped |= done.any(axis=1)
         if stopped.all():
+            # one block of terms cannot overflow for |lam| <= SERIES_TERM_CAP
+            if j0 and not (np.isfinite(full).all() and np.isfinite(shifted).all()):
+                raise ConvergenceError("binomial series overflowed")
             return full.reshape(m, n, n), shifted.reshape(m, n, n)
         j0 += size
         if j0 >= SERIES_TERM_CAP:

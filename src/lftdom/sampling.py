@@ -60,24 +60,16 @@ def random_invertible_member(rng, space, tol=DEFAULT_TOL):
     raise InternalCheckError("could not sample an invertible member")
 
 
-def _rewinds(rng):
-    """Whether a block may draw ahead and put the stream back.
+def _put_back(rng, state, doubles):
+    """Set the stream to ``state`` moved on by ``doubles`` double draws.
 
-    PCG64 turns each double into one 64-bit word and can ``advance`` by words;
-    other bit generators draw one proposal at a time.
+    On every numpy bit generator ``uniform`` and ``random`` take one double
+    per value and leave the buffered 32-bit half word alone, so restoring
+    ``state`` (which carries that half word) and drawing the doubles again
+    is exact.
     """
-    return isinstance(rng.bit_generator, np.random.PCG64)
-
-
-def _rewind(rng, state, words):
-    """Set the stream to ``state`` moved on by ``words`` 64-bit draws."""
-    bitgen = rng.bit_generator
-    bitgen.state = state
-    bitgen.advance(int(words))
-    # advance clears the buffered half word, which double draws leave alone
-    moved = bitgen.state
-    moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
-    bitgen.state = moved
+    rng.bit_generator.state = state
+    rng.random(doubles)
 
 
 def sample_members(rng, dom, count, scale=1.0, margin=0.0):
@@ -90,29 +82,23 @@ def sample_members(rng, dom, count, scale=1.0, margin=0.0):
     one stacked ``lincomb`` and one stacked ``membership_margin``. The first
     block is ``count`` proposals, so it never draws ahead; each later one is
     twice what the share of members seen so far asks for, and one that draws
-    past the last member puts the stream back after it (PCG64 only: see
-    ``_rewinds``).
+    past the last member puts the stream back after it (``_put_back``), on
+    every bit generator.
     """
     space = dom.space
-    rewinds = _rewinds(rng)
     members = np.empty((count, *space.shape), dtype=complex)
     got = drawn = misses = 0  # misses: proposals since the last member
     while got < count:
         need = count - got
         size = 2 * need * (drawn + 1) // (got + 1) if drawn else need
-        size = min(size, DOMAIN_ATTEMPTS - misses) if rewinds else 1
-        if size == 1:  # the single-matrix test costs less than a stack of one
-            zs = random_space_member(rng, space, scale=scale)[None]
-            verdict, smin = dom.membership_margin(zs[0])
-            hits = np.flatnonzero([verdict is Verdict.MEMBER and smin > margin])
-        else:
-            state = rng.bit_generator.state if size > need else None
-            draws = rng.uniform(-1.0, 1.0, (size, 2, space.dim))
-            zs = space.lincomb(scale * (draws[:, 0] + 1j * draws[:, 1]))
-            verdicts, smin = dom.membership_margin(zs)
-            hits = np.flatnonzero((verdicts == Verdict.MEMBER) & (smin > margin))[:need]
-            if hits.size == need and hits[-1] + 1 < size:
-                _rewind(rng, state, (hits[-1] + 1) * 2 * space.dim)
+        size = min(size, DOMAIN_ATTEMPTS - misses)
+        state = rng.bit_generator.state if size > need else None
+        draws = rng.uniform(-1.0, 1.0, (size, 2, space.dim))
+        zs = space.lincomb(scale * (draws[:, 0] + 1j * draws[:, 1]))
+        verdicts, smin = dom.membership_margin(zs)
+        hits = np.flatnonzero((verdicts == Verdict.MEMBER) & (smin > margin))[:need]
+        if hits.size == need and hits[-1] + 1 < size:
+            _put_back(rng, state, (hits[-1] + 1) * 2 * space.dim)
         members[got : got + hits.size] = zs[hits]
         got += hits.size
         drawn += size
@@ -225,16 +211,15 @@ def random_pg_member(rng, e, tol=DEFAULT_TOL):
 
     The first three proposals, one of each kind, are judged one at a time:
     the ball and the exterior accept among them. Later proposals come in
-    blocks of 3, 6, 12, ... (see ``_pg_blocks``), which give the same member
-    and leave the stream in the same place.
+    blocks of 3, 6, 12, ... (see ``_pg_blocks``) on every bit generator,
+    which give the same member and leave the stream in the same place.
     """
     e = np.asarray(e, dtype=complex)
     n = e.shape[0]
     j = signature_from_projection(e)
     d_blk = np.eye(n, dtype=complex) - e
-    rewinds = _rewinds(rng)
-    z = _pg_one_at_a_time(rng, e, j, d_blk, tol, 0, 3 if rewinds else PG_ATTEMPTS)
-    if z is None and rewinds:
+    z = _pg_one_at_a_time(rng, e, j, d_blk, tol, 0, 3)
+    if z is None:
         z = _pg_blocks(rng, e, j, d_blk, tol, 3)
     if z is None:
         raise InternalCheckError("could not sample the signed-contraction domain")
@@ -290,12 +275,12 @@ def _pg_blocks(rng, e, j, d_blk, tol, start):
         low += [np.full(cell, -1.0), np.full(width, lo)]
         high += [np.ones(cell), np.full(width, hi)]
     low, high = np.concatenate(low), np.concatenate(high)
-    words = cell + np.array([1, 1, n])
+    doubles = cell + np.array([1, 1, n])
     size = 3
     while start < PG_ATTEMPTS:
         size = min(size, PG_ATTEMPTS - start)
         # the kinds repeat in rounds of three, and so do the bounds
-        lengths = np.resize(words, size)
+        lengths = np.resize(doubles, size)
         ends = np.cumsum(lengths)
         offsets = ends - lengths
         state = rng.bit_generator.state
@@ -321,7 +306,7 @@ def _pg_blocks(rng, e, j, d_blk, tol, start):
             return _pg_one_at_a_time(rng, e, j, d_blk, tol, start, PG_ATTEMPTS)
         if hits.size:
             if member + 1 < size:
-                _rewind(rng, state, ends[member])
+                _put_back(rng, state, ends[member])
             return zs[member]
         start += size
         size *= 2

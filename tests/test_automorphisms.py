@@ -1,6 +1,7 @@
 """Tests for symmetries, midpoints, chains, affine records, and the entire curve."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -967,6 +968,13 @@ def test_liouville_requires_a_contractive_displacement():
     with pytest.raises(ConvergenceError):
         # |w| = 0.99995 needs far more terms than the series cap allows
         f(0.5)
+    f = liouville_curve(dom, np.array([[1.5]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the series can never stop here, so no term is summed
+        for lam in (np.nan, np.inf):
+            with pytest.raises(ConvergenceError):
+                f(lam)
 
 
 def test_liouville_values_match_pointwise_calls():

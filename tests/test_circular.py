@@ -420,6 +420,19 @@ def test_product_transport_inverts_the_bottom_block_once(monkeypatch):
     assert sum(np.array_equal(z, w2) for z in inverted) == 1
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 1), (1, 3)])
+def test_product_transport_builds_one_ball_automorphism(monkeypatch, dims):
+    spec = SiegelSpec(*dims)
+    w = random_product_member(np.random.default_rng(82), spec)
+    roots = []
+    root = circular.principal_sqrt
+    monkeypatch.setattr(circular, "principal_sqrt", lambda *args: roots.append(None) or root(*args))
+    t = product_transitive(spec, w)
+    # two roots for M(b), one for R; M(-b) is M(b) with its off-diagonal blocks negated
+    assert len(roots) == 3
+    assert np.array_equal(t.m_inv, mobius_map(-t.b, spec.tol).coefficient_matrix())
+
+
 # ---------------------------------------------------------------------------
 # Hyperbolic vector domain
 

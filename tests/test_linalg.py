@@ -466,6 +466,25 @@ def test_binomial_series_grid_integer_exponents_terminate_exactly():
         binomial_series_grid([2, 0.5], w)
 
 
+def test_binomial_series_raises_where_it_cannot_sum():
+    w = 0.5 * np.eye(2, dtype=complex)
+    # 1.5^1030 is finite, but binom(1030, j) 0.5^j overflows on the way there
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            binomial_series(1030.0, w)
+    # the stopping rule can never stop these; they raise before any term
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (np.nan, np.inf, 2e4, complex(0.0, -2e4)):
+            with pytest.raises(ConvergenceError, match="finite exponents"):
+                binomial_series(lam, w)
+    for lam in (1000.0, 1025.0):
+        assert abs(binomial_series(lam, w)[0, 0] / 1.5**lam - 1.0) <= 1e-13
+    full, shifted = binomial_series_grid([], w)
+    assert full.shape == shifted.shape == (0, 2, 2)
+
+
 def test_binomial_series_grid_memory_stays_bounded_up_to_the_term_cap():
     # all 10,000 powers of a 16x16 matrix would take 41 MB
     rng = np.random.default_rng(21)

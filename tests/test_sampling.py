@@ -5,6 +5,8 @@ generator exactly where the loop leaves it, so the reference loops below
 are the sampling contract.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,9 @@ def twin_generators(seed, bit_generator=np.random.PCG64):
     return (np.random.Generator(bit_generator(seed)) for _ in range(2))
 
 
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937, np.random.SFC64]
+
+
 def dense_space():
     # a basis whose lincomb, formed for many rows in one product, rounds
     # differently from the product for one row
@@ -109,9 +114,10 @@ DOMAINS = {
 @pytest.mark.parametrize("name", sorted(DOMAINS))
 def test_sample_members_is_the_loop_member_for_member(name):
     dom = DOMAINS[name]()
-    for seed in range(3):
-        for count, scale, margin in [(1, 1.0, 0.0), (2, 1.0, 0.05), (20, 1.0, 0.05), (20, 2.5, 0.3), (2, 0.3, 0.0)]:
-            rng, ref = twin_generators([seed, count])
+    cases = [(1, 1.0, 0.0), (2, 1.0, 0.05), (20, 1.0, 0.05), (20, 2.5, 0.3), (20, 2.0, 0.5), (2, 0.3, 0.0)]
+    for bit_generator, seed in itertools.product(BIT_GENERATORS, range(3)):
+        for count, scale, margin in cases:
+            rng, ref = twin_generators([seed, count], bit_generator)
             members = samp.sample_members(rng, dom, count, scale=scale, margin=margin)
             expected = loop_members(ref, dom, count, scale=scale, margin=margin)
             assert members.shape == (count, *dom.space.shape)
@@ -123,26 +129,33 @@ def test_sample_members_is_the_loop_member_for_member(name):
 
 
 def test_sample_members_keeps_a_buffered_half_word(monkeypatch):
-    # a 32-bit draw leaves half a word buffered; a rewind must keep it
-    rewinds = []
-    rewind = samp._rewind
-    monkeypatch.setattr(samp, "_rewind", lambda *args: rewinds.append(None) or rewind(*args))
+    # a 32-bit draw leaves half a word buffered; putting the stream back must keep it
+    put_backs = []
+    put_back = samp._put_back
+    monkeypatch.setattr(samp, "_put_back", lambda *args: put_backs.append(None) or put_back(*args))
     dom = invertibles_domain(full_space(2, 2))
-    rng, ref = twin_generators(5)
-    for _ in range(6):
-        assert same_bits(rng.integers(0, 1000, dtype=np.int32), ref.integers(0, 1000, dtype=np.int32))
-        members = samp.sample_members(rng, dom, 3, margin=0.5)
-        assert all(same_bits(z, w) for z, w in zip(members, loop_members(ref, dom, 3, margin=0.5)))
-        assert same_stream(rng, ref)
-    assert rewinds
-    assert same_bits(rng.integers(0, 2**31, 8, dtype=np.int32), ref.integers(0, 2**31, 8, dtype=np.int32))
+    for bit_generator in (np.random.PCG64, np.random.Philox):
+        put_backs.clear()
+        rng, ref = twin_generators(5, bit_generator)
+        for _ in range(6):
+            assert same_bits(rng.integers(0, 1000, dtype=np.int32), ref.integers(0, 1000, dtype=np.int32))
+            members = samp.sample_members(rng, dom, 3, margin=0.5)
+            assert all(same_bits(z, w) for z, w in zip(members, loop_members(ref, dom, 3, margin=0.5)))
+            assert same_stream(rng, ref)
+        assert put_backs
+        assert same_bits(rng.integers(0, 2**31, 8, dtype=np.int32), ref.integers(0, 2**31, 8, dtype=np.int32))
 
 
-def test_sample_members_without_rewind_draws_one_proposal_at_a_time():
-    dom = invertibles_domain(full_space(2, 2))
-    rng, ref = twin_generators(7, np.random.Philox)
-    members = samp.sample_members(rng, dom, 20, scale=2.0, margin=0.5)
-    assert all(same_bits(z, w) for z, w in zip(members, loop_members(ref, dom, 20, scale=2.0, margin=0.5)))
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_sample_members_judges_stacks_on_every_bit_generator(monkeypatch, bit_generator):
+    dom = quadric_domain(3).domain
+    calls = []
+    judge = type(dom).membership_margin
+    monkeypatch.setattr(type(dom), "membership_margin", lambda self, z: calls.append(np.ndim(z)) or judge(self, z))
+    rng, ref = twin_generators(2, bit_generator)
+    members = samp.sample_members(rng, dom, 20, margin=0.05)
+    assert 1 <= len(calls) <= 3 and set(calls) == {3}
+    assert all(same_bits(z, w) for z, w in zip(members, loop_members(ref, dom, 20, margin=0.05), strict=True))
     assert same_stream(rng, ref)
 
 
@@ -180,7 +193,7 @@ PG_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(PG_CASES))
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
 def test_block_pg_member_is_the_loop_member(case, bit_generator):
     e = PG_CASES[case]
     for seed in range(3):
