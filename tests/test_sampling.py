@@ -146,6 +146,15 @@ def test_sample_members_keeps_a_buffered_half_word(monkeypatch):
         assert same_bits(rng.integers(0, 2**31, 8, dtype=np.int32), ref.integers(0, 2**31, 8, dtype=np.int32))
 
 
+def test_sample_members_without_rewind_draws_one_proposal_at_a_time():
+    # Philox has no cheap rewind; its blocks must still give the loop's members and stream
+    dom = invertibles_domain(full_space(2, 2))
+    rng, ref = twin_generators(7, np.random.Philox)
+    members = samp.sample_members(rng, dom, 20, scale=2.0, margin=0.5)
+    assert all(same_bits(z, w) for z, w in zip(members, loop_members(ref, dom, 20, scale=2.0, margin=0.5)))
+    assert same_stream(rng, ref)
+
+
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
 def test_sample_members_judges_stacks_on_every_bit_generator(monkeypatch, bit_generator):
     dom = quadric_domain(3).domain
