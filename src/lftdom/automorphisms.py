@@ -37,6 +37,7 @@ from .linalg import (
     invert,
     operator_norm,
     principal_sqrt,
+    scalar_exponent,
     singular_range,
     try_invert,
 )
@@ -646,8 +647,10 @@ class LiouvilleCurve:
     table: SeriesTable
 
     def __call__(self, lam):
+        """f(lam) at one scalar lam; a stack of exponents goes to ``evaluate``."""
+        lam = scalar_exponent(lam, "LiouvilleCurve.evaluate")
         z0 = self.domain.z0
-        return z0 + (self.z - z0) @ binomial_series_sum([lam], self.table)[1][0]
+        return z0 + (self.z - z0) @ binomial_series_sum(lam, self.table)[1][0]
 
     def evaluate(self, lams):
         """(f(lam), b(lam)) stacks over every lam in ``lams``, from one series evaluation."""

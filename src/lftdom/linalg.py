@@ -18,6 +18,15 @@ cut (Schur-based ``sqrtm``), and ``ball_roots``, which gives
 (I - b b*)^(-1/2) and (I - b* b)^(1/2) of a matrix b from one SVD of b, the
 spectral route of ``mobius_direct``.
 
+The binomial series (I + w)^lam is summed in blocks of powers of w.
+``binomial_series_table`` builds, once per w, everything a sum takes that
+does not depend on lam: ||w||, the first block of powers, and that block's
+steps j and decay ||w||^j. ``binomial_series_sum`` sums any stack of
+exponents from a table; a curve value and ``binomial_series`` are one-lam
+calls of it and take a scalar lam only. The blocks after the first run with
+numpy's overflow and invalid warnings off, and the finiteness of the sums
+is the typed verdict there.
+
 scipy is imported on first use, not with the package: ``principal_sqrt``
 loads ``scipy.linalg`` at its first root (it serves midpoints, chains,
 transports and ``mobius_map``), as do verify's J-unitary draw (``expm``) and
@@ -259,15 +268,20 @@ def _series_block(nw):
 
 @dataclass(frozen=True)
 class SeriesTable:
-    """The first block of powers of w that every binomial sum of w starts from.
+    """Everything a binomial sum of w takes that does not depend on lam.
 
     norm is ||w|| < 1; powers is the read-only (size + 1, n, n) stack
-    w^0, ..., w^size, with size from ``_series_block(norm)``. A table never
-    changes, so one table serves any number of sums.
+    w^0, ..., w^size, with size from ``_series_block(norm)``, the first block
+    of powers every sum starts from. steps is j = 1, ..., size as complex
+    and decay is norm^j, both read-only: the first block's divisors and
+    tail-bound factors. A table never changes, so one table serves any
+    number of sums.
     """
 
     norm: float
     powers: np.ndarray
+    steps: np.ndarray
+    decay: np.ndarray
 
 
 def binomial_series_table(w, nw):
@@ -288,8 +302,13 @@ def binomial_series_table(w, nw):
         more = min(have, size - have)
         np.matmul(powers[have], powers[1 : more + 1], out=powers[have + 1 : have + more + 1])
         have += more
-    powers.flags.writeable = False
-    return SeriesTable(norm=nw, powers=powers)
+    j = np.arange(1, size + 1, dtype=float)
+    # a float divisor is promoted to complex before it divides, so complex
+    # steps give the same quotients without the promotion
+    steps, decay = j.astype(complex), nw**j
+    for a in (powers, steps, decay):
+        a.flags.writeable = False
+    return SeriesTable(norm=nw, powers=powers, steps=steps, decay=decay)
 
 
 def binomial_series_sum(lams, table):
@@ -303,55 +322,74 @@ def binomial_series_sum(lams, table):
     terms raises ConvergenceError. So does, at entry, a lam that is not
     finite or has |lam| > SERIES_TERM_CAP, which that rule can never stop,
     and, for a call that ran past its first block, a sum that overflowed.
+    The single-value entry points (``binomial_series``,
+    ``binomial_series_shifted``, a curve value) take a scalar lam only;
+    stacks of exponents come here.
 
     The powers come in blocks of the table's size: the first block is the
-    table, and each later one is one stacked product of the previous
-    block's last power with w, ..., w^size, advanced in place in a copy of
-    the table. Each block is contracted with its binomial coefficients into
-    both sums, so memory stays O(size (n^2 + m)) whatever the term count.
-    The two sums are formed separately from the same powers; the full sum
-    is not I + w @ shifted, so that identity stays a check.
+    table, summed with its steps and decay, and each later one is one
+    stacked product of the previous block's last power with w, ..., w^size,
+    advanced in place in a copy of the table. Each block is contracted with
+    its binomial coefficients into both sums, so memory stays
+    O(size (n^2 + m)) whatever the term count. One block of coefficients
+    cannot overflow for |lam| <= SERIES_TERM_CAP; a later one can, also in
+    the columns past a lam's stop that the sums leave out, so the later
+    blocks run with numpy's overflow and invalid warnings off and the
+    finiteness of both sums is the verdict. The two sums are formed
+    separately from the same powers; the full sum is not I + w @ shifted,
+    so that identity stays a check.
     """
-    nw, powers = table.norm, table.powers
+    nw, powers, steps = table.norm, table.powers, table.steps
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    m, n, size = lams.size, powers.shape[1], len(powers) - 1
-    full = np.zeros((m, n * n), dtype=complex)
-    full[:, :: n + 1] = 1.0
-    shifted = np.zeros((m, n * n), dtype=complex)
-    coef = np.ones(m, dtype=complex)
+    m, n, size = lams.size, powers.shape[1], len(steps)
     radius = np.abs(lams)[:, None]
     if not radius.max(initial=0.0) <= SERIES_TERM_CAP:
         raise ConvergenceError(f"binomial series needs finite exponents with |lam| <= {SERIES_TERM_CAP}")
-    stopped = np.zeros(m, dtype=bool)
-    j0 = 0
-    while True:
-        j = np.arange(j0 + 1, j0 + size + 1, dtype=float)
-        block = coef[:, None] * np.cumprod((lams[:, None] - j + 1.0) / j, axis=1)
-        done = (block == 0) | (
-            (j >= radius) & (np.abs(block) * nw**j / (1.0 - nw) < SERIES_TOL)
-        )
+    full = np.zeros((m, n * n), dtype=complex)
+    full[:, :: n + 1] = 1.0
+    shifted = np.zeros((m, n * n), dtype=complex)
+    # the first block's leading coefficient is 1 and no lam has stopped yet
+    block = np.cumprod((lams[:, None] - steps + 1.0) / steps, axis=1)
+    stopped = _sum_block(block, steps.real, table.decay, None, radius, nw, powers, full, shifted)
+    if not stopped.all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            # w^(j0+i) = w^j0 w^i, advanced in a copy; the table itself stays as built
+            powers, j0 = powers.copy(), 0
+            while not stopped.all():
+                j0 += size
+                if j0 >= SERIES_TERM_CAP:
+                    raise ConvergenceError(
+                        f"binomial series did not meet the tail bound in {SERIES_TERM_CAP} terms"
+                    )
+                powers[0] = powers[-1]
+                np.matmul(powers[0], table.powers[1:], out=powers[1:])
+                j = np.arange(j0 + 1, j0 + size + 1, dtype=float)
+                block = block[:, -1:] * np.cumprod((lams[:, None] - j + 1.0) / j, axis=1)
+                stopped = _sum_block(block, j, nw**j, stopped, radius, nw, powers, full, shifted)
+        if not (np.isfinite(full).all() and np.isfinite(shifted).all()):
+            raise ConvergenceError("binomial series overflowed")
+    return full.reshape(m, n, n), shifted.reshape(m, n, n)
+
+
+def _sum_block(block, j, decay, stopped, radius, nw, powers, full, shifted):
+    """Add one block of terms, w^j from ``powers``, to both sums; the lams stopped after it.
+
+    ``stopped`` (None for the first block) masks out every lam that stopped
+    in an earlier block. The block's masked columns are zeroed in place.
+    """
+    done = (block == 0) | ((j >= radius) & (np.abs(block) * decay / (1.0 - nw) < SERIES_TOL))
+    if j[-1] > SERIES_TERM_CAP:
         done &= j <= SERIES_TERM_CAP
-        # a lam keeps the term where it stops and drops every later one
-        ran_out = np.cumsum(done, axis=1) > done
-        used = np.where(ran_out | stopped[:, None], 0.0, block)
-        full += used @ powers[1:].reshape(size, n * n)
-        shifted += used @ powers[:-1].reshape(size, n * n)
-        stopped |= done.any(axis=1)
-        if stopped.all():
-            # one block of terms cannot overflow for |lam| <= SERIES_TERM_CAP
-            if j0 and not (np.isfinite(full).all() and np.isfinite(shifted).all()):
-                raise ConvergenceError("binomial series overflowed")
-            return full.reshape(m, n, n), shifted.reshape(m, n, n)
-        j0 += size
-        if j0 >= SERIES_TERM_CAP:
-            raise ConvergenceError(
-                f"binomial series did not meet the tail bound in {SERIES_TERM_CAP} terms"
-            )
-        coef = block[:, -1]
-        if j0 == size:  # w^(j0+i) = w^j0 w^i; the table itself stays as built
-            powers = powers.copy()
-        powers[0] = powers[-1]
-        np.matmul(powers[0], table.powers[1:], out=powers[1:])
+    # a lam keeps the term where it stops and drops every later one
+    ran_out = np.zeros_like(done)
+    np.logical_or.accumulate(done[:, :-1], axis=1, out=ran_out[:, 1:])
+    if stopped is not None:
+        ran_out |= stopped[:, None]
+    block[ran_out] = 0.0
+    size = len(powers) - 1
+    full += block @ powers[1:].reshape(size, -1)
+    shifted += block @ powers[:-1].reshape(size, -1)
+    return ran_out[:, -1] | done[:, -1]
 
 
 def binomial_series_grid(lams, w):
@@ -363,19 +401,27 @@ def binomial_series_grid(lams, w):
     return binomial_series_sum(lams, binomial_series_table(w, operator_norm(w)))
 
 
+def scalar_exponent(lam, stacked):
+    """lam as a 0-d complex array; ShapeError, naming ``stacked``, for an array of exponents."""
+    lam = np.asarray(lam, dtype=complex)
+    if lam.ndim:
+        raise ShapeError(f"expected one exponent, got shape {lam.shape}; {stacked} takes several")
+    return lam
+
+
 def binomial_series(lam, w):
     """Matrix binomial series b_lam(w) = sum_n binom(lam, n) w^n, i.e. (I+w)^lam.
 
-    Requires ||w|| < 1. Truncates once the tail bound
+    Requires ||w|| < 1 and a scalar lam. Truncates once the tail bound
     |binom(lam, n)| ||w||^n / (1 - ||w||) drops below SERIES_TOL
     (capped at SERIES_TERM_CAP terms); one-lam call of ``binomial_series_grid``.
     """
-    return binomial_series_grid([lam], w)[0][0]
+    return binomial_series_grid(scalar_exponent(lam, "binomial_series_grid"), w)[0][0]
 
 
 def binomial_series_shifted(lam, w):
     """sum_{n>=1} binom(lam, n) w^(n-1), the factor with b_lam(w) = I + w @ (this).
 
-    Same convergence contract as ``binomial_series``.
+    Same convergence contract as ``binomial_series``, and a scalar lam.
     """
-    return binomial_series_grid([lam], w)[1][0]
+    return binomial_series_grid(scalar_exponent(lam, "binomial_series_grid"), w)[1][0]

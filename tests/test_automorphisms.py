@@ -977,6 +977,15 @@ def test_liouville_requires_a_contractive_displacement():
                 f(lam)
 
 
+def test_liouville_value_takes_one_exponent():
+    # a stack of exponents goes to evaluate; a call once summed only the first
+    f = liouville_curve(scalar_invertibles(), np.array([[1.5]]))
+    for lams in (np.array([0.5, 2.0]), [0.5], np.zeros((1, 1))):
+        with pytest.raises(ShapeError, match="evaluate"):
+            f(lams)
+    assert np.array_equal(f(np.complex128(0.5)), f.evaluate([0.5])[0][0])
+
+
 def test_liouville_values_match_pointwise_calls():
     rng = np.random.default_rng(58)
     grid = _lambda_grid()
@@ -1031,11 +1040,19 @@ def test_liouville_curve_sums_its_table_bit_for_bit():
         return dom.z0 + (f.z - dom.z0) @ binomial_series_shifted(lam, f.w)
 
     first = liouville_curve(dom, eye + w)
-    powers = first.table.powers
-    before = powers.copy()
-    assert not powers.flags.writeable
+    table = first.table
+    powers = table.powers
+    before = [a.copy() for a in (powers, table.steps, table.decay)]
+
+    def unchanged():
+        after = (powers, table.steps, table.decay)
+        return all(not a.flags.writeable and np.array_equal(a, b) for a, b in zip(after, before))
+
+    assert unchanged()
+    assert np.array_equal(table.steps, np.arange(1, size + 1))
+    assert np.array_equal(table.decay, table.norm ** np.arange(1, size + 1.0))
     got = [first(short), first(long), first(short), first(long)]
-    assert not powers.flags.writeable and np.array_equal(powers, before)
+    assert unchanged()
     other = liouville_curve(dom, eye + w)
     got_reversed = [other(long), other(short)]
     for lam, value in zip([short, long, short, long], got):
@@ -1047,4 +1064,4 @@ def test_liouville_curve_sums_its_table_bit_for_bit():
     full, shifted = binomial_series_grid(grid, first.w)
     assert np.array_equal(factors, full)
     assert np.array_equal(values, dom.z0 + (first.z - dom.z0) @ shifted)
-    assert np.array_equal(powers, before)
+    assert unchanged()

@@ -29,7 +29,7 @@ from lftdom import (
     singular_test,
     try_invert,
 )
-from lftdom.linalg import SERIES_TERM_CAP, SERIES_TOL
+from lftdom.linalg import SERIES_TERM_CAP, SERIES_TOL, binomial_series_sum, binomial_series_table
 from lftdom.verify import _lambda_grid
 
 
@@ -468,21 +468,140 @@ def test_binomial_series_grid_integer_exponents_terminate_exactly():
 
 def test_binomial_series_raises_where_it_cannot_sum():
     w = 0.5 * np.eye(2, dtype=complex)
-    # 1.5^1030 is finite, but binom(1030, j) 0.5^j overflows on the way there
+    # 1.5^1030 is finite, but binom(1030, j) 0.5^j overflows on the way there;
+    # the typed error is the verdict, with no RuntimeWarning before it
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="overflowed"):
             binomial_series(1030.0, w)
+        # still running at the term cap, past coefficients that overflow
+        for lam, norm in ((-500.0, 0.25), (5000.0, 0.5)):
+            with pytest.raises(ConvergenceError):
+                binomial_series(lam, norm * np.eye(2, dtype=complex))
     # the stopping rule can never stop these; they raise before any term
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for lam in (np.nan, np.inf, 2e4, complex(0.0, -2e4)):
             with pytest.raises(ConvergenceError, match="finite exponents"):
                 binomial_series(lam, w)
-    for lam in (1000.0, 1025.0):
-        assert abs(binomial_series(lam, w)[0, 0] / 1.5**lam - 1.0) <= 1e-13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (1000.0, 1025.0):
+            assert abs(binomial_series(lam, w)[0, 0] / 1.5**lam - 1.0) <= 1e-13
     full, shifted = binomial_series_grid([], w)
     assert full.shape == shifted.shape == (0, 2, 2)
+
+
+def test_binomial_series_sums_past_a_stop_without_warnings():
+    # binom(lam, j) with Re lam << 0 grows like j^(-Re lam - 1): the columns
+    # formed past this lam's stop overflow, and the sums leave them out
+    lam, w = -414.3 + 326j, 0.25 * np.eye(2, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = frozen_series_sum([lam], binomial_series_table(w, 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = binomial_series(lam, w)
+        shifted = binomial_series_shifted(lam, w)
+    assert full.tobytes() == want[0][0].tobytes()
+    assert shifted.tobytes() == want[1][0].tobytes()
+
+
+def test_single_value_series_take_one_exponent():
+    w = 0.25 * np.eye(2, dtype=complex)
+    for lams in (np.array([0.5, 2.0]), [0.5], np.zeros((1, 1))):
+        for fn in (binomial_series, binomial_series_shifted):
+            with pytest.raises(ShapeError, match="binomial_series_grid"):
+                fn(lams, w)
+    assert np.array_equal(binomial_series(np.float64(0.5), w), binomial_series_grid([0.5], w)[0][0])
+
+
+def frozen_series_sum(lams, table):
+    """The reference block loop, kept as it was before SeriesTable held steps and decay."""
+    nw, powers = table.norm, table.powers
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    m, n, size = lams.size, powers.shape[1], len(powers) - 1
+    full = np.zeros((m, n * n), dtype=complex)
+    full[:, :: n + 1] = 1.0
+    shifted = np.zeros((m, n * n), dtype=complex)
+    coef = np.ones(m, dtype=complex)
+    radius = np.abs(lams)[:, None]
+    if not radius.max(initial=0.0) <= SERIES_TERM_CAP:
+        raise ConvergenceError(f"binomial series needs finite exponents with |lam| <= {SERIES_TERM_CAP}")
+    stopped = np.zeros(m, dtype=bool)
+    j0 = 0
+    while True:
+        j = np.arange(j0 + 1, j0 + size + 1, dtype=float)
+        block = coef[:, None] * np.cumprod((lams[:, None] - j + 1.0) / j, axis=1)
+        done = (block == 0) | (
+            (j >= radius) & (np.abs(block) * nw**j / (1.0 - nw) < SERIES_TOL)
+        )
+        done &= j <= SERIES_TERM_CAP
+        # a lam keeps the term where it stops and drops every later one
+        ran_out = np.cumsum(done, axis=1) > done
+        used = np.where(ran_out | stopped[:, None], 0.0, block)
+        full += used @ powers[1:].reshape(size, n * n)
+        shifted += used @ powers[:-1].reshape(size, n * n)
+        stopped |= done.any(axis=1)
+        if stopped.all():
+            # one block of terms cannot overflow for |lam| <= SERIES_TERM_CAP
+            if j0 and not (np.isfinite(full).all() and np.isfinite(shifted).all()):
+                raise ConvergenceError("binomial series overflowed")
+            return full.reshape(m, n, n), shifted.reshape(m, n, n)
+        j0 += size
+        if j0 >= SERIES_TERM_CAP:
+            raise ConvergenceError(
+                f"binomial series did not meet the tail bound in {SERIES_TERM_CAP} terms"
+            )
+        coef = block[:, -1]
+        if j0 == size:  # w^(j0+i) = w^j0 w^i; the table itself stays as built
+            powers = powers.copy()
+        powers[0] = powers[-1]
+        np.matmul(powers[0], table.powers[1:], out=powers[1:])
+
+
+def series_outcome(fn, lams, table):
+    """The bytes of both sums, or the type and message of the error raised instead."""
+    try:
+        full, shifted = fn(lams, table)
+    except ConvergenceError as err:
+        return type(err), str(err)
+    return full.tobytes(), shifted.tobytes()
+
+
+def test_binomial_series_sum_keeps_the_bytes_of_the_reference_loop():
+    # tobytes compares signed zeros and NaN payloads too; the raising cases
+    # must raise the same error with the same message
+    rng = np.random.default_rng(23)
+    grid = _lambda_grid()
+    norms = (0.0, 0.05, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999)
+    extremes = (1030.0, -500.0, 5000.0, 1000.0, 1025.0, -414.3 + 326j, np.nan, 2e4, -0.0, complex(-0.5, -0.0))
+    raised = 0
+    for case in range(300):
+        n, norm, kind = int(rng.integers(1, 9)), norms[case % len(norms)], case % 5
+        if kind >= 3:
+            # at w = 0 every block is one term, so a far lam would run |lam| blocks
+            norm = norm or 0.25
+        w = contraction(rng, n, norm) if norm else np.zeros((n, n), dtype=complex)
+        table = binomial_series_table(w, operator_norm(w))
+        if kind == 0:  # one lam inside the first block
+            lams = complex(2.0 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
+        elif kind == 1:  # verify's grid; every 8th lam where it runs to the term cap
+            lams = grid if norm < 0.99 else grid[::8]
+        elif kind == 2:  # terminating integers
+            lams = rng.integers(-5, 6, size=int(rng.integers(1, 4))).astype(float)
+        elif kind == 3:  # several blocks, and a mixed grid
+            far = rng.uniform(100.0, 600.0) * np.exp(2j * np.pi * rng.uniform())
+            lams = [far] if case % 2 else [far, 0.5, -0.0, complex(rng.uniform(-1200, 1200), rng.uniform(-800, 800))]
+        else:
+            lams = [extremes[(case // 5) % len(extremes)]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = series_outcome(frozen_series_sum, lams, table)
+            got = series_outcome(binomial_series_sum, lams, table)
+        assert got == want, (case, n, norm, lams)
+        raised += want[0] is ConvergenceError
+    assert 40 <= raised <= 200
 
 
 def test_binomial_series_grid_memory_stays_bounded_up_to_the_term_cap():
