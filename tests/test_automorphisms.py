@@ -166,6 +166,28 @@ def test_every_operation_judges_with_the_domain_tolerance():
             pytest.fail(f"{name} accepted a point on the domain's singular set")
 
 
+@pytest.mark.parametrize("scale, tol", [(1e6, DEFAULT_TOL), (1.0, Tolerance(0.0))])
+def test_a_member_whose_lu_fails_raises_the_typed_error(scale, tol):
+    # [[1, 2], [2, 4]] is exactly singular, but the SVD's rounding leaves its
+    # smin above inv_tol, so it is a member; inverting it at a symmetry or a
+    # curve raised numpy's LinAlgError
+    dom = invertibles_domain(full_space(2, 2), tol)
+    z = scale * np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+    assert dom.membership(z) is Verdict.MEMBER
+    calls = {
+        "denominator_inverse": (lambda: dom.denominator_inverse(z), "outside the domain"),
+        "symmetry_map": (lambda: symmetry_map(dom, z), "at the symmetry point y"),
+        "liouville_curve": (lambda: liouville_curve(dom, z), "at the curve endpoint z"),
+        "transitive_chain": (lambda: transitive_chain(dom, z), "at the chain target"),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, (call, where) in calls.items():
+            with pytest.raises(SingularMatrixError, match=where):
+                call()
+                pytest.fail(f"{name} inverted a matrix whose LU fails")
+
+
 def test_fixed_point_derivative_is_minus_identity():
     rng = np.random.default_rng(45)
     dom = invertibles_domain(full_space(2, 2))
@@ -975,6 +997,26 @@ def test_liouville_requires_a_contractive_displacement():
         for lam in (np.nan, np.inf):
             with pytest.raises(ConvergenceError):
                 f(lam)
+
+
+def test_a_curve_with_zero_displacement_stops_after_one_term():
+    # at ||w|| = 0 every term after w^0 is exactly zero; the sum once ran
+    # |lam| one-term blocks and raised ConvergenceError from about lam = 5000
+    whole = whole_space_domain(full_space(2, 2))
+    z = np.array([[1.0, 0.5], [-2.0, 3.0]], dtype=complex)
+    dom = invertibles_domain(full_space(2, 2))
+    line, point = liouville_curve(whole, z), liouville_curve(dom, dom.z0)
+    assert line.table.norm == 0.0 and point.table.norm == 0.0
+    lams = (0.5, 3.0, 1000.0, 5000.0, -7500.25, 1e4, complex(2500.0, -9000.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in lams:
+            # f(lam) = z0 + lam (z - z0), here lam z
+            assert np.array_equal(line(lam), complex(lam) * z)
+            assert np.array_equal(point(lam), dom.z0)
+        values, factors = line.evaluate(lams)
+    assert np.array_equal(values, np.array(lams, dtype=complex)[:, None, None] * z)
+    assert np.array_equal(factors, [np.eye(2)] * len(lams))
 
 
 def test_liouville_value_takes_one_exponent():

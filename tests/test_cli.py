@@ -444,6 +444,22 @@ def test_transit_straight_path_failure(tmp_path, capsys):
     assert captured.err.startswith("error at waypoint 1:")
 
 
+def test_transit_to_a_member_whose_lu_fails_is_a_failed_chain(tmp_path, capsys):
+    # 1e6 [[1, 2], [2, 4]] is exactly singular, yet its smin clears inv_tol,
+    # so it is a member; numpy's LinAlgError once made this an input error
+    dom_file = tmp_path / "dom.json"
+    target_file = tmp_path / "target.json"
+    eye = np.eye(2)
+    dom = {"space": "full", "C": matrix_obj(eye), "D": matrix_obj(0 * eye), "Z0": matrix_obj(eye)}
+    write_text(dom_file, jsonio.dumps(dom))
+    write_text(target_file, jsonio.matrix_dumps(1e6 * np.array([[1.0, 2.0], [2.0, 4.0]])))
+    rc = main(["transit", str(dom_file), str(target_file)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: c z + d is singular at the chain target\n"
+    assert captured.out == ""
+
+
 def test_transit_rejects_matrices_above_sixteen(tmp_path, capsys):
     dom_file = tmp_path / "dom.json"
     target_file = tmp_path / "target.json"

@@ -226,6 +226,79 @@ def test_invert_is_try_invert_with_a_typed_failure():
     assert all(p.default is inspect.Parameter.empty for p in params)
 
 
+def test_verdict_kernels_keep_the_bits_of_numpys_wrappers():
+    # singular_test and try_invert call numpy's private LAPACK gufuncs
+    # directly; they must give the bits of the public svd and inv they skip
+    rng = np.random.default_rng(31)
+    for n in range(1, 17):
+        z = stack_with_singular_items(rng, n, 7)
+        smin, singular = singular_test(z)
+        assert smin.tobytes() == np.linalg.svd(z, compute_uv=False)[:, -1].tobytes()
+        assert singular.any() and not singular.all()
+        inverses, verdict = try_invert(z)
+        assert np.array_equal(verdict, singular)
+        assert inverses[~singular].tobytes() == np.linalg.inv(z[~singular]).tobytes()
+        grid_inverses, _ = try_invert(z[~singular].reshape(1, -1, n, n))
+        assert grid_inverses.tobytes() == np.linalg.inv(z[~singular]).tobytes()
+        for item, dead in zip(z, singular):
+            alone, alone_singular = singular_test(item)
+            assert type(alone) is np.float64 and alone_singular == dead
+            assert alone.tobytes() == np.linalg.svd(item, compute_uv=False)[-1].tobytes()
+            if not dead:
+                assert try_invert(item).tobytes() == np.linalg.inv(item).tobytes()
+
+
+def test_a_failed_lu_is_a_singular_verdict():
+    # exactly singular, but the SVD's rounding puts its smin above inv_tol:
+    # LAPACK's LU meets an exact zero pivot, where np.linalg.inv raised
+    # LinAlgError
+    lu_fails = 1e6 * np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+    regular = np.random.default_rng(32).uniform(-1, 1, (4, 2, 2)).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smin, singular = singular_test(lu_fails)
+        assert smin > DEFAULT_TOL.inv_tol and not singular
+        assert try_invert(lu_fails) is None
+        with pytest.raises(SingularMatrixError) as exc:
+            invert(lu_fails, DEFAULT_TOL, "the block B is singular")
+        assert str(exc.value) == "the block B is singular"
+        # at Tolerance(0.0) any smin passes the threshold
+        assert try_invert(lu_fails / 1e6, Tolerance(0.0)) is None
+        # between regular items of a stack, which keep np.linalg.inv's bits
+        z = np.concatenate([regular[:2], lu_fails[None], regular[2:]])
+        inverses, singular = try_invert(z)
+        assert singular.tolist() == [False, False, True, False, False]
+        assert np.isnan(inverses[2]).all()
+        assert inverses[~singular].tobytes() == np.linalg.inv(regular).tobytes()
+        # beside an item judged singular by its smin, and with leading dimensions
+        z[0, 1] = z[0, 0]
+        inverses, singular = try_invert(z.reshape(5, 1, 2, 2))
+        assert singular.ravel().tolist() == [True, False, True, False, False]
+        assert np.isnan(inverses[singular]).all()
+        assert inverses[~singular].tobytes() == np.linalg.inv(regular[1:]).tobytes()
+
+
+def test_a_non_finite_entry_is_a_singular_verdict():
+    # the SVD of an inf entry is NaN, which once passed the threshold, so
+    # try_invert returned a finite "inverse"; NaN is not above inv_tol
+    eye = np.eye(2, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([[np.inf, 1.0], [1.0, 1.0]], [[1.0, complex(0.0, -np.inf)], [1.0, 1.0]]):
+            bad = np.array(bad, dtype=complex)
+            smin, singular = singular_test(bad)
+            assert np.isnan(smin) and singular
+            assert try_invert(bad) is None
+            inverses, singular = try_invert(np.stack([eye, bad, 2.0 * eye]))
+            assert singular.tolist() == [False, True, False]
+            assert np.isnan(inverses[1]).all()
+        # a NaN entry sets numpy's invalid flag inside the SVD; try_invert
+        # gives the verdict without a warning
+        nan_entry = np.array([[1.0, 1.0], [1.0, np.nan]], dtype=complex)
+        assert try_invert(nan_entry) is None
+        assert try_invert(np.stack([eye, nan_entry]))[1].tolist() == [False, True]
+
+
 def test_principal_sqrt_on_diagonalizable_inputs():
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -505,6 +578,20 @@ def test_binomial_series_sums_past_a_stop_without_warnings():
         shifted = binomial_series_shifted(lam, w)
     assert full.tobytes() == want[0][0].tobytes()
     assert shifted.tobytes() == want[1][0].tobytes()
+
+
+def test_binomial_series_of_zero_stops_after_one_term():
+    # w = 0: (I + 0)^lam = I and the shifted sum is lam I for every lam up to
+    # the term cap, from one one-term block
+    lams = [0.5, 1000.0, 5000.0, -1e4, complex(3000.0, 7000.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 3):
+            table = binomial_series_table(np.zeros((n, n), dtype=complex), 0.0)
+            assert len(table.powers) == 2
+            full, shifted = binomial_series_sum(lams, table)
+            assert np.array_equal(full, [np.eye(n)] * len(lams))
+            assert np.array_equal(shifted, np.array(lams)[:, None, None] * np.eye(n))
 
 
 def test_single_value_series_take_one_exponent():

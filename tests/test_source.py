@@ -74,15 +74,36 @@ def package_nodes():
             yield path.name, owner, node
 
 
+def gufunc_imports(name, node):
+    """Sites where a module other than linalg.py imports numpy's LAPACK gufuncs, _umath_linalg."""
+    if name == "linalg.py" or not isinstance(node, (ast.Import, ast.ImportFrom)):
+        return []
+    prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+    imported = [prefix + a.name for a in node.names]
+    return [(name, f"import {a}", node.lineno) for a in imported if "_umath_linalg" in a]
+
+
 def test_only_try_invert_inverts():
-    # one kernel decides invertibility, so every inverse or solve is try_invert's
+    # one kernel decides invertibility, so every inverse or solve is try_invert's,
+    # through numpy's wrapper or straight on LAPACK's gufunc; only linalg.py
+    # imports the gufuncs
     inverting = {f"{lib}.linalg.{fn}" for lib in ("numpy", "scipy") for fn in ("inv", "solve")}
+    inverting |= {
+        f"{prefix}_umath_linalg.{fn}"
+        for prefix in ("", "numpy.linalg.")
+        for fn in ("inv", "solve", "solve1")
+    }
     sites = []
     for name, owner, node in package_nodes():
         if isinstance(node, ast.Call) and dotted(node.func) in inverting:
             sites.append((name, owner, node.lineno))
         if isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "scipy.linalg"):
-            sites += [(name, f"import {a.name}", node.lineno) for a in node.names]
+            sites += [
+                (name, f"import {a.name}", node.lineno)
+                for a in node.names
+                if (name, node.module, a.name) != ("linalg.py", "numpy.linalg", "_umath_linalg")
+            ]
+        sites += gufunc_imports(name, node)
     assert [(name, owner) for name, owner, _ in sites] == [("linalg.py", "try_invert")], sites
 
 
@@ -205,6 +226,10 @@ def test_linalg_takes_every_singular_value_and_owns_the_threshold():
                 for kw in node.keywords
             ):
                 svd_sites.append((name, owner, node.lineno))
+        # LAPACK's gufuncs, called or imported, stay in linalg.py too
+        if isinstance(node, ast.Call) and "_umath_linalg" in (dotted(node.func) or ""):
+            svd_sites.append((name, owner, node.lineno))
+        svd_sites += gufunc_imports(name, node)
         if isinstance(node, ast.Attribute) and node.attr == "inv_tol" and name != "verify.py":
             inv_tol_reads.append((name, owner, node.lineno))
     assert (svd_sites, inv_tol_reads) == ([], [])
