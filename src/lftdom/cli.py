@@ -104,7 +104,8 @@ def _check_out_path(out_path):
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
 
@@ -238,7 +239,7 @@ def cmd_transit(args, tol):
         f"chain with {chain.factor_count} symmetry factors, "
         f"max step {max(chain.step_norms):.6f}, residual {chain.residual:.3e}"
     )
-    _emit(jsonio.dumps(jsonio.chain_to_obj(chain)), args.out)
+    _emit(jsonio.chain_dumps(chain), args.out)
     return 0
 
 

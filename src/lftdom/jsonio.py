@@ -4,7 +4,9 @@ Matrices travel as {"rows", "cols", "re", "im"} with row-major nested arrays
 of plain decimal numbers. Parsing rejects NaN and Infinity tokens, numbers
 too large for a float, nesting too deep to parse and any shape mismatch, all
 with ValueError; writing refuses non-finite entries. Round-trips reproduce
-every entry exactly because floats are emitted in shortest-round-trip form.
+every entry exactly, the sign of a zero included: floats are emitted in
+shortest-round-trip form and read back into the real and imaginary parts
+separately.
 
 ``dumps`` writes exactly the bytes of
 ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, one number
@@ -16,8 +18,17 @@ hold no ", " or "], [" for the re-indenting to meet. Every other value takes
 a small recursive path that lays out lists and sorted mappings as the
 standard library does and encodes scalars, and dicts with keys other than
 strings, with the standard library itself.
+
+``chain_dumps`` writes the bytes of ``dumps(chain_to_obj(chain))`` without
+building the object. The C encoder runs for any item separator, so it is
+given the laid-out one, a comma, a newline and the indent of a number; the
+real and the imaginary parts of each whole stack (the factors' coefficient
+matrices, the waypoints) take one call each. One split at the matrix
+boundaries and one replace at the row boundaries give each grid its final
+text, which fills a fixed template per matrix object.
 """
 
+import functools
 import itertools
 import json
 
@@ -95,10 +106,14 @@ def matrix_to_obj(m):
     return _matrix_objs(m[None])[0]
 
 
-def _matrix_objs(ms):
-    """The matrix object of each item of an (m, rows, cols) stack."""
+def _require_finite(ms):
     if not np.all(np.isfinite(ms)):
         raise ValueError("matrix entries must be finite")
+
+
+def _matrix_objs(ms):
+    """The matrix object of each item of an (m, rows, cols) stack."""
+    _require_finite(ms)
     rows, cols = int(ms.shape[1]), int(ms.shape[2])
     return [
         {"rows": rows, "cols": cols, "re": re, "im": im}
@@ -143,7 +158,11 @@ def matrix_from_obj(obj, max_side=None):
             raise ValueError(f"field {name!r} is {value}; at most {max_side} is accepted")
     re = _numeric_grid(obj["re"], rows, cols, "re")
     im = _numeric_grid(obj["im"], rows, cols, "im")
-    return re + 1j * im
+    # assigned, not formed as re + 1j * im, which turns a -0.0 into +0.0
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def matrix_dumps(m):
@@ -197,6 +216,66 @@ def chain_to_obj(chain):
         "factors": [{"M": m} for m in _matrix_objs(chain.coefficients)],
         "residual": float(chain.residual),
     }
+
+
+def chain_dumps(chain):
+    """The text of dumps(chain_to_obj(chain)), byte for byte, built from the chain's stacks."""
+    return _chain_text(chain.coefficients, np.stack(chain.waypoints), chain.residual)
+
+
+def _chain_text(coefficients, waypoints, residual):
+    """A chain file from its (m, k+h, k+h) coefficient stack, m >= 1, (m+1, k, h) waypoints and residual."""
+    factors = ['{\n      "M": ' + m + "\n    }" for m in _matrix_texts(coefficients, 8)]
+    return (
+        '{\n  "factors": ' + _list_text(factors)
+        + ',\n  "residual": ' + _compact(float(residual))
+        + ',\n  "waypoints": ' + _list_text(_matrix_texts(waypoints, 6)) + "\n}"
+    )
+
+
+def _list_text(items):
+    """A non-empty list, at indent 2, of the texts of its items."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+
+
+def _matrix_texts(ms, depth):
+    """The matrix object of each item of an (m, rows, cols) stack, laid out with its keys at indent depth."""
+    _require_finite(ms)
+    key = "\n" + " " * depth
+    head = "{" + key + f'"cols": {ms.shape[2]},' + key + '"im": '
+    middle = "," + key + '"re": '
+    tail = "," + key + f'"rows": {ms.shape[1]}' + key[:-2] + "}"
+    return [
+        head + im + middle + re + tail
+        for im, re in zip(_grid_texts(ms.imag, depth), _grid_texts(ms.real, depth))
+    ]
+
+
+@functools.cache
+def _stack_encoder(cell):
+    """The C encoder whose item separator is a comma, then ``cell`` (a newline and an indent)."""
+    return json.JSONEncoder(allow_nan=False, check_circular=False, separators=("," + cell, ": ")).encode
+
+
+def _grid_texts(grids, depth):
+    """The laid-out text of each grid of a real (m, rows, cols) stack, m >= 1, closed at indent depth.
+
+    Every separator of the one encoded stack is already a cell's "," and
+    line break; only the row and matrix boundaries are laid out again.
+    """
+    outer = "\n" + " " * depth
+    row = outer + "  "
+    cell = row + "  "
+    sep = "," + cell
+    # "[[[a" sep "b]" sep "[c" ... "]]" sep "[[" ... "]]]"
+    text = _stack_encoder(cell)(grids.tolist())
+    head = "[" + row + "[" + cell
+    tail = row + "]" + outer + "]"
+    row_break = row + "]," + row + "[" + cell
+    return [
+        head + body.replace("]" + sep + "[", row_break) + tail
+        for body in text[3:-3].split("]]" + sep + "[[")
+    ]
 
 
 def path_from_obj(obj):

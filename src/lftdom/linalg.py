@@ -225,11 +225,9 @@ def principal_sqrt(m, tol=DEFAULT_TOL):
     raises SpectrumError. Computed by the Schur-based principal branch, which
     also handles defective inputs such as I plus a nilpotent. On an
     (..., n, n) stack, one root per item, each the bits of a call on the item
-    alone; the norms and spectra come from one stacked call each, the roots
-    from one ``sqrtm`` call per item, since older SciPy releases take no
-    stacks there. SpectrumError is raised when any item lies on the cut,
-    before any root is taken, with ``index`` the first such item of an
-    (m, n, n) stack.
+    alone; the norms, spectra and roots come from one stacked call each.
+    SpectrumError is raised when any item lies on the cut, before any root
+    is taken, with ``index`` the first such item of an (m, n, n) stack.
     """
     m = _require_square(m, "principal_sqrt", stack=True)
     norm = operator_norm(m)
@@ -249,10 +247,7 @@ def principal_sqrt(m, tol=DEFAULT_TOL):
     # package's import time, and point evaluations never take a root
     import scipy.linalg
 
-    if m.ndim == 2:
-        return np.asarray(scipy.linalg.sqrtm(m), dtype=complex)
-    roots = [scipy.linalg.sqrtm(item) for item in m.reshape(-1, *m.shape[-2:])]
-    return np.array(roots, dtype=complex).reshape(m.shape)
+    return np.asarray(scipy.linalg.sqrtm(m), dtype=complex)
 
 
 def ball_roots(b, tol=DEFAULT_TOL):

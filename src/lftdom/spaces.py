@@ -31,10 +31,17 @@ class OperatorSpace:
         if np.linalg.matrix_rank(coord) != len(self.basis):
             raise ValueError("basis elements are linearly dependent")
         self._coord = coord
-        self._onb, _ = np.linalg.qr(coord)
-        self._onb_h = self._onb.conj().T
         # the basis as one (dim, dim_k, dim_h) array, for lincomb and the closure checks
         self._stacked = np.stack(self.basis)
+
+    @functools.cached_property
+    def _onb(self):
+        """Orthonormal columns spanning the vectorised basis, from the QR of the coordinate matrix."""
+        return np.linalg.qr(self._coord)[0]
+
+    @functools.cached_property
+    def _onb_h(self):
+        return self._onb.conj().T
 
     @functools.cached_property
     def _exact_rows(self):
@@ -173,14 +180,21 @@ def _holds_symmetrised_products(space, x, tol):
 
 
 def full_space(dim_k, dim_h):
-    """All dim_k x dim_h complex matrices (standard basis)."""
-    basis = []
-    for r in range(dim_k):
-        for c in range(dim_h):
-            e = np.zeros((dim_k, dim_h), dtype=complex)
-            e[r, c] = 1.0
-            basis.append(e)
-    return OperatorSpace(dim_k, dim_h, basis, label="full")
+    """All dim_k x dim_h complex matrices (standard basis).
+
+    The standard basis is independent and its coordinate matrix is the
+    identity, so the space is filled in directly, with no rank taken: every
+    attribute holds the bits OperatorSpace() gives on the same basis.
+    """
+    if dim_k < 1 or dim_h < 1:
+        raise ValueError("dimensions must be positive")
+    n = dim_k * dim_h
+    space = OperatorSpace.__new__(OperatorSpace)
+    space.dim_k, space.dim_h, space.label = int(dim_k), int(dim_h), "full"
+    space._coord = np.eye(n, dtype=complex)
+    space._stacked = space._coord.reshape(n, dim_k, dim_h)
+    space.basis = list(space._stacked.copy())
+    return space
 
 
 def diagonal_space(n):

@@ -1,13 +1,14 @@
-"""The chain and report writer: jsonio.dumps against the standard library, byte for byte."""
+"""The chain and report writers: jsonio.dumps and jsonio.chain_dumps against the standard library, byte for byte."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lftdom import jsonio, quadric_domain, transitive_chain
+from lftdom import full_space, invertibles_domain, jsonio, quadric_domain, transitive_chain
 from lftdom.cli import main
 from lftdom.sampling import random_domain_member
 from lftdom.verify import RunConfig, example_domains, run_verify
@@ -94,3 +95,103 @@ def test_transit_chain_file_is_the_standard_library_text(tmp_path, capsys):
     capsys.readouterr()
     text = chain_file.read_text(encoding="utf-8")
     assert text == reference(json.loads(text)) + "\n"
+
+
+def complex_stack(re, im):
+    """re + i im with the sign of every zero kept, which re + 1j * im loses."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def chain_of(coefficients, waypoints, residual):
+    return SimpleNamespace(coefficients=coefficients, waypoints=tuple(waypoints), residual=residual)
+
+
+def assert_chain_text(chain):
+    assert jsonio.chain_dumps(chain) == reference(jsonio.chain_to_obj(chain))
+
+
+CHAIN_NUMBERS = [0.0, -0.0, 5e-324, 1e-05, 1e16, 1e308, -1e308, 1.1102230246251565e-16, -1.1102230246251565e-16]
+
+
+@st.composite
+def chain_stacks(draw):
+    k, h, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    entry = st.one_of(st.sampled_from(CHAIN_NUMBERS), st.floats(allow_nan=False, allow_infinity=False))
+
+    def stack(*shape):
+        size = 2 * int(np.prod(shape))
+        parts = np.array(draw(st.lists(entry, min_size=size, max_size=size))).reshape(2, *shape)
+        return complex_stack(parts[0], parts[1])
+
+    return chain_of(stack(m, k + h, k + h), stack(m + 1, k, h), draw(entry))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_stacks())
+def test_chain_dumps_writes_the_bytes_of_the_standard_library(chain):
+    assert_chain_text(chain)
+
+
+def test_chain_dumps_matches_on_real_chains():
+    rng = np.random.default_rng(17)
+    doms = example_domains(RunConfig()) + [quadric_domain(4).domain]
+    doms += [example_domains(RunConfig(dim_k=k, dim_h=h))[0] for k, h in ((3, 1), (1, 3))]
+    shapes = set()
+    for dom in doms:
+        chain = transitive_chain(dom, random_domain_member(rng, dom, scale=0.5, margin=0.05))
+        assert_chain_text(chain)
+        shapes.add(dom.space.shape)
+    assert {(2, 2), (4, 4), (3, 1), (1, 3)} <= shapes
+
+
+def test_chain_dumps_of_single_matrix_stacks():
+    # one factor: no matrix boundary to split the coefficient text at
+    rng = np.random.default_rng(18)
+    for k, h in ((1, 1), (1, 2), (2, 1), (3, 3)):
+        m = rng.standard_normal((1, k + h, k + h)) + 1j * rng.standard_normal((1, k + h, k + h))
+        w = rng.standard_normal((2, k, h)) - 0.0j
+        assert_chain_text(chain_of(m, w, 1e-16))
+        assert_chain_text(chain_of(m, w[:1], 0.0))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_chain_dumps_refuses_non_finite_entries(bad):
+    m, w = np.ones((2, 2, 2), dtype=complex), np.ones((3, 1, 1), dtype=complex)
+    for where in ("coefficient", "waypoint", "imaginary", "residual"):
+        coefficients, waypoints, residual = m.copy(), w.copy(), 0.0
+        if where == "coefficient":
+            coefficients[1, 0, 1] = bad
+        elif where == "waypoint":
+            waypoints[2, 0, 0] = bad
+        elif where == "imaginary":
+            coefficients[0, 1, 1] += 1j * bad
+        else:
+            residual = bad
+        chain = chain_of(coefficients, waypoints, residual)
+        with pytest.raises(ValueError):
+            reference(jsonio.chain_to_obj(chain))
+        with pytest.raises(ValueError):
+            jsonio.chain_dumps(chain)
+
+
+def test_matrix_round_trip_keeps_the_sign_of_every_zero():
+    parts = [0.0, -0.0, 1.0, -2.5]
+    re, im = np.meshgrid(parts, parts)
+    m = complex_stack(re, im)
+    back = jsonio.matrix_loads(jsonio.matrix_dumps(m))
+    assert back.tobytes() == m.tobytes()
+    example = complex_stack([[-0.0, 1.0], [-0.0, 2.0]], [[1.0, -0.0], [-0.0, 3.0]])
+    assert jsonio.matrix_loads(jsonio.matrix_dumps(example)).tobytes() == example.tobytes()
+
+
+def test_domain_file_keeps_signed_zeros():
+    obj = jsonio.domain_to_obj(invertibles_domain(full_space(2, 2)))
+    obj["C"] = jsonio.matrix_to_obj(complex_stack([[1.0, -0.0], [-0.0, 1.0]], [[-0.0, 0.0], [-0.0, -0.0]]))
+    obj["D"] = jsonio.matrix_to_obj(complex_stack([[-0.0, 0.0], [0.0, -0.0]], [[-0.0, -0.0], [0.0, 0.0]]))
+    obj["Z0"] = jsonio.matrix_to_obj(complex_stack(np.eye(2), [[-0.0, -0.0], [-0.0, -0.0]]))
+    back = jsonio.domain_from_obj(jsonio.loads(jsonio.dumps(obj)))
+    for name, got in (("C", back.c), ("D", back.d), ("Z0", back.z0)):
+        assert got.tobytes() == complex_stack(obj[name]["re"], obj[name]["im"]).tobytes()

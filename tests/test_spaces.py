@@ -105,6 +105,57 @@ def test_full_space_contains_judges_finiteness_alone(shape):
     assert (~space.contains(stack)).tolist() == [False] * 4 + [True]
 
 
+def standard_basis(k, h):
+    """The standard basis one matrix at a time, as full_space once built it."""
+    basis = []
+    for r in range(k):
+        for c in range(h):
+            e = np.zeros((k, h), dtype=complex)
+            e[r, c] = 1.0
+            basis.append(e)
+    return basis
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (2, 5), (8, 8), (16, 16)])
+def test_full_space_matches_the_general_constructor_bit_for_bit(shape):
+    k, h = shape
+    fast, general = full_space(k, h), OperatorSpace(k, h, standard_basis(k, h), label="full")
+    for name in ("_coord", "_stacked", "_onb", "_onb_h"):
+        assert same_bits(getattr(fast, name), getattr(general, name)), name
+    assert fast._exact_rows is general._exact_rows
+    assert len(fast.basis) == len(general.basis)
+    assert all(same_bits(a, b) for a, b in zip(fast.basis, general.basis))
+    assert vars(fast).keys() == vars(general).keys()
+    assert (fast.dim_k, fast.dim_h, fast.label, fast.is_full) == (general.dim_k, general.dim_h, "full", True)
+    rng = np.random.default_rng(k * h)
+    stack = rng.standard_normal((3, k, h)) + 1j * rng.standard_normal((3, k, h))
+    rows = rng.standard_normal((3, k * h)) + 1j * rng.standard_normal((3, k * h))
+    assert same_bits(fast.contains(stack), general.contains(stack))
+    assert same_bits(fast.residual(stack), general.residual(stack))
+    assert same_bits(fast.lincomb(rows), general.lincomb(rows))
+    for z, row in zip(stack, rows):
+        assert same_bits(fast.contains(z), general.contains(z))
+        assert same_bits(fast.project(z), general.project(z))
+        assert same_bits(fast.residual(z), general.residual(z))
+        assert same_bits(fast.coordinates(z), general.coordinates(z))
+        assert same_bits(fast.lincomb(row), general.lincomb(row))
+    # the basis matrices are the caller's to write into
+    fast.basis[0][...] = 7.0
+    assert same_bits(fast._stacked, general._stacked)
+    assert same_bits(fast._coord, general._coord)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (-1, 3), (0, 0)])
+def test_full_space_rejects_dimensions_below_one(shape):
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        full_space(*shape)
+
+
 def test_contains_takes_the_residual_off_the_standard_full_basis(monkeypatch):
     # a full space is judged by structure whatever its basis; a proper
     # subspace, dense or not, by its projection residual
