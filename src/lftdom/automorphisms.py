@@ -120,7 +120,7 @@ def symmetry_map(dom, y):
     (c y + d)^-1 c; the assembled coefficient matrix squares to the identity.
     """
     y, den_inv = _require_member(dom, y, "the symmetry point y")
-    return LFTMap(*_symmetry_blocks(dom, y, den_inv @ dom.c))
+    return LFTMap._of_blocks(*_symmetry_blocks(dom, y, den_inv @ dom.c))
 
 
 def _symmetry_blocks(dom, y, x):
@@ -128,10 +128,10 @@ def _symmetry_blocks(dom, y, x):
 
     On stacks of points and kernels, stacks of blocks.
     """
-    eye_k = np.eye(dom.dim_k, dtype=complex)
-    eye_h = np.eye(dom.dim_h, dtype=complex)
     yx = y @ x
-    return -(eye_k - yx), 2.0 * y - yx @ y, x, eye_h - x @ y
+    # -(I - yx), not yx - I: where an entry of yx equals I's, the first
+    # gives -0.0 and the second +0.0
+    return -(dom.eye_k - yx), 2.0 * y - yx @ y, x, dom.eye_h - x @ y
 
 
 def symmetry_direct(dom, y, z):
@@ -200,7 +200,6 @@ def _midpoints(dom, z, z_den_inv, w):
     carries that item's position as its index. A chain's factor blocks are
     views of the block stacks built from these midpoints, not of its coefficients.
     """
-    eye = np.eye(dom.dim_h, dtype=complex)
     single = z.ndim == 2
 
     def check(bad, error):
@@ -220,8 +219,8 @@ def _midpoints(dom, z, z_den_inv, w):
         check(bound >= 1.0, lambda: StepBoundError(
             f"step bound ||x (w - z)|| < 1 fails: got {bound:.6g}; subdivide the displacement"
         ))
-        q = principal_sqrt(eye + xr, dom.tol)
-        den_inv, singular = verdict(try_invert(eye + q, dom.tol))
+        q = principal_sqrt(dom.eye_h + xr, dom.tol)
+        den_inv, singular = verdict(try_invert(dom.eye_h + q, dom.tol))
         check(singular, lambda: InternalCheckError("I + q is singular although ||x r|| < 1"))
         y = z + r @ den_inv
         y_den_inv, singular = verdict(dom.try_denominator_inverse(y))
@@ -329,10 +328,9 @@ def _meets_singular_set(dom, xr):
     so each eigenvalue with real part at most -1 is judged by the smallest
     singular value of I + t xr at t = -1 / Re(lam) instead.
     """
-    eye = np.eye(xr.shape[0], dtype=complex)
     for lam in np.linalg.eigvals(xr):
         if lam.real <= -1.0:
-            top, smin = singular_range(eye - xr / lam.real)
+            top, smin = singular_range(dom.eye_h - xr / lam.real)
             if smin <= dom.tol.eq_tol * (1.0 + top):
                 return True
     return False
@@ -451,7 +449,7 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
     kernels = mid_den_invs @ dom.c
     a, b, c, d = _symmetry_blocks(dom, midpoints, kernels)
     coefficients = np.block([[a, b], [c, d]])
-    factors = tuple(LFTMap(*blocks) for blocks in zip(a, b, c, d))
+    factors = tuple(LFTMap._of_blocks(*blocks) for blocks in zip(a, b, c, d))
 
     # fold the pairs (U_{y[i+1]} after U_{y[i]}) as one stack, then compose them in order
     pairs = _pair_fold(dom, midpoints[1::2], midpoints[::2], mid_den_invs[::2], kernels[::2])
@@ -501,8 +499,8 @@ def _pair_fold(dom, w, y, y_den_inv, x):
     On stacks of pairs, stacks of each.
     """
     d = w - y
-    left = np.eye(dom.dim_k, dtype=complex) + d @ x
-    right = np.eye(dom.dim_h, dtype=complex) + x @ d
+    left = dom.eye_k + d @ x
+    right = dom.eye_h + x @ d
     return y, _symmetry_at(dom, w, y, y_den_inv), left, right
 
 
@@ -519,8 +517,8 @@ def affine_transport(dom, w0):
         raise StepBoundError(
             f"transport requires ||x0 (w0 - z0)|| < 1; got {bound:.6g}"
         )
-    left = principal_sqrt(np.eye(dom.dim_k, dtype=complex) + a @ dom.x0, dom.tol)
-    right = principal_sqrt(np.eye(dom.dim_h, dtype=complex) + dom.x0 @ a, dom.tol)
+    left = principal_sqrt(dom.eye_k + a @ dom.x0, dom.tol)
+    right = principal_sqrt(dom.eye_h + dom.x0 @ a, dom.tol)
     return AffineMap(base=dom.z0, offset=w0, left=left, right=right)
 
 
@@ -531,9 +529,8 @@ def affine_transport_identity_residual(dom, phi, z):
     certifies that phi preserves the domain.
     """
     z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
-    eye = np.eye(dom.dim_h, dtype=complex)
-    lhs = eye + dom.x0 @ (phi(z) - dom.z0)
-    rhs = phi.right @ (eye + dom.x0 @ (z - dom.z0)) @ phi.right
+    lhs = dom.eye_h + dom.x0 @ (phi(z) - dom.z0)
+    rhs = phi.right @ (dom.eye_h + dom.x0 @ (z - dom.z0)) @ phi.right
     return float(operator_norm(lhs - rhs))
 
 
@@ -567,10 +564,10 @@ class SwapInvolution:
         z0, x0 = self.domain.z0, self.domain.x0
         gr_inv = invert(self.gr, self.domain.tol, "I + x0 (w0 - z0) has no invertible square root")
         c = gr_inv @ x0
-        d = gr_inv @ (np.eye(self.domain.dim_h, dtype=complex) - x0 @ z0)
+        d = gr_inv @ (self.domain.eye_h - x0 @ z0)
         a_blk = z0 @ gr_inv @ x0 - self.gl
         b_blk = z0 @ d + self.gl @ self.w0
-        return LFTMap(a_blk, b_blk, c, d)
+        return LFTMap._of_blocks(a_blk, b_blk, c, d)
 
 
 def swap_involution(dom, w0):
@@ -623,7 +620,7 @@ def potapov_ginzburg_map(e, tol=DEFAULT_TOL):
     e = _square_projection(e)
     require_idempotent(e, tol)
     eye = np.eye(e.shape[0], dtype=complex)
-    return LFTMap(e - eye, e, e, eye - e)
+    return LFTMap._of_blocks(e - eye, e, e, eye - e)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +647,7 @@ class LiouvilleCurve:
         """f(lam) at one scalar lam; a stack of exponents goes to ``evaluate``."""
         lam = scalar_exponent(lam, "LiouvilleCurve.evaluate")
         z0 = self.domain.z0
-        return z0 + (self.z - z0) @ binomial_series_sum(lam, self.table)[1][0]
+        return z0 + (self.z - z0) @ binomial_series_sum(lam, self.table, ("shifted",))[0][0]
 
     def evaluate(self, lams):
         """(f(lam), b(lam)) stacks over every lam in ``lams``, from one series evaluation."""

@@ -301,7 +301,7 @@ def mobius_map(b, tol=DEFAULT_TOL):
     left = invert(left, tol, "(I - b b*)^(1/2) is singular")
     right = principal_sqrt(np.eye(h, dtype=complex) - b.conj().T @ b, tol)
     right = invert(right, tol, "(I - b* b)^(1/2) is singular")
-    return LFTMap(left, b @ right, right @ b.conj().T, right)
+    return LFTMap._of_blocks(left, b @ right, right @ b.conj().T, right)
 
 
 def mobius_direct(b, z, tol=DEFAULT_TOL):

@@ -42,16 +42,22 @@ class LFTMap:
 
     def __post_init__(self):
         a, b, c, d = (np.asarray(m, dtype=complex) for m in (self.a, self.b, self.c, self.d))
-        k = a.shape[0]
-        h = d.shape[0]
-        if a.shape != (k, k) or b.shape != (k, h) or c.shape != (h, k) or d.shape != (h, h):
-            raise ShapeError(
-                f"inconsistent block shapes a={a.shape} b={b.shape} c={c.shape} d={d.shape}"
-            )
+        _check_block_shapes(a, b, c, d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _of_blocks(cls, a, b, c, d):
+        """The map of complex128 blocks the package has just built: only their shapes are checked.
+
+        Data from outside goes through the constructor, which converts it.
+        """
+        _check_block_shapes(a, b, c, d)
+        t = object.__new__(cls)
+        vars(t).update(a=a, b=b, c=c, d=d)
+        return t
 
     @property
     def dim_k(self):
@@ -68,7 +74,7 @@ class LFTMap:
     @classmethod
     def from_coefficient_matrix(cls, m, dim_k, dim_h):
         m = as_cmatrix(m, rows=dim_k + dim_h, cols=dim_k + dim_h)
-        return cls(m[:dim_k, :dim_k], m[:dim_k, dim_k:], m[dim_k:, :dim_k], m[dim_k:, dim_k:])
+        return cls._of_blocks(m[:dim_k, :dim_k], m[:dim_k, dim_k:], m[dim_k:, :dim_k], m[dim_k:, dim_k:])
 
     @classmethod
     def identity(cls, dim_k, dim_h):
@@ -86,6 +92,16 @@ class LFTMap:
 
     def __call__(self, z, tol=DEFAULT_TOL):
         return lft_apply(self, z, tol)
+
+
+def _check_block_shapes(a, b, c, d):
+    """Raise ShapeError unless a, b, c, d are the k x k, k x h, h x k and h x h blocks of one map."""
+    k = a.shape[0]
+    h = d.shape[0]
+    if a.shape != (k, k) or b.shape != (k, h) or c.shape != (h, k) or d.shape != (h, h):
+        raise ShapeError(
+            f"inconsistent block shapes a={a.shape} b={b.shape} c={c.shape} d={d.shape}"
+        )
 
 
 def lft_apply(t, z, tol=DEFAULT_TOL):
@@ -106,13 +122,17 @@ class Domain:
 
     Holds the space, the coefficients (c, d), the base point z0, the cached
     kernel x0 = (c z0 + d)^-1 c and the Tolerance tol that every operation on
-    the domain judges with. Construction validates that z0 belongs to the
-    space, that c z0 + d is invertible, and that the space is closed under the
-    quadratic products Z x0 Z.
+    the domain judges with, and the read-only identities eye_k and eye_h
+    (dim_k and dim_h square) that the formulas on it take. Construction
+    validates that z0 belongs to the space, that c z0 + d is invertible, and
+    that the space is closed under the quadratic products Z x0 Z.
     """
 
     def __init__(self, space, c, d, z0, tol=DEFAULT_TOL, label=""):
         self.space = space
+        self.eye_k = np.eye(space.dim_k, dtype=complex)
+        self.eye_h = np.eye(space.dim_h, dtype=complex)
+        self.eye_k.flags.writeable = self.eye_h.flags.writeable = False
         self.c = as_cmatrix(c, rows=space.dim_h, cols=space.dim_k)
         self.d = as_cmatrix(d, rows=space.dim_h, cols=space.dim_h)
         self.z0 = as_cmatrix(z0, rows=space.dim_k, cols=space.dim_h)
@@ -237,7 +257,7 @@ def det_membership(dom, z):
     """
     d_inv = invert(dom.d, dom.tol, "determinant witness requires an invertible d block")
     z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
-    return complex(np.linalg.det(np.eye(dom.dim_h, dtype=complex) + d_inv @ dom.c @ z))
+    return complex(np.linalg.det(dom.eye_h + d_inv @ dom.c @ z))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,17 @@ class SpectrumError(LftdomError):
 
 
 class ConvergenceError(LftdomError):
-    """A series did not converge within its operating bounds."""
+    """A series did not converge within its operating bounds.
+
+    `lam` is the exponent the error names, `norm` the series' ||W|| and
+    `terms` the term count it reached; each is None where it does not apply.
+    """
+
+    def __init__(self, message, lam=None, norm=None, terms=None):
+        super().__init__(message)
+        self.lam = lam
+        self.norm = norm
+        self.terms = terms
 
 
 class StepBoundError(LftdomError):

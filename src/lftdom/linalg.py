@@ -36,10 +36,14 @@ The binomial series (I + w)^lam is summed in blocks of powers of w.
 ``binomial_series_table`` builds, once per w, everything a sum takes that
 does not depend on lam: ||w||, the first block of powers, and that block's
 steps j and decay ||w||^j. ``binomial_series_sum`` sums any stack of
-exponents from a table; a curve value and ``binomial_series`` are one-lam
-calls of it and take a scalar lam only. The blocks after the first run with
-numpy's overflow and invalid warnings off, and the finiteness of the sums
-is the typed verdict there.
+exponents from a table, and forms only the sums its caller names: a curve
+value and ``binomial_series_shifted`` take the shifted sum, ``binomial_series``
+the full one, each for one scalar lam, and ``binomial_series_grid`` and
+``LiouvilleCurve.evaluate`` both. A call whose lams all stop in the first
+block is that block's work alone. A call that runs past it forms both sums;
+its later blocks run with numpy's overflow and invalid warnings off, and the
+finiteness of both sums is the typed verdict there. Each ConvergenceError
+carries the lam, ||w|| and term count it was decided on.
 
 scipy is imported on first use, not with the package: ``principal_sqrt``
 loads ``scipy.linalg`` at its first root (it serves midpoints, chains,
@@ -269,12 +273,15 @@ def ball_roots(b, tol=DEFAULT_TOL):
             f"1 - ||b||^2 = {gap[0]:.3g} is within eq_tol of the branch cut; "
             "the principal square roots of I - b b* and I - b* b are not taken there"
         )
+    root = np.sqrt(gap)
     k, h = b.shape
-    left = np.ones(k)
-    left[: s.size] = 1.0 / np.sqrt(gap)
-    right = np.ones(h)
-    right[: s.size] = np.sqrt(gap)
-    return norm, (u * left) @ dagger(u), (dagger(vh) * right) @ vh
+    left, right = _pad_ones(1.0 / root, k), _pad_ones(root, h)
+    return norm, (u * left) @ u.conj().T, (vh.conj().T * right) @ vh
+
+
+def _pad_ones(x, size):
+    """x followed by ones up to ``size`` entries, for the zero singular values past min(k, h)."""
+    return x if x.size == size else np.concatenate((x, np.ones(size - x.size)))
 
 
 def _series_block(nw):
@@ -312,7 +319,7 @@ def binomial_series_table(w, nw):
     w^(have+i) = w^have w^i.
     """
     if nw >= 1.0:
-        raise ConvergenceError(f"binomial series requires ||w|| < 1, got {nw:.6g}")
+        raise ConvergenceError(f"binomial series requires ||w|| < 1, got {nw:.6g}", norm=nw)
     n = w.shape[0]
     size = _series_block(nw)
     powers = np.empty((size + 1, n, n), dtype=complex)
@@ -332,11 +339,14 @@ def binomial_series_table(w, nw):
     return SeriesTable(norm=nw, powers=powers, steps=steps, decay=decay)
 
 
-def binomial_series_sum(lams, table):
-    """Both binomial sums of the table's w at every lam in ``lams``, as (m, n, n) stacks.
+def binomial_series_sum(lams, table, sums=("full", "shifted")):
+    """The binomial sums of the table's w named in ``sums``, at every lam in ``lams``, as (m, n, n) stacks.
 
-    Returns (full, shifted) with full[i] = sum_{j>=0} binom(lam_i, j) w^j,
-    i.e. (I + w)^lam_i, and shifted[i] = sum_{j>=1} binom(lam_i, j) w^(j-1).
+    ``sums`` names the sums to return, in order: "full" for
+    full[i] = sum_{j>=0} binom(lam_i, j) w^j, i.e. (I + w)^lam_i, and
+    "shifted" for shifted[i] = sum_{j>=1} binom(lam_i, j) w^(j-1). A caller
+    gets only the sums it takes, and a sum it does not take is not formed
+    unless some lam runs past the first block.
     Each lam stops at the first j where binom(lam, j) = 0, or where
     j >= |lam| and the tail bound |binom(lam, j)| ||w||^j / (1 - ||w||)
     drops below SERIES_TOL; at ||w|| = 0 every lam stops at j = 1, since
@@ -344,6 +354,8 @@ def binomial_series_sum(lams, table):
     terms raises ConvergenceError. So does, at entry, a lam that is not
     finite or has |lam| > SERIES_TERM_CAP, which that rule can never stop,
     and, for a call that ran past its first block, a sum that overflowed.
+    Each error carries the lam it names, ||w|| and the term count (None
+    where none applies).
     The single-value entry points (``binomial_series``,
     ``binomial_series_shifted``, a curve value) take a scalar lam only;
     stacks of exponents come here.
@@ -352,78 +364,100 @@ def binomial_series_sum(lams, table):
     table, summed with its steps and decay, and each later one is one
     stacked product of the previous block's last power with w, ..., w^size,
     advanced in place in a copy of the table. Each block is contracted with
-    its binomial coefficients into both sums, so memory stays
-    O(size (n^2 + m)) whatever the term count. One block of coefficients
-    cannot overflow for |lam| <= SERIES_TERM_CAP; a later one can, also in
-    the columns past a lam's stop that the sums leave out, so the later
-    blocks run with numpy's overflow and invalid warnings off and the
-    finiteness of both sums is the verdict. The two sums are formed
-    separately from the same powers; the full sum is not I + w @ shifted,
-    so that identity stays a check.
+    its binomial coefficients into the sums, so memory stays
+    O(size (n^2 + m)) whatever the term count. When every lam stops in the
+    first block, that block is the whole call. Otherwise the later blocks
+    form both sums: one block of coefficients cannot overflow for
+    |lam| <= SERIES_TERM_CAP, but a later one can, also in the columns past
+    a lam's stop that the sums leave out, so the later blocks run with
+    numpy's overflow and invalid warnings off and the finiteness of both
+    sums is the verdict. The two sums are formed separately from the same
+    powers; the full sum is not I + w @ shifted, so that identity stays a
+    check.
     """
     nw, powers, steps = table.norm, table.powers, table.steps
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     m, n, size = lams.size, powers.shape[1], len(steps)
     radius = np.abs(lams)[:, None]
     if not radius.max(initial=0.0) <= SERIES_TERM_CAP:
-        raise ConvergenceError(f"binomial series needs finite exponents with |lam| <= {SERIES_TERM_CAP}")
+        raise ConvergenceError(
+            f"binomial series needs finite exponents with |lam| <= {SERIES_TERM_CAP}",
+            lam=complex(lams[~(radius[:, 0] <= SERIES_TERM_CAP)][0]), norm=nw,
+        )
     if nw == 0.0:
         # w = 0: every term after j = 1 is exactly zero, so the tail bound holds at once
         radius = 0.0
-    full = np.zeros((m, n * n), dtype=complex)
-    full[:, :: n + 1] = 1.0
-    shifted = np.zeros((m, n * n), dtype=complex)
     # the first block's leading coefficient is 1 and no lam has stopped yet
-    block = np.cumprod((lams[:, None] - steps + 1.0) / steps, axis=1)
-    stopped = _sum_block(block, steps.real, table.decay, None, radius, nw, powers, full, shifted)
-    if not stopped.all():
+    block = np.multiply.accumulate((lams[:, None] - steps + 1.0) / steps, axis=1)
+    stopped = _cut_block(block, steps.real, table.decay, radius, nw)
+    later = np.count_nonzero(stopped) < m
+    flat = powers.reshape(size + 1, n * n)
+    out = {}
+    if later or "full" in sums:
+        # the full sum starts from w^0 = I
+        out["full"] = block @ flat[1:] + flat[0]
+    if later or "shifted" in sums:
+        # the shifted sum starts from zero: adding 0.0 turns an exact zero of
+        # the product to +0.0, and a stacked product can give -0.0
+        out["shifted"] = block @ flat[:-1]
+        out["shifted"] += 0.0
+    if later:
+        full, shifted = out["full"], out["shifted"]
         with np.errstate(over="ignore", invalid="ignore"):
             # w^(j0+i) = w^j0 w^i, advanced in a copy; the table itself stays as built
             powers, j0 = powers.copy(), 0
+            flat = powers.reshape(size + 1, n * n)
             while not stopped.all():
                 j0 += size
                 if j0 >= SERIES_TERM_CAP:
                     raise ConvergenceError(
-                        f"binomial series did not meet the tail bound in {SERIES_TERM_CAP} terms"
+                        f"binomial series did not meet the tail bound in {SERIES_TERM_CAP} terms",
+                        lam=complex(lams[~stopped][0]), norm=nw, terms=SERIES_TERM_CAP,
                     )
                 powers[0] = powers[-1]
                 np.matmul(powers[0], table.powers[1:], out=powers[1:])
                 j = np.arange(j0 + 1, j0 + size + 1, dtype=float)
                 block = block[:, -1:] * np.cumprod((lams[:, None] - j + 1.0) / j, axis=1)
-                stopped = _sum_block(block, j, nw**j, stopped, radius, nw, powers, full, shifted)
+                # a lam stopped in an earlier block takes no more terms
+                block[stopped] = 0.0
+                stopped = stopped | _cut_block(block, j, nw**j, radius, nw)
+                full += block @ flat[1:]
+                shifted += block @ flat[:-1]
         if not (np.isfinite(full).all() and np.isfinite(shifted).all()):
-            raise ConvergenceError("binomial series overflowed")
-    return full.reshape(m, n, n), shifted.reshape(m, n, n)
+            finite = np.isfinite(full).all(axis=1) & np.isfinite(shifted).all(axis=1)
+            raise ConvergenceError(
+                "binomial series overflowed", lam=complex(lams[~finite][0]), norm=nw, terms=j0 + size
+            )
+    return tuple(out[name].reshape(m, n, n) for name in sums)
 
 
-def _sum_block(block, j, decay, stopped, radius, nw, powers, full, shifted):
-    """Add one block of terms, w^j from ``powers``, to both sums; the lams stopped after it.
+def _cut_block(block, j, decay, radius, nw):
+    """Zero, in place, each lam's terms past its stop in one block (a row per lam); which lams stopped in it.
 
-    ``stopped`` (None for the first block) masks out every lam that stopped
-    in an earlier block. The block's masked columns are zeroed in place.
+    binom(lam, j) = 0 comes only at j > |lam|, where its zero term meets the
+    tail bound, so the bound alone finds that stop too.
     """
-    done = (block == 0) | ((j >= radius) & (np.abs(block) * decay / (1.0 - nw) < SERIES_TOL))
+    done = (j >= radius) & (np.abs(block) * decay / (1.0 - nw) < SERIES_TOL)
     if j[-1] > SERIES_TERM_CAP:
         done &= j <= SERIES_TERM_CAP
     # a lam keeps the term where it stops and drops every later one
-    ran_out = np.zeros_like(done)
-    np.logical_or.accumulate(done[:, :-1], axis=1, out=ran_out[:, 1:])
-    if stopped is not None:
-        ran_out |= stopped[:, None]
-    block[ran_out] = 0.0
-    size = len(powers) - 1
-    full += block @ powers[1:].reshape(size, -1)
-    shifted += block @ powers[:-1].reshape(size, -1)
-    return ran_out[:, -1] | done[:, -1]
+    ran_out = np.logical_or.accumulate(done, axis=1)
+    block[:, 1:][ran_out[:, :-1]] = 0.0
+    return ran_out[:, -1]
+
+
+def _series_table(w):
+    """The SeriesTable of a square w, with ||w|| taken here."""
+    w = _require_square(w, "binomial_series_grid")
+    return binomial_series_table(w, operator_norm(w))
 
 
 def binomial_series_grid(lams, w):
-    """``binomial_series_sum`` of w at every lam in ``lams``, from a table built for this call.
+    """Both sums of ``binomial_series_sum`` of w at every lam in ``lams``, from a table built for this call.
 
     Requires ||w|| < 1 (ConvergenceError otherwise).
     """
-    w = _require_square(w, "binomial_series_grid")
-    return binomial_series_sum(lams, binomial_series_table(w, operator_norm(w)))
+    return binomial_series_sum(lams, _series_table(w))
 
 
 def scalar_exponent(lam, stacked):
@@ -439,14 +473,18 @@ def binomial_series(lam, w):
 
     Requires ||w|| < 1 and a scalar lam. Truncates once the tail bound
     |binom(lam, n)| ||w||^n / (1 - ||w||) drops below SERIES_TOL
-    (capped at SERIES_TERM_CAP terms); one-lam call of ``binomial_series_grid``.
+    (capped at SERIES_TERM_CAP terms); a one-lam ``binomial_series_sum`` that
+    forms the full sum only.
     """
-    return binomial_series_grid(scalar_exponent(lam, "binomial_series_grid"), w)[0][0]
+    lam = scalar_exponent(lam, "binomial_series_grid")
+    return binomial_series_sum(lam, _series_table(w), ("full",))[0][0]
 
 
 def binomial_series_shifted(lam, w):
     """sum_{n>=1} binom(lam, n) w^(n-1), the factor with b_lam(w) = I + w @ (this).
 
-    Same convergence contract as ``binomial_series``, and a scalar lam.
+    Same convergence contract as ``binomial_series``, and a scalar lam; forms
+    the shifted sum only.
     """
-    return binomial_series_grid(scalar_exponent(lam, "binomial_series_grid"), w)[1][0]
+    lam = scalar_exponent(lam, "binomial_series_grid")
+    return binomial_series_sum(lam, _series_table(w), ("shifted",))[0][0]

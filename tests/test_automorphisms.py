@@ -83,6 +83,39 @@ def test_symmetry_blocks_scalar_oracle():
     assert np.allclose(m, np.array([[0.0, 2.0], [0.5, 0.0]]))
 
 
+def test_domain_identities_are_read_only_and_symmetries_keep_their_bits():
+    # the frozen formulas build their identities per call; tobytes compares
+    # the sign of every zero, such as the -0.0 blocks of -(I - yx) at yx = I
+    rng = np.random.default_rng(24)
+    doms = example_domains(RunConfig()) + [example_domains(RunConfig(dim_k=3, dim_h=1))[0]]
+    assert (doms[-2].dim_k, doms[-2].label, doms[-1].space.shape) == (4, "quadric", (3, 1))
+    negative_zeros = singular = 0
+    for dom in doms:
+        k, h = dom.dim_k, dom.dim_h
+        for eye, n in ((dom.eye_k, k), (dom.eye_h, h)):
+            assert eye.dtype == complex and np.array_equal(eye, np.eye(n))
+            with pytest.raises(ValueError):
+                eye[0, 0] = 2.0
+        points = [dom.z0, *sample_members(rng, dom, 5)]
+        for y in points:
+            x = dom.kernel_at(y)
+            yx = y @ x
+            want = (-(np.eye(k, dtype=complex) - yx), 2.0 * y - yx @ y, x, np.eye(h, dtype=complex) - x @ y)
+            u = symmetry_map(dom, y)
+            assert [m.tobytes() for m in (u.a, u.b, u.c, u.d)] == [m.tobytes() for m in want]
+            assert u.coefficient_matrix().tobytes() == np.block([[want[0], want[1]], [want[2], want[3]]]).tobytes()
+            negative_zeros += np.count_nonzero(np.signbit(u.a.view(float)) & (u.a.view(float) == 0))
+            for z in points:
+                den_inv = try_invert(want[2] @ z + want[3])
+                if den_inv is None:
+                    singular += 1
+                    with pytest.raises(SingularMatrixError):
+                        lft_apply(u, z)
+                else:
+                    assert lft_apply(u, z).tobytes() == ((want[0] @ z + want[1]) @ den_inv).tobytes()
+    assert negative_zeros > 0 and singular < 10
+
+
 def test_symmetry_reduces_to_reflection_on_whole_space():
     rng = np.random.default_rng(41)
     dom = whole_space_domain(full_space(2, 2))

@@ -330,6 +330,40 @@ def test_mobius_direct_matches_forty_digit_arithmetic():
     assert np.allclose(image, [[0.6], [0.3 * 0.8], [0.2j * 0.8]], rtol=0, atol=1e-15)
 
 
+def test_mobius_values_keep_the_bits_of_the_frozen_formula():
+    # the formulas as they stood with the zero padding written into ones;
+    # tobytes compares the sign of every zero
+    def frozen(b, z):
+        u, s, vh = np.linalg.svd(b)
+        gap = (1.0 - s) * (1.0 + s)
+        k, h = b.shape
+        left = np.ones(k)
+        left[: s.size] = 1.0 / np.sqrt(gap)
+        right = np.ones(h)
+        right[: s.size] = np.sqrt(gap)
+        left, right = (u * left) @ linalg.dagger(u), (linalg.dagger(vh) * right) @ vh
+        den_inv = linalg.invert(np.eye(h, dtype=complex) + b.conj().T @ z, linalg.DEFAULT_TOL, "")
+        return left, right, left @ (z + b) @ den_inv @ right
+
+    rng = np.random.default_rng(24)
+    for shape in ((1, 1), (2, 2), (3, 2), (2, 3), (3, 1), (1, 3), (4, 4)):
+        for norm_b in (0.0, 0.3, 0.6, 0.9):
+            for norm_z in (0.0, 0.3, 0.8):
+                b = random_matrix(rng, *shape)
+                b *= norm_b / operator_norm(b)
+                z = random_matrix(rng, *shape)
+                z *= norm_z / operator_norm(z)
+                # real and diagonal parameters give exact zeros in the products
+                cases = [(b, z), (b.real.astype(complex), -z)]
+                if shape[0] == shape[1]:
+                    cases.append((np.diag(np.diag(b)), z))
+                for param, point in cases:
+                    left, right, value = frozen(param, point)
+                    _, got_left, got_right = linalg.ball_roots(param)
+                    assert got_left.tobytes() == left.tobytes() and got_right.tobytes() == right.tobytes()
+                    assert mobius_direct(param, point).tobytes() == value.tobytes(), (shape, norm_b, norm_z)
+
+
 def test_mobius_direct_takes_no_principal_square_root(monkeypatch):
     # the two evaluation routes stay independent: mobius_direct takes its
     # roots from an SVD, mobius_map from principal_sqrt (Schur-based sqrtm)

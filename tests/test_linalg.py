@@ -22,7 +22,10 @@ from lftdom import (
     binomial_series_grid,
     binomial_series_shifted,
     dagger,
+    full_space,
     invert,
+    invertibles_domain,
+    liouville_curve,
     operator_norm,
     principal_sqrt,
     singular_test,
@@ -680,6 +683,99 @@ def test_binomial_series_sum_keeps_the_bytes_of_the_reference_loop():
         assert got == want, (case, n, norm, lams)
         raised += want[0] is ConvergenceError
     assert 40 <= raised <= 200
+
+
+def runs_past_first_block(lam, table):
+    """Whether lam meets no stop among the table's first block of terms."""
+    j = np.arange(1, len(table.steps) + 1, dtype=float)
+    coef = np.cumprod((lam - j + 1.0) / j)
+    tail = np.abs(coef) * table.decay / (1.0 - table.norm)
+    radius = abs(lam) if table.norm else 0.0
+    return not np.any((coef == 0) | ((j >= radius) & (tail < SERIES_TOL)))
+
+
+def test_curve_values_and_single_sums_keep_the_bytes_of_the_reference_loop():
+    # a curve value forms only the shifted sum and binomial_series only the
+    # full one; each keeps the bytes of the loop that forms both
+    rng = np.random.default_rng(24)
+    past_first = 0
+    for n in (1, 2, 4, 8):
+        dom = invertibles_domain(full_space(n, n))
+        for norm in (0.0, 0.25, 0.5, 0.75, 0.9):
+            step = contraction(rng, n, norm) if norm else np.zeros((n, n), dtype=complex)
+            f = liouville_curve(dom, dom.z0 + step)
+            table, w = f.table, f.w
+            built = [a.tobytes() for a in (table.powers, table.steps, table.decay)]
+            turns = np.exp(2j * np.pi * rng.uniform(size=4))
+            lams = [0.5 * turns[0], turns[1], 2.0, -0.0, 2.0 * turns[2], 2.0 * turns[3], -2.0, 2j]
+            for lam in lams:
+                full, shifted = frozen_series_sum([lam], table)
+                value = dom.z0 + (f.z - dom.z0) @ shifted[0]
+                assert f(lam).tobytes() == value.tobytes(), (n, norm, lam)
+                assert binomial_series(lam, w).tobytes() == full[0].tobytes(), (n, norm, lam)
+                assert binomial_series_shifted(lam, w).tobytes() == shifted[0].tobytes(), (n, norm, lam)
+                past_first += abs(lam) == 2.0 and 0.0 < norm < 0.9 and runs_past_first_block(lam, table)
+            # either order of the sums, and the table stays read-only and as built
+            full, shifted = frozen_series_sum(lams, table)
+            got = binomial_series_sum(lams, table, ("shifted", "full"))
+            assert [a.tobytes() for a in got] == [shifted.tobytes(), full.tobytes()]
+            assert f.evaluate(lams)[1].tobytes() == full.tobytes()
+            for a, before in zip((table.powers, table.steps, table.decay), built):
+                assert not a.flags.writeable and a.tobytes() == before
+            for bad in (np.nan, 1.5 * SERIES_TERM_CAP):
+                for fn in (f, lambda lam: binomial_series(lam, w), lambda lam: binomial_series_shifted(lam, w)):
+                    with pytest.raises(ConvergenceError, match="finite exponents"):
+                        fn(bad)
+    assert past_first >= 10
+    # BLAS can give -0.0 in a stacked product where a sum started from zero
+    # holds +0.0 (here at n = 3, where n^2 is odd)
+    w = np.zeros((3, 3), dtype=complex)
+    w[1, 0], w[2, 0], w[2, 2] = -0.0, 0.3, -0.0
+    table = binomial_series_table(w, operator_norm(w))
+    lams = [-0.5, -1.5, -2.0, 0.0]
+    full, shifted = frozen_series_sum(lams, table)
+    for sums in (("shifted",), ("full", "shifted")):
+        got = binomial_series_sum(lams, table, sums)
+        assert [a.tobytes() for a in got] == [{"full": full, "shifted": shifted}[s].tobytes() for s in sums]
+
+
+def test_convergence_errors_carry_their_numbers():
+    # one row per raise site: the call, then lam, ||w|| and the term count
+    # it must carry, None where the site has none
+    quarter = 0.25 * np.eye(2, dtype=complex)
+    half = 0.5 * np.eye(2, dtype=complex)
+    cases = [
+        ("||w|| >= 1", lambda: binomial_series(0.5, 1.5 * np.eye(2, dtype=complex)), None, 1.5, None),
+        ("not finite", lambda: binomial_series(np.nan, half), np.nan, 0.5, None),
+        ("above the cap", lambda: binomial_series_grid([0.5, 2e4, np.nan], quarter), 2e4, 0.25, None),
+        ("term cap", lambda: binomial_series(-500.0, quarter), -500.0, 0.25, SERIES_TERM_CAP),
+        ("overflow", lambda: binomial_series(1030.0, half), 1030.0, 0.5, "counted"),
+    ]
+    for site, call, lam, norm, terms in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as info:
+                call()
+        err, message = info.value, str(info.value)
+        assert err.norm == norm, site
+        if lam is None:
+            assert err.lam is None, site
+        else:
+            assert isinstance(err.lam, complex) and np.array_equal(err.lam, lam, equal_nan=True), site
+        if terms == "counted":
+            # the sums ran past their first block before they overflowed
+            assert isinstance(err.terms, int) and 0 < err.terms < SERIES_TERM_CAP, site
+        else:
+            assert err.terms == terms, site
+        # every number the message states is the one its fields carry
+        if site == "||w|| >= 1":
+            assert f"{err.norm:.6g}" in message
+        elif site in ("not finite", "above the cap"):
+            assert f"|lam| <= {SERIES_TERM_CAP}" in message and not abs(err.lam) <= SERIES_TERM_CAP
+        elif site == "term cap":
+            assert f"in {err.terms} terms" in message
+        else:
+            assert message == "binomial series overflowed"
 
 
 def test_binomial_series_grid_memory_stays_bounded_up_to_the_term_cap():
