@@ -11,7 +11,7 @@ Operations on a domain, and the chains, swap involutions and curves that hold
 it, judge with the domain's Tolerance; potapov_ginzburg_map takes its own.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .exceptions import (
     InternalCheckError,
     PathLeavesDomainError,
     ShapeError,
-    SingularMatrixError,
     SpaceClosureError,
     SpectrumError,
     StepBoundError,
@@ -255,7 +254,8 @@ class AutomorphismChain:
     fixed point of factors[i]. The factor count is even, so consecutive
     pairs fold into affine maps; `affine` is the full folded composition.
     step_norms[i] is ||x_i (waypoints[i+1] - waypoints[i])||, each below the
-    subdivision margin. residual is the defect of the composite at z0.
+    subdivision margin. residual is ||apply(z0) - target||, the defect of the
+    composite at z0.
     coefficients[i] is the coefficient matrix of factors[i]; both come from
     the same stacks of blocks, and the factors' blocks are views of those
     stacks, not of coefficients.
@@ -276,34 +276,31 @@ class AutomorphismChain:
         return len(self.factors)
 
     def apply(self, z):
-        """Apply the factors in order (numerically preferable to one big LFT).
+        """Apply the factors in order with ``lft_apply`` (numerically preferable to one big LFT).
 
-        A single z whose denominator is singular at some factor raises
-        SingularMatrixError. On an (m, k, h) stack of probes, returns
-        (images, singular): a probe that meets a singular denominator is
-        marked in ``singular``, gets a NaN image and leaves the stack, so the
-        later factors see only live probes. Each probe gets exactly the image
-        or the failure of a call on it alone.
+        A single z takes one call per factor and raises SingularMatrixError
+        where its denominator is singular at some factor. On an (m, k, h)
+        stack of probes, one stacked call per factor; returns (images,
+        singular): a probe that meets a singular denominator is marked in
+        ``singular``, gets a NaN image and leaves the stack, so the later
+        factors see only live probes. Each probe gets exactly the image or
+        the failure of a call on it alone.
         """
         dom = self.domain
         zs = as_cstack(z, rows=dom.dim_k, cols=dom.dim_h)
-        if zs.ndim > 3:
-            raise ShapeError(f"expected one matrix or an (m, k, h) stack, got shape {zs.shape}")
         if zs.ndim == 2:
-            images, singular = self.apply(zs[None])
-            if singular[0]:
-                raise SingularMatrixError("linear fractional map denominator c z + d is singular")
-            return images[0]
+            for f in self.factors:
+                zs = lft_apply(f, zs, dom.tol)
+            return zs
         live = np.arange(len(zs))
         out = zs
         for f in self.factors:
-            den_inv, singular = try_invert(f.c @ out + f.d, dom.tol)
+            out, singular = lft_apply(f, out, dom.tol)
             if singular.any():
                 keep = ~singular
-                live, out, den_inv = live[keep], out[keep], den_inv[keep]
+                live, out = live[keep], out[keep]
                 if not live.size:
                     break
-            out = (f.a @ out + f.b) @ den_inv
         images = np.full(zs.shape, np.nan, dtype=complex)
         images[live] = out
         singular = np.ones(len(zs), dtype=bool)
@@ -459,12 +456,7 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
     # rebase so the record is anchored at the source
     affine = AffineMap(base=source, offset=affine(source), left=affine.left, right=affine.right)
 
-    reached = source
-    for f in factors:
-        reached = lft_apply(f, reached, dom.tol)
-    residual = float(operator_norm(reached - target))
-
-    return AutomorphismChain(
+    chain = AutomorphismChain(
         domain=dom,
         target=target,
         waypoints=tuple(waypoints),
@@ -473,8 +465,9 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
         coefficients=coefficients,
         affine=affine,
         step_norms=tuple(step_norms),
-        residual=residual,
+        residual=None,
     )
+    return replace(chain, residual=float(operator_norm(chain.apply(source) - target)))
 
 
 # ---------------------------------------------------------------------------

@@ -105,10 +105,21 @@ def _check_block_shapes(a, b, c, d):
 
 
 def lft_apply(t, z, tol=DEFAULT_TOL):
-    """Evaluate (a z + b)(c z + d)^-1; raises SingularMatrixError on a singular denominator."""
-    z = as_cmatrix(z, rows=t.dim_k, cols=t.dim_h)
-    den_inv = invert(t.c @ z + t.d, tol, "linear fractional map denominator c z + d is singular")
-    return (t.a @ z + t.b) @ den_inv
+    """Evaluate (a z + b)(c z + d)^-1; the package's one evaluation of a linear fractional map.
+
+    One z raises SingularMatrixError on a singular denominator. On an
+    (m, k, h) stack it returns (images, singular), as ``try_invert`` does:
+    ``singular`` is the per-item verdict and a singular item's image is NaN.
+    Each item gets exactly the image and the verdict of a call on it alone.
+    """
+    z = as_cstack(z, rows=t.dim_k, cols=t.dim_h)
+    if z.ndim == 2:
+        den_inv = invert(t.c @ z + t.d, tol, "linear fractional map denominator c z + d is singular")
+        return (t.a @ z + t.b) @ den_inv
+    if z.ndim > 3:
+        raise ShapeError(f"expected one matrix or an (m, k, h) stack, got shape {z.shape}")
+    den_inv, singular = try_invert(t.c @ z + t.d, tol)
+    return (t.a @ z + t.b) @ den_inv, singular
 
 
 class Verdict(enum.Enum):

@@ -8,24 +8,18 @@ every entry exactly, the sign of a zero included: floats are emitted in
 shortest-round-trip form and read back into the real and imaginary parts
 separately.
 
-``dumps`` writes exactly the bytes of
+``dumps`` is the standard library's
 ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, one number
-per line. With an indent, the standard library encodes in pure Python, so
-``dumps`` takes each number grid (a non-empty list of non-empty lists of
-numbers, the body of every matrix) from one call of the compact C encoder,
-whose numbers are the same ``repr`` text, and re-indents that text: numbers
-hold no ", " or "], [" for the re-indenting to meet. Every other value takes
-a small recursive path that lays out lists and sorted mappings as the
-standard library does and encodes scalars, and dicts with keys other than
-strings, with the standard library itself.
+per line; it writes the ``verify --out`` report.
 
-``chain_dumps`` writes the bytes of ``dumps(chain_to_obj(chain))`` without
-building the object. The C encoder runs for any item separator, so it is
-given the laid-out one, a comma, a newline and the indent of a number; the
-real and the imaginary parts of each whole stack (the factors' coefficient
-matrices, the waypoints) take one call each. One split at the matrix
-boundaries and one replace at the row boundaries give each grid its final
-text, which fills a fixed template per matrix object.
+``chain_dumps``, the ``transit`` writer, gives the bytes of
+``dumps(chain_to_obj(chain))`` without building the object. With an indent,
+the standard library encodes in pure Python, but its C encoder runs for any
+item separator, so it is given the laid-out one, a comma, a newline and the
+indent of a number; the real and the imaginary parts of each whole stack
+(the factors' coefficient matrices, the waypoints) take one call each. One
+split at the matrix boundaries and one replace at the row boundaries give
+each grid its final text, which fills a fixed template per matrix object.
 """
 
 import functools
@@ -60,43 +54,8 @@ _compact = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def dumps(obj):
-    """The text of json.dumps(obj, indent=2, sort_keys=True, allow_nan=False), byte for byte."""
-    return _dumps(obj, "\n")
-
-
-def _dumps(obj, newline):
-    """obj laid out at the level whose lines start with ``newline`` (a newline and its indent)."""
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        grid = _number_grid(obj, newline, inner)
-        if grid is not None:
-            return grid
-        return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in obj) + newline + "]"
-    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
-        if not obj:
-            return "{}"
-        items = (_compact(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, dict):
-        # JSON text holds no raw newline, so indenting every line is exact
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False).replace("\n", newline)
-    return _compact(obj)
-
-
-def _number_grid(rows, newline, inner):
-    """The laid-out text of a non-empty list of non-empty lists of numbers, else None."""
-    if not all(isinstance(row, (list, tuple)) for row in rows):
-        return None
-    text = _compact(rows)
-    # one "[" per row, no empty row and no string (so no non-empty mapping):
-    # numbers, true, false, null and {} inside, each laid out on its own line
-    if text.count("[") != len(rows) + 1 or "[]" in text or '"' in text:
-        return None
-    cell = inner + "  "
-    body = text[2:-2].replace("], [", inner + "]," + inner + "[" + cell).replace(", ", "," + cell)
-    return "[" + inner + "[" + cell + body + inner + "]" + newline + "]"
+    """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False): the report layout."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 def matrix_to_obj(m):

@@ -40,10 +40,10 @@ exponents from a table, and forms only the sums its caller names: a curve
 value and ``binomial_series_shifted`` take the shifted sum, ``binomial_series``
 the full one, each for one scalar lam, and ``binomial_series_grid`` and
 ``LiouvilleCurve.evaluate`` both. A call whose lams all stop in the first
-block is that block's work alone. A call that runs past it forms both sums;
-its later blocks run with numpy's overflow and invalid warnings off, and the
-finiteness of both sums is the typed verdict there. Each ConvergenceError
-carries the lam, ||w|| and term count it was decided on.
+block is that block's work alone. A call that runs past it takes the later
+blocks into the same sums, with numpy's overflow and invalid warnings off,
+and the finiteness of the sums it returns is the typed verdict there. Each
+ConvergenceError carries the lam, ||w|| and term count it was decided on.
 
 scipy is imported on first use, not with the package: ``principal_sqrt``
 loads ``scipy.linalg`` at its first root (it serves midpoints, chains,
@@ -345,15 +345,15 @@ def binomial_series_sum(lams, table, sums=("full", "shifted")):
     ``sums`` names the sums to return, in order: "full" for
     full[i] = sum_{j>=0} binom(lam_i, j) w^j, i.e. (I + w)^lam_i, and
     "shifted" for shifted[i] = sum_{j>=1} binom(lam_i, j) w^(j-1). A caller
-    gets only the sums it takes, and a sum it does not take is not formed
-    unless some lam runs past the first block.
+    gets only the sums it takes; a sum it does not take is never formed.
     Each lam stops at the first j where binom(lam, j) = 0, or where
     j >= |lam| and the tail bound |binom(lam, j)| ||w||^j / (1 - ||w||)
     drops below SERIES_TOL; at ||w|| = 0 every lam stops at j = 1, since
     w^j = 0 from there on. A lam still running after SERIES_TERM_CAP
     terms raises ConvergenceError. So does, at entry, a lam that is not
     finite or has |lam| > SERIES_TERM_CAP, which that rule can never stop,
-    and, for a call that ran past its first block, a sum that overflowed.
+    and, for a call that ran past its first block, a returned sum that
+    overflowed.
     Each error carries the lam it names, ||w|| and the term count (None
     where none applies).
     The single-value entry points (``binomial_series``,
@@ -366,14 +366,13 @@ def binomial_series_sum(lams, table, sums=("full", "shifted")):
     advanced in place in a copy of the table. Each block is contracted with
     its binomial coefficients into the sums, so memory stays
     O(size (n^2 + m)) whatever the term count. When every lam stops in the
-    first block, that block is the whole call. Otherwise the later blocks
-    form both sums: one block of coefficients cannot overflow for
-    |lam| <= SERIES_TERM_CAP, but a later one can, also in the columns past
-    a lam's stop that the sums leave out, so the later blocks run with
-    numpy's overflow and invalid warnings off and the finiteness of both
-    sums is the verdict. The two sums are formed separately from the same
-    powers; the full sum is not I + w @ shifted, so that identity stays a
-    check.
+    first block, that block is the whole call. One block of coefficients
+    cannot overflow for |lam| <= SERIES_TERM_CAP, but a later one can, also
+    in the columns past a lam's stop that the sums leave out, so the later
+    blocks run with numpy's overflow and invalid warnings off and the
+    finiteness of the returned sums is the verdict. The two sums are formed
+    separately from the same powers; the full sum is not I + w @ shifted, so
+    that identity stays a check.
     """
     nw, powers, steps = table.norm, table.powers, table.steps
     lams = np.asarray(lams, dtype=complex).reshape(-1)
@@ -390,19 +389,17 @@ def binomial_series_sum(lams, table, sums=("full", "shifted")):
     # the first block's leading coefficient is 1 and no lam has stopped yet
     block = np.multiply.accumulate((lams[:, None] - steps + 1.0) / steps, axis=1)
     stopped = _cut_block(block, steps.real, table.decay, radius, nw)
-    later = np.count_nonzero(stopped) < m
     flat = powers.reshape(size + 1, n * n)
     out = {}
-    if later or "full" in sums:
+    if "full" in sums:
         # the full sum starts from w^0 = I
         out["full"] = block @ flat[1:] + flat[0]
-    if later or "shifted" in sums:
+    if "shifted" in sums:
         # the shifted sum starts from zero: adding 0.0 turns an exact zero of
         # the product to +0.0, and a stacked product can give -0.0
         out["shifted"] = block @ flat[:-1]
         out["shifted"] += 0.0
-    if later:
-        full, shifted = out["full"], out["shifted"]
+    if not stopped.all():
         with np.errstate(over="ignore", invalid="ignore"):
             # w^(j0+i) = w^j0 w^i, advanced in a copy; the table itself stays as built
             powers, j0 = powers.copy(), 0
@@ -421,10 +418,12 @@ def binomial_series_sum(lams, table, sums=("full", "shifted")):
                 # a lam stopped in an earlier block takes no more terms
                 block[stopped] = 0.0
                 stopped = stopped | _cut_block(block, j, nw**j, radius, nw)
-                full += block @ flat[1:]
-                shifted += block @ flat[:-1]
-        if not (np.isfinite(full).all() and np.isfinite(shifted).all()):
-            finite = np.isfinite(full).all(axis=1) & np.isfinite(shifted).all(axis=1)
+                if "full" in out:
+                    out["full"] += block @ flat[1:]
+                if "shifted" in out:
+                    out["shifted"] += block @ flat[:-1]
+        finite = np.logical_and.reduce([np.isfinite(v).all(axis=1) for v in out.values()])
+        if not finite.all():
             raise ConvergenceError(
                 "binomial series overflowed", lam=complex(lams[~finite][0]), norm=nw, terms=j0 + size
             )

@@ -89,7 +89,7 @@ def test_domain_identities_are_read_only_and_symmetries_keep_their_bits():
     rng = np.random.default_rng(24)
     doms = example_domains(RunConfig()) + [example_domains(RunConfig(dim_k=3, dim_h=1))[0]]
     assert (doms[-2].dim_k, doms[-2].label, doms[-1].space.shape) == (4, "quadric", (3, 1))
-    negative_zeros = singular = 0
+    negative_zeros = singular = built = built_singular = 0
     for dom in doms:
         k, h = dom.dim_k, dom.dim_h
         for eye, n in ((dom.eye_k, k), (dom.eye_h, h)):
@@ -105,15 +105,27 @@ def test_domain_identities_are_read_only_and_symmetries_keep_their_bits():
             assert [m.tobytes() for m in (u.a, u.b, u.c, u.d)] == [m.tobytes() for m in want]
             assert u.coefficient_matrix().tobytes() == np.block([[want[0], want[1]], [want[2], want[3]]]).tobytes()
             negative_zeros += np.count_nonzero(np.signbit(u.a.view(float)) & (u.a.view(float) == 0))
-            for z in points:
+            # one more probe, y - pinv(x), where the denominator
+            # I - x pinv(x) is singular whenever x != 0
+            probes = np.stack(points + [y - np.linalg.pinv(x)])
+            images, flags = lft_apply(u, probes)
+            assert images.shape == probes.shape and flags.shape == (len(probes),)
+            built += bool(x.any())
+            built_singular += bool(flags[-1])
+            for z, image, flag in zip(probes, images, flags):
                 den_inv = try_invert(want[2] @ z + want[3])
-                if den_inv is None:
+                assert flag == (den_inv is None)
+                if flag:
                     singular += 1
+                    assert np.isnan(image).all()
                     with pytest.raises(SingularMatrixError):
                         lft_apply(u, z)
                 else:
-                    assert lft_apply(u, z).tobytes() == ((want[0] @ z + want[1]) @ den_inv).tobytes()
-    assert negative_zeros > 0 and singular < 10
+                    alone = lft_apply(u, z)
+                    assert alone.tobytes() == ((want[0] @ z + want[1]) @ den_inv).tobytes()
+                    assert image.tobytes() == alone.tobytes()
+    assert negative_zeros > 0 and singular - built_singular < 10
+    assert built_singular == built >= 30
 
 
 def test_symmetry_reduces_to_reflection_on_whole_space():
@@ -363,6 +375,29 @@ def test_stacked_chain_apply_drops_a_probe_that_dies_at_a_middle_factor():
     assert singular.all() and np.isnan(images).all()
     with pytest.raises(ShapeError):
         chain.apply(np.stack([probes, probes]))
+
+
+def test_chain_residual_is_the_frozen_factor_loop_bit_for_bit():
+    # the residual loop transitive_chain ran before it took chain.apply
+    def frozen_residual(chain):
+        dom, reached = chain.domain, chain.domain.z0
+        for f in chain.factors:
+            den_inv = try_invert(f.c @ reached + f.d, dom.tol)
+            assert den_inv is not None
+            reached = (f.a @ reached + f.b) @ den_inv
+        return float(operator_norm(reached - chain.target))
+
+    rng = np.random.default_rng(51)
+    doms = example_domains(RunConfig()) + [example_domains(RunConfig(dim_k=3, dim_h=1))[3]]
+    assert doms[-2].label == "quadric" and doms[-1].space.shape == (3, 1)
+    for dom in doms:
+        for scale in (0.5, 1.0, 2.0):
+            chain = transitive_chain(dom, random_domain_member(rng, dom, scale=scale, margin=0.05))
+            assert chain.residual.hex() == frozen_residual(chain).hex()
+    dom = invertibles_domain(full_space(2, 2))
+    path = [dom.z0, np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[2.0, 1.0], [0.5, 1.0]])]
+    chain = transitive_chain(dom, path[-1], path=path)
+    assert chain.residual.hex() == frozen_residual(chain).hex()
 
 
 def test_chain_validates_margin_and_path():

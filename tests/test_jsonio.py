@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lftdom import full_space, invertibles_domain, jsonio, quadric_domain, transitive_chain
 from lftdom.cli import main
@@ -122,8 +123,9 @@ def chain_stacks(draw):
     entry = st.one_of(st.sampled_from(CHAIN_NUMBERS), st.floats(allow_nan=False, allow_infinity=False))
 
     def stack(*shape):
-        size = 2 * int(np.prod(shape))
-        parts = np.array(draw(st.lists(entry, min_size=size, max_size=size))).reshape(2, *shape)
+        # fill=st.nothing() draws every entry on its own, as a list of entries
+        # did; the default fill would repeat one drawn value across most entries
+        parts = draw(arrays(np.float64, (2, *shape), elements=entry, fill=st.nothing()))
         return complex_stack(parts[0], parts[1])
 
     return chain_of(stack(m, k + h, k + h), stack(m + 1, k, h), draw(entry))
