@@ -2,14 +2,20 @@
 
 Each suite draws from its own generator seeded by (seed, suite index), runs a
 fixed number of randomized checks against a tracker, and returns how many
-trials it ran. run_verify times each suite and turns its tracker into a report
+trials it ran. suite_row times one suite and turns its tracker into a report
 row: the worst residual seen, whether every check held, and the identity
-checked. The command line front end renders the rows; callers that want
-programmatic access use run_verify directly.
+checked. No suite reads another's draws or results, so run_verify computes
+the rows in worker processes forked from the caller, one per usable CPU up to
+one per suite, on Linux, and in the caller's process elsewhere; the report is
+the same either way. A row's elapsed time is its suite's own time in its
+worker, so the rows can sum to more than the wall time. The command line
+front end renders the rows; callers that want programmatic access use
+run_verify directly.
 """
 
 import math
 import os
+import sys
 import time
 import traceback
 from dataclasses import dataclass
@@ -611,42 +617,104 @@ SUITES = (
 )
 
 
-def run_verify(config):
-    """Run every suite with its own (seed, index) generator; return the report."""
-    rows = []
-    for index, (name, suite, anchor) in enumerate(SUITES):
-        rng = np.random.default_rng([config.seed, index])
-        track = _Tracker()
-        start = time.perf_counter()
+def _aborted_row(name, exc, where=""):
+    return {
+        "name": name,
+        "anchor": f"suite aborted: {type(exc).__name__}: {exc}{where}",
+        "trials": 0,
+        # JSON has no infinity; an aborted suite reports null
+        "max_residual": None,
+        "passed": False,
+        "elapsed": 0.0,
+    }
+
+
+def suite_row(config, index):
+    """Run suite `index` of SUITES with its own (seed, index) generator; return its row."""
+    name, suite, anchor = SUITES[index]
+    rng = np.random.default_rng([config.seed, index])
+    track = _Tracker()
+    start = time.perf_counter()
+    try:
+        trials = suite(config, rng, track)
+    except Exception as exc:  # any failure aborts only its own row
+        # the innermost frame inside this package says where it failed
+        here = os.path.dirname(__file__)
+        frames = traceback.extract_tb(exc.__traceback__)
+        frame = [f for f in frames if os.path.dirname(f.filename) == here][-1]
+        return _aborted_row(
+            name, exc,
+            f" (in {frame.name}, {os.path.basename(frame.filename)}:{frame.lineno})",
+        )
+    return {
+        "name": name,
+        "anchor": anchor,
+        "trials": trials,
+        # JSON has no NaN or infinity; a non-finite worst residual reports null
+        "max_residual": track.worst if math.isfinite(track.worst) else None,
+        "passed": track.ok,
+        "elapsed": time.perf_counter() - start,
+    }
+
+
+def _pooled_rows(config, workers):
+    """suite_row for every index, computed in `workers` processes forked from this one.
+
+    Fork keeps the loaded modules and this process's SUITES table. A job that
+    fails here rather than inside its suite, such as one whose worker died,
+    gives an aborted row. A dead worker fails every job still pending in its
+    pool, so each of those runs again in a pool of its own, and only a job
+    that fails again keeps the aborted row.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
+
+    def rows_in_pool(size, indices):
+        pool = ProcessPoolExecutor(size, mp_context=fork)
         try:
-            trials = suite(config, rng, track)
-        except Exception as exc:  # any failure aborts only its own row
-            # the innermost frame inside this package says where it failed
-            here = os.path.dirname(__file__)
-            frames = traceback.extract_tb(exc.__traceback__)
-            frame = [f for f in frames if os.path.dirname(f.filename) == here][-1]
-            rows.append({
-                "name": name,
-                "anchor": (
-                    f"suite aborted: {type(exc).__name__}: {exc} "
-                    f"(in {frame.name}, {os.path.basename(frame.filename)}:{frame.lineno})"
-                ),
-                "trials": 0,
-                # JSON has no infinity; an aborted suite reports null
-                "max_residual": None,
-                "passed": False,
-                "elapsed": 0.0,
-            })
-            continue
-        rows.append({
-            "name": name,
-            "anchor": anchor,
-            "trials": trials,
-            # JSON has no NaN or infinity; a non-finite worst residual reports null
-            "max_residual": track.worst if math.isfinite(track.worst) else None,
-            "passed": track.ok,
-            "elapsed": time.perf_counter() - start,
-        })
+            try:
+                futures = {index: pool.submit(suite_row, config, index) for index in indices}
+            except BrokenProcessPool as exc:  # a worker died before every job was in
+                return dict.fromkeys(indices, exc)
+            rows = {}
+            for index, future in futures.items():
+                try:
+                    rows[index] = future.result()
+                except Exception as exc:  # the job failed, not its suite
+                    rows[index] = exc
+            return rows
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    rows = rows_in_pool(workers, range(len(SUITES)))
+    for index, row in rows.items():
+        if isinstance(row, BrokenProcessPool):
+            rows[index] = rows_in_pool(1, [index])[index]
+    return [
+        _aborted_row(SUITES[index][0], row) if isinstance(row, Exception) else row
+        for index, row in rows.items()
+    ]
+
+
+def run_verify(config):
+    """Run every suite of SUITES and return the report, its rows in SUITES order.
+
+    On Linux the rows are computed in worker processes forked from this one,
+    one per usable CPU up to one per suite; when that makes one worker, or on
+    another platform, they are computed in this process. Each row is
+    suite_row(config, index) either way, so the report is the same apart from
+    the elapsed times, and every worker has ended when run_verify returns.
+    """
+    workers = 1
+    if sys.platform == "linux":
+        workers = min(len(os.sched_getaffinity(0)), len(SUITES))
+    if workers > 1:
+        rows = _pooled_rows(config, workers)
+    else:
+        rows = [suite_row(config, index) for index in range(len(SUITES))]
     return {
         "config": {
             "seed": int(config.seed),

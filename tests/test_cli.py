@@ -1,6 +1,9 @@
 """End-to-end command line checks plus the JSON wire formats."""
 
 import json
+import multiprocessing
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -338,6 +341,125 @@ def test_verify_creates_its_out_file_only_with_the_report(monkeypatch, tmp_path,
     assert seen == [False]
     assert json.loads(out.read_text(encoding="utf-8"))["passed"] is True
     capsys.readouterr()
+
+
+# run_verify forks its worker pool only on Linux
+LINUX_ONLY = pytest.mark.skipif(sys.platform != "linux", reason="no worker pool off Linux")
+
+
+def use_cpus(monkeypatch, count):
+    # run_verify sizes its pool from the CPUs this process may use
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def plant(monkeypatch, index, suite):
+    suites = list(verify.SUITES)
+    name, _, anchor = suites[index]
+    suites[index] = (name, suite, anchor)
+    monkeypatch.setattr(verify, "SUITES", tuple(suites))
+
+
+@LINUX_ONLY
+def test_verify_rows_come_from_forked_workers_given_two_cpus(monkeypatch):
+    def report_pid(config, rng, track):
+        track.add(0.0, 1e-12)
+        return os.getpid()
+
+    name, _, anchor = verify.SUITES[0]
+    monkeypatch.setattr(verify, "SUITES", ((name, report_pid, anchor),) * 3)
+    config = verify.RunConfig(trials=1)
+    use_cpus(monkeypatch, 2)
+    pids = {row["trials"] for row in verify.run_verify(config)["suites"]}
+    assert multiprocessing.active_children() == []
+    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+    use_cpus(monkeypatch, 1)
+    pids = {row["trials"] for row in verify.run_verify(config)["suites"]}
+    assert pids == {os.getpid()}
+
+
+@LINUX_ONLY
+def test_pooled_rows_equal_the_rows_built_in_process(monkeypatch):
+    def raise_in_suite(config, rng, track):
+        track.add(0.0, 1e-12)
+        verify.RunConfig(trials=0)  # raises inside the package
+
+    plant(monkeypatch, 4, raise_in_suite)
+    use_cpus(monkeypatch, 2)
+    for config in (
+        verify.RunConfig(trials=2),
+        verify.RunConfig(trials=2, seed=3),
+        verify.RunConfig(trials=2, dim_k=3, dim_h=1),
+    ):
+        report = verify.run_verify(config)
+        assert multiprocessing.active_children() == []
+        in_process = [verify.suite_row(config, index) for index in range(len(verify.SUITES))]
+        assert strip_elapsed(report["suites"]) == strip_elapsed(in_process)
+        assert report["passed"] is False
+        # the abort anchor names the innermost frame inside the package
+        aborted = report["suites"][4]["anchor"]
+        assert aborted.startswith(
+            "suite aborted: ValueError: trials must be a positive integer at most 10^6 "
+            "(in __post_init__, verify.py:"
+        ), aborted
+
+
+@LINUX_ONLY
+def test_a_dead_worker_aborts_only_its_own_row(monkeypatch, tmp_path, capfd):
+    def exit_at_once(config, rng, track):
+        os._exit(3)
+
+    config = verify.RunConfig(trials=1)
+    expected = [verify.suite_row(config, index) for index in range(len(verify.SUITES))]
+    plant(monkeypatch, 2, exit_at_once)
+    use_cpus(monkeypatch, 2)
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--trials", "1", "--out", str(out)])
+    captured = capfd.readouterr()
+    assert multiprocessing.active_children() == []
+    assert rc == 1
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == "overall: FAIL"
+    rows = json.loads(out.read_text(encoding="utf-8"))["suites"]
+    dead = rows.pop(2)
+    assert dead["name"] == "midpoint-swap"
+    assert dead["anchor"].startswith("suite aborted: BrokenProcessPool: "), dead["anchor"]
+    assert dead["max_residual"] is None and dead["passed"] is False and dead["trials"] == 0
+    del expected[2]
+    assert strip_elapsed(rows) == strip_elapsed(json.loads(jsonio.dumps(expected)))
+
+
+@LINUX_ONLY
+def test_a_worker_dead_before_every_job_is_in_aborts_only_its_own_row(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    def exit_at_once(config, rng, track):
+        os._exit(3)
+
+    # hold every later submission until the first job has ended, which
+    # breaks the pool while jobs are still being submitted
+    submit, first = ProcessPoolExecutor.submit, []
+
+    def submit_after_the_first_job(pool, *args):
+        if first:
+            wait(first, timeout=60)
+        future = submit(pool, *args)
+        if not first:
+            first.append(future)
+        return future
+
+    config = verify.RunConfig(trials=1)
+    expected = [verify.suite_row(config, index) for index in range(len(verify.SUITES))]
+    plant(monkeypatch, 0, exit_at_once)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_after_the_first_job)
+    report = verify.run_verify(config)
+    assert multiprocessing.active_children() == []
+    assert isinstance(first[0].exception(), BrokenProcessPool)
+    dead, *rows = report["suites"]
+    assert dead["anchor"].startswith("suite aborted: BrokenProcessPool: "), dead["anchor"]
+    assert dead["max_residual"] is None and report["passed"] is False
+    assert strip_elapsed(rows) == strip_elapsed(expected[1:])
 
 
 def test_demo_runs_every_example(capsys):

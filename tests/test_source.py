@@ -318,8 +318,11 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     codes.append(lftdom.cli.main(["verify", "--trials", "0"]))
     codes.append(lftdom.cli.main(["transit", "no-such-domain.json", "no-such-target.json"]))
 before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+pool = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
 principal_sqrt(np.diag([4.0, 9.0]).astype(complex))
-print(json.dumps({"codes": codes, "before": before, "after": "scipy.linalg" in sys.modules}))
+print(json.dumps({
+    "codes": codes, "before": before, "pool": pool, "after": "scipy.linalg" in sys.modules,
+}))
 """
 
 
@@ -334,4 +337,6 @@ def test_a_cold_start_loads_scipy_at_the_first_square_root(tmp_path):
     seen = json.loads(child.stdout.splitlines()[-1])
     assert seen["codes"] == [0, 2, 2]
     assert seen["before"] == []
+    # verify's worker pool modules load inside run_verify only
+    assert seen["pool"] == []
     assert seen["after"] is True
