@@ -13,18 +13,22 @@ separately.
 per line; it writes the ``verify --out`` report.
 
 ``chain_dumps``, the ``transit`` writer, gives the bytes of
-``dumps(chain_to_obj(chain))`` without building the object. With an indent,
-the standard library encodes in pure Python, but its C encoder runs for any
-item separator, so it is given the laid-out one, a comma, a newline and the
-indent of a number; the real and the imaginary parts of each whole stack
-(the factors' coefficient matrices, the waypoints) take one call each. One
-split at the matrix boundaries and one replace at the row boundaries give
-each grid its final text, which fills a fixed template per matrix object.
+``dumps(chain_to_obj(chain))`` from orjson, loaded at the first chain write.
+orjson's indent-2, key-sorted layout is the standard library's, and its
+floats carry the same shortest round-trip digits as ``float.__repr__``; only
+the spelling of a few differs (``1e16`` for ``1e+16``, ``1e-8`` for
+``1e-08``, ``0.00001`` for ``1e-05``). Every number whose spelling could
+differ is found by a pattern that opens with a literal, the exponent mark or
+``.0000``, and is written again with ``repr``; a fixed notation of 1e16 or
+more, which no literal finds, is looked for only in a chain holding a value
+that large. orjson writes NaN as ``null``, so ``chain_to_obj`` refuses a
+non-finite residual as ``_matrix_objs`` refuses a non-finite entry.
 """
 
-import functools
 import itertools
 import json
+import math
+import re
 
 import numpy as np
 
@@ -47,10 +51,6 @@ def loads(text):
         return json.loads(text, parse_constant=_reject_constant)
     except RecursionError:
         raise ValueError("JSON nesting is too deep to parse") from None
-
-
-# compact, with the checks and the key order of dumps
-_compact = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def dumps(obj):
@@ -170,71 +170,58 @@ def domain_to_obj(dom):
 
 def chain_to_obj(chain):
     """Chain output: waypoints, factor coefficient matrices, final residual."""
+    residual = float(chain.residual)
+    if not math.isfinite(residual):
+        raise ValueError("the residual must be finite")
     return {
         "waypoints": _matrix_objs(np.stack(chain.waypoints)),
         "factors": [{"M": m} for m in _matrix_objs(chain.coefficients)],
-        "residual": float(chain.residual),
+        "residual": residual,
     }
 
 
 def chain_dumps(chain):
-    """The text of dumps(chain_to_obj(chain)), byte for byte, built from the chain's stacks."""
-    return _chain_text(chain.coefficients, np.stack(chain.waypoints), chain.residual)
+    """The text of dumps(chain_to_obj(chain)), byte for byte: orjson's encoding of it, respelled."""
+    # imported here, not at module level: only a chain write needs it
+    import orjson
+
+    text = orjson.dumps(chain_to_obj(chain), option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS).decode()
+    # a modulus bounds both parts of its entry
+    values = (chain.coefficients, *chain.waypoints, chain.residual)
+    return _respell(text, large=max(np.abs(v).max() for v in values) >= 1e16)
 
 
-def _chain_text(coefficients, waypoints, residual):
-    """A chain file from its (m, k+h, k+h) coefficient stack, m >= 1, (m+1, k, h) waypoints and residual."""
-    factors = ['{\n      "M": ' + m + "\n    }" for m in _matrix_texts(coefficients, 8)]
-    return (
-        '{\n  "factors": ' + _list_text(factors)
-        + ',\n  "residual": ' + _compact(float(residual))
-        + ',\n  "waypoints": ' + _list_text(_matrix_texts(waypoints, 6)) + "\n}"
-    )
+# A number token holding a match is written again with repr. Each pattern
+# opens with a literal, which re finds fast: an exponent without its sign,
+# with one digit, or of a value repr writes in fixed notation; a fixed
+# notation below 1e-4. The tail runs to the end of the token.
+_TAIL = r"[-+.\de]*"
+_ODD = [
+    re.compile(r"e(?:\d|[-+]\d(?!\d)|-0[0-4]|\+(?:0|1[0-5](?!\d)))" + _TAIL),
+    re.compile(r"\.0000" + _TAIL),
+]
+# a run of 17 digits, as a fixed notation of 1e16 or more has: no literal
+# opens it, so it is looked for only in a chain holding a value that large
+_LARGE = re.compile(r"\d{17}" + _TAIL)
 
 
-def _list_text(items):
-    """A non-empty list, at indent 2, of the texts of its items."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+def _respell(text, large):
+    """text, an indent-2 encoding by a shortest round-trip encoder, with every number spelled as float.__repr__ does.
 
-
-def _matrix_texts(ms, depth):
-    """The matrix object of each item of an (m, rows, cols) stack, laid out with its keys at indent depth."""
-    _require_finite(ms)
-    key = "\n" + " " * depth
-    head = "{" + key + f'"cols": {ms.shape[2]},' + key + '"im": '
-    middle = "," + key + '"re": '
-    tail = "," + key + f'"rows": {ms.shape[1]}' + key[:-2] + "}"
-    return [
-        head + im + middle + re + tail
-        for im, re in zip(_grid_texts(ms.imag, depth), _grid_texts(ms.real, depth))
-    ]
-
-
-@functools.cache
-def _stack_encoder(cell):
-    """The C encoder whose item separator is a comma, then ``cell`` (a newline and an indent)."""
-    return json.JSONEncoder(allow_nan=False, check_circular=False, separators=("," + cell, ": ")).encode
-
-
-def _grid_texts(grids, depth):
-    """The laid-out text of each grid of a real (m, rows, cols) stack, m >= 1, closed at indent depth.
-
-    Every separator of the one encoded stack is already a cell's "," and
-    line break; only the row and matrix boundaries are laid out again.
+    The layout's keys hold no "E", so an upper-case exponent mark is lowered
+    first. With large, fixed-notation numbers of 1e16 or more are respelled too.
     """
-    outer = "\n" + " " * depth
-    row = outer + "  "
-    cell = row + "  "
-    sep = "," + cell
-    # "[[[a" sep "b]" sep "[c" ... "]]" sep "[[" ... "]]]"
-    text = _stack_encoder(cell)(grids.tolist())
-    head = "[" + row + "[" + cell
-    tail = row + "]" + outer + "]"
-    row_break = row + "]," + row + "[" + cell
-    return [
-        head + body.replace("]" + sep + "[", row_break) + tail
-        for body in text[3:-3].split("]]" + sep + "[[")
-    ]
+    text = text.replace("E", "e")
+    for pattern in _ODD + ([_LARGE] if large else []):
+        pieces, done = [], 0
+        for match in pattern.finditer(text):
+            # every number of the layout follows a space
+            start = text.rfind(" ", 0, match.start()) + 1
+            pieces += (text[done:start], repr(float(text[start:match.end()])))
+            done = match.end()
+        if pieces:
+            text = "".join(pieces + [text[done:]])
+    return text
 
 
 def path_from_obj(obj):

@@ -150,13 +150,50 @@ def test_chain_dumps_matches_on_real_chains():
 
 
 def test_chain_dumps_of_single_matrix_stacks():
-    # one factor: no matrix boundary to split the coefficient text at
+    # one factor, and one or two waypoints
     rng = np.random.default_rng(18)
     for k, h in ((1, 1), (1, 2), (2, 1), (3, 3)):
         m = rng.standard_normal((1, k + h, k + h)) + 1j * rng.standard_normal((1, k + h, k + h))
         w = rng.standard_normal((2, k, h)) - 0.0j
         assert_chain_text(chain_of(m, w, 1e-16))
         assert_chain_text(chain_of(m, w[:1], 0.0))
+
+
+def decade_sweep():
+    """Finite floats of every spelling repr has, each with its negative."""
+    rng = np.random.default_rng(19)
+    mantissas = rng.uniform(1, 10, 4).tolist()
+    mantissas += [round(m, digits) for m in mantissas for digits in (0, 2)]
+    values = [float(f"{m!r}e{e}") for e in range(-324, 309) for m in mantissas]
+    for edge in (1e-9, 1e-5, 1e-4, 1e16):
+        values += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    values += list(np.ldexp(1.0, np.arange(-1074, 1024))) + [0.0, -0.0, 10.00001, 100.0000123]
+    values = np.array(values)
+    values = values[np.isfinite(values)]
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("limit", [1e16, np.inf])
+def test_chain_dumps_spells_every_decade_as_repr_does(limit):
+    # below 1e16 the chain holds no value for which the fixed-notation pass runs
+    values = decade_sweep()
+    values = values[np.abs(values) < limit]
+    values = values[: values.size // 8 * 8].reshape(-1, 2, 2, 2)
+    coefficients = complex_stack(values[..., 0], values[..., 1])
+    chain = chain_of(coefficients, [coefficients[0, :1], coefficients[-1, 1:]], values[0, 0, 0, 1])
+    text, want = jsonio.chain_dumps(chain), reference(jsonio.chain_to_obj(chain))
+    # the differing lines, not the texts: a diff of two texts this long takes minutes
+    assert [(a, b) for a, b in zip(text.splitlines(), want.splitlines()) if a != b] == []
+    assert text == want
+
+
+@pytest.mark.parametrize("spelling", [
+    "1e-5", "1e-05", "1e16", "1e+16", "1E16", "0.00001", "1e5", "2.5E-7", "10000000000000000.0",
+])
+def test_respelling_gives_repr_for_each_shortest_round_trip_spelling(spelling):
+    value = float(spelling)
+    text = "[\n  " + spelling + ",\n  -" + spelling + "\n]"
+    assert jsonio._respell(text, large=value >= 1e16) == reference([value, -value])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -322,6 +322,7 @@ pool = [name for name in ("multiprocessing", "concurrent.futures") if name in sy
 principal_sqrt(np.diag([4.0, 9.0]).astype(complex))
 print(json.dumps({
     "codes": codes, "before": before, "pool": pool, "after": "scipy.linalg" in sys.modules,
+    "orjson": "orjson" in sys.modules,
 }))
 """
 
@@ -340,3 +341,5 @@ def test_a_cold_start_loads_scipy_at_the_first_square_root(tmp_path):
     # verify's worker pool modules load inside run_verify only
     assert seen["pool"] == []
     assert seen["after"] is True
+    # the chain writer's encoder loads at the first chain write only
+    assert seen["orjson"] is False
