@@ -10,8 +10,8 @@ import numpy as np
 
 from .exceptions import InternalCheckError
 from .linalg import DEFAULT_TOL, dagger, hermitian_margin, operator_norm, principal_sqrt, singular_test, try_invert
-from .domains import Verdict
-from .automorphisms import signature_from_projection
+from .domains import Verdict, lft_apply
+from .automorphisms import potapov_ginzburg_map
 
 # draws each rejection sampler makes before it gives up
 INVERTIBLE_ATTEMPTS = 200
@@ -22,12 +22,9 @@ PG_ATTEMPTS = 20000
 MAX_PULL = 0.8
 # least form_margin of a signed-contraction sample
 PG_MIN_MARGIN = 1e-6
-# uniform bounds of the norm, smallest-singular-value and column scales of
-# signed-contraction proposals, and the least norm and smallest singular
-# value that a proposal needs to be scaled
-PG_SCALES = ((0.05, 0.9), (1.05, 1.8), (0.1, 2.0))
-PG_MIN_NORM = 1e-12
-PG_MIN_SMIN = 1e-8
+# uniform bounds of the norm of the ball points that signed-contraction
+# proposals are the Potapov-Ginzburg images of
+PG_BALL_NORMS = (0.05, 0.95)
 
 
 def random_matrix(rng, rows, cols):
@@ -199,115 +196,43 @@ def random_hyperbolic_member(rng, spec, degenerate=False):
     raise InternalCheckError("could not sample a hyperbolic member")
 
 
+def sample_pg_members(rng, e, count, tol=DEFAULT_TOL):
+    """``count`` members of Z*JZ < J, J = I - 2E, with EZ + I - E invertible, as a (count, n, n) stack.
+
+    Each proposal is z = U_E(b), the Potapov-Ginzburg map of ``e`` at a b in
+    the unit ball whose norm is uniform in PG_BALL_NORMS, and z is accepted by
+    tests that do not use U_E: J - z*Jz is positive definite by more than
+    PG_MIN_MARGIN, and EZ + I - E is invertible. Each round draws one proposal
+    per missing member as one stack; past PG_ATTEMPTS proposals per member
+    asked for, InternalCheckError is raised. A non-idempotent ``e`` raises
+    ValueError before any draw.
+    """
+    u = potapov_ginzburg_map(e, tol)
+    n = u.dim_k
+    e, d_blk = u.c, u.d  # E and I - E, converted once by the map
+    j = d_blk - e  # I - 2E
+    members = np.empty((count, n, n), dtype=complex)
+    budget = count * PG_ATTEMPTS
+    got = drawn = 0
+    while got < count:
+        if drawn >= budget:
+            raise InternalCheckError("could not sample the signed-contraction domain")
+        size = min(count - got, budget - drawn)
+        parts = rng.uniform(-1.0, 1.0, (size, 2, n, n))
+        bs = parts[:, 0] + 1j * parts[:, 1]
+        scales = rng.uniform(*PG_BALL_NORMS, size) / operator_norm(bs)
+        zs, singular = lft_apply(u, scales[:, None, None] * bs, tol)
+        zs = zs[~singular]
+        accepted = hermitian_margin(j - dagger(zs) @ j @ zs) > PG_MIN_MARGIN
+        # only the items inside the form need the denominator's verdict
+        accepted[accepted] = ~singular_test(e @ zs[accepted] + d_blk, tol)[1]
+        hits = zs[accepted]
+        members[got : got + len(hits)] = hits
+        got += len(hits)
+        drawn += size
+    return members
+
+
 def random_pg_member(rng, e, tol=DEFAULT_TOL):
-    """Rejection-sample the domain Z*JZ < J, J = I - 2E, with denominator EZ + I - E invertible.
-
-    Cycles through ball-sized, exterior-sized, and anisotropic proposals so
-    the sampler works whatever the signature of J: proposal ``attempt``
-    draws a random matrix and then, by kind ``attempt % 3``, one scale for
-    its norm, one for its smallest singular value, or n column scales, from
-    PG_SCALES. A proposal whose norm or smallest singular value is below
-    PG_MIN_NORM or PG_MIN_SMIN is rejected before its scale is drawn.
-
-    The first three proposals, one of each kind, are judged one at a time:
-    the ball and the exterior accept among them. Later proposals come in
-    blocks of 3, 6, 12, ... (see ``_pg_blocks``) on every bit generator,
-    which give the same member and leave the stream in the same place.
-    """
-    e = np.asarray(e, dtype=complex)
-    n = e.shape[0]
-    j = signature_from_projection(e)
-    d_blk = np.eye(n, dtype=complex) - e
-    z = _pg_one_at_a_time(rng, e, j, d_blk, tol, 0, 3)
-    if z is None:
-        z = _pg_blocks(rng, e, j, d_blk, tol, 3)
-    if z is None:
-        raise InternalCheckError("could not sample the signed-contraction domain")
-    return z
-
-
-def _pg_accepts(zs, e, j, d_blk, tol):
-    """Per item of a stack: Z*JZ < J by more than PG_MIN_MARGIN, with EZ + I - E invertible."""
-    accepts = hermitian_margin(j - dagger(zs) @ j @ zs) > PG_MIN_MARGIN
-    # only the items inside the form need the denominator's verdict
-    accepts[accepts] = ~singular_test(e @ zs[accepts] + d_blk, tol)[1]
-    return accepts
-
-
-def _pg_one_at_a_time(rng, e, j, d_blk, tol, start, stop):
-    """The first member among ``random_pg_member``'s proposals start, ..., stop - 1, or None."""
-    n = e.shape[0]
-    for attempt in range(start, stop):
-        z = random_matrix(rng, n, n)
-        kind = attempt % 3
-        if kind == 0:
-            top = operator_norm(z)
-            if top < PG_MIN_NORM:
-                continue
-            z = (rng.uniform(*PG_SCALES[0]) / top) * z
-        elif kind == 1:
-            smin = float(singular_test(z, tol)[0])
-            if smin < PG_MIN_SMIN:
-                continue
-            z = (rng.uniform(*PG_SCALES[1]) / smin) * z
-        else:
-            z = z @ np.diag(rng.uniform(*PG_SCALES[2], n))
-        if _pg_accepts(z[None], e, j, d_blk, tol)[0]:
-            return z
-    return None
-
-
-def _pg_blocks(rng, e, j, d_blk, tol, start):
-    """``_pg_one_at_a_time`` from ``start`` (a multiple of 3) on, in blocks of 3, 6, 12, ... proposals.
-
-    Each block is drawn by one ``uniform`` call whose bounds lay out every
-    proposal's matrix and scales in the order the one-at-a-time draws take
-    them, and judged as stacks; the stream is then put back after the
-    member. A block in which a proposal rejected before its scale comes
-    before the member is judged one at a time instead, from the state saved
-    before it.
-    """
-    n = e.shape[0]
-    cell = 2 * n * n  # the real and imaginary parts of a proposal's matrix
-    # the bounds of one proposal of each kind, matrix then scales, and their lengths
-    low, high = [], []
-    for (lo, hi), width in zip(PG_SCALES, (1, 1, n)):
-        low += [np.full(cell, -1.0), np.full(width, lo)]
-        high += [np.ones(cell), np.full(width, hi)]
-    low, high = np.concatenate(low), np.concatenate(high)
-    doubles = cell + np.array([1, 1, n])
-    size = 3
-    while start < PG_ATTEMPTS:
-        size = min(size, PG_ATTEMPTS - start)
-        # the kinds repeat in rounds of three, and so do the bounds
-        lengths = np.resize(doubles, size)
-        ends = np.cumsum(lengths)
-        offsets = ends - lengths
-        state = rng.bit_generator.state
-        draws = rng.uniform(np.resize(low, ends[-1]), np.resize(high, ends[-1]))
-        parts = draws[offsets[:, None] + np.arange(cell)].reshape(size, 2, n, n)
-        zs = parts[:, 0] + 1j * parts[:, 1]
-        unscaled = np.zeros(size, dtype=bool)  # rejected before drawing a scale
-        for kind, floor in ((0, PG_MIN_NORM), (1, PG_MIN_SMIN)):
-            at = np.arange(kind, size, 3)
-            picked = zs[at]
-            gauge = operator_norm(picked) if kind == 0 else singular_test(picked, tol)[0]
-            unscaled[at] = gauge < floor
-            # an unscaled proposal is rejected below; dividing it by 1 only avoids 0 / 0
-            zs[at] = (draws[offsets[at] + cell] / np.where(unscaled[at], 1.0, gauge))[:, None, None] * picked
-        at = np.arange(2, size, 3)
-        cols = np.zeros((at.size, n, n))
-        cols[:, np.arange(n), np.arange(n)] = draws[offsets[at, None] + cell + np.arange(n)]
-        zs[at] = zs[at] @ cols
-        hits = np.flatnonzero(_pg_accepts(zs, e, j, d_blk, tol) & ~unscaled)
-        member = hits[0] if hits.size else size
-        if unscaled[:member].any():
-            rng.bit_generator.state = state
-            return _pg_one_at_a_time(rng, e, j, d_blk, tol, start, PG_ATTEMPTS)
-        if hits.size:
-            if member + 1 < size:
-                _put_back(rng, state, ends[member])
-            return zs[member]
-        start += size
-        size *= 2
-    return None
+    """One member of Z*JZ < J, J = I - 2E, with EZ + I - E invertible: ``sample_pg_members`` of one."""
+    return sample_pg_members(rng, e, 1, tol)[0]

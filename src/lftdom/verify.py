@@ -320,8 +320,7 @@ def suite_potapov_ginzburg(config, rng, track):
         m = u.coefficient_matrix()
         track.add(operator_norm(m @ m - np.eye(4)), 1e-12)
         j = signature_from_projection(e)
-        for _ in range(per_e):
-            z = samp.random_pg_member(rng, e, tol)
+        for z in samp.sample_pg_members(rng, e, per_e, tol):
             image = lft_apply(u, z, tol)
             track.require(ball_margin(image) > 0.0)
             track.require(form_margin(z, j) > 0.0)

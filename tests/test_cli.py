@@ -169,6 +169,15 @@ def test_verify_same_seed_reports_match(tmp_path, capsys):
     assert a == b
 
 
+def test_potapov_ginzburg_row_passes_at_seeds_0_to_11():
+    index = [name for name, _, _ in verify.SUITES].index("potapov-ginzburg")
+    for seed in range(12):
+        config = verify.RunConfig(seed=seed)
+        row = verify.suite_row(config, index)
+        assert row["passed"], row
+        assert strip_elapsed(row) == strip_elapsed(verify.suite_row(config, index))
+
+
 def test_repeated_main_calls_share_no_state(tmp_path, capsys):
     # main parses every call with the same parser, so no flag value may carry over
     out = tmp_path / "demo.txt"

@@ -110,8 +110,16 @@ def chain_of(coefficients, waypoints, residual):
     return SimpleNamespace(coefficients=coefficients, waypoints=tuple(waypoints), residual=residual)
 
 
+def assert_same_text(text, want):
+    """text == want, asserted first by the differing lines: pytest's diff of two long texts takes minutes."""
+    lines, want_lines = text.splitlines(), want.splitlines()
+    assert [(a, b) for a, b in zip(lines, want_lines) if a != b] == []
+    assert len(lines) == len(want_lines)
+    assert text == want
+
+
 def assert_chain_text(chain):
-    assert jsonio.chain_dumps(chain) == reference(jsonio.chain_to_obj(chain))
+    assert_same_text(jsonio.chain_dumps(chain), reference(jsonio.chain_to_obj(chain)))
 
 
 CHAIN_NUMBERS = [0.0, -0.0, 5e-324, 1e-05, 1e16, 1e308, -1e308, 1.1102230246251565e-16, -1.1102230246251565e-16]
@@ -181,10 +189,7 @@ def test_chain_dumps_spells_every_decade_as_repr_does(limit):
     values = values[: values.size // 8 * 8].reshape(-1, 2, 2, 2)
     coefficients = complex_stack(values[..., 0], values[..., 1])
     chain = chain_of(coefficients, [coefficients[0, :1], coefficients[-1, 1:]], values[0, 0, 0, 1])
-    text, want = jsonio.chain_dumps(chain), reference(jsonio.chain_to_obj(chain))
-    # the differing lines, not the texts: a diff of two texts this long takes minutes
-    assert [(a, b) for a, b in zip(text.splitlines(), want.splitlines()) if a != b] == []
-    assert text == want
+    assert_chain_text(chain)
 
 
 @pytest.mark.parametrize("spelling", [

@@ -1,8 +1,11 @@
-"""Block samplers against the one-proposal-at-a-time loops they replace.
+"""Block samplers against the contracts they keep.
 
-Each block sampler must give the loop's members bit for bit and leave the
-generator exactly where the loop leaves it, so the reference loops below
-are the sampling contract.
+``sample_members`` must give the members of one-proposal-at-a-time loops
+bit for bit and leave the generator exactly where the loop leaves it, so the
+reference loop below is its sampling contract. The signed-contraction
+sampler draws natively from the unit ball through the Potapov-Ginzburg map;
+its contract is determinism for a given seed, members that pass both of its
+acceptance tests, and a typed error past its attempt cap.
 """
 
 import itertools
@@ -24,7 +27,7 @@ from lftdom import (
     whole_space_domain,
 )
 from lftdom import sampling as samp
-from lftdom.linalg import hermitian_margin, operator_norm, singular_test, try_invert
+from lftdom.linalg import hermitian_margin, singular_test
 
 
 def loop_members(rng, dom, count, scale=1.0, margin=0.0):
@@ -40,34 +43,6 @@ def loop_members(rng, dom, count, scale=1.0, margin=0.0):
         else:
             raise InternalCheckError("no member")
     return members
-
-
-def loop_pg_member(rng, e, tol=samp.DEFAULT_TOL):
-    """The signed-contraction sampler judging one proposal at a time."""
-    n = e.shape[0]
-    j = signature_from_projection(e)
-    d_blk = np.eye(n, dtype=complex) - e
-    for attempt in range(samp.PG_ATTEMPTS):
-        z = samp.random_matrix(rng, n, n)
-        kind = attempt % 3
-        if kind == 0:
-            top = operator_norm(z)
-            if top < samp.PG_MIN_NORM:
-                continue
-            z = (rng.uniform(0.05, 0.9) / top) * z
-        elif kind == 1:
-            smin = float(singular_test(z, tol)[0])
-            if smin < samp.PG_MIN_SMIN:
-                continue
-            z = (rng.uniform(1.05, 1.8) / smin) * z
-        else:
-            z = z @ np.diag(rng.uniform(0.1, 2.0, n))
-        if hermitian_margin(j - z.conj().T @ j @ z) <= samp.PG_MIN_MARGIN:
-            continue
-        if try_invert(e @ z + d_blk, tol) is None:
-            continue
-        return z
-    raise InternalCheckError("no member")
 
 
 def same_bits(a, b):
@@ -203,33 +178,43 @@ PG_CASES = {
 
 @pytest.mark.parametrize("case", sorted(PG_CASES))
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-def test_block_pg_member_is_the_loop_member(case, bit_generator):
+def test_pg_members_are_the_same_for_the_same_seed(case, bit_generator):
     e = PG_CASES[case]
     for seed in range(3):
         rng, ref = twin_generators(seed, bit_generator)
-        for _ in range(8):
-            assert same_bits(samp.random_pg_member(rng, e), loop_pg_member(ref, e))
+        for count in (1, 8):
+            members = samp.sample_pg_members(rng, e, count)
+            assert members.shape == (count, 2, 2)
+            assert same_bits(members, samp.sample_pg_members(ref, e, count))
             assert same_stream(rng, ref)
+        assert same_bits(samp.random_pg_member(rng, e), samp.random_pg_member(ref, e))
+        assert same_stream(rng, ref)
 
 
-def test_block_pg_member_falls_back_when_a_proposal_draws_no_scale(monkeypatch):
-    # raising the floors makes proposals that are rejected before their scale
-    # is drawn common, so blocks meet them before and after the member
-    monkeypatch.setattr(samp, "PG_MIN_SMIN", 0.25)
-    monkeypatch.setattr(samp, "PG_MIN_NORM", 1.2)
-    for case, e in PG_CASES.items():
-        rng, ref = twin_generators(11)
-        for _ in range(10):
-            assert same_bits(samp.random_pg_member(rng, e), loop_pg_member(ref, e)), case
-            assert same_stream(rng, ref)
+@pytest.mark.parametrize("case", sorted(PG_CASES))
+def test_pg_members_pass_both_acceptance_tests(case):
+    e = PG_CASES[case]
+    j = signature_from_projection(e)
+    members = samp.sample_pg_members(np.random.default_rng(12), e, 200)
+    assert np.isfinite(members).all()
+    assert (hermitian_margin(j - np.swapaxes(members.conj(), 1, 2) @ j @ members) > samp.PG_MIN_MARGIN).all()
+    assert not singular_test(e @ members + np.eye(2) - e)[1].any()
 
 
-def test_an_unreachable_signed_contraction_margin_raises_where_the_loop_does(monkeypatch):
+def test_pg_sampler_rejects_a_non_projection_before_any_draw():
+    rng, ref = twin_generators(9)
+    with pytest.raises(ValueError, match="not idempotent"):
+        samp.random_pg_member(rng, np.diag([1.0, 0.5]).astype(complex))
+    assert same_stream(rng, ref)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_an_unreachable_signed_contraction_margin_raises_after_the_cap(monkeypatch, count):
     monkeypatch.setattr(samp, "PG_ATTEMPTS", 40)
     monkeypatch.setattr(samp, "PG_MIN_MARGIN", 1e9)
     rng, ref = twin_generators(8)
     with pytest.raises(InternalCheckError, match="signed-contraction"):
-        samp.random_pg_member(rng, PG_CASES["mixed"])
-    with pytest.raises(InternalCheckError):
-        loop_pg_member(ref, PG_CASES["mixed"])
+        samp.sample_pg_members(rng, PG_CASES["mixed"], count)
+    # each of the count * PG_ATTEMPTS proposals draws a 2 x 2 complex matrix and its norm
+    ref.random(count * 40 * (8 + 1))
     assert same_stream(rng, ref)
