@@ -57,48 +57,28 @@ def random_invertible_member(rng, space, tol=DEFAULT_TOL):
     raise InternalCheckError("could not sample an invertible member")
 
 
-def _put_back(rng, state, doubles):
-    """Set the stream to ``state`` moved on by ``doubles`` double draws.
-
-    On every numpy bit generator ``uniform`` and ``random`` take one double
-    per value and leave the buffered 32-bit half word alone, so restoring
-    ``state`` (which carries that half word) and drawing the doubles again
-    is exact.
-    """
-    rng.bit_generator.state = state
-    rng.random(doubles)
-
-
 def sample_members(rng, dom, count, scale=1.0, margin=0.0):
     """``count`` members whose denominator clears ``margin``, as a (count, k, h) stack.
 
     The members, and the stream left behind, are exactly those of ``count``
     one-member rejection loops: each proposal is ``random_space_member``'s
     draw, and a member still missing after DOMAIN_ATTEMPTS proposals raises
-    InternalCheckError. Proposals come in blocks, each one ``uniform`` call,
-    one stacked ``lincomb`` and one stacked ``membership_margin``. The first
-    block is ``count`` proposals, so it never draws ahead; each later one is
-    twice what the share of members seen so far asks for, and one that draws
-    past the last member puts the stream back after it (``_put_back``), on
-    every bit generator.
+    InternalCheckError. Proposals come in rounds, each one ``uniform`` call,
+    one stacked ``lincomb`` and one stacked ``membership_margin``. A round
+    draws one proposal per missing member, so it finds at most the members
+    still missing and never draws past the last one.
     """
     space = dom.space
     members = np.empty((count, *space.shape), dtype=complex)
-    got = drawn = misses = 0  # misses: proposals since the last member
+    got = misses = 0  # misses: proposals since the last member
     while got < count:
-        need = count - got
-        size = 2 * need * (drawn + 1) // (got + 1) if drawn else need
-        size = min(size, DOMAIN_ATTEMPTS - misses)
-        state = rng.bit_generator.state if size > need else None
+        size = min(count - got, DOMAIN_ATTEMPTS - misses)
         draws = rng.uniform(-1.0, 1.0, (size, 2, space.dim))
         zs = space.lincomb(scale * (draws[:, 0] + 1j * draws[:, 1]))
         verdicts, smin = dom.membership_margin(zs)
-        hits = np.flatnonzero((verdicts == Verdict.MEMBER) & (smin > margin))[:need]
-        if hits.size == need and hits[-1] + 1 < size:
-            _put_back(rng, state, (hits[-1] + 1) * 2 * space.dim)
+        hits = np.flatnonzero((verdicts == Verdict.MEMBER) & (smin > margin))
         members[got : got + hits.size] = zs[hits]
         got += hits.size
-        drawn += size
         misses = misses + size if hits.size == 0 else size - 1 - hits[-1]
         if misses >= DOMAIN_ATTEMPTS:
             raise InternalCheckError(f"could not sample a member of {dom.label or 'the domain'}")

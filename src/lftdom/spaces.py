@@ -43,19 +43,6 @@ class OperatorSpace:
     def _onb_h(self):
         return self._onb.conj().T
 
-    @functools.cached_property
-    def _exact_rows(self):
-        """Whether a stack of coefficient rows may be combined in one product.
-
-        With every basis entry 0, +-1 or +-i and at most two basis elements at
-        each entry, each entry of a lincomb is a sum of at most two exact
-        products, rounded once whatever kernel forms it, so one product for
-        all rows matches the row-by-row calls bit for bit.
-        """
-        size = np.abs(self._stacked)
-        unit = ((self._stacked.real == 0) | (self._stacked.imag == 0)) & ((size == 0) | (size == 1))
-        return bool(unit.all() and ((size != 0).sum(axis=0) <= 2).all())
-
     @property
     def shape(self):
         return (self.dim_k, self.dim_h)
@@ -121,17 +108,13 @@ class OperatorSpace:
     def lincomb(self, coeffs):
         """Member built from basis coefficients; from an (m, dim) stack of rows, an (m, k, h) stack.
 
-        Each member of a stack is bit for bit the member built from its row alone.
+        Each row is one 1 x dim matrix product with the stacked basis, so each
+        member of a stack is bit for bit the member built from its row alone.
         """
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape[-1:] != (self.dim,) or coeffs.ndim > 2:
             raise ShapeError(f"expected {self.dim} coefficients, got {coeffs.shape}")
-        if coeffs.ndim == 1 or self._exact_rows:
-            return np.tensordot(coeffs, self._stacked, axes=1)
-        members = np.empty((len(coeffs), *self.shape), dtype=complex)
-        for i, row in enumerate(coeffs):
-            members[i] = np.tensordot(row, self._stacked, axes=1)
-        return members
+        return (coeffs[..., None, :] @ self._stacked.reshape(self.dim, -1)).reshape(coeffs.shape[:-1] + self.shape)
 
 
 def closed_under_quadratic(space, x0, tol=DEFAULT_TOL):

@@ -1,4 +1,4 @@
-"""The chain and report writers: jsonio.dumps and jsonio.chain_dumps against the standard library, byte for byte."""
+"""The chain and report writers: jsonio.chain_dumps against the standard library byte for byte, and the report file's layout."""
 
 import json
 from types import SimpleNamespace
@@ -12,67 +12,24 @@ from hypothesis.extra.numpy import arrays
 from lftdom import full_space, invertibles_domain, jsonio, quadric_domain, transitive_chain
 from lftdom.cli import main
 from lftdom.sampling import random_domain_member
-from lftdom.verify import RunConfig, example_domains, run_verify
+from lftdom.verify import RunConfig, example_domains
 
 
 def reference(obj):
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
-EDGE_NUMBERS = [-0.0, 0.0, 5e-324, -4e-320, 2.2250738585072014e-309, 1e308, -1e308, 1e16, 10**300, -(2**64) - 1]
-numbers = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.integers(min_value=-(10**40), max_value=10**40),
-    st.sampled_from(EDGE_NUMBERS),
-)
-texts = st.one_of(st.text(max_size=8), st.sampled_from([", ", "], [", "[[1, 2]]", "é ü 中", '"', "\n", "{}"]))
-entries = st.one_of(numbers, st.booleans(), st.none(), st.just({}))
-grids = st.one_of(
-    st.lists(st.lists(entries, max_size=4), max_size=4),  # ragged, [[]] and [] included
-    st.lists(st.lists(st.one_of(numbers, texts), min_size=1, max_size=3), min_size=1, max_size=3),
-)
-trees = st.recursive(
-    st.one_of(entries, texts, grids),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.tuples(children, children),
-        st.dictionaries(texts, children, max_size=4),
-    ),
-    max_leaves=24,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(trees)
-def test_dumps_writes_the_bytes_of_the_standard_library(obj):
-    assert jsonio.dumps(obj) == reference(obj)
-
-
-@settings(max_examples=60, deadline=None)
-@given(trees, st.sampled_from([float("nan"), float("inf"), -float("inf")]), st.integers(0, 3))
-def test_dumps_refuses_non_finite_numbers_wherever_they_are(obj, bad, where):
-    wrapped = [[1.0, bad]] if where == 0 else [obj, [[bad]]] if where == 1 else {"a": obj, "b": bad}
-    if where == 3:
-        wrapped = bad
+def test_verify_report_file_is_the_standard_library_text(tmp_path, capsys):
+    # the report's contract: the indented, key-sorted layout, and no NaN
+    out = tmp_path / "report.json"
+    assert main(["verify", "--trials", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    report = json.loads(text)
+    report["suites"][0]["max_residual"] = float("nan")
     with pytest.raises(ValueError):
-        reference(wrapped)
-    with pytest.raises(ValueError):
-        jsonio.dumps(wrapped)
-
-
-def test_dumps_matches_on_mappings_with_keys_other_than_strings():
-    for obj in ({1: [[1.0]], 2: "x"}, {"a": {0.5: [1], True: None}}, [{None: [[2, 3]]}]):
-        assert jsonio.dumps(obj) == reference(obj)
-    for obj in ({1: 2, "a": 3}, {"a": {(1, 2): 3}}, [[np.int64(1)]], {"a": object()}):
-        with pytest.raises(TypeError):
-            reference(obj)
-        with pytest.raises(TypeError):
-            jsonio.dumps(obj)
-
-
-def test_dumps_matches_on_a_verify_report():
-    report = run_verify(RunConfig(trials=3))
-    assert jsonio.dumps(report) == reference(report)
+        jsonio.dumps(report)
 
 
 def test_dumps_matches_on_chain_objects():
@@ -81,7 +38,6 @@ def test_dumps_matches_on_chain_objects():
     for dom in doms:
         chain = transitive_chain(dom, random_domain_member(rng, dom, scale=0.5, margin=0.05))
         obj = jsonio.chain_to_obj(chain)
-        assert jsonio.dumps(obj) == reference(obj)
         factors = [jsonio.matrix_to_obj(f.coefficient_matrix()) for f in chain.factors]
         assert [f["M"] for f in obj["factors"]] == factors
 

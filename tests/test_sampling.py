@@ -2,7 +2,9 @@
 
 ``sample_members`` must give the members of one-proposal-at-a-time loops
 bit for bit and leave the generator exactly where the loop leaves it, so the
-reference loop below is its sampling contract. The signed-contraction
+reference loop below is its sampling contract. It keeps it by construction:
+each round draws one proposal per missing member, and ``lincomb`` gives each
+member of a stack the bits of its row alone. The signed-contraction
 sampler draws natively from the unit ball through the Potapov-Ginzburg map;
 its contract is determinism for a given seed, members that pass both of its
 acceptance tests, and a typed error past its attempt cap.
@@ -69,8 +71,8 @@ BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.ran
 
 
 def dense_space():
-    # a basis whose lincomb, formed for many rows in one product, rounds
-    # differently from the product for one row
+    # each lincomb entry sums nine rounded products, so one product over many
+    # rows could round differently from the product for one row
     rng = np.random.default_rng(99)
     return OperatorSpace(3, 3, list(samp.random_matrix(rng, 9, 9).reshape(9, 3, 3)), label="dense")
 
@@ -103,26 +105,21 @@ def test_sample_members_is_the_loop_member_for_member(name):
             assert same_bits(one, loop_members(ref, dom, 1, scale=scale, margin=margin)[0])
 
 
-def test_sample_members_keeps_a_buffered_half_word(monkeypatch):
-    # a 32-bit draw leaves half a word buffered; putting the stream back must keep it
-    put_backs = []
-    put_back = samp._put_back
-    monkeypatch.setattr(samp, "_put_back", lambda *args: put_backs.append(None) or put_back(*args))
+def test_sample_members_keeps_a_buffered_half_word():
+    # a 32-bit draw leaves half a word buffered; the rounds must leave it for the next draw
     dom = invertibles_domain(full_space(2, 2))
     for bit_generator in (np.random.PCG64, np.random.Philox):
-        put_backs.clear()
         rng, ref = twin_generators(5, bit_generator)
         for _ in range(6):
             assert same_bits(rng.integers(0, 1000, dtype=np.int32), ref.integers(0, 1000, dtype=np.int32))
             members = samp.sample_members(rng, dom, 3, margin=0.5)
             assert all(same_bits(z, w) for z, w in zip(members, loop_members(ref, dom, 3, margin=0.5)))
             assert same_stream(rng, ref)
-        assert put_backs
         assert same_bits(rng.integers(0, 2**31, 8, dtype=np.int32), ref.integers(0, 2**31, 8, dtype=np.int32))
 
 
 def test_sample_members_without_rewind_draws_one_proposal_at_a_time():
-    # Philox has no cheap rewind; its blocks must still give the loop's members and stream
+    # a low-acceptance case takes many rounds; they must still give the loop's members and stream
     dom = invertibles_domain(full_space(2, 2))
     rng, ref = twin_generators(7, np.random.Philox)
     members = samp.sample_members(rng, dom, 20, scale=2.0, margin=0.5)
@@ -162,11 +159,17 @@ def test_sample_members_of_none_is_an_empty_stack():
 
 
 def test_lincomb_of_rows_is_lincomb_of_each_row():
+    # each member is also the tensordot of its row with the stacked basis,
+    # the route that made the bytes of the pinned verify reports
     rng = np.random.default_rng(4)
-    for space in (full_space(3, 2), symmetric_space(3), quadric_domain(4).domain.space, dense_space()):
-        rows = rng.uniform(-1, 1, (9, space.dim)) + 1j * rng.uniform(-1, 1, (9, space.dim))
-        stack = space.lincomb(rows)
-        assert all(same_bits(z, space.lincomb(row)) for z, row in zip(stack, rows, strict=True))
+    spaces = (full_space(3, 2), full_space(16, 16), symmetric_space(3), quadric_domain(4).domain.space, dense_space())
+    for space, rows in itertools.product(spaces, (1, 2, 20, 500)):
+        coeffs = rng.uniform(-1, 1, (rows, space.dim)) + 1j * rng.uniform(-1, 1, (rows, space.dim))
+        stack = space.lincomb(coeffs)
+        assert stack.shape == (rows, *space.shape)
+        for z, row in zip(stack, coeffs, strict=True):
+            assert same_bits(z, space.lincomb(row))
+            assert same_bits(z, np.tensordot(row, space._stacked, axes=1))
 
 
 PG_CASES = {

@@ -290,6 +290,20 @@ def test_members_are_drawn_as_stacks():
     assert sites == []
 
 
+def test_no_module_reads_or_sets_a_generator_state():
+    # sample_members keeps the stream of one-member loops by never drawing
+    # past its last member, not by saving and restoring the generator's state
+    sites = [
+        (name, owner, node.lineno)
+        for name, owner, node in package_nodes()
+        if isinstance(node, ast.Attribute)
+        and node.attr == "state"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "bit_generator"
+    ]
+    assert sites == []
+
+
 # Point evaluations and the command line's usage and input errors, then one
 # square root, in an interpreter that has imported nothing yet.
 COLD_START = """
