@@ -119,7 +119,7 @@ def symmetry_map(dom, y):
     (c y + d)^-1 c; the assembled coefficient matrix squares to the identity.
     """
     y, den_inv = _require_member(dom, y, "the symmetry point y")
-    return LFTMap._of_blocks(*_symmetry_blocks(dom, y, den_inv @ dom.c))
+    return LFTMap._of_blocks(*_symmetry_blocks(dom, y, den_inv @ dom.c), dom.tol)
 
 
 def _symmetry_blocks(dom, y, x):
@@ -161,8 +161,8 @@ def fixed_point_derivative(dom, y, direction, step=1e-4):
     if not dom.space.contains(direction, dom.tol):
         raise SpaceClosureError("direction does not belong to the operator space")
     u = symmetry_map(dom, y)
-    ahead = lft_apply(u, y + step * direction, dom.tol)
-    behind = lft_apply(u, y - step * direction, dom.tol)
+    ahead = lft_apply(u, y + step * direction)
+    behind = lft_apply(u, y - step * direction)
     return (ahead - behind) / (2.0 * step)
 
 
@@ -290,12 +290,12 @@ class AutomorphismChain:
         zs = as_cstack(z, rows=dom.dim_k, cols=dom.dim_h)
         if zs.ndim == 2:
             for f in self.factors:
-                zs = lft_apply(f, zs, dom.tol)
+                zs = lft_apply(f, zs)
             return zs
         live = np.arange(len(zs))
         out = zs
         for f in self.factors:
-            out, singular = lft_apply(f, out, dom.tol)
+            out, singular = lft_apply(f, out)
             if singular.any():
                 keep = ~singular
                 live, out = live[keep], out[keep]
@@ -446,7 +446,7 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
     kernels = mid_den_invs @ dom.c
     a, b, c, d = _symmetry_blocks(dom, midpoints, kernels)
     coefficients = np.block([[a, b], [c, d]])
-    factors = tuple(LFTMap._of_blocks(*blocks) for blocks in zip(a, b, c, d))
+    factors = tuple(LFTMap._of_blocks(*blocks, dom.tol) for blocks in zip(a, b, c, d))
 
     # fold the pairs (U_{y[i+1]} after U_{y[i]}) as one stack, then compose them in order
     pairs = _pair_fold(dom, midpoints[1::2], midpoints[::2], mid_den_invs[::2], kernels[::2])
@@ -560,7 +560,7 @@ class SwapInvolution:
         d = gr_inv @ (self.domain.eye_h - x0 @ z0)
         a_blk = z0 @ gr_inv @ x0 - self.gl
         b_blk = z0 @ d + self.gl @ self.w0
-        return LFTMap._of_blocks(a_blk, b_blk, c, d)
+        return LFTMap._of_blocks(a_blk, b_blk, c, d, self.domain.tol)
 
 
 def swap_involution(dom, w0):
@@ -613,7 +613,7 @@ def potapov_ginzburg_map(e, tol=DEFAULT_TOL):
     e = _square_projection(e)
     require_idempotent(e, tol)
     eye = np.eye(e.shape[0], dtype=complex)
-    return LFTMap._of_blocks(e - eye, e, e, eye - e)
+    return LFTMap._of_blocks(e - eye, e, e, eye - e, tol)
 
 
 # ---------------------------------------------------------------------------

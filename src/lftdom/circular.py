@@ -301,7 +301,7 @@ def mobius_map(b, tol=DEFAULT_TOL):
     left = invert(left, tol, "(I - b b*)^(1/2) is singular")
     right = principal_sqrt(np.eye(h, dtype=complex) - b.conj().T @ b, tol)
     right = invert(right, tol, "(I - b* b)^(1/2) is singular")
-    return LFTMap._of_blocks(left, b @ right, right @ b.conj().T, right)
+    return LFTMap._of_blocks(left, b @ right, right @ b.conj().T, right, tol)
 
 
 def mobius_direct(b, z, tol=DEFAULT_TOL):
@@ -429,10 +429,10 @@ class HyperbolicSpec:
         if abs(np.vdot(self.e, self.f)) > 1e-8:
             raise SpectrumError("eigenvectors for +1 and -1 must be orthogonal")
 
-        import scipy.linalg  # loaded on first use, as in linalg.principal_sqrt
-
+        # the trailing right singular vectors of [e*; f*] span the orthocomplement;
+        # the copy to C order keeps the rounding of K* J K below for n >= 4
         pair = np.stack([self.e.conj(), self.f.conj()])
-        self.k_basis = scipy.linalg.null_space(pair)
+        self.k_basis = np.ascontiguousarray(np.linalg.svd(pair)[2][2:].T.conj())
         if self.k_basis.shape[1] != n - 2:
             raise InternalCheckError("orthocomplement basis has the wrong dimension")
         self.b = self.k_basis.conj().T @ self.j @ self.k_basis

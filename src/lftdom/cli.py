@@ -135,12 +135,12 @@ def _demo_lines(example, config):
         dom = example_domains(config)[index]
         y, z = samp.sample_members(rng, dom, 2, margin=0.05)
         u = symmetry_map(dom, y)
-        uz = lft_apply(u, z, tol)
+        uz = lft_apply(u, z)
         m = u.coefficient_matrix()
         lines.append(f"domain: {dom.label or 'custom'}; member shape {dom.space.shape}")
         lines.append("symmetry at Y applied to Z gives residual formulas:")
-        lines.append(f"  ||U_Y(U_Y(Z)) - Z|| = {operator_norm(lft_apply(u, uz, tol) - z):.3e}")
-        lines.append(f"  ||U_Y(Y) - Y||      = {operator_norm(lft_apply(u, y, tol) - y):.3e}")
+        lines.append(f"  ||U_Y(U_Y(Z)) - Z|| = {operator_norm(lft_apply(u, uz) - z):.3e}")
+        lines.append(f"  ||U_Y(Y) - Y||      = {operator_norm(lft_apply(u, y) - y):.3e}")
         lines.append(f"  ||M^2 - I||         = {operator_norm(m @ m - np.eye(m.shape[0])):.3e}")
         if example == "0":
             lines.append(

@@ -9,7 +9,7 @@ Z X0 Z with X0 = (C Z0 + D)^-1 C. In finite dimensions that set is connected
 is needed and membership is just the two checks.
 
 A Domain takes its Tolerance once, when it is built, and every operation on
-it judges with that one; lft_apply, on a bare map, still takes its own.
+it judges with that one, as does every map built on it (``LFTMap.tol``).
 """
 
 import enum
@@ -33,15 +33,20 @@ from .spaces import OperatorSpace, closed_under_quadratic, full_space, is_power_
 
 @dataclass(frozen=True)
 class LFTMap:
-    """Block coefficients of Z -> (a z + b)(c z + d)^-1 on dim_k x dim_h arguments."""
+    """Block coefficients of Z -> (a z + b)(c z + d)^-1 on dim_k x dim_h arguments.
+
+    lft_apply judges it with tol, the Tolerance of its builder: a domain's, the
+    one a map constructor was given, or DEFAULT_TOL from bare coefficients.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
+    tol = DEFAULT_TOL  # not a field: the package's own builders set theirs
 
     def __post_init__(self):
-        a, b, c, d = (np.asarray(m, dtype=complex) for m in (self.a, self.b, self.c, self.d))
+        a, b, c, d = (as_cmatrix(m) for m in (self.a, self.b, self.c, self.d))
         _check_block_shapes(a, b, c, d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -49,14 +54,14 @@ class LFTMap:
         object.__setattr__(self, "d", d)
 
     @classmethod
-    def _of_blocks(cls, a, b, c, d):
+    def _of_blocks(cls, a, b, c, d, tol):
         """The map of complex128 blocks the package has just built: only their shapes are checked.
 
-        Data from outside goes through the constructor, which converts it.
+        Data from outside goes through the constructor, which validates it.
         """
         _check_block_shapes(a, b, c, d)
         t = object.__new__(cls)
-        vars(t).update(a=a, b=b, c=c, d=d)
+        vars(t).update(a=a, b=b, c=c, d=d, tol=tol)
         return t
 
     @property
@@ -74,7 +79,7 @@ class LFTMap:
     @classmethod
     def from_coefficient_matrix(cls, m, dim_k, dim_h):
         m = as_cmatrix(m, rows=dim_k + dim_h, cols=dim_k + dim_h)
-        return cls._of_blocks(m[:dim_k, :dim_k], m[:dim_k, dim_k:], m[dim_k:, :dim_k], m[dim_k:, dim_k:])
+        return cls(m[:dim_k, :dim_k], m[:dim_k, dim_k:], m[dim_k:, :dim_k], m[dim_k:, dim_k:])
 
     @classmethod
     def identity(cls, dim_k, dim_h):
@@ -86,12 +91,13 @@ class LFTMap:
         )
 
     def compose(self, inner):
-        """The map self(inner(Z)); coefficient matrices multiply."""
-        m = self.coefficient_matrix() @ inner.coefficient_matrix()
-        return LFTMap.from_coefficient_matrix(m, self.dim_k, self.dim_h)
+        """The map self(inner(Z)), with self's tol; coefficient matrices multiply."""
+        m = as_cmatrix(self.coefficient_matrix() @ inner.coefficient_matrix())
+        k = self.dim_k
+        return LFTMap._of_blocks(m[:k, :k], m[:k, k:], m[k:, :k], m[k:, k:], self.tol)
 
-    def __call__(self, z, tol=DEFAULT_TOL):
-        return lft_apply(self, z, tol)
+    def __call__(self, z):
+        return lft_apply(self, z)
 
 
 def _check_block_shapes(a, b, c, d):
@@ -104,8 +110,8 @@ def _check_block_shapes(a, b, c, d):
         )
 
 
-def lft_apply(t, z, tol=DEFAULT_TOL):
-    """Evaluate (a z + b)(c z + d)^-1; the package's one evaluation of a linear fractional map.
+def lft_apply(t, z):
+    """Evaluate (a z + b)(c z + d)^-1 at t.tol; the package's one evaluation of an LFT.
 
     One z raises SingularMatrixError on a singular denominator. On an
     (m, k, h) stack it returns (images, singular), as ``try_invert`` does:
@@ -114,11 +120,11 @@ def lft_apply(t, z, tol=DEFAULT_TOL):
     """
     z = as_cstack(z, rows=t.dim_k, cols=t.dim_h)
     if z.ndim == 2:
-        den_inv = invert(t.c @ z + t.d, tol, "linear fractional map denominator c z + d is singular")
+        den_inv = invert(t.c @ z + t.d, t.tol, "linear fractional map denominator c z + d is singular")
         return (t.a @ z + t.b) @ den_inv
     if z.ndim > 3:
         raise ShapeError(f"expected one matrix or an (m, k, h) stack, got shape {z.shape}")
-    den_inv, singular = try_invert(t.c @ z + t.d, tol)
+    den_inv, singular = try_invert(t.c @ z + t.d, t.tol)
     return (t.a @ z + t.b) @ den_inv, singular
 
 

@@ -47,9 +47,9 @@ ConvergenceError carries the lam, ||w|| and term count it was decided on.
 
 scipy is imported on first use, not with the package: ``principal_sqrt``
 loads ``scipy.linalg`` at its first root (it serves midpoints, chains,
-transports and ``mobius_map``), as do verify's J-unitary draw (``expm``) and
-``HyperbolicSpec`` (``null_space``). Point evaluations (membership,
-symmetries, curve values, ``mobius_direct``) never load it.
+transports and ``mobius_map``), as does verify's J-unitary draw (``expm``).
+Point evaluations (membership, symmetries, curve values, ``mobius_direct``)
+and ``HyperbolicSpec``, whose orthocomplement is numpy's SVD, never load it.
 """
 
 import cmath

@@ -201,7 +201,7 @@ def sample_pg_members(rng, e, count, tol=DEFAULT_TOL):
         parts = rng.uniform(-1.0, 1.0, (size, 2, n, n))
         bs = parts[:, 0] + 1j * parts[:, 1]
         scales = rng.uniform(*PG_BALL_NORMS, size) / operator_norm(bs)
-        zs, singular = lft_apply(u, scales[:, None, None] * bs, tol)
+        zs, singular = lft_apply(u, scales[:, None, None] * bs)
         zs = zs[~singular]
         accepted = hermitian_margin(j - dagger(zs) @ j @ zs) > PG_MIN_MARGIN
         # only the items inside the form need the denominator's verdict

@@ -152,9 +152,9 @@ def suite_symmetry(config, rng, track):
         dom = domains[i % len(domains)]
         y, z = _member_pair(rng, dom)
         u = symmetry_map(dom, y)
-        double = lft_apply(u, lft_apply(u, z, dom.tol), dom.tol)
+        double = lft_apply(u, lft_apply(u, z))
         track.add(operator_norm(double - z), 1e-8 * (1.0 + operator_norm(z)))
-        track.add(operator_norm(lft_apply(u, y, dom.tol) - y), 1e-10)
+        track.add(operator_norm(lft_apply(u, y) - y), 1e-10)
         m = u.coefficient_matrix()
         track.add(operator_norm(m @ m - np.eye(m.shape[0])), 1e-10)
         direction = samp.random_space_member(rng, dom.space, scale=0.1)
@@ -170,7 +170,7 @@ def suite_symmetry_routes(config, rng, track):
     for i in range(trials):
         dom = domains[i % len(domains)]
         y, z = _member_pair(rng, dom)
-        via_blocks = lft_apply(symmetry_map(dom, y), z, dom.tol)
+        via_blocks = lft_apply(symmetry_map(dom, y), z)
         direct = symmetry_direct(dom, y, z)
         track.add(operator_norm(via_blocks - direct), 1e-9 * (1.0 + operator_norm(z)))
     return trials
@@ -277,7 +277,7 @@ def suite_swap(config, rng, track):
             operator_norm(v0(z) - symmetry_direct(dom, dom.z0, z)),
             1e-9 * (1.0 + operator_norm(z)),
         )
-        track.add(operator_norm(lft_apply(v.as_lft(), z, dom.tol) - v(z)), 1e-8)
+        track.add(operator_norm(lft_apply(v.as_lft(), z) - v(z)), 1e-8)
     return trials
 
 
@@ -321,11 +321,11 @@ def suite_potapov_ginzburg(config, rng, track):
         track.add(operator_norm(m @ m - np.eye(4)), 1e-12)
         j = signature_from_projection(e)
         for z in samp.sample_pg_members(rng, e, per_e, tol):
-            image = lft_apply(u, z, tol)
+            image = lft_apply(u, z)
             track.require(ball_margin(image) > 0.0)
             track.require(form_margin(z, j) > 0.0)
             track.add(
-                operator_norm(lft_apply(u, image, tol) - z),
+                operator_norm(lft_apply(u, image) - z),
                 1e-9 * (1.0 + operator_norm(z)),
             )
     return 3 * per_e
@@ -492,11 +492,11 @@ def suite_mobius(config, rng, track):
         b = samp.random_ball_point(rng, k, h, max_norm=0.85)
         t_b = mobius_map(b, tol)
         z = samp.random_ball_point(rng, k, h, max_norm=0.95)
-        image = lft_apply(t_b, z, tol)
+        image = lft_apply(t_b, z)
         track.require(operator_norm(image) < 1.0)
-        track.add(operator_norm(lft_apply(t_b, -b, tol)), 1e-12)
-        track.add(operator_norm(lft_apply(t_b, np.zeros((k, h)), tol) - b), 1e-10)
-        back = lft_apply(mobius_map(-b, tol), image, tol)
+        track.add(operator_norm(lft_apply(t_b, -b)), 1e-12)
+        track.add(operator_norm(lft_apply(t_b, np.zeros((k, h))) - b), 1e-10)
+        back = lft_apply(mobius_map(-b, tol), image)
         track.add(operator_norm(back - z), 1e-8)
         m = t_b.coefficient_matrix()
         track.add(operator_norm(m.conj().T @ j @ m - j), 1e-10)

@@ -81,12 +81,12 @@ def test_criterion_1_symmetry_suite():
         y = samp.random_domain_member(rng, dom, margin=0.1)
         z = samp.random_domain_member(rng, dom, scale=0.5, margin=0.05)
         u = symmetry_map(dom, y)
-        uz = lft_apply(u, z, TOL)
-        back = lft_apply(u, uz, TOL)
+        uz = lft_apply(u, z)
+        back = lft_apply(u, uz)
         worst_involution = max(
             worst_involution, operator_norm(back - z) / (1.0 + operator_norm(z))
         )
-        worst_fixed = max(worst_fixed, operator_norm(lft_apply(u, y, TOL) - y))
+        worst_fixed = max(worst_fixed, operator_norm(lft_apply(u, y) - y))
         m = u.coefficient_matrix()
         worst_coeff = max(worst_coeff, operator_norm(m @ m - np.eye(m.shape[0])))
         fd = fixed_point_derivative(dom, y, z, step=1e-5)
@@ -243,10 +243,10 @@ def test_criterion_4_potapov_ginzburg():
         for _ in range(100):
             z = samp.random_pg_member(rng, e, TOL)
             assert form_margin(z, j) > 0.0
-            image = lft_apply(u, z, TOL)
+            image = lft_apply(u, z)
             min_ball = min(min_ball, ball_margin(image))
             worst_involution = max(
-                worst_involution, operator_norm(lft_apply(u, image, TOL) - z)
+                worst_involution, operator_norm(lft_apply(u, image) - z)
             )
     print(
         f"criterion 4: smallest image ball margin {min_ball:.3e}, "
@@ -360,10 +360,10 @@ def test_criterion_7_circular_suite():
         b = samp.random_ball_point(rng, 2, 2, max_norm=0.85)
         t_b = mobius_map(b, TOL)
         z = samp.random_ball_point(rng, 2, 2, max_norm=0.95)
-        image = lft_apply(t_b, z, TOL)
+        image = lft_apply(t_b, z)
         assert operator_norm(image) < 1.0
-        worst_center = max(worst_center, operator_norm(lft_apply(t_b, -b, TOL)))
-        back = lft_apply(mobius_map(-b, TOL), image, TOL)
+        worst_center = max(worst_center, operator_norm(lft_apply(t_b, -b)))
+        back = lft_apply(mobius_map(-b, TOL), image)
         worst_inverse = max(worst_inverse, operator_norm(back - z))
     assert worst_center <= 1e-12
     assert worst_inverse <= 1e-8

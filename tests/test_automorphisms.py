@@ -204,6 +204,10 @@ def test_every_operation_judges_with_the_domain_tolerance():
         # the records built on the domain judge with its tolerance too
         "chain.apply": lambda: transitive_chain(dom, clear).apply(near),
         "swap involution": lambda: swap_involution(dom, clear)(near),
+        # and so do the maps built on it
+        "symmetry map": lambda: symmetry_map(dom, clear)(near),
+        "chain factor": lambda: lft_apply(transitive_chain(dom, clear).factors[0], near),
+        "swap involution as_lft": lambda: lft_apply(swap_involution(dom, clear).as_lft(), near),
     }
     for name, call in calls.items():
         with pytest.raises(SingularMatrixError):
@@ -357,9 +361,9 @@ def test_stacked_chain_apply_drops_a_probe_that_dies_at_a_middle_factor():
     # a member whose image under the first factor is near diag(1, 1e-6)
     doomed = np.diag([1.0, 1e6]).astype(complex)
     assert dom.membership(doomed) is Verdict.MEMBER
-    first = lft_apply(chain.factors[0], doomed, tol)
+    first = lft_apply(chain.factors[0], doomed)
     with pytest.raises(SingularMatrixError):
-        lft_apply(chain.factors[1], first, tol)
+        lft_apply(chain.factors[1], first)
     with pytest.raises(SingularMatrixError):
         chain.apply(doomed)
     rng = np.random.default_rng(50)

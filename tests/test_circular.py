@@ -39,6 +39,7 @@ from lftdom import (
 )
 from lftdom.sampling import (
     random_ball_point,
+    random_hyperbolic_form,
     random_hyperbolic_member,
     random_matrix,
     random_product_member,
@@ -555,6 +556,21 @@ def test_hyperbolic_spec_validation():
         HyperbolicSpec(j, eigvec_plus=np.array([0.0, 0, 1.0]))
     with pytest.raises(ShapeError):
         HyperbolicSpec(np.array([[1.0]]))
+
+
+def test_orthocomplement_basis_is_scipy_null_space_in_bytes_and_layout():
+    # K* J K rounds by the memory order of K, so the basis keeps scipy's C order
+    rng = np.random.default_rng(78)
+    specs = [lorentz_spec(), split_signature_spec()]
+    for n in range(2, 7):
+        specs += [HyperbolicSpec(random_hyperbolic_form(rng, n)) for _ in range(20)]
+        if n > 2:
+            specs += [HyperbolicSpec(random_hyperbolic_form(rng, n, degenerate=True)) for _ in range(20)]
+    for spec in specs:
+        reference = scipy.linalg.null_space(np.stack([spec.e.conj(), spec.f.conj()]))
+        assert spec.k_basis.shape == reference.shape == (spec.dim, spec.dim - 2)
+        assert spec.k_basis.tobytes() == reference.tobytes()
+        assert spec.k_basis.flags.c_contiguous == reference.flags.c_contiguous
 
 
 def test_hyperbolic_degenerate_sampling_needs_a_negative_direction():

@@ -98,6 +98,13 @@ def test_lft_coefficient_matrix_round_trip():
         assert np.array_equal(blk, other)
 
 
+def test_lft_rejects_non_finite_blocks():
+    # a NaN block gave NaN images, and an inf block warned in matmul
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LFTMap([[bad]], [[0.0]], [[0.0]], [[1.0]])
+
+
 def test_lft_rejects_inconsistent_blocks():
     with pytest.raises(ShapeError):
         LFTMap(np.eye(2), np.ones((2, 3)), np.ones((3, 2)), np.eye(2))

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import lftdom
 from lftdom import automorphisms, circular, domains, linalg, sampling
 
@@ -163,6 +165,8 @@ def test_domain_bound_functions_take_no_tolerance():
         ("AutomorphismChain.apply", automorphisms.AutomorphismChain.apply),
         ("SwapInvolution.__call__", automorphisms.SwapInvolution.__call__),
     ]
+    # a map judges with the Tolerance it was built with
+    candidates += [("lft_apply", domains.lft_apply), ("LFTMap.__call__", domains.LFTMap.__call__)]
     # a SiegelSpec or HyperbolicSpec keeps the Tolerance it was built with
     spec_bound = [
         circular.siegel_member,
@@ -183,6 +187,30 @@ def test_domain_bound_functions_take_no_tolerance():
     assert offenders == []
     assert "tol" in inspect.signature(circular.SiegelSpec).parameters
     assert "tol" in inspect.signature(circular.HyperbolicSpec).parameters
+
+    # the maps carry their builder's Tolerance: the domain's, or the one a
+    # map constructor was given; a composite carries its outer map's
+    tol = linalg.Tolerance(1e-3)
+    dom = domains.invertibles_domain(lftdom.full_space(2, 2), tol)
+    y = np.diag([1.0, 0.5]).astype(complex)
+    symmetry = automorphisms.symmetry_map(dom, y)
+    chain = automorphisms.transitive_chain(dom, np.diag([2.0, 1.0]).astype(complex))
+    plain = domains.LFTMap.identity(2, 2)
+    built = {
+        "symmetry_map": symmetry,
+        "as_lft": automorphisms.swap_involution(dom, y).as_lft(),
+        "mobius_map": circular.mobius_map(0.3 * np.eye(2), tol),
+        "potapov_ginzburg_map": automorphisms.potapov_ginzburg_map(np.diag([1.0, 0.0]), tol),
+        "compose": symmetry.compose(plain),
+        "chain.as_lft": chain.as_lft(),
+    }
+    built |= {f"chain factor {i}": f for i, f in enumerate(chain.factors)}
+    assert {name: t.tol for name, t in built.items()} == {name: tol for name in built}
+    # a map built from bare coefficients judges at the default
+    for t in (plain, plain.compose(symmetry), domains.LFTMap(*[np.eye(1)] * 4),
+              domains.LFTMap.from_coefficient_matrix(np.eye(3), 1, 2)):
+        assert t.tol == linalg.DEFAULT_TOL
+    assert list(inspect.signature(domains.LFTMap).parameters) == ["a", "b", "c", "d"]
 
 
 def test_records_hold_their_domain_instead_of_copies():
@@ -304,8 +332,9 @@ def test_no_module_reads_or_sets_a_generator_state():
     assert sites == []
 
 
-# Point evaluations and the command line's usage and input errors, then one
-# square root, in an interpreter that has imported nothing yet.
+# Point evaluations, the command line's usage and input errors and the
+# hyperbolic demo, then one square root, in an interpreter that has imported
+# nothing yet.
 COLD_START = """
 import contextlib, io, json, sys
 import numpy as np
@@ -331,6 +360,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         codes.append(exc.code)
     codes.append(lftdom.cli.main(["verify", "--trials", "0"]))
     codes.append(lftdom.cli.main(["transit", "no-such-domain.json", "no-such-target.json"]))
+    codes.append(lftdom.cli.main(["demo", "hyperbolic"]))
 before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 pool = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
 principal_sqrt(np.diag([4.0, 9.0]).astype(complex))
@@ -350,7 +380,7 @@ def test_a_cold_start_loads_scipy_at_the_first_square_root(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     seen = json.loads(child.stdout.splitlines()[-1])
-    assert seen["codes"] == [0, 2, 2]
+    assert seen["codes"] == [0, 2, 2, 0]
     assert seen["before"] == []
     # verify's worker pool modules load inside run_verify only
     assert seen["pool"] == []
