@@ -42,10 +42,15 @@ from .linalg import (
 )
 from .spaces import is_power_algebra
 
+# bound on every chain step ||(c z + d)^-1 c (z' - z)||; the construction
+# needs only < 1, and the steps on one segment are capped at CHAIN_STEP_CAP
+CHAIN_MARGIN = 0.9
 CHAIN_STEP_CAP = 2**14
 # relative inset of each greedy chain step below the margin, so that a step
 # norm recomputed from the stored waypoints cannot round past the margin
 CHAIN_AIM_INSET = 1e-6
+# central-difference step of fixed_point_derivative
+DERIVATIVE_STEP = 1e-4
 
 
 def _require_member(dom, z, what):
@@ -149,21 +154,19 @@ def _symmetry_at(dom, y, z, z_den_inv):
     return y - (z - y) @ z_den_inv @ dom.denominator(y)
 
 
-def fixed_point_derivative(dom, y, direction, step=1e-4):
+def fixed_point_derivative(dom, y, direction):
     """Central difference of the symmetry at y, at its fixed point.
 
-    Returns (U(y + t v) - U(y - t v)) / (2 t) with t = step; the exact
-    derivative is -v for every direction v in the space.
+    Returns (U(y + t v) - U(y - t v)) / (2 t) with t = DERIVATIVE_STEP; the
+    exact derivative is -v for every direction v in the space.
     """
-    if step < 1e-8:
-        raise ValueError("finite-difference step below 1e-8 is dominated by roundoff")
     direction = as_cmatrix(direction, rows=dom.dim_k, cols=dom.dim_h)
     if not dom.space.contains(direction, dom.tol):
         raise SpaceClosureError("direction does not belong to the operator space")
     u = symmetry_map(dom, y)
-    ahead = lft_apply(u, y + step * direction)
-    behind = lft_apply(u, y - step * direction)
-    return (ahead - behind) / (2.0 * step)
+    ahead = lft_apply(u, y + DERIVATIVE_STEP * direction)
+    behind = lft_apply(u, y - DERIVATIVE_STEP * direction)
+    return (ahead - behind) / (2.0 * DERIVATIVE_STEP)
 
 
 def find_midpoint(dom, z, w):
@@ -253,8 +256,8 @@ class AutomorphismChain:
     factors[i] maps waypoints[i] to waypoints[i+1]; midpoints[i] is the
     fixed point of factors[i]. The factor count is even, so consecutive
     pairs fold into affine maps; `affine` is the full folded composition.
-    step_norms[i] is ||x_i (waypoints[i+1] - waypoints[i])||, each below the
-    subdivision margin. residual is ||apply(z0) - target||, the defect of the
+    step_norms[i] is ||x_i (waypoints[i+1] - waypoints[i])||, each below
+    CHAIN_MARGIN. residual is ||apply(z0) - target||, the defect of the
     composite at z0.
     coefficients[i] is the coefficient matrix of factors[i]; both come from
     the same stacks of blocks, and the factors' blocks are views of those
@@ -333,14 +336,14 @@ def _meets_singular_set(dom, xr):
     return False
 
 
-def _walk_polyline(dom, points, margin, max_steps, user_path):
+def _walk_polyline(dom, points, user_path):
     """Walk each polyline segment in greedy steps that obey the bound.
 
     On the segment z = a + t (b - a) the step bound is linear in the next
     parameter, ||x_z (a + t' (b - a) - z)|| = (t' - t) ||x_z (b - a)||, so
     each step goes straight to t' = min(1, t + aim / ||x_z (b - a)||) with
-    aim = margin (1 - CHAIN_AIM_INSET). No subdivision whose steps all stay
-    within aim takes fewer steps, because t + aim / ||x_z (b - a)|| never
+    aim = CHAIN_MARGIN (1 - CHAIN_AIM_INSET). No subdivision whose steps all
+    stay within aim takes fewer steps, because t + aim / ||x_z (b - a)|| never
     decreases along the segment.
 
     Every point within the bound is a member, since
@@ -354,7 +357,7 @@ def _walk_polyline(dom, points, margin, max_steps, user_path):
         if user_path
         else "supply an explicit path avoiding the singular set"
     )
-    aim = margin * (1.0 - CHAIN_AIM_INSET)
+    aim = CHAIN_MARGIN * (1.0 - CHAIN_AIM_INSET)
     den_inv = dom.denominator_inverse(points[0])
     waypoints = [points[0]]
     den_invs = [den_inv]
@@ -369,7 +372,7 @@ def _walk_polyline(dom, points, margin, max_steps, user_path):
                 index=len(waypoints),
             )
         t = 0.0
-        for _ in range(max_steps):
+        for _ in range(CHAIN_STEP_CAP):
             pull = operator_norm(x @ r)
             t_next = 1.0 if pull * (1.0 - t) <= aim else t + aim / pull
             w = b if t_next == 1.0 else a + t_next * r
@@ -390,26 +393,24 @@ def _walk_polyline(dom, points, margin, max_steps, user_path):
         else:
             raise StepBoundError(
                 "cannot satisfy the step bound ||(c z + d)^-1 c (z' - z)|| < 1 "
-                f"within {max_steps} steps on segment {seg}; the path runs too close to "
+                f"within {CHAIN_STEP_CAP} steps on segment {seg}; the path runs too close to "
                 "the singular set"
             )
     return waypoints, den_invs, step_norms
 
 
-def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CAP):
+def transitive_chain(dom, target, path=None):
     """Build a chain of symmetries mapping the domain base point to target.
 
     The default route is the straight segment; a path (sequence of domain
     members from base point to target) overrides it. Each segment is walked
-    in greedy steps with ||(c z + d)^-1 c (z' - z)|| <= margin, one symmetry
-    factor per step via the midpoint construction; max_steps caps the steps
-    on one segment. A segment that crosses the singular set raises
-    PathLeavesDomainError before any step is taken. An odd factor count is
+    in greedy steps with ||(c z + d)^-1 c (z' - z)|| <= CHAIN_MARGIN, one
+    symmetry factor per step via the midpoint construction, and at most
+    CHAIN_STEP_CAP steps on one segment. A segment that crosses the singular
+    set raises PathLeavesDomainError before any step is taken. An odd factor count is
     fixed by prepending the symmetry at the base point, which the composite
     result absorbs.
     """
-    if not 0.0 < margin < 1.0:
-        raise ValueError("margin must lie strictly between 0 and 1")
     source = dom.z0
     target, _ = _require_member(dom, target, "the chain target")
     if path is None:
@@ -430,7 +431,7 @@ def transitive_chain(dom, target, path=None, margin=0.9, max_steps=CHAIN_STEP_CA
                 )
         user_path = True
 
-    waypoints, den_invs, step_norms = _walk_polyline(dom, points, margin, max_steps, user_path)
+    waypoints, den_invs, step_norms = _walk_polyline(dom, points, user_path)
     if len(waypoints) % 2 == 0:
         # odd number of steps; duplicate the source so the factor count is even
         # (a supplied path starts within eq_tol of the source, not at it)

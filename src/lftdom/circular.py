@@ -400,14 +400,13 @@ class HyperbolicSpec:
     """A Hermitian form J with +1 and -1 in its spectrum, plus frame data.
 
     The frame consists of unit eigenvectors e (eigenvalue +1) and
-    f (eigenvalue -1) and an orthonormal basis of their orthocomplement K;
-    the compression of J to K is the Hermitian block b. Eigenvectors may be
-    supplied explicitly; otherwise the first matching eigenvectors of the
-    eigendecomposition are used and recorded. Membership and transport
-    judge with tol, kept as spec.tol.
+    f (eigenvalue -1), the first of each in the eigendecomposition of J,
+    and an orthonormal basis of their orthocomplement K; the compression of
+    J to K is the Hermitian block b. Membership and transport judge with
+    tol, kept as spec.tol.
     """
 
-    def __init__(self, j, eigvec_plus=None, eigvec_minus=None, tol=DEFAULT_TOL):
+    def __init__(self, j, tol=DEFAULT_TOL):
         j = as_cmatrix(j)
         n = j.shape[0]
         if j.shape != (n, n) or n < 2:
@@ -419,15 +418,8 @@ class HyperbolicSpec:
         self.tol = tol
 
         eigvals, eigvecs = np.linalg.eigh(self.j)
-        self.e = self._resolve_eigvec(eigvec_plus, eigvals, eigvecs, 1.0)
-        self.f = self._resolve_eigvec(eigvec_minus, eigvals, eigvecs, -1.0)
-        scale = 1.0 + operator_norm(self.j)
-        if np.linalg.norm(self.j @ self.e - self.e) > 1e-8 * scale:
-            raise SpectrumError("e must be a unit eigenvector of J for eigenvalue +1")
-        if np.linalg.norm(self.j @ self.f + self.f) > 1e-8 * scale:
-            raise SpectrumError("f must be a unit eigenvector of J for eigenvalue -1")
-        if abs(np.vdot(self.e, self.f)) > 1e-8:
-            raise SpectrumError("eigenvectors for +1 and -1 must be orthogonal")
+        self.e = self._first_eigvec(eigvals, eigvecs, 1.0)
+        self.f = self._first_eigvec(eigvals, eigvecs, -1.0)
 
         # the trailing right singular vectors of [e*; f*] span the orthocomplement;
         # the copy to C order keeps the rounding of K* J K below for n >= 4
@@ -446,13 +438,7 @@ class HyperbolicSpec:
             raise InternalCheckError("J does not block-diagonalize in the chosen frame")
 
     @staticmethod
-    def _resolve_eigvec(given, eigvals, eigvecs, target):
-        if given is not None:
-            v = np.asarray(given, dtype=complex).reshape(-1)
-            norm = np.linalg.norm(v)
-            if norm == 0:
-                raise ValueError("eigenvector must be nonzero")
-            return v / norm
+    def _first_eigvec(eigvals, eigvecs, target):
         hits = np.nonzero(np.abs(eigvals - target) <= 1e-8)[0]
         if hits.size == 0:
             raise SpectrumError(f"J has no eigenvalue {target:+.0f} within 1e-8")
@@ -477,21 +463,19 @@ def hyperbolic_member(spec, z):
 def _l_w_matrix(spec, w):
     """The J-unitary shear fixing the form, parameterized by w in K coords."""
     n = spec.dim
-    nk = n - 2
-    w = np.asarray(w, dtype=complex).reshape(nk)
-    bw = spec.b @ w if nk else w
-    q = complex(np.vdot(w, bw)) if nk else 0.0
+    w = np.asarray(w, dtype=complex).reshape(n - 2)
+    bw = spec.b @ w
+    q = complex(np.vdot(w, bw))
     l = np.zeros((n, n), dtype=complex)
     l[0, 0] = 1.0 - q / 2.0
     l[n - 1, n - 1] = 1.0 + q / 2.0
     l[0, n - 1] = -q / 2.0
     l[n - 1, 0] = q / 2.0
-    if nk:
-        l[0, 1 : n - 1] = -(bw.conj())
-        l[n - 1, 1 : n - 1] = bw.conj()
-        l[1 : n - 1, 0] = w
-        l[1 : n - 1, n - 1] = w
-        l[1 : n - 1, 1 : n - 1] = np.eye(nk, dtype=complex)
+    l[0, 1 : n - 1] = -(bw.conj())
+    l[n - 1, 1 : n - 1] = bw.conj()
+    l[1 : n - 1, 0] = w
+    l[1 : n - 1, n - 1] = w
+    l[1 : n - 1, 1 : n - 1] = np.eye(n - 2, dtype=complex)
     return l
 
 
@@ -525,8 +509,7 @@ def _hyperbolic_branch_a(spec, coords):
     alpha, w1, beta = coords
     n = spec.dim
     big_a = abs(alpha) + abs(beta)
-    bw1 = spec.b @ w1 if n > 2 else w1
-    q1 = complex(np.vdot(w1, bw1)).real if n > 2 else 0.0
+    q1 = complex(np.vdot(w1, spec.b @ w1)).real
     a = abs(alpha) + q1 / (2.0 * big_a)
     b = abs(beta) - q1 / (2.0 * big_a)
     if not b * b - a * a > 0:
@@ -537,8 +520,7 @@ def _hyperbolic_branch_a(spec, coords):
     l_1[0, n - 1] = a
     l_1[n - 1, 0] = a
     l_1[n - 1, n - 1] = b
-    if n > 2:
-        l_1[1 : n - 1, 1 : n - 1] = np.sqrt(b * b - a * a) * np.eye(n - 2, dtype=complex)
+    l_1[1 : n - 1, 1 : n - 1] = np.sqrt(b * b - a * a) * np.eye(n - 2, dtype=complex)
     phases = np.ones(n, dtype=complex)
     phases[0] = alpha / abs(alpha) if abs(alpha) > 0 else 1.0
     phases[n - 1] = beta / abs(beta) if abs(beta) > 0 else 1.0

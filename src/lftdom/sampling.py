@@ -163,8 +163,8 @@ def random_hyperbolic_member(rng, spec, degenerate=False):
                 return spec.frame @ coords.astype(complex)
         raise InternalCheckError("could not sample a degenerate hyperbolic member")
     for _ in range(HYPERBOLIC_ATTEMPTS):
-        w = (rng.uniform(-1, 1, nk) + 1j * rng.uniform(-1, 1, nk)) if nk else np.zeros(0)
-        q = float(np.vdot(w, spec.b @ w).real) if nk else 0.0
+        w = rng.uniform(-1, 1, nk) + 1j * rng.uniform(-1, 1, nk)
+        q = float(np.vdot(w, spec.b @ w).real)
         alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         need = abs(alpha) ** 2 + q
         beta_mod = np.sqrt(max(need, 0.0) + rng.uniform(0.1, 2.0))

@@ -431,13 +431,13 @@ def suite_connectivity(config, rng, track):
     return track.count
 
 
-def _random_j_unitary(rng, j, scale=0.4):
+def _random_j_unitary(rng, j):
     import scipy.linalg  # loaded on first use, as in linalg.principal_sqrt
 
     n = j.shape[0]
     a = samp.random_matrix(rng, n, n)
     k = a - j @ a.conj().T @ j
-    k = k * (scale / (1.0 + operator_norm(k)))
+    k = k * (0.4 / (1.0 + operator_norm(k)))
     return scipy.linalg.expm(k)
 
 
@@ -637,14 +637,12 @@ def suite_row(config, index):
     try:
         trials = suite(config, rng, track)
     except Exception as exc:  # any failure aborts only its own row
-        # the innermost frame inside this package says where it failed
+        # the innermost frame inside this package says where it failed, by
+        # function and file: a line number would tie the report to the layout
         here = os.path.dirname(__file__)
         frames = traceback.extract_tb(exc.__traceback__)
         frame = [f for f in frames if os.path.dirname(f.filename) == here][-1]
-        return _aborted_row(
-            name, exc,
-            f" (in {frame.name}, {os.path.basename(frame.filename)}:{frame.lineno})",
-        )
+        return _aborted_row(name, exc, f" (in {frame.name}, {os.path.basename(frame.filename)})")
     return {
         "name": name,
         "anchor": anchor,

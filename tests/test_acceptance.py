@@ -89,7 +89,7 @@ def test_criterion_1_symmetry_suite():
         worst_fixed = max(worst_fixed, operator_norm(lft_apply(u, y) - y))
         m = u.coefficient_matrix()
         worst_coeff = max(worst_coeff, operator_norm(m @ m - np.eye(m.shape[0])))
-        fd = fixed_point_derivative(dom, y, z, step=1e-5)
+        fd = fixed_point_derivative(dom, y, z)
         worst_derivative = max(worst_derivative, operator_norm(fd + z))
     elapsed = time.perf_counter() - start
     print(

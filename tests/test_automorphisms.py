@@ -49,7 +49,8 @@ from lftdom import (
     try_invert,
     whole_space_domain,
 )
-from lftdom.automorphisms import _midpoints
+from lftdom import automorphisms
+from lftdom.automorphisms import CHAIN_MARGIN, _midpoints
 from lftdom.linalg import SERIES_BLOCK_CAP, binomial_series_grid, binomial_series_shifted
 from lftdom.verify import RunConfig, _lambda_grid, example_domains
 from lftdom.sampling import (
@@ -250,8 +251,6 @@ def test_fixed_point_derivative_is_minus_identity():
 def test_fixed_point_derivative_validates_input():
     dom = invertibles_domain(diagonal_space(2))
     y = np.diag([1.0, 2.0]).astype(complex)
-    with pytest.raises(ValueError):
-        fixed_point_derivative(dom, y, np.eye(2), step=1e-12)
     with pytest.raises(SpaceClosureError):
         fixed_point_derivative(dom, y, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
@@ -404,11 +403,9 @@ def test_chain_residual_is_the_frozen_factor_loop_bit_for_bit():
     assert chain.residual.hex() == frozen_residual(chain).hex()
 
 
-def test_chain_validates_margin_and_path():
+def test_chain_validates_path():
     dom = scalar_invertibles()
     target = np.array([[2.0]])
-    with pytest.raises(ValueError):
-        transitive_chain(dom, target, margin=1.5)
     with pytest.raises(ValueError):
         transitive_chain(dom, target, path=[target])
     with pytest.raises(ValueError):
@@ -466,28 +463,41 @@ def test_greedy_chain_never_takes_more_factors_than_doubling():
 def test_greedy_chain_step_norms_recomputed_stay_within_the_margin():
     rng = np.random.default_rng(62)
     for dom in example_domains(RunConfig()):
-        for margin in (0.3, 0.9):
-            target = random_target_in_reach(rng, dom)
-            chain = transitive_chain(dom, target, margin=margin)
-            recomputed = recomputed_step_norms(dom, chain)
-            assert max(recomputed) <= margin, dom.label
-            assert np.allclose(recomputed, chain.step_norms, rtol=1e-9, atol=1e-12)
+        target = random_target_in_reach(rng, dom)
+        chain = transitive_chain(dom, target)
+        recomputed = recomputed_step_norms(dom, chain)
+        assert max(recomputed) <= CHAIN_MARGIN, dom.label
+        assert np.allclose(recomputed, chain.step_norms, rtol=1e-9, atol=1e-12)
 
 
-def test_chain_through_a_defective_singular_point_fails_at_once():
+def test_chain_walk_stops_at_the_step_cap(monkeypatch):
+    # the straight route from 1 to 100 takes eight steps, each z -> 1.9 z
+    # until the last
+    dom = scalar_invertibles()
+    target = np.array([[100.0]])
+    monkeypatch.setattr(automorphisms, "CHAIN_STEP_CAP", 7)
+    with pytest.raises(StepBoundError, match="within 7 steps on segment 0;"):
+        transitive_chain(dom, target)
+    monkeypatch.setattr(automorphisms, "CHAIN_STEP_CAP", 8)
+    assert transitive_chain(dom, target).factor_count == 8
+
+
+def test_chain_through_a_defective_singular_point_fails_at_once(monkeypatch):
     # C is a Jordan block and C (I + t J) has a double zero of det at t = 1/2;
     # steps toward it shrink without end, so only the crossing test stops it
+    # (the small cap makes a walk that misses it fail fast, and differently)
+    monkeypatch.setattr(automorphisms, "CHAIN_STEP_CAP", 8)
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     dom = Domain(full_space(2, 2), jordan, np.zeros((2, 2)), np.eye(2))
     target = np.eye(2) + np.array([[-2.0, 1.0], [0.0, -2.0]])
     with pytest.raises(PathLeavesDomainError) as err:
-        transitive_chain(dom, target, max_steps=8)
+        transitive_chain(dom, target)
     assert err.value.index == 1
     # the same crossing with the defective eigenvalue split by rounding
     u = np.linalg.qr(random_matrix(np.random.default_rng(63), 2, 2))[0]
     r = u @ np.array([[-2.0, 1.0], [0.0, -2.0]]) @ u.conj().T
     with pytest.raises(PathLeavesDomainError) as err:
-        transitive_chain(invertibles_domain(full_space(2, 2)), np.eye(2) + r, max_steps=8)
+        transitive_chain(invertibles_domain(full_space(2, 2)), np.eye(2) + r)
     assert err.value.index == 1
 
 

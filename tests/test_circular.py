@@ -477,12 +477,12 @@ def test_product_transport_builds_one_ball_automorphism(monkeypatch, dims):
 
 def lorentz_spec():
     j = np.diag([1.0, 1.0, -1.0]).astype(complex)
-    return HyperbolicSpec(j, eigvec_plus=np.array([1.0, 0, 0]), eigvec_minus=np.array([0, 0, 1.0]))
+    return HyperbolicSpec(j)
 
 
 def split_signature_spec():
     j = np.diag([1.0, -1.0, -1.0]).astype(complex)
-    return HyperbolicSpec(j, eigvec_plus=np.array([1.0, 0, 0]), eigvec_minus=np.array([0, 1.0, 0]))
+    return HyperbolicSpec(j)
 
 
 def test_hyperbolic_membership_sign():
@@ -551,9 +551,6 @@ def test_hyperbolic_spec_validation():
         HyperbolicSpec(np.diag([2.0, -1.0]))
     with pytest.raises(SpectrumError):
         HyperbolicSpec(np.diag([1.0, -2.0]))
-    j = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(SpectrumError):
-        HyperbolicSpec(j, eigvec_plus=np.array([0.0, 0, 1.0]))
     with pytest.raises(ShapeError):
         HyperbolicSpec(np.array([[1.0]]))
 
@@ -575,7 +572,7 @@ def test_orthocomplement_basis_is_scipy_null_space_in_bytes_and_layout():
 
 def test_hyperbolic_degenerate_sampling_needs_a_negative_direction():
     rng = np.random.default_rng(76)
-    # K = span{(0,1,0)} carries the +1 block: no degenerate members exist
+    # K = span{(1,0,0)} carries the +1 block: no degenerate members exist
     spec = lorentz_spec()
     with pytest.raises(ValueError):
         random_hyperbolic_member(rng, spec, degenerate=True)
@@ -592,9 +589,8 @@ def test_specs_judge_with_the_tolerance_they_were_built_with():
     # specs, though well clear of the default thresholds
     coarse = Tolerance(1e-3)
     j = np.diag([1.0, 1.0, -1.0]).astype(complex)
-    frame = {"eigvec_plus": np.array([1.0, 0, 0]), "eigvec_minus": np.array([0, 0, 1.0])}
-    hyperbolic = HyperbolicSpec(j, **frame)
-    hyperbolic_coarse = HyperbolicSpec(j, **frame, tol=coarse)
+    hyperbolic = HyperbolicSpec(j)
+    hyperbolic_coarse = HyperbolicSpec(j, tol=coarse)
     assert hyperbolic_coarse.tol == coarse
     z = np.array([0.0, 0.0, np.sqrt(2e-6)])  # (Jz, z) = -2e-6
     assert hyperbolic_member(hyperbolic, z)

@@ -406,9 +406,9 @@ def test_pooled_rows_equal_the_rows_built_in_process(monkeypatch):
         assert report["passed"] is False
         # the abort anchor names the innermost frame inside the package
         aborted = report["suites"][4]["anchor"]
-        assert aborted.startswith(
+        assert aborted == (
             "suite aborted: ValueError: trials must be a positive integer at most 10^6 "
-            "(in __post_init__, verify.py:"
+            "(in __post_init__, verify.py)"
         ), aborted
 
 

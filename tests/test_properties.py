@@ -1,4 +1,4 @@
-"""Property tests of transitive chains on random domains, paths and margins.
+"""Property tests of transitive chains on random domains and paths.
 
 Domains are full, symmetric or upper-triangular spaces with random C and Z0
 in the space and D = I - C Z0, so that the kernel at the base point is C.
@@ -20,6 +20,7 @@ from lftdom import (
     transitive_chain,
     upper_triangular_space,
 )
+from lftdom.automorphisms import CHAIN_MARGIN
 
 SHAPES = {
     "full": lambda m: m,
@@ -49,8 +50,7 @@ def chain_requests(draw):
     z0 = shape(draw(complex_matrices(k, h)))
     vertices = [shape(v) for v in draw(st.lists(complex_matrices(k, h, 2.0), max_size=2))]
     target = shape(draw(complex_matrices(k, h, 2.0)))
-    margin = draw(st.floats(0.05, 0.95))
-    return kind, c, z0, [z0] + vertices + [target], margin
+    return kind, c, z0, [z0] + vertices + [target]
 
 
 def clear_of_singular_set(c, d, points, grid=64):
@@ -80,16 +80,16 @@ def clear_of_singular_set(c, d, points, grid=64):
 )
 @given(chain_requests())
 def test_chain_guarantees_hold_on_random_requests(request):
-    kind, c, z0, points, margin = request
+    kind, c, z0, points = request
     k, h = z0.shape
     d = np.eye(h) - c @ z0
     assume(clear_of_singular_set(c, d, points))
     dom = Domain(space_of(kind, k, h), c, d, z0)
     target = points[-1]
     path = points if len(points) > 2 else None
-    chain = transitive_chain(dom, target, path=path, margin=margin)
+    chain = transitive_chain(dom, target, path=path)
     assert chain.factor_count % 2 == 0
-    assert all(s <= margin for s in chain.step_norms)
+    assert all(s <= CHAIN_MARGIN for s in chain.step_norms)
     assert chain.residual <= 1e-8 * (1.0 + operator_norm(target))
     for vertex in points:
         assert any(np.array_equal(w, vertex) for w in chain.waypoints)

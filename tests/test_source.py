@@ -213,6 +213,18 @@ def test_domain_bound_functions_take_no_tolerance():
     assert list(inspect.signature(domains.LFTMap).parameters) == ["a", "b", "c", "d"]
 
 
+def test_fixed_constructions_take_no_options():
+    # the chain margin and step cap, the derivative's step and the hyperbolic
+    # frame are the package's constants, not settings of a call
+    signatures = {
+        automorphisms.transitive_chain: ["dom", "target", "path"],
+        automorphisms.fixed_point_derivative: ["dom", "y", "direction"],
+        circular.HyperbolicSpec: ["j", "tol"],
+    }
+    for fn, params in signatures.items():
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
+
+
 def test_records_hold_their_domain_instead_of_copies():
     # chains, swap involutions and curves read z0, x0, c, d and tol off the
     # domain they were built on, so they cannot drift from it
