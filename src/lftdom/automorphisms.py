@@ -53,10 +53,15 @@ CHAIN_AIM_INSET = 1e-6
 DERIVATIVE_STEP = 1e-4
 
 
-def _require_member(dom, z, what):
-    """Validate z as a member of dom; returns z and the inverse (c z + d)^-1."""
-    z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
-    if not dom.space.contains(z, dom.tol):
+def _require_member(dom, z, what, stack=False):
+    """Validate z as a member of dom; returns z and the inverse (c z + d)^-1.
+
+    With ``stack``, z may also be an (m, k, h) stack, and every item must be
+    a member: the errors are those of one z.
+    """
+    z = (as_cstack if stack else as_cmatrix)(z, rows=dom.dim_k, cols=dom.dim_h)
+    inside = dom.space.contains(z, dom.tol)
+    if not (inside if z.ndim == 2 else inside.all()):
         raise SpaceClosureError(f"{what} does not belong to the operator space")
     return z, invert(dom.denominator(z), dom.tol, f"c z + d is singular at {what}")
 
@@ -122,8 +127,9 @@ def symmetry_map(dom, y):
 
     Blocks are [[-(I - y x), 2 y - y x y], [x, I - x y]] with x the kernel
     (c y + d)^-1 c; the assembled coefficient matrix squares to the identity.
+    On an (m, k, h) stack of points, the stack of their m symmetries.
     """
-    y, den_inv = _require_member(dom, y, "the symmetry point y")
+    y, den_inv = _require_member(dom, y, "the symmetry point y", stack=True)
     return LFTMap._of_blocks(*_symmetry_blocks(dom, y, den_inv @ dom.c), dom.tol)
 
 
@@ -158,15 +164,22 @@ def fixed_point_derivative(dom, y, direction):
     """Central difference of the symmetry at y, at its fixed point.
 
     Returns (U(y + t v) - U(y - t v)) / (2 t) with t = DERIVATIVE_STEP; the
-    exact derivative is -v for every direction v in the space.
+    exact derivative is -v for every direction v in the space. On (m, k, h)
+    stacks of points and directions, returns (derivatives, singular) as
+    lft_apply does, from one stack of symmetries: an item is singular where
+    either of its evaluations is.
     """
-    direction = as_cmatrix(direction, rows=dom.dim_k, cols=dom.dim_h)
-    if not dom.space.contains(direction, dom.tol):
+    direction = as_cstack(direction, rows=dom.dim_k, cols=dom.dim_h)
+    inside = dom.space.contains(direction, dom.tol)
+    if not (inside if direction.ndim == 2 else inside.all()):
         raise SpaceClosureError("direction does not belong to the operator space")
     u = symmetry_map(dom, y)
     ahead = lft_apply(u, y + DERIVATIVE_STEP * direction)
     behind = lft_apply(u, y - DERIVATIVE_STEP * direction)
-    return (ahead - behind) / (2.0 * DERIVATIVE_STEP)
+    if not isinstance(ahead, tuple):
+        return (ahead - behind) / (2.0 * DERIVATIVE_STEP)
+    (ahead, ahead_singular), (behind, behind_singular) = ahead, behind
+    return (ahead - behind) / (2.0 * DERIVATIVE_STEP), ahead_singular | behind_singular
 
 
 def find_midpoint(dom, z, w):
@@ -229,8 +242,9 @@ def _midpoints(dom, z, z_den_inv, w):
         check(singular | ~dom.space.contains(y, dom.tol), lambda: InternalCheckError(
             "midpoint fell outside the domain; ill conditioned input"
         ))
-        reached = _symmetry_at(dom, y, z, z_den_inv)
-        check(operator_norm(reached - w) > 1e-6 * (1.0 + operator_norm(w)),
+        # both norms from one call
+        gap, size = operator_norm(np.array((_symmetry_at(dom, y, z, z_den_inv) - w, w)))
+        check(gap > 1e-6 * (1.0 + size),
               lambda: InternalCheckError("midpoint symmetry failed to reproduce the target point"))
         return y, y_den_inv
     except (_Replay, SpectrumError):
@@ -282,12 +296,12 @@ class AutomorphismChain:
         """Apply the factors in order with ``lft_apply`` (numerically preferable to one big LFT).
 
         A single z takes one call per factor and raises SingularMatrixError
-        where its denominator is singular at some factor. On an (m, k, h)
-        stack of probes, one stacked call per factor; returns (images,
-        singular): a probe that meets a singular denominator is marked in
-        ``singular``, gets a NaN image and leaves the stack, so the later
-        factors see only live probes. Each probe gets exactly the image or
-        the failure of a call on it alone.
+        where its denominator is singular at some factor. An (m, k, h) stack
+        of probes goes to ``apply_chains``, one stacked call per factor;
+        returns (images, singular): a probe that meets a singular denominator
+        is marked in ``singular`` and gets a NaN image, and no later factor
+        sees a NaN. Each probe gets exactly the image or the failure of a
+        call on it alone.
         """
         dom = self.domain
         zs = as_cstack(z, rows=dom.dim_k, cols=dom.dim_h)
@@ -295,20 +309,8 @@ class AutomorphismChain:
             for f in self.factors:
                 zs = lft_apply(f, zs)
             return zs
-        live = np.arange(len(zs))
-        out = zs
-        for f in self.factors:
-            out, singular = lft_apply(f, out)
-            if singular.any():
-                keep = ~singular
-                live, out = live[keep], out[keep]
-                if not live.size:
-                    break
-        images = np.full(zs.shape, np.nan, dtype=complex)
-        images[live] = out
-        singular = np.ones(len(zs), dtype=bool)
-        singular[live] = False
-        return images, singular
+        images, singular = apply_chains((self,), zs[None])
+        return images[0], singular[0]
 
     def as_lft(self):
         """Compose all coefficient matrices into a single LFTMap."""
@@ -336,7 +338,7 @@ def _meets_singular_set(dom, xr):
     return False
 
 
-def _walk_polyline(dom, points, user_path):
+def _walk_polyline(dom, points, user_path, end_den_inv=None):
     """Walk each polyline segment in greedy steps that obey the bound.
 
     On the segment z = a + t (b - a) the step bound is linear in the next
@@ -348,7 +350,8 @@ def _walk_polyline(dom, points, user_path):
 
     Every point within the bound is a member, since
     C w + D = (C z + D)(I + x_z (w - z)), so the only check per waypoint is
-    the inversion that yields its kernel. Returns the waypoints (both
+    the inversion that yields its kernel; end_den_inv, when given, is the
+    inverse at the last point, already taken. Returns the waypoints (both
     endpoints included; every vertex of the polyline among them), the
     inverses (C w + D)^-1 at them, and the per-step norms ||x (next - prev)||.
     """
@@ -358,7 +361,7 @@ def _walk_polyline(dom, points, user_path):
         else "supply an explicit path avoiding the singular set"
     )
     aim = CHAIN_MARGIN * (1.0 - CHAIN_AIM_INSET)
-    den_inv = dom.denominator_inverse(points[0])
+    den_inv = dom.den0_inv if points[0] is dom.z0 else dom.denominator_inverse(points[0])
     waypoints = [points[0]]
     den_invs = [den_inv]
     step_norms = []
@@ -376,7 +379,10 @@ def _walk_polyline(dom, points, user_path):
             pull = operator_norm(x @ r)
             t_next = 1.0 if pull * (1.0 - t) <= aim else t + aim / pull
             w = b if t_next == 1.0 else a + t_next * r
-            den_inv = dom.try_denominator_inverse(w)
+            if w is points[-1] and end_den_inv is not None:
+                den_inv = end_den_inv
+            else:
+                den_inv = dom.try_denominator_inverse(w)
             if den_inv is None:
                 raise PathLeavesDomainError(
                     f"waypoint {len(waypoints)} of the path is not a domain member "
@@ -399,24 +405,23 @@ def _walk_polyline(dom, points, user_path):
     return waypoints, den_invs, step_norms
 
 
-def transitive_chain(dom, target, path=None):
-    """Build a chain of symmetries mapping the domain base point to target.
+def walk_chain(dom, target, path=None):
+    """The walk of ``transitive_chain``: its target and path validated, its waypoints chosen.
 
-    The default route is the straight segment; a path (sequence of domain
-    members from base point to target) overrides it. Each segment is walked
-    in greedy steps with ||(c z + d)^-1 c (z' - z)|| <= CHAIN_MARGIN, one
-    symmetry factor per step via the midpoint construction, and at most
-    CHAIN_STEP_CAP steps on one segment. A segment that crosses the singular
-    set raises PathLeavesDomainError before any step is taken. An odd factor count is
-    fixed by prepending the symmetry at the base point, which the composite
-    result absorbs.
+    Returns (target, waypoints, den_invs, step_norms) for ``build_chains``:
+    the waypoints from the base point to target, the inverses (c w + d)^-1 at
+    them and the step norms. An odd step count is made even by prepending
+    the base point, whose symmetry the composite absorbs. Every error a
+    chain's target or route can raise is raised here, before any factor is
+    built.
     """
     source = dom.z0
-    target, _ = _require_member(dom, target, "the chain target")
+    target, target_den_inv = _require_member(dom, target, "the chain target")
     if path is None:
         points = [source, target]
         user_path = False
     else:
+        target_den_inv = None
         points = [as_cmatrix(p, rows=dom.dim_k, cols=dom.dim_h) for p in path]
         if len(points) < 2:
             raise ValueError("a path needs at least its two endpoints")
@@ -431,44 +436,181 @@ def transitive_chain(dom, target, path=None):
                 )
         user_path = True
 
-    waypoints, den_invs, step_norms = _walk_polyline(dom, points, user_path)
+    waypoints, den_invs, step_norms = _walk_polyline(dom, points, user_path, target_den_inv)
     if len(waypoints) % 2 == 0:
         # odd number of steps; duplicate the source so the factor count is even
         # (a supplied path starts within eq_tol of the source, not at it)
-        source_den_inv = den_invs[0] if waypoints[0] is source else dom.denominator_inverse(source)
         waypoints = [source] + waypoints
-        den_invs = [source_den_inv] + den_invs
+        den_invs = [dom.den0_inv] + den_invs
         step_norms = [0.0] + step_norms
+    return target, waypoints, den_invs, step_norms
 
-    # the factors are built as stacks: each reuses the walk's inversion at
-    # its start, and the midpoint's membership check supplies its kernel
-    stops = np.stack(waypoints)
-    midpoints, mid_den_invs = _midpoints(dom, stops[:-1], np.stack(den_invs[:-1]), stops[1:])
+
+def build_chains(dom, walks):
+    """The chains of ``walk_chain``'s walks on dom, built together as stacks.
+
+    The midpoints of every step of every walk come from one ``_midpoints``
+    call; the factors' blocks, their coefficient matrices and the pair folds
+    from one stacked call each. Each pair index of the folds, and each factor
+    index of the residuals at z0, is one stacked call over the chains that
+    reach it. Each chain gets the bits of its build alone, and a batch of one
+    raises what ``transitive_chain`` raises; an error on a larger batch comes
+    from its stacks, so a caller that needs the first failing walk builds
+    them again one at a time.
+    """
+    source = dom.z0
+    counts = np.array([len(waypoints) - 1 for _, waypoints, _, _ in walks])
+    starts = np.cumsum(counts) - counts
+    # each step starts at a waypoint and reuses the walk's inversion there,
+    # and the midpoint's membership check supplies its kernel
+    z = np.array([p for _, waypoints, _, _ in walks for p in waypoints[:-1]])
+    w = np.array([p for _, waypoints, _, _ in walks for p in waypoints[1:]])
+    z_den_inv = np.array([inv for _, _, den_invs, _ in walks for inv in den_invs[:-1]])
+    midpoints, mid_den_invs = _midpoints(dom, z, z_den_inv, w)
     kernels = mid_den_invs @ dom.c
-    a, b, c, d = _symmetry_blocks(dom, midpoints, kernels)
-    coefficients = np.block([[a, b], [c, d]])
-    factors = tuple(LFTMap._of_blocks(*blocks, dom.tol) for blocks in zip(a, b, c, d))
-
-    # fold the pairs (U_{y[i+1]} after U_{y[i]}) as one stack, then compose them in order
+    maps = LFTMap._of_blocks(*_symmetry_blocks(dom, midpoints, kernels), dom.tol)
+    coefficients = maps.coefficient_matrix()
+    # the pairs (U_{y[i+1]} after U_{y[i]}) of every chain as one stack; the
+    # counts are even, so no pair spans two chains
     pairs = _pair_fold(dom, midpoints[1::2], midpoints[::2], mid_den_invs[::2], kernels[::2])
-    affine = AffineMap.identity(dom.dim_k, dom.dim_h)
-    for pair in zip(*pairs):
-        affine = AffineMap(*pair).compose(affine)
-    # rebase so the record is anchored at the source
-    affine = AffineMap(base=source, offset=affine(source), left=affine.left, right=affine.right)
 
-    chain = AutomorphismChain(
-        domain=dom,
-        target=target,
-        waypoints=tuple(waypoints),
-        midpoints=tuple(midpoints),
-        factors=factors,
-        coefficients=coefficients,
-        affine=affine,
-        step_norms=tuple(step_norms),
-        residual=None,
+    # each chain composes its pairs in order, from the identity, pair i of
+    # every chain with one in one stacked step; pair i is made of factors 2i
+    # and 2i + 1, so the pairs take the factors' layout at the even factors
+    n = len(walks)
+    order, reach, rows = _layout(counts, starts)
+    even = np.repeat(np.arange(len(reach)) % 2 == 0, reach)
+    base, shift, outer, inner = (x[rows[even] // 2] for x in pairs)
+    offset = np.zeros((n, dom.dim_k, dom.dim_h), dtype=complex)
+    left = np.repeat(dom.eye_k[None], n, axis=0)
+    right = np.repeat(dom.eye_h[None], n, axis=0)
+    done = 0
+    for live in reach[::2]:
+        at = slice(done, done + live)
+        offset[:live] = shift[at] + outer[at] @ (offset[:live] - base[at]) @ inner[at]
+        left[:live] = outer[at] @ left[:live]
+        right[:live] = right[:live] @ inner[at]
+        done += live
+    # rebased to be anchored at the source; the folded records keep the
+    # identity's zero base, and source - 0 is source
+    offset = offset + left @ source @ right
+    by_walk = np.argsort(order)
+    offset, left, right = offset[by_walk], left[by_walk], right[by_walk]
+
+    chains = []
+    for j, (target, waypoints, _, step_norms) in enumerate(walks):
+        own = slice(starts[j], starts[j] + counts[j])
+        chains.append(AutomorphismChain(
+            domain=dom,
+            target=target,
+            waypoints=tuple(waypoints),
+            midpoints=tuple(midpoints[own]),
+            factors=tuple(
+                LFTMap._of_blocks(*blocks, dom.tol)
+                for blocks in zip(maps.a[own], maps.b[own], maps.c[own], maps.d[own])
+            ),
+            coefficients=coefficients[own],
+            affine=AffineMap(base=source, offset=offset[j], left=left[j], right=right[j]),
+            step_norms=tuple(step_norms),
+            residual=None,
+        ))
+
+    # each chain carries z0 through its factors
+    reached, singular = _carry(maps, order, reach, rows, np.repeat(source[None, None], n, axis=0))
+    if singular.any():
+        # the chain's own call raises the SingularMatrixError of one z
+        chains[np.flatnonzero(singular)[0]].apply(source)
+        raise InternalCheckError("a stacked residual failed where the chain's own call does not")
+    targets = np.array([target for target, _, _, _ in walks])
+    residuals = operator_norm(reached[:, 0] - targets)
+    return [replace(chain, residual=float(r)) for chain, r in zip(chains, residuals)]
+
+
+def apply_chains(chains, zs):
+    """Each chain applied to its own probes: chains[j] to the (p, k, h) stack zs[j].
+
+    The chains share one domain, and zs is an (n, p, k, h) stack for n
+    chains. One stacked ``lft_apply`` per factor index carries the probes of
+    every chain that reaches it. Returns (images, singular) of shapes
+    (n, p, k, h) and (n, p), each item the image or the failure of
+    ``chains[j].apply`` on that probe alone.
+    """
+    zs = as_cstack(zs)
+    if zs.ndim != 4 or zs.shape[0] != len(chains):
+        raise ShapeError(f"expected an ({len(chains)}, p, k, h) stack of probes, got shape {zs.shape}")
+    counts = np.array([chain.factor_count for chain in chains])
+    factors = [f for chain in chains for f in chain.factors]
+    maps = LFTMap._of_blocks(
+        *(np.array([getattr(f, block) for f in factors]) for block in "abcd"), factors[0].tol
     )
-    return replace(chain, residual=float(operator_norm(chain.apply(source) - target)))
+    return _carry(maps, *_layout(counts, np.cumsum(counts) - counts), zs)
+
+
+def _layout(counts, starts):
+    """Chains from the most factors down, laid out factor by factor.
+
+    Chain j has the factors starts[j] : starts[j] + counts[j] of a stack.
+    Returns (order, reach, rows): the chains in that order; reach[i], how
+    many of them have a factor i, which are the first reach[i]; and the rows
+    of the stack that hold factor i of those chains, for each i in turn.
+    """
+    order = np.argsort(-counts, kind="stable")
+    ordered = counts[order]
+    reach = np.searchsorted(-ordered, -np.arange(ordered[0]))
+    index = np.repeat(np.arange(len(reach)), reach)
+    rank = np.arange(len(index)) - np.repeat(np.cumsum(reach) - reach, reach)
+    return order, reach.tolist(), starts[order][rank] + index
+
+
+def _carry(maps, order, reach, rows, zs):
+    """Probes zs[j] through the factors of chain j in turn, with _layout's (order, reach, rows).
+
+    zs is an (n, p, k, h) stack; returns (images, singular) as apply_chains.
+    Factor i of every chain that has one is one stacked lft_apply. A probe
+    that meets a singular denominator gets a NaN image; from then on its
+    place in the stack holds a zero matrix, so that the stack keeps its
+    layout and no factor sees a NaN.
+    """
+    n, p = zs.shape[:2]
+    a, b, c, d = (x[rows] for x in (maps.a, maps.b, maps.c, maps.d))
+    carried = zs[order].reshape(n * p, *zs.shape[2:])
+    singular = np.zeros(n * p, dtype=bool)
+    done, dying = 0, False
+    for live in reach:
+        at = slice(done, done + live)
+        done += live
+        items = live * p
+        blocks = a[at], b[at], c[at], d[at]
+        if p > 1:
+            # each probe takes its chain's factor
+            blocks = [np.repeat(x, p, axis=0) for x in blocks]
+        carried[:items], dead = lft_apply(LFTMap._of_blocks(*blocks, maps.tol), carried[:items])
+        if dying or dead.any():
+            singular[:items] |= dead
+            carried[singular] = 0.0
+            dying = True
+    if dying:
+        carried[singular] = np.nan
+    images = np.empty((n, p, *zs.shape[2:]), dtype=complex)
+    images[order] = carried.reshape(images.shape)
+    failed = np.empty((n, p), dtype=bool)
+    failed[order] = singular.reshape(n, p)
+    return images, failed
+
+
+def transitive_chain(dom, target, path=None):
+    """Build a chain of symmetries mapping the domain base point to target.
+
+    The default route is the straight segment; a path (sequence of domain
+    members from base point to target) overrides it. Each segment is walked
+    in greedy steps with ||(c z + d)^-1 c (z' - z)|| <= CHAIN_MARGIN, one
+    symmetry factor per step via the midpoint construction, and at most
+    CHAIN_STEP_CAP steps on one segment. A segment that crosses the singular
+    set raises PathLeavesDomainError before any step is taken. An odd factor count is
+    fixed by prepending the symmetry at the base point, which the composite
+    result absorbs. It is ``build_chains`` of the one walk ``walk_chain`` takes.
+    """
+    return build_chains(dom, [walk_chain(dom, target, path)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +811,7 @@ def liouville_curve(dom, z):
         domain=dom,
         z=z,
         w=w,
-        den0_inv=dom.denominator_inverse(dom.z0),
+        den0_inv=dom.den0_inv,
         table=binomial_series_table(w, bound),
     )
 

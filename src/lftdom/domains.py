@@ -37,6 +37,8 @@ class LFTMap:
 
     lft_apply judges it with tol, the Tolerance of its builder: a domain's, the
     one a map constructor was given, or DEFAULT_TOL from bare coefficients.
+    The package's builders also make stacks of maps, whose blocks are
+    (m, ., .) stacks; lft_apply takes one to an (m, k, h) stack of points.
     """
 
     a: np.ndarray
@@ -57,7 +59,8 @@ class LFTMap:
     def _of_blocks(cls, a, b, c, d, tol):
         """The map of complex128 blocks the package has just built: only their shapes are checked.
 
-        Data from outside goes through the constructor, which validates it.
+        On (m, ., .) block stacks, the stack of their m maps. Data from outside
+        goes through the constructor, which validates it.
         """
         _check_block_shapes(a, b, c, d)
         t = object.__new__(cls)
@@ -66,15 +69,21 @@ class LFTMap:
 
     @property
     def dim_k(self):
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
     @property
     def dim_h(self):
-        return self.d.shape[0]
+        return self.d.shape[-1]
 
     def coefficient_matrix(self):
-        """The assembled (dim_k + dim_h)-square block matrix [[a, b], [c, d]]."""
-        return np.block([[self.a, self.b], [self.c, self.d]])
+        """The assembled (dim_k + dim_h)-square block matrix [[a, b], [c, d]]; on a stack of maps, one per map."""
+        k = self.dim_k
+        m = np.empty((*self.a.shape[:-2], k + self.dim_h, k + self.dim_h), dtype=complex)
+        m[..., :k, :k] = self.a
+        m[..., :k, k:] = self.b
+        m[..., k:, :k] = self.c
+        m[..., k:, k:] = self.d
+        return m
 
     @classmethod
     def from_coefficient_matrix(cls, m, dim_k, dim_h):
@@ -101,10 +110,14 @@ class LFTMap:
 
 
 def _check_block_shapes(a, b, c, d):
-    """Raise ShapeError unless a, b, c, d are the k x k, k x h, h x k and h x h blocks of one map."""
-    k = a.shape[0]
-    h = d.shape[0]
-    if a.shape != (k, k) or b.shape != (k, h) or c.shape != (h, k) or d.shape != (h, h):
+    """Raise ShapeError unless a, b, c, d are the k x k, k x h, h x k and h x h blocks of one map, or stacks of them."""
+    k = a.shape[-1]
+    h = d.shape[-1]
+    lead = a.shape[:-2]
+    if (
+        a.shape != (*lead, k, k) or b.shape != (*lead, k, h)
+        or c.shape != (*lead, h, k) or d.shape != (*lead, h, h)
+    ):
         raise ShapeError(
             f"inconsistent block shapes a={a.shape} b={b.shape} c={c.shape} d={d.shape}"
         )
@@ -116,14 +129,17 @@ def lft_apply(t, z):
     One z raises SingularMatrixError on a singular denominator. On an
     (m, k, h) stack it returns (images, singular), as ``try_invert`` does:
     ``singular`` is the per-item verdict and a singular item's image is NaN.
-    Each item gets exactly the image and the verdict of a call on it alone.
+    A stack of m maps takes an (m, k, h) stack, item i to map i, and returns
+    the same pair. Each item gets exactly the image and the verdict of a call
+    on it alone.
     """
     z = as_cstack(z, rows=t.dim_k, cols=t.dim_h)
-    if z.ndim == 2:
+    if z.ndim == 2 == t.a.ndim:
         den_inv = invert(t.c @ z + t.d, t.tol, "linear fractional map denominator c z + d is singular")
         return (t.a @ z + t.b) @ den_inv
-    if z.ndim > 3:
-        raise ShapeError(f"expected one matrix or an (m, k, h) stack, got shape {z.shape}")
+    if z.ndim != 3 or (t.a.ndim == 3 and len(t.a) != len(z)):
+        want = "one matrix or an (m, k, h) stack" if t.a.ndim == 2 else f"a ({len(t.a)}, k, h) stack"
+        raise ShapeError(f"expected {want}, got shape {z.shape}")
     den_inv, singular = try_invert(t.c @ z + t.d, t.tol)
     return (t.a @ z + t.b) @ den_inv, singular
 
@@ -138,11 +154,12 @@ class Domain:
     """Domain of a linear fractional transformation on an operator space.
 
     Holds the space, the coefficients (c, d), the base point z0, the cached
-    kernel x0 = (c z0 + d)^-1 c and the Tolerance tol that every operation on
-    the domain judges with, and the read-only identities eye_k and eye_h
-    (dim_k and dim_h square) that the formulas on it take. Construction
-    validates that z0 belongs to the space, that c z0 + d is invertible, and
-    that the space is closed under the quadratic products Z x0 Z.
+    inverse den0_inv = (c z0 + d)^-1 (read-only) and kernel x0 = den0_inv c,
+    the Tolerance tol that every operation on the domain judges with, and the
+    read-only identities eye_k and eye_h (dim_k and dim_h square) that the
+    formulas on it take. Construction validates that z0 belongs to the
+    space, that c z0 + d is invertible, and that the space is closed under
+    the quadratic products Z x0 Z.
     """
 
     def __init__(self, space, c, d, z0, tol=DEFAULT_TOL, label=""):
@@ -157,8 +174,9 @@ class Domain:
         self.label = label or space.label
         if not space.contains(self.z0, tol):
             raise SpaceClosureError("base point does not belong to the operator space")
-        den_inv = invert(self.denominator(self.z0), tol, "c z0 + d is singular at the base point")
-        self.x0 = den_inv @ self.c
+        self.den0_inv = invert(self.denominator(self.z0), tol, "c z0 + d is singular at the base point")
+        self.den0_inv.flags.writeable = False
+        self.x0 = self.den0_inv @ self.c
         if not closed_under_quadratic(space, self.x0, tol):
             raise SpaceClosureError(
                 "operator space is not closed under the quadratic products Z x0 Z"
@@ -270,11 +288,13 @@ def det_membership(dom, z):
     """Determinant witness f(z) = det(I + d^-1 c z); zero exactly on the singular set.
 
     Requires an invertible d block (the coefficients are normalised by d^-1
-    on the left, which preserves the zero set of det(c z + d)).
+    on the left, which preserves the zero set of det(c z + d)). On an
+    (..., k, h) stack, an array of the values, with d inverted once.
     """
     d_inv = invert(dom.d, dom.tol, "determinant witness requires an invertible d block")
-    z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
-    return complex(np.linalg.det(dom.eye_h + d_inv @ dom.c @ z))
+    z = as_cstack(z, rows=dom.dim_k, cols=dom.dim_h)
+    f = np.linalg.det(dom.eye_h + d_inv @ dom.c @ z)
+    return complex(f) if z.ndim == 2 else f
 
 
 # ---------------------------------------------------------------------------

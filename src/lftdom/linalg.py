@@ -214,8 +214,13 @@ def try_invert(z, tol=DEFAULT_TOL):
 
 
 def invert(z, tol, message):
-    """The typed failure: ``try_invert(z, tol)`` on one matrix, raising SingularMatrixError(message) on None."""
+    """The typed failure: ``try_invert(z, tol)``, raising SingularMatrixError(message) on None.
+
+    On a stack it returns the inverses, and raises where any item is singular.
+    """
     z_inv = try_invert(z, tol)
+    if isinstance(z_inv, tuple):
+        z_inv = None if z_inv[1].any() else z_inv[0]
     if z_inv is None:
         raise SingularMatrixError(message)
     return z_inv

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import LftdomError, PathLeavesDomainError, StepBoundError
+from .exceptions import InternalCheckError, LftdomError, PathLeavesDomainError, StepBoundError
 from .linalg import DEFAULT_TOL, Tolerance, operator_norm, singular_test, try_invert
 from .spaces import full_space
 from .domains import (
@@ -39,10 +39,13 @@ from .domains import (
     whole_space_domain,
 )
 from .automorphisms import (
+    CHAIN_MARGIN,
     affine_equivalence,
     affine_transport,
     affine_transport_identity_residual,
+    apply_chains,
     ball_margin,
+    build_chains,
     compose_symmetries_affine,
     find_midpoint,
     fixed_point_derivative,
@@ -53,7 +56,7 @@ from .automorphisms import (
     swap_involution,
     symmetry_direct,
     symmetry_map,
-    transitive_chain,
+    walk_chain,
 )
 from .circular import (
     HyperbolicSpec,
@@ -73,6 +76,10 @@ from .circular import (
     siegel_member,
 )
 from . import sampling as samp
+
+# most trials a suite draws before it judges them as stacks, so that what a
+# suite holds stays bounded at any trial count
+CHECK_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,11 @@ class _Tracker:
             self.ok = False
         self.count += 1
 
+    def add_each(self, residuals, limits):
+        """``add`` for each residual of a stack, against its own limit or one limit for all."""
+        for residual, limit in zip(residuals, np.broadcast_to(limits, np.shape(residuals))):
+            self.add(residual, limit)
+
     def require(self, condition):
         self.add(0.0 if condition else 1.0, 0.0)
 
@@ -140,6 +152,60 @@ def example_domains(config):
     return items
 
 
+class _Stacks:
+    """Trials drawn in draw order and judged in stacks of at most CHECK_BATCH.
+
+    A trial is a sequence whose first item is its domain; ``judge`` checks a
+    list of them, one domain's trials at a time (``_by_domain``). A judge
+    that raises is run again on each trial of its batch alone, in draw
+    order, so the error is the one the first failing trial raises by itself.
+    As a context manager it judges what is left when the draws end, and so
+    a draw that raises lets the trials drawn before it raise first.
+    """
+
+    def __init__(self, judge):
+        self.judge = judge
+        self.trials = []
+
+    def add(self, trial):
+        if len(self.trials) == CHECK_BATCH:
+            self.flush()
+        self.trials.append(trial)
+
+    def flush(self):
+        trials, self.trials = self.trials, []
+        if not trials:
+            return
+        try:
+            self.judge(trials)
+        except Exception:
+            for trial in trials:
+                self.judge([trial])
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.flush()
+        return False
+
+
+def _by_domain(trials):
+    """(domain, columns) for each domain of the trials: column i holds item i + 1 of each of its trials."""
+    groups = {}
+    for dom, *items in trials:
+        groups.setdefault(dom, []).append(items)
+    return [(dom, list(zip(*items))) for dom, items in groups.items()]
+
+
+def _first_alone(singular, alone):
+    """Where a stacked call flags an item, ``alone(i)``, its call on the first such item by itself, raises."""
+    if singular.any():
+        alone(int(np.flatnonzero(singular)[0]))
+        raise InternalCheckError("a stacked call flagged an item that its call alone accepts")
+
+
 def _member_pair(rng, dom):
     return samp.sample_members(rng, dom, 2, margin=0.05)
 
@@ -148,18 +214,32 @@ def suite_symmetry(config, rng, track):
     """Involution, fixed point, coefficient involution, and derivative checks."""
     domains = example_domains(config)
     trials = 4 * config.trials
-    for i in range(trials):
-        dom = domains[i % len(domains)]
-        y, z = _member_pair(rng, dom)
-        u = symmetry_map(dom, y)
-        double = lft_apply(u, lft_apply(u, z))
-        track.add(operator_norm(double - z), 1e-8 * (1.0 + operator_norm(z)))
-        track.add(operator_norm(lft_apply(u, y) - y), 1e-10)
-        m = u.coefficient_matrix()
-        track.add(operator_norm(m @ m - np.eye(m.shape[0])), 1e-10)
-        direction = samp.random_space_member(rng, dom.space, scale=0.1)
-        deriv = fixed_point_derivative(dom, y, direction)
-        track.add(operator_norm(deriv + direction), 1e-6)
+
+    def judge(batch):
+        for dom, columns in _by_domain(batch):
+            y, z, direction = (np.stack(column) for column in columns)
+            u = symmetry_map(dom, y)
+
+            def image(points):
+                images, singular = lft_apply(u, points)
+                _first_alone(singular, lambda i: lft_apply(symmetry_map(dom, y[i]), points[i]))
+                return images
+
+            double = image(image(z))
+            track.add_each(operator_norm(double - z), 1e-8 * (1.0 + operator_norm(z)))
+            track.add_each(operator_norm(image(y) - y), 1e-10)
+            m = u.coefficient_matrix()
+            track.add_each(operator_norm(m @ m - np.eye(m.shape[-1])), 1e-10)
+            deriv, singular = fixed_point_derivative(dom, y, direction)
+            _first_alone(singular, lambda i: fixed_point_derivative(dom, y[i], direction[i]))
+            track.add_each(operator_norm(deriv + direction), 1e-6)
+
+    with _Stacks(judge) as stacks:
+        for i in range(trials):
+            dom = domains[i % len(domains)]
+            y, z = _member_pair(rng, dom)
+            direction = samp.random_space_member(rng, dom.space, scale=0.1)
+            stacks.add((dom, y, z, direction))
     return trials
 
 
@@ -197,32 +277,55 @@ def suite_midpoint(config, rng, track):
 
 
 def suite_chain(config, rng, track):
-    """Transitive chains: composite reaches the target through domain points."""
+    """Transitive chains: composite reaches the target through domain points.
+
+    Each target is walked as it is drawn, since a failed walk draws another;
+    the chains are built and checked in stacks.
+    """
     domains = example_domains(config)
     built = 0
-    for dom in domains:
-        for _ in range(config.trials):
-            chain = None
-            for _ in range(30):
-                target = samp.random_domain_member(rng, dom, margin=0.05)
-                try:
-                    chain = transitive_chain(dom, target)
-                    break
-                except (PathLeavesDomainError, StepBoundError):
-                    continue
-            if chain is None:
-                track.require(False)
+
+    def judge(batch):
+        for dom, (walks, probes) in _by_domain(batch):
+            chains = build_chains(dom, walks)
+            for chain in chains:
+                track.add(chain.residual, 1e-8)
+                track.require(chain.factor_count % 2 == 0)
+                track.require(all(s <= CHAIN_MARGIN + 1e-12 for s in chain.step_norms))
+            # a trial whose probes were never drawn is only built
+            probed = [(chain, p) for chain, p in zip(chains, probes) if p is not None]
+            if not probed:
                 continue
-            built += 1
-            track.add(chain.residual, 1e-8)
-            track.require(chain.factor_count % 2 == 0)
-            track.require(all(s <= 0.9 + 1e-12 for s in chain.step_norms))
-            probes = samp.sample_members(rng, dom, 20, margin=0.05)
+            chains, probes = zip(*probed)
+            probes = np.stack(probes)
             # a probe singular at some factor is skipped
-            pointwise, singular = chain.apply(probes)
-            live = ~singular
-            for residual in operator_norm(chain.affine(probes[live]) - pointwise[live]):
-                track.add(residual, 1e-9)
+            pointwise, singular = apply_chains(chains, probes)
+            gaps = [
+                chain.affine(p[~dead]) - images[~dead]
+                for chain, p, images, dead in zip(chains, probes, pointwise, singular)
+            ]
+            track.add_each(operator_norm(np.concatenate(gaps)), 1e-9)
+
+    with _Stacks(judge) as stacks:
+        for dom in domains:
+            for _ in range(config.trials):
+                walk = None
+                for _ in range(30):
+                    target = samp.random_domain_member(rng, dom, margin=0.05)
+                    try:
+                        walk = walk_chain(dom, target)
+                        break
+                    except (PathLeavesDomainError, StepBoundError):
+                        continue
+                if walk is None:
+                    track.require(False)
+                    continue
+                built += 1
+                # the trial is in before its probes are drawn, so that a
+                # failing draw lets its chain's build fail first
+                trial = [dom, walk, None]
+                stacks.add(trial)
+                trial[2] = samp.sample_members(rng, dom, 20, margin=0.05)
     return built
 
 
@@ -375,28 +478,35 @@ def suite_determinant(config, rng, track):
     band = 10.0 * tol.inv_tol
     outside_disagreements = 0
     checked = 0
-    for _ in range(3):
-        c, c_inv = samp.random_invertible_member(rng, space, tol)
-        dom = Domain(space, c, np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex), tol)
-        for sample in range(per_domain):
-            if sample % 5 == 4:
-                raw = samp.random_matrix(rng, n, n)
-                uu, ss, vv = np.linalg.svd(raw)
-                ss[-1] = 0.0
-                sing = (uu * ss) @ vv
-                t = 10.0 ** rng.uniform(-12.0, -7.0)
-                den = sing + t * np.outer(uu[:, -1], vv[-1, :])
-                z = c_inv @ (den - np.eye(n))
-            else:
-                z = samp.random_matrix(rng, n, n) * rng.uniform(0.1, 2.0)
-            f = det_membership(dom, z)
+
+    def judge(batch):
+        nonlocal outside_disagreements, checked
+        for dom, (z,) in _by_domain(batch):
+            z = np.stack(z)
+            size = np.abs(det_membership(dom, z))
             smin, singular = singular_test(dom.denominator(z), tol)
-            if smin <= band or abs(f) <= band:
-                continue
-            checked += 1
-            det_says = abs(f) > tol.inv_tol
-            if det_says == singular:  # the two verdicts disagree
-                outside_disagreements += 1
+            judged = ~((smin <= band) | (size <= band))
+            checked += int(judged.sum())
+            det_says = size > tol.inv_tol
+            # the two verdicts disagree
+            outside_disagreements += int((judged & (det_says == singular)).sum())
+
+    with _Stacks(judge) as stacks:
+        for _ in range(3):
+            c, c_inv = samp.random_invertible_member(rng, space, tol)
+            dom = Domain(space, c, np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex), tol)
+            for sample in range(per_domain):
+                if sample % 5 == 4:
+                    raw = samp.random_matrix(rng, n, n)
+                    uu, ss, vv = np.linalg.svd(raw)
+                    ss[-1] = 0.0
+                    sing = (uu * ss) @ vv
+                    t = 10.0 ** rng.uniform(-12.0, -7.0)
+                    den = sing + t * np.outer(uu[:, -1], vv[-1, :])
+                    z = c_inv @ (den - np.eye(n))
+                else:
+                    z = samp.random_matrix(rng, n, n) * rng.uniform(0.1, 2.0)
+                stacks.add((dom, z))
     track.add(outside_disagreements, 0.0)
     return checked
 
@@ -654,10 +764,27 @@ def suite_row(config, index):
     }
 
 
+def _pin_worker(cpus, started):
+    """Pin the calling worker, the i-th of its pool to start, to the i-th of ``cpus``.
+
+    Each worker then has a CPU of its own, and so do the BLAS threads it
+    starts, which would otherwise spin on the CPU of another worker. A CPU
+    that has left this process's set since leaves the worker unpinned.
+    """
+    with started.get_lock():
+        i = started.value
+        started.value += 1
+    try:
+        os.sched_setaffinity(0, {cpus[i % len(cpus)]})
+    except OSError:
+        pass
+
+
 def _pooled_rows(config, workers):
     """suite_row for every index, computed in `workers` processes forked from this one.
 
-    Fork keeps the loaded modules and this process's SUITES table. A job that
+    Fork keeps the loaded modules and this process's SUITES table. Worker i
+    runs on the i-th CPU of this process's set (``_pin_worker``). A job that
     fails here rather than inside its suite, such as one whose worker died,
     gives an aborted row. A dead worker fails every job still pending in its
     pool, so each of those runs again in a pool of its own, and only a job
@@ -668,9 +795,12 @@ def _pooled_rows(config, workers):
     import multiprocessing
 
     fork = multiprocessing.get_context("fork")
+    cpus = sorted(os.sched_getaffinity(0))
 
     def rows_in_pool(size, indices):
-        pool = ProcessPoolExecutor(size, mp_context=fork)
+        pool = ProcessPoolExecutor(
+            size, mp_context=fork, initializer=_pin_worker, initargs=(cpus, fork.Value("i", 0))
+        )
         try:
             try:
                 futures = {index: pool.submit(suite_row, config, index) for index in indices}

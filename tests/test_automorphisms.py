@@ -50,7 +50,7 @@ from lftdom import (
     whole_space_domain,
 )
 from lftdom import automorphisms
-from lftdom.automorphisms import CHAIN_MARGIN, _midpoints
+from lftdom.automorphisms import CHAIN_MARGIN, _midpoints, apply_chains, build_chains, walk_chain
 from lftdom.linalg import SERIES_BLOCK_CAP, binomial_series_grid, binomial_series_shifted
 from lftdom.verify import RunConfig, _lambda_grid, example_domains
 from lftdom.sampling import (
@@ -253,6 +253,29 @@ def test_fixed_point_derivative_validates_input():
     y = np.diag([1.0, 2.0]).astype(complex)
     with pytest.raises(SpaceClosureError):
         fixed_point_derivative(dom, y, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_symmetries_and_derivatives_of_a_stack_keep_the_bits_of_each_point():
+    rng = np.random.default_rng(46)
+    for dom in example_domains(RunConfig()) + example_domains(RunConfig(dim_k=3, dim_h=1)):
+        y, z = (sample_members(rng, dom, 5, margin=0.05) for _ in range(2))
+        v = np.stack([0.1 * dom.space.lincomb(rng.uniform(-1, 1, dom.space.dim)) for _ in y])
+        u = symmetry_map(dom, y)
+        images, singular = lft_apply(u, z)
+        derivatives, flagged = fixed_point_derivative(dom, y, v)
+        assert not singular.any() and not flagged.any()
+        for i in range(len(y)):
+            alone = symmetry_map(dom, y[i])
+            assert all(getattr(u, b)[i].tobytes() == getattr(alone, b).tobytes() for b in "abcd")
+            assert images[i].tobytes() == lft_apply(alone, z[i]).tobytes()
+            assert derivatives[i].tobytes() == fixed_point_derivative(dom, y[i], v[i]).tobytes()
+    # every point of a stack must be a member, and every direction in the space
+    dom = invertibles_domain(diagonal_space(2))
+    y = np.stack([np.diag([1.0, 2.0]), np.diag([0.0, 1.0])]).astype(complex)
+    with pytest.raises(SingularMatrixError, match="symmetry point y"):
+        symmetry_map(dom, y)
+    with pytest.raises(SpaceClosureError):
+        fixed_point_derivative(dom, y[:1], np.array([[[0.0, 1.0], [0.0, 0.0]]]))
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +780,63 @@ def test_a_singular_i_plus_q_is_an_internal_error_on_one_matrix_and_on_a_stack(m
         _midpoints(dom, z, 1.0 / z, z + 0.5)
     y, _ = _midpoints(dom, z[:2], 1.0 / z[:2], z[:2] + 0.5)
     assert y.shape == (2, 1, 1)
+
+
+def batch_walks(rng, dom, count):
+    """count walks to random members of dom, one of them along a supplied path."""
+    walks = []
+    while len(walks) < count:
+        turn, target = sample_members(rng, dom, 2, margin=0.05)
+        path = [dom.z0, turn, target] if len(walks) == 1 else None
+        try:
+            walks.append((walk_chain(dom, target, path), path))
+        except (PathLeavesDomainError, StepBoundError):
+            continue
+    return walks
+
+
+def test_a_batch_build_gives_each_chain_the_bytes_of_its_build_alone():
+    rng = np.random.default_rng(67)
+    lengths = set()
+    for dom in example_domains(RunConfig()):
+        walks = batch_walks(rng, dom, 8)
+        batch = build_chains(dom, [walk for walk, _ in walks])
+        for chain, ((target, *_), path) in zip(batch, walks):
+            alone = transitive_chain(dom, target, path=path)
+            lengths.add(chain.factor_count)
+            assert chain.factor_count == alone.factor_count
+            for field in ("waypoints", "midpoints", "step_norms"):
+                got, want = getattr(chain, field), getattr(alone, field)
+                assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
+            assert chain.coefficients.tobytes() == alone.coefficients.tobytes()
+            for f, g in zip(chain.factors, alone.factors):
+                assert all(getattr(f, b).tobytes() == getattr(g, b).tobytes() for b in "abcd")
+            for field in ("base", "offset", "left", "right"):
+                assert getattr(chain.affine, field).tobytes() == getattr(alone.affine, field).tobytes()
+            assert chain.residual.hex() == alone.residual.hex()
+    # the batches mix chains of different lengths
+    assert len(lengths) >= 4
+
+
+def test_stacked_chains_apply_each_probe_as_its_own_chain_does():
+    tol = Tolerance(1e-3)
+    dom = invertibles_domain(full_space(2, 2), tol)
+    rng = np.random.default_rng(68)
+    chains = [transitive_chain(dom, t) for t in sample_members(rng, dom, 4, margin=0.05)]
+    chains.append(transitive_chain(dom, np.array([[1.0, 2.0], [0.0, 1.0]])))
+    assert len({chain.factor_count for chain in chains}) > 1
+    probes = np.stack([sample_members(rng, dom, 3, margin=0.05) for _ in chains])
+    # a member that dies at the second factor of the last chain, in the middle
+    probes[-1, 1] = np.diag([1.0, 1e6])
+    images, singular = apply_chains(chains, probes)
+    assert singular.sum() == 1 and singular[-1, 1]
+    assert np.isnan(images[-1, 1]).all()
+    for chain, row, dead, out in zip(chains, probes, singular, images):
+        for probe, died, image in zip(row, dead, out):
+            if not died:
+                assert image.tobytes() == chain.apply(probe).tobytes()
+    with pytest.raises(ShapeError):
+        apply_chains(chains[:2], probes)
 
 
 def test_chain_inverts_at_most_four_times_per_factor(monkeypatch):

@@ -471,6 +471,81 @@ def test_a_worker_dead_before_every_job_is_in_aborts_only_its_own_row(monkeypatc
     assert strip_elapsed(rows) == strip_elapsed(expected[1:])
 
 
+@LINUX_ONLY
+def test_each_pool_worker_runs_on_a_cpu_of_its_own(monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("needs two usable CPUs")
+
+    def report_cpu(config, rng, track):
+        track.add(0.0, 1e-12)
+        mine = os.sched_getaffinity(0)
+        return 1000 + min(mine) if len(mine) == 1 else 0
+
+    name, _, anchor = verify.SUITES[0]
+    monkeypatch.setattr(verify, "SUITES", ((name, report_cpu, anchor),) * 4)
+    rows = verify.run_verify(verify.RunConfig(trials=1))["suites"]
+    pinned = {row["trials"] - 1000 for row in rows}
+    assert min(pinned) >= 0 and pinned <= set(cpus[: min(len(cpus), 4)])
+    assert sorted(os.sched_getaffinity(0)) == cpus
+
+
+def test_a_failed_stack_is_judged_again_one_trial_at_a_time_in_draw_order(monkeypatch):
+    judged = []
+
+    def judge(batch):
+        judged.append([i for _, i in batch])
+        failing = [i for _, i in batch if i in (2, 5)]
+        if failing:
+            # the stack meets its last failure first
+            raise ValueError(f"trial {failing[-1]}")
+
+    monkeypatch.setattr(verify, "CHECK_BATCH", 3)
+    with pytest.raises(ValueError, match="trial 2"):
+        with verify._Stacks(judge) as stacks:
+            for i in range(7):
+                stacks.add(("dom", i))
+    # stacks of at most CHECK_BATCH; the failed one again, trial by trial
+    assert judged == [[0, 1, 2], [0], [1], [2]]
+
+    # a draw that raises lets the trials drawn before it fail first
+    judged.clear()
+    with pytest.raises(ValueError, match="trial 5"):
+        with verify._Stacks(judge) as stacks:
+            for i in range(3, 7):
+                if i == 6:
+                    raise KeyError("draw")
+                stacks.add(("dom", i))
+    assert judged == [[3, 4, 5], [3], [4], [5]]
+
+
+def test_a_chain_build_that_fails_before_a_failing_draw_names_the_row(monkeypatch):
+    # trial 3's chain fails to build and trial 4's target fails to walk, in
+    # one stack: the aborted row names the build, as it did one trial at a time
+    from lftdom.exceptions import SpaceClosureError, SpectrumError
+
+    walks = []
+    walk, build = verify.walk_chain, verify.build_chains
+
+    def walk_until_trial_4(dom, target):
+        if len(walks) == 4:
+            raise SpaceClosureError("the walk of trial 4 fails")
+        walks.append(walk(dom, target))
+        return walks[-1]
+
+    def build_but_trial_3(dom, batch):
+        if any(w is walks[3] for w in batch):
+            raise SpectrumError("the build of trial 3 fails")
+        return build(dom, batch)
+
+    monkeypatch.setattr(verify, "walk_chain", walk_until_trial_4)
+    monkeypatch.setattr(verify, "build_chains", build_but_trial_3)
+    index = [name for name, _, _ in verify.SUITES].index("chain-transitivity")
+    row = verify.suite_row(verify.RunConfig(trials=6), index)
+    assert row["anchor"].startswith("suite aborted: SpectrumError: the build of trial 3 fails"), row
+    assert len(walks) == 4 and row["trials"] == 0
+
+
 def test_demo_runs_every_example(capsys):
     for name in ["0", "1", "2", "4", "5", "6", "siegel", "exterior", "product", "hyperbolic"]:
         rc = main(["demo", name, "--seed", "5"])

@@ -110,6 +110,56 @@ def test_lft_rejects_inconsistent_blocks():
         LFTMap(np.eye(2), np.ones((2, 3)), np.ones((3, 2)), np.eye(2))
 
 
+def stacked(maps):
+    """The maps as one stack of maps."""
+    return LFTMap._of_blocks(*(np.stack([getattr(t, b) for t in maps]) for b in "abcd"), maps[0].tol)
+
+
+def random_maps(rng, count, k, h):
+    return [
+        LFTMap(rand_c(rng, k, k), rand_c(rng, k, h), rand_c(rng, h, k), rand_c(rng, h, h) + 2 * np.eye(h))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("k, h", [(2, 2), (3, 1), (1, 3), (4, 4)])
+def test_a_stack_of_maps_gives_each_item_the_bits_of_its_call_alone(k, h):
+    rng = np.random.default_rng(38)
+    maps = random_maps(rng, 6, k, h)
+    # map 3 has c = 0 and a singular d, so c z + d is singular at every z
+    u, sv, vh = np.linalg.svd(maps[3].d)
+    sv[-1] = 0.0
+    maps[3] = LFTMap(maps[3].a, maps[3].b, np.zeros((h, k)), (u * sv) @ vh)
+    z = np.stack([rand_c(rng, k, h) for _ in maps])
+    images, singular = lft_apply(stacked(maps), z)
+    assert singular.tolist() == [try_invert(t.c @ zi + t.d) is None for t, zi in zip(maps, z)]
+    assert singular.tolist() == [False, False, False, True, False, False]
+    assert np.isnan(images[3]).all()
+    with pytest.raises(SingularMatrixError):
+        lft_apply(maps[3], z[3])
+    for i in (0, 1, 2, 4, 5):
+        t, zi = maps[i], z[i]
+        assert images[i].tobytes() == lft_apply(t, zi).tobytes()
+        # a single call keeps the bits of the formula written out
+        assert lft_apply(t, zi).tobytes() == ((t.a @ zi + t.b) @ invert(t.c @ zi + t.d, t.tol, "")).tobytes()
+    # a stack of maps takes exactly its own number of points
+    for bad in (z[0], z[:5], z[None]):
+        with pytest.raises(ShapeError):
+            lft_apply(stacked(maps), bad)
+
+
+def test_coefficient_matrices_are_assembled_as_blocks_also_on_a_stack():
+    rng = np.random.default_rng(39)
+    maps = random_maps(rng, 4, 3, 2)
+    for t in maps:
+        assert t.coefficient_matrix().tobytes() == np.block([[t.a, t.b], [t.c, t.d]]).tobytes()
+    stack = stacked(maps)
+    assert stack.coefficient_matrix().tobytes() == np.stack([t.coefficient_matrix() for t in maps]).tobytes()
+    assert (stack.dim_k, stack.dim_h) == (3, 2)
+    with pytest.raises(ShapeError):
+        LFTMap._of_blocks(stack.a, stack.b[:3], stack.c, stack.d, stack.tol)
+
+
 # ---------------------------------------------------------------------------
 # Domain construction
 
@@ -306,6 +356,18 @@ def test_det_membership_agrees_with_svd_outside_band():
         checked += 1
         assert (smin > 1e-10) == (f > 1e-10)
     assert checked >= 450
+
+
+def test_det_membership_of_a_stack_is_the_value_of_each_item():
+    rng = np.random.default_rng(40)
+    dom = Domain(full_space(3, 3), rand_c(rng, 3, 3), rand_c(rng, 3, 3) + 2 * np.eye(3), np.zeros((3, 3)))
+    z = np.stack([rand_c(rng, 3, 3) for _ in range(7)])
+    values = det_membership(dom, z)
+    assert values.shape == (7,)
+    for zi, f in zip(z, values):
+        one = det_membership(dom, zi)
+        assert type(one) is complex and complex(f) == one
+        assert np.array(one).tobytes() == f.tobytes()
 
 
 # ---------------------------------------------------------------------------
