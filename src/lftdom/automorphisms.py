@@ -188,75 +188,53 @@ def find_midpoint(dom, z, w):
     Valid when r = w - z satisfies ||x r|| < 1 for x the kernel at z; then
     y = z + r (I + q)^-1 with q the principal square root of I + x r. The
     midpoint is guaranteed to land in the domain; a numerical violation is
-    an internal error, not bad input.
+    an internal error, not bad input. It is ``_midpoints`` on a stack of one,
+    and a SpectrumError names no item.
     """
     z, z_den_inv = _require_member(dom, z, "the start point z")
     w, _ = _require_member(dom, w, "the end point w")
-    return _midpoints(dom, z, z_den_inv, w)[0]
-
-
-class _Replay(Exception):
-    """A stacked midpoint check flagged an item; the items are built again one at a time."""
+    try:
+        return _midpoints(dom, z[None], z_den_inv[None], w[None])[0][0]
+    except SpectrumError as exc:
+        exc.index = None
+        raise
 
 
 def _midpoints(dom, z, z_den_inv, w):
     """The points y whose symmetries send the members z to w, and (c y + d)^-1.
 
-    Takes one member z, its end point w and z_den_inv = (c z + d)^-1, or
-    (m, k, h) stacks of each. A stack runs each check once on all of its
-    items, and each item gets the bits of a construction on it alone. The
-    inversion that checks y's membership is redundant in exact arithmetic,
-    since c y + d = (c z + d) q, but it is kept: it guards against ill
-    conditioned input and yields y's kernel.
-
-    When a check flags an item of a stack, or its square root meets the
-    cut, the items are built again one at a time, so that the error raised
-    is the one the first failing item raises alone; a SpectrumError then
-    carries that item's position as its index. A chain's factor blocks are
-    views of the block stacks built from these midpoints, not of its coefficients.
+    Takes (m, k, h) stacks of members z, their end points w and
+    z_den_inv = (c z + d)^-1. Each check runs once on the stack and raises
+    the error of the first item it flags; a SpectrumError from the square
+    root carries that item's position as its index. Each item gets the bits
+    of a construction on it alone. The inversion that checks y's membership
+    is redundant in exact arithmetic, since c y + d = (c z + d) q, but it is
+    kept: it guards against ill conditioned input and yields y's kernel.
+    A chain's factor blocks are views of the block stacks built from these
+    midpoints, not of its coefficients.
     """
-    single = z.ndim == 2
-
-    def check(bad, error):
-        # bad holds one verdict per item
-        if np.any(bad):
-            raise error() if single else _Replay
-
-    def verdict(inverse):
-        # try_invert's result as (inverses, singular), also on one matrix
-        return (inverse, inverse is None) if single else inverse
-
-    try:
-        x = z_den_inv @ dom.c
-        r = w - z
-        xr = x @ r
-        bound = operator_norm(xr)
-        check(bound >= 1.0, lambda: StepBoundError(
-            f"step bound ||x (w - z)|| < 1 fails: got {bound:.6g}; subdivide the displacement"
-        ))
-        q = principal_sqrt(dom.eye_h + xr, dom.tol)
-        den_inv, singular = verdict(try_invert(dom.eye_h + q, dom.tol))
-        check(singular, lambda: InternalCheckError("I + q is singular although ||x r|| < 1"))
-        y = z + r @ den_inv
-        y_den_inv, singular = verdict(dom.try_denominator_inverse(y))
-        check(singular | ~dom.space.contains(y, dom.tol), lambda: InternalCheckError(
-            "midpoint fell outside the domain; ill conditioned input"
-        ))
-        # both norms from one call
-        gap, size = operator_norm(np.array((_symmetry_at(dom, y, z, z_den_inv) - w, w)))
-        check(gap > 1e-6 * (1.0 + size),
-              lambda: InternalCheckError("midpoint symmetry failed to reproduce the target point"))
-        return y, y_den_inv
-    except (_Replay, SpectrumError):
-        if single:
-            raise
-    for i in range(len(z)):
-        try:
-            _midpoints(dom, z[i], z_den_inv[i], w[i])
-        except SpectrumError as exc:
-            exc.index = i
-            raise
-    raise InternalCheckError("a stacked midpoint check failed where no item built alone fails")
+    x = z_den_inv @ dom.c
+    r = w - z
+    xr = x @ r
+    bound = operator_norm(xr)
+    if (bound >= 1.0).any():
+        raise StepBoundError(
+            f"step bound ||x (w - z)|| < 1 fails: got {bound[bound >= 1.0][0]:.6g}; "
+            "subdivide the displacement"
+        )
+    q = principal_sqrt(dom.eye_h + xr, dom.tol)
+    den_inv, singular = try_invert(dom.eye_h + q, dom.tol)
+    if singular.any():
+        raise InternalCheckError("I + q is singular although ||x r|| < 1")
+    y = z + r @ den_inv
+    y_den_inv, singular = dom.try_denominator_inverse(y)
+    if (singular | ~dom.space.contains(y, dom.tol)).any():
+        raise InternalCheckError("midpoint fell outside the domain; ill conditioned input")
+    # both norms from one call
+    gap, size = operator_norm(np.array((_symmetry_at(dom, y, z, z_den_inv) - w, w)))
+    if (gap > 1e-6 * (1.0 + size)).any():
+        raise InternalCheckError("midpoint symmetry failed to reproduce the target point")
+    return y, y_den_inv
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +432,13 @@ def build_chains(dom, walks):
     from one stacked call each. Each pair index of the folds, and each factor
     index of the residuals at z0, is one stacked call over the chains that
     reach it. Each chain gets the bits of its build alone, and a batch of one
-    raises what ``transitive_chain`` raises; an error on a larger batch comes
-    from its stacks, so a caller that needs the first failing walk builds
-    them again one at a time.
+    raises what ``transitive_chain`` raises. Each check runs once on the
+    stacks of the batch and raises the error of the first item it flags, so
+    a caller that needs the first failing walk builds them again one at a
+    time. No walks build no chains.
     """
+    if not walks:
+        return []
     source = dom.z0
     counts = np.array([len(waypoints) - 1 for _, waypoints, _, _ in walks])
     starts = np.cumsum(counts) - counts
@@ -538,6 +519,8 @@ def apply_chains(chains, zs):
     zs = as_cstack(zs)
     if zs.ndim != 4 or zs.shape[0] != len(chains):
         raise ShapeError(f"expected an ({len(chains)}, p, k, h) stack of probes, got shape {zs.shape}")
+    if not chains:
+        return zs, np.zeros(zs.shape[:2], dtype=bool)
     counts = np.array([chain.factor_count for chain in chains])
     factors = [f for chain in chains for f in chain.factors]
     maps = LFTMap._of_blocks(
@@ -581,7 +564,7 @@ def _carry(maps, order, reach, rows, zs):
         done += live
         items = live * p
         blocks = a[at], b[at], c[at], d[at]
-        if p > 1:
+        if p != 1:
             # each probe takes its chain's factor
             blocks = [np.repeat(x, p, axis=0) for x in blocks]
         carried[:items], dead = lft_apply(LFTMap._of_blocks(*blocks, maps.tol), carried[:items])

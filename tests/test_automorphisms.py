@@ -661,7 +661,7 @@ def test_stacked_chain_matches_the_per_factor_loop_bit_for_bit(kind):
         assert len(chain.midpoints) == len(midpoints) == chain.factor_count
         for got, want in zip(chain.midpoints, midpoints):
             assert np.array_equal(got, want)
-        # find_midpoint takes the single-matrix path of the same construction
+        # find_midpoint is the same construction on a stack of one
         for z, nxt, got in zip(chain.waypoints, chain.waypoints[1:], chain.midpoints):
             assert np.array_equal(find_midpoint(dom, z, nxt), got)
         for f, m, want in zip(chain.factors, chain.coefficients, blocks):
@@ -675,106 +675,69 @@ def test_stacked_chain_matches_the_per_factor_loop_bit_for_bit(kind):
     assert compared >= 6 and factors >= 4 * compared
 
 
-def test_stacked_midpoints_raise_the_first_failure_in_chain_order():
-    # on the scalar invertibles at eq_tol 0.9 the pair (1, 3) breaks the step
-    # bound and the pair (1, 0.5) meets the square root's cut
+def test_a_stack_of_midpoints_raises_the_first_item_its_first_failing_check_flags():
+    # on the scalar invertibles at eq_tol 0.9 the pairs (1, 3) and (1, 5)
+    # break the step bound, which is checked first, and the pair (1, 0.5)
+    # meets the square root's cut
     dom = scalar_domain(1.0, 0.0, 1.0)
     dom = Domain(dom.space, dom.c, dom.d, dom.z0, Tolerance(0.9))
-    pairs = {"ok": (1.0, 1.2), "step": (1.0, 3.0), "cut": (1.0, 0.5)}
+    pairs = {"ok": (1.0, 1.2), "step": (1.0, 3.0), "far": (1.0, 5.0), "cut": (1.0, 0.5)}
+    cut = (
+        "matrix has an eigenvalue on the closed negative real axis; "
+        "the principal square root is not defined there"
+    )
+    alone = {
+        "step": (StepBoundError, "step bound ||x (w - z)|| < 1 fails: got 2; subdivide the displacement"),
+        "far": (StepBoundError, "step bound ||x (w - z)|| < 1 fails: got 4; subdivide the displacement"),
+        "cut": (SpectrumError, cut),
+    }
+    for name, (kind, message) in alone.items():
+        z, w = pairs[name]
+        with pytest.raises(kind) as exc:
+            find_midpoint(dom, np.array([[z]]), np.array([[w]]))
+        assert str(exc.value) == message
+        if kind is SpectrumError:
+            assert exc.value.index is None
     orders = (
         ["ok", "step", "cut"], ["ok", "cut", "step"], ["cut", "ok"], ["ok", "step"],
         # after two passing items; a cut before the step that the stack flags first
         ["ok", "ok", "step"], ["ok", "ok", "cut"], ["ok", "ok", "cut", "step"],
         ["cut", "step"], ["step", "cut"],
+        # the step bound's message is its first flagged item's
+        ["ok", "cut", "far", "step"], ["step", "far"],
     )
     for order in orders:
         z = np.array([[[pairs[p][0]]] for p in order], dtype=complex)
         w = np.array([[[pairs[p][1]]] for p in order], dtype=complex)
-        first = None
-        for i, (zi, wi) in enumerate(zip(z, w)):
-            try:
-                find_midpoint(dom, zi, wi)
-            except (StepBoundError, SpectrumError) as exc:
-                first, position = exc, i
-                break
-        with pytest.raises(type(first)) as exc:
+        # the checks in pipeline order: the step bound, then the square root's cut
+        flagged = [i for i, p in enumerate(order) if p in ("step", "far")]
+        flagged = flagged or [i for i, p in enumerate(order) if p == "cut"]
+        kind, message = alone[order[flagged[0]]]
+        with pytest.raises(kind) as exc:
             _midpoints(dom, z, 1.0 / z, w)
-        assert str(exc.value) == str(first)
-        assert order[position] == ("cut" if type(first) is SpectrumError else "step")
-        if type(first) is SpectrumError:
-            assert first.index is None and exc.value.index == position
-
-
-def flag_third_midpoint(monkeypatch, dom, z, w, alone_too):
-    """Patch dom.space.contains to reject the third midpoint of the stack z -> w.
-
-    The stack's verdict always flags it; with alone_too its build alone fails
-    as well. Returns the list of the shapes contains is called on.
-    """
-    third = find_midpoint(dom, z[2], w[2])
-    real = dom.space.contains
-    shapes = []
-
-    def contains(y, tol=DEFAULT_TOL):
-        shapes.append(y.shape)
-        verdicts = real(y, tol)
-        if y.ndim == 3:
-            verdicts[2] = False
-        elif alone_too and np.array_equal(y, third):
-            return np.False_
-        return verdicts
-
-    monkeypatch.setattr(dom.space, "contains", contains)
-    return shapes
-
-
-def test_a_flagged_stack_is_built_again_one_item_at_a_time(monkeypatch):
-    dom = scalar_invertibles()
-    z = np.array([[[1.0]], [[1.5]], [[2.0]], [[2.5]]], dtype=complex)
-    shapes = flag_third_midpoint(monkeypatch, dom, z, z + 0.5, alone_too=True)
-    with pytest.raises(InternalCheckError, match="midpoint fell outside the domain"):
-        _midpoints(dom, z, 1.0 / z, z + 0.5)
-    # one check on the stack, then items 0, 1 and 2 alone; item 2 raises
-    assert shapes == [(4, 1, 1), (1, 1), (1, 1), (1, 1)]
-
-    # at eq_tol 0.9 the fourth pair meets the cut, so the stacked square root
-    # raises before the stack's membership check; item 2 still fails first
-    monkeypatch.undo()
-    dom = Domain(dom.space, dom.c, dom.d, dom.z0, Tolerance(0.9))
-    z = np.array([[[1.0]], [[1.1]], [[1.2]], [[1.0]]], dtype=complex)
-    w = np.array([[[1.2]], [[1.3]], [[1.4]], [[0.5]]], dtype=complex)
-    shapes = flag_third_midpoint(monkeypatch, dom, z, w, alone_too=True)
-    with pytest.raises(InternalCheckError, match="midpoint fell outside the domain"):
-        _midpoints(dom, z, 1.0 / z, w)
-    assert shapes == [(1, 1)] * 3
-
-
-def test_a_stack_flag_that_no_item_alone_repeats_is_an_internal_error(monkeypatch):
-    dom = scalar_invertibles()
-    z = np.array([[[1.0]], [[1.5]], [[2.0]], [[2.5]]], dtype=complex)
-    shapes = flag_third_midpoint(monkeypatch, dom, z, z + 0.5, alone_too=False)
-    with pytest.raises(InternalCheckError, match="no item built alone fails"):
-        _midpoints(dom, z, 1.0 / z, z + 0.5)
-    assert shapes == [(4, 1, 1)] + [(1, 1)] * 4
+        assert str(exc.value) == message, order
+        if kind is SpectrumError:
+            assert exc.value.index == flagged[0], order
 
 
 def test_a_singular_i_plus_q_is_an_internal_error_on_one_matrix_and_on_a_stack(monkeypatch):
     import lftdom.automorphisms
 
     # the midpoint construction is the only caller of automorphisms.try_invert
-    # before a chain exists; judging from the third item on singular makes
-    # the third factor the first failure of a stack
-    def third_on_singular(z, tol=DEFAULT_TOL):
-        if z.ndim == 2:
-            return None
+    # before a chain exists; it judges every item from position `first` on
+    # singular
+    first = 0
+
+    def singular_from_first(z, tol=DEFAULT_TOL):
         inverses, singular = try_invert(z, tol)
-        singular[2:] = True
+        singular[first:] = True
         return inverses, singular
 
-    monkeypatch.setattr(lftdom.automorphisms, "try_invert", third_on_singular)
+    monkeypatch.setattr(lftdom.automorphisms, "try_invert", singular_from_first)
     dom = scalar_invertibles()
     with pytest.raises(InternalCheckError, match="I \\+ q is singular"):
         find_midpoint(dom, np.array([[1.0]]), np.array([[1.5]]))
+    first = 2
     z = np.array([[[1.0]], [[1.5]], [[2.0]], [[2.5]]], dtype=complex)
     with pytest.raises(InternalCheckError, match="I \\+ q is singular"):
         _midpoints(dom, z, 1.0 / z, z + 0.5)
@@ -837,6 +800,25 @@ def test_stacked_chains_apply_each_probe_as_its_own_chain_does():
                 assert image.tobytes() == chain.apply(probe).tobytes()
     with pytest.raises(ShapeError):
         apply_chains(chains[:2], probes)
+
+
+def test_an_empty_stack_of_probes_has_empty_images():
+    dom = invertibles_domain(full_space(2, 2))
+    rng = np.random.default_rng(69)
+    chains = [transitive_chain(dom, t) for t in sample_members(rng, dom, 2, margin=0.05)]
+    images, singular = chains[0].apply(sample_members(rng, dom, 0))
+    assert images.shape == (0, 2, 2) and singular.shape == (0,)
+    images, singular = apply_chains(chains, np.empty((2, 0, 2, 2)))
+    assert images.shape == (2, 0, 2, 2) and singular.shape == (2, 0)
+
+
+def test_no_chains_apply_to_no_probes():
+    images, singular = apply_chains([], np.empty((0, 3, 2, 2)))
+    assert images.shape == (0, 3, 2, 2) and singular.shape == (0, 3)
+
+
+def test_no_walks_build_no_chains():
+    assert build_chains(invertibles_domain(full_space(2, 2)), []) == []
 
 
 def test_chain_inverts_at_most_four_times_per_factor(monkeypatch):

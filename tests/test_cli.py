@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from lftdom import SingularMatrixError, full_space, jsonio, verify, whole_space_domain
+from lftdom import SingularMatrixError, Tolerance, full_space, jsonio, verify, whole_space_domain
 from lftdom.cli import main
 from lftdom.domains import LFTMap, lft_apply
 
@@ -544,6 +544,34 @@ def test_a_chain_build_that_fails_before_a_failing_draw_names_the_row(monkeypatc
     row = verify.suite_row(verify.RunConfig(trials=6), index)
     assert row["anchor"].startswith("suite aborted: SpectrumError: the build of trial 3 fails"), row
     assert len(walks) == 4 and row["trials"] == 0
+
+
+def test_a_coarse_verify_keeps_the_anchors_of_its_aborted_rows():
+    # at eq_tol 0.9 symmetry-involution aborts from a stacked image that the
+    # symmetry alone fails (_first_alone), and chain-transitivity from a stack
+    # of midpoints whose square root meets the cut
+    singular = "suite aborted: SingularMatrixError: {} (in invert, linalg.py)"
+    cut = (
+        "suite aborted: SpectrumError: matrix has an eigenvalue on the closed negative real axis; "
+        "the principal square root is not defined there (in principal_sqrt, linalg.py)"
+    )
+    aborted = {
+        "symmetry-involution": singular.format("linear fractional map denominator c z + d is singular"),
+        "symmetry-dual-route": singular.format("linear fractional map denominator c z + d is singular"),
+        "midpoint-swap": cut,
+        "chain-transitivity": cut,
+        "affine-transport": cut,
+        "swap-involution": cut,
+        "siegel-stacked": cut,
+        "mobius-ball": cut,
+        "product-transport": cut,
+        "quadric-closed-form": singular.format("c z + d is singular; the point is outside the domain"),
+    }
+    claims = {name: anchor for name, _, anchor in verify.SUITES}
+    report = verify.run_verify(verify.RunConfig(tol=Tolerance(0.9)))
+    for row in report["suites"]:
+        assert row["anchor"] == aborted.get(row["name"], claims[row["name"]]), row["name"]
+    assert sum(row["anchor"].startswith("suite aborted:") for row in report["suites"]) == 10
 
 
 def test_demo_runs_every_example(capsys):
