@@ -15,12 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domains import Domain, LFTMap, lft_apply, require_idempotent
+from .domains import LFT_SINGULAR, Domain, LFTMap, lft_apply, require_idempotent
 from .exceptions import (
     HypothesisError,
     InternalCheckError,
     PathLeavesDomainError,
     ShapeError,
+    SingularMatrixError,
     SpaceClosureError,
     SpectrumError,
     StepBoundError,
@@ -173,7 +174,11 @@ def fixed_point_derivative(dom, y, direction):
     inside = dom.space.contains(direction, dom.tol)
     if not (inside if direction.ndim == 2 else inside.all()):
         raise SpaceClosureError("direction does not belong to the operator space")
-    u = symmetry_map(dom, y)
+    return _central_difference(symmetry_map(dom, y), y, direction)
+
+
+def _central_difference(u, y, direction):
+    """fixed_point_derivative given u, the symmetry at y, or the stack of those at a stack of y."""
     ahead = lft_apply(u, y + DERIVATIVE_STEP * direction)
     behind = lft_apply(u, y - DERIVATIVE_STEP * direction)
     if not isinstance(ahead, tuple):
@@ -433,9 +438,8 @@ def build_chains(dom, walks):
     index of the residuals at z0, is one stacked call over the chains that
     reach it. Each chain gets the bits of its build alone, and a batch of one
     raises what ``transitive_chain`` raises. Each check runs once on the
-    stacks of the batch and raises the error of the first item it flags, so
-    a caller that needs the first failing walk builds them again one at a
-    time. No walks build no chains.
+    stacks of the batch and raises the error of the first item it flags. No
+    walks build no chains.
     """
     if not walks:
         return []
@@ -499,9 +503,7 @@ def build_chains(dom, walks):
     # each chain carries z0 through its factors
     reached, singular = _carry(maps, order, reach, rows, np.repeat(source[None, None], n, axis=0))
     if singular.any():
-        # the chain's own call raises the SingularMatrixError of one z
-        chains[np.flatnonzero(singular)[0]].apply(source)
-        raise InternalCheckError("a stacked residual failed where the chain's own call does not")
+        raise SingularMatrixError(LFT_SINGULAR)
     targets = np.array([target for target, _, _, _ in walks])
     residuals = operator_norm(reached[:, 0] - targets)
     return [replace(chain, residual=float(r)) for chain, r in zip(chains, residuals)]

@@ -123,6 +123,11 @@ def _check_block_shapes(a, b, c, d):
         )
 
 
+# lft_apply's error where a denominator is singular; a caller that judges a
+# stack's verdicts raises it for a flagged item
+LFT_SINGULAR = "linear fractional map denominator c z + d is singular"
+
+
 def lft_apply(t, z):
     """Evaluate (a z + b)(c z + d)^-1 at t.tol; the package's one evaluation of an LFT.
 
@@ -135,7 +140,7 @@ def lft_apply(t, z):
     """
     z = as_cstack(z, rows=t.dim_k, cols=t.dim_h)
     if z.ndim == 2 == t.a.ndim:
-        den_inv = invert(t.c @ z + t.d, t.tol, "linear fractional map denominator c z + d is singular")
+        den_inv = invert(t.c @ z + t.d, t.tol, LFT_SINGULAR)
         return (t.a @ z + t.b) @ den_inv
     if z.ndim != 3 or (t.a.ndim == 3 and len(t.a) != len(z)):
         want = "one matrix or an (m, k, h) stack" if t.a.ndim == 2 else f"a ({len(t.a)}, k, h) stack"

@@ -13,6 +13,7 @@ front end renders the rows; callers that want programmatic access use
 run_verify directly.
 """
 
+import itertools
 import math
 import os
 import sys
@@ -22,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InternalCheckError, LftdomError, PathLeavesDomainError, StepBoundError
+from .exceptions import LftdomError, PathLeavesDomainError, SingularMatrixError, StepBoundError
 from .linalg import DEFAULT_TOL, Tolerance, operator_norm, singular_test, try_invert
 from .spaces import full_space
 from .domains import (
+    LFT_SINGULAR,
     Domain,
     Verdict,
     connectivity_class,
@@ -40,6 +42,7 @@ from .domains import (
 )
 from .automorphisms import (
     CHAIN_MARGIN,
+    _central_difference,
     affine_equivalence,
     affine_transport,
     affine_transport_identity_residual,
@@ -48,7 +51,6 @@ from .automorphisms import (
     build_chains,
     compose_symmetries_affine,
     find_midpoint,
-    fixed_point_derivative,
     form_margin,
     liouville_curve,
     potapov_ginzburg_map,
@@ -152,43 +154,17 @@ def example_domains(config):
     return items
 
 
-class _Stacks:
-    """Trials drawn in draw order and judged in stacks of at most CHECK_BATCH.
+def _judge_in_stacks(judge, trials):
+    """Judge the trials of an iterable, in draw order, in stacks of at most CHECK_BATCH.
 
     A trial is a sequence whose first item is its domain; ``judge`` checks a
-    list of them, one domain's trials at a time (``_by_domain``). A judge
-    that raises is run again on each trial of its batch alone, in draw
-    order, so the error is the one the first failing trial raises by itself.
-    As a context manager it judges what is left when the draws end, and so
-    a draw that raises lets the trials drawn before it raise first.
+    list of them once, one domain's trials at a time (``_by_domain``). An
+    error of the judge or of a draw ends the suite, and the trials drawn but
+    not yet judged are dropped.
     """
-
-    def __init__(self, judge):
-        self.judge = judge
-        self.trials = []
-
-    def add(self, trial):
-        if len(self.trials) == CHECK_BATCH:
-            self.flush()
-        self.trials.append(trial)
-
-    def flush(self):
-        trials, self.trials = self.trials, []
-        if not trials:
-            return
-        try:
-            self.judge(trials)
-        except Exception:
-            for trial in trials:
-                self.judge([trial])
-            raise
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.flush()
-        return False
+    trials = iter(trials)
+    while stack := list(itertools.islice(trials, CHECK_BATCH)):
+        judge(stack)
 
 
 def _by_domain(trials):
@@ -199,11 +175,12 @@ def _by_domain(trials):
     return [(dom, list(zip(*items))) for dom, items in groups.items()]
 
 
-def _first_alone(singular, alone):
-    """Where a stacked call flags an item, ``alone(i)``, its call on the first such item by itself, raises."""
+def _regular(evaluation):
+    """The images of a stacked (images, singular); raises lft_apply's error if it flags an item."""
+    images, singular = evaluation
     if singular.any():
-        alone(int(np.flatnonzero(singular)[0]))
-        raise InternalCheckError("a stacked call flagged an item that its call alone accepts")
+        raise SingularMatrixError(LFT_SINGULAR)
+    return images
 
 
 def _member_pair(rng, dom):
@@ -221,25 +198,23 @@ def suite_symmetry(config, rng, track):
             u = symmetry_map(dom, y)
 
             def image(points):
-                images, singular = lft_apply(u, points)
-                _first_alone(singular, lambda i: lft_apply(symmetry_map(dom, y[i]), points[i]))
-                return images
+                return _regular(lft_apply(u, points))
 
             double = image(image(z))
             track.add_each(operator_norm(double - z), 1e-8 * (1.0 + operator_norm(z)))
             track.add_each(operator_norm(image(y) - y), 1e-10)
             m = u.coefficient_matrix()
             track.add_each(operator_norm(m @ m - np.eye(m.shape[-1])), 1e-10)
-            deriv, singular = fixed_point_derivative(dom, y, direction)
-            _first_alone(singular, lambda i: fixed_point_derivative(dom, y[i], direction[i]))
+            deriv = _regular(_central_difference(u, y, direction))
             track.add_each(operator_norm(deriv + direction), 1e-6)
 
-    with _Stacks(judge) as stacks:
+    def draws():
         for i in range(trials):
             dom = domains[i % len(domains)]
             y, z = _member_pair(rng, dom)
-            direction = samp.random_space_member(rng, dom.space, scale=0.1)
-            stacks.add((dom, y, z, direction))
+            yield dom, y, z, samp.random_space_member(rng, dom.space, scale=0.1)
+
+    _judge_in_stacks(judge, draws())
     return trials
 
 
@@ -292,11 +267,6 @@ def suite_chain(config, rng, track):
                 track.add(chain.residual, 1e-8)
                 track.require(chain.factor_count % 2 == 0)
                 track.require(all(s <= CHAIN_MARGIN + 1e-12 for s in chain.step_norms))
-            # a trial whose probes were never drawn is only built
-            probed = [(chain, p) for chain, p in zip(chains, probes) if p is not None]
-            if not probed:
-                continue
-            chains, probes = zip(*probed)
             probes = np.stack(probes)
             # a probe singular at some factor is skipped
             pointwise, singular = apply_chains(chains, probes)
@@ -306,7 +276,8 @@ def suite_chain(config, rng, track):
             ]
             track.add_each(operator_norm(np.concatenate(gaps)), 1e-9)
 
-    with _Stacks(judge) as stacks:
+    def draws():
+        nonlocal built
         for dom in domains:
             for _ in range(config.trials):
                 walk = None
@@ -321,11 +292,9 @@ def suite_chain(config, rng, track):
                     track.require(False)
                     continue
                 built += 1
-                # the trial is in before its probes are drawn, so that a
-                # failing draw lets its chain's build fail first
-                trial = [dom, walk, None]
-                stacks.add(trial)
-                trial[2] = samp.sample_members(rng, dom, 20, margin=0.05)
+                yield dom, walk, samp.sample_members(rng, dom, 20, margin=0.05)
+
+    _judge_in_stacks(judge, draws())
     return built
 
 
@@ -491,7 +460,7 @@ def suite_determinant(config, rng, track):
             # the two verdicts disagree
             outside_disagreements += int((judged & (det_says == singular)).sum())
 
-    with _Stacks(judge) as stacks:
+    def draws():
         for _ in range(3):
             c, c_inv = samp.random_invertible_member(rng, space, tol)
             dom = Domain(space, c, np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex), tol)
@@ -506,7 +475,9 @@ def suite_determinant(config, rng, track):
                     z = c_inv @ (den - np.eye(n))
                 else:
                     z = samp.random_matrix(rng, n, n) * rng.uniform(0.1, 2.0)
-                stacks.add((dom, z))
+                yield dom, z
+
+    _judge_in_stacks(judge, draws())
     track.add(outside_disagreements, 0.0)
     return checked
 

@@ -49,7 +49,7 @@ from lftdom import (
     try_invert,
     whole_space_domain,
 )
-from lftdom import automorphisms
+from lftdom import automorphisms, domains
 from lftdom.automorphisms import CHAIN_MARGIN, _midpoints, apply_chains, build_chains, walk_chain
 from lftdom.linalg import SERIES_BLOCK_CAP, binomial_series_grid, binomial_series_shifted
 from lftdom.verify import RunConfig, _lambda_grid, example_domains
@@ -819,6 +819,25 @@ def test_no_chains_apply_to_no_probes():
 
 def test_no_walks_build_no_chains():
     assert build_chains(invertibles_domain(full_space(2, 2)), []) == []
+
+
+def test_a_residual_stack_that_flags_a_chain_raises_lft_applys_error(monkeypatch):
+    dom = invertibles_domain(full_space(2, 2))
+    walks = [walk for walk, _ in batch_walks(np.random.default_rng(70), dom, 3)]
+    sizes = []
+
+    def flag_at_the_first_residual_step(z, tol=DEFAULT_TOL):
+        # a build's first inversion in domains checks its midpoints; the
+        # second carries z0 through the first factor of every chain
+        inverses, singular = try_invert(z, tol)
+        sizes.append(len(z))
+        singular[-1] |= len(sizes) == 2
+        return inverses, singular
+
+    monkeypatch.setattr(domains, "try_invert", flag_at_the_first_residual_step)
+    with pytest.raises(SingularMatrixError) as caught:
+        build_chains(dom, walks)
+    assert str(caught.value) == domains.LFT_SINGULAR and sizes[1] == len(walks)
 
 
 def test_chain_inverts_at_most_four_times_per_factor(monkeypatch):

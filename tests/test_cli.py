@@ -490,74 +490,54 @@ def test_each_pool_worker_runs_on_a_cpu_of_its_own(monkeypatch):
     assert sorted(os.sched_getaffinity(0)) == cpus
 
 
-def test_a_failed_stack_is_judged_again_one_trial_at_a_time_in_draw_order(monkeypatch):
-    judged = []
+@pytest.mark.parametrize(
+    "judge_fails, draw_fails, error, judged",
+    [
+        # stacks of at most CHECK_BATCH, in draw order, each judged once
+        (6, None, "judge 6", [[0, 1, 2], [3, 4, 5], [6]]),
+        # a raising judge ends the suite with its error; no trial is judged again
+        (4, None, "judge 4", [[0, 1, 2], [3, 4, 5]]),
+        # a raising draw ends it with its own error; pending trial 4 is never judged
+        (4, 5, "draw 5", [[0, 1, 2]]),
+        # a stack judged before a draw raises has raised first
+        (1, 5, "judge 1", [[0, 1, 2]]),
+    ],
+    ids=["draw-order", "judge-fails", "draw-fails", "judge-fails-before-draw"],
+)
+def test_trials_are_judged_once_in_stacks_in_draw_order(monkeypatch, judge_fails, draw_fails, error, judged):
+    seen = []
 
-    def judge(batch):
-        judged.append([i for _, i in batch])
-        failing = [i for _, i in batch if i in (2, 5)]
-        if failing:
-            # the stack meets its last failure first
-            raise ValueError(f"trial {failing[-1]}")
+    def judge(stack):
+        seen.append([i for _, i in stack])
+        if judge_fails in seen[-1]:
+            raise ValueError(f"judge {judge_fails}")
+
+    def draw(i):
+        if i == draw_fails:
+            raise ValueError(f"draw {i}")
+        return "dom", i
 
     monkeypatch.setattr(verify, "CHECK_BATCH", 3)
-    with pytest.raises(ValueError, match="trial 2"):
-        with verify._Stacks(judge) as stacks:
-            for i in range(7):
-                stacks.add(("dom", i))
-    # stacks of at most CHECK_BATCH; the failed one again, trial by trial
-    assert judged == [[0, 1, 2], [0], [1], [2]]
-
-    # a draw that raises lets the trials drawn before it fail first
-    judged.clear()
-    with pytest.raises(ValueError, match="trial 5"):
-        with verify._Stacks(judge) as stacks:
-            for i in range(3, 7):
-                if i == 6:
-                    raise KeyError("draw")
-                stacks.add(("dom", i))
-    assert judged == [[3, 4, 5], [3], [4], [5]]
-
-
-def test_a_chain_build_that_fails_before_a_failing_draw_names_the_row(monkeypatch):
-    # trial 3's chain fails to build and trial 4's target fails to walk, in
-    # one stack: the aborted row names the build, as it did one trial at a time
-    from lftdom.exceptions import SpaceClosureError, SpectrumError
-
-    walks = []
-    walk, build = verify.walk_chain, verify.build_chains
-
-    def walk_until_trial_4(dom, target):
-        if len(walks) == 4:
-            raise SpaceClosureError("the walk of trial 4 fails")
-        walks.append(walk(dom, target))
-        return walks[-1]
-
-    def build_but_trial_3(dom, batch):
-        if any(w is walks[3] for w in batch):
-            raise SpectrumError("the build of trial 3 fails")
-        return build(dom, batch)
-
-    monkeypatch.setattr(verify, "walk_chain", walk_until_trial_4)
-    monkeypatch.setattr(verify, "build_chains", build_but_trial_3)
-    index = [name for name, _, _ in verify.SUITES].index("chain-transitivity")
-    row = verify.suite_row(verify.RunConfig(trials=6), index)
-    assert row["anchor"].startswith("suite aborted: SpectrumError: the build of trial 3 fails"), row
-    assert len(walks) == 4 and row["trials"] == 0
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        verify._judge_in_stacks(judge, map(draw, range(7)))
+    assert seen == judged
 
 
 def test_a_coarse_verify_keeps_the_anchors_of_its_aborted_rows():
-    # at eq_tol 0.9 symmetry-involution aborts from a stacked image that the
-    # symmetry alone fails (_first_alone), and chain-transitivity from a stack
-    # of midpoints whose square root meets the cut
-    singular = "suite aborted: SingularMatrixError: {} (in invert, linalg.py)"
+    # at eq_tol 0.9 symmetry-involution aborts where its judge finds a stacked
+    # image singular, and chain-transitivity from a stack of midpoints whose
+    # square root meets the cut
+    def singular(message, frame="invert, linalg"):
+        return f"suite aborted: SingularMatrixError: {message} (in {frame}.py)"
+
+    lft = "linear fractional map denominator c z + d is singular"
     cut = (
         "suite aborted: SpectrumError: matrix has an eigenvalue on the closed negative real axis; "
         "the principal square root is not defined there (in principal_sqrt, linalg.py)"
     )
     aborted = {
-        "symmetry-involution": singular.format("linear fractional map denominator c z + d is singular"),
-        "symmetry-dual-route": singular.format("linear fractional map denominator c z + d is singular"),
+        "symmetry-involution": singular(lft, "_regular, verify"),
+        "symmetry-dual-route": singular(lft),
         "midpoint-swap": cut,
         "chain-transitivity": cut,
         "affine-transport": cut,
@@ -565,7 +545,7 @@ def test_a_coarse_verify_keeps_the_anchors_of_its_aborted_rows():
         "siegel-stacked": cut,
         "mobius-ball": cut,
         "product-transport": cut,
-        "quadric-closed-form": singular.format("c z + d is singular; the point is outside the domain"),
+        "quadric-closed-form": singular("c z + d is singular; the point is outside the domain"),
     }
     claims = {name: anchor for name, _, anchor in verify.SUITES}
     report = verify.run_verify(verify.RunConfig(tol=Tolerance(0.9)))
