@@ -55,6 +55,7 @@ from .domains import (
     hyperplane_complement_domain,
     invertibles_domain,
     lft_apply,
+    lft_images,
     projection_domain,
     quadric_domain,
     rank_one_pairing_domain,

@@ -15,13 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domains import LFT_SINGULAR, Domain, LFTMap, lft_apply, require_idempotent
+from .domains import Domain, LFTMap, lft_apply, lft_images, require_idempotent
 from .exceptions import (
     HypothesisError,
     InternalCheckError,
     PathLeavesDomainError,
     ShapeError,
-    SingularMatrixError,
     SpaceClosureError,
     SpectrumError,
     StepBoundError,
@@ -33,6 +32,8 @@ from .linalg import (
     as_cstack,
     binomial_series_sum,
     binomial_series_table,
+    dagger,
+    first_at_least,
     hermitian_margin,
     invert,
     operator_norm,
@@ -73,7 +74,9 @@ class AffineMap:
 
     Keeping the two linear factors and the translation explicit makes
     affinity and invertibility structural facts rather than properties to
-    be inferred numerically.
+    be inferred numerically. A stack of m maps holds (m, ., .) stacks, one
+    base may serve them all, and it takes one point or an (m, k, h) stack,
+    item i to map i.
     """
 
     base: np.ndarray
@@ -87,8 +90,12 @@ class AffineMap:
         base, offset, left, right = (
             np.asarray(m, dtype=complex) for m in (self.base, self.offset, self.left, self.right)
         )
-        k, h = base.shape if base.ndim == 2 else (0, 0)
-        if k == 0 or h == 0 or offset.shape != (k, h) or left.shape != (k, k) or right.shape != (h, h):
+        k, h = base.shape[-2:] if base.ndim in (2, 3) else (0, 0)
+        lead = offset.shape[:-2]
+        if (
+            k == 0 or h == 0 or base.shape[:-2] not in ((), lead) or offset.shape != (*lead, k, h)
+            or left.shape != (*lead, k, k) or right.shape != (*lead, h, h)
+        ):
             raise ShapeError(
                 f"inconsistent affine shapes base={base.shape} offset={offset.shape} "
                 f"left={left.shape} right={right.shape}"
@@ -105,7 +112,7 @@ class AffineMap:
 
     def __call__(self, z):
         """The image of z, or of each item of an (..., k, h) stack."""
-        z = as_cstack(z, rows=self.base.shape[0], cols=self.base.shape[1])
+        z = as_cstack(z, rows=self.base.shape[-2], cols=self.base.shape[-1])
         return self.offset + self.left @ (z - self.base) @ self.right
 
     def compose(self, inner):
@@ -149,11 +156,20 @@ def symmetry_direct(dom, y, z):
     """Evaluate the symmetry at y on z from its defining expression.
 
     Computes y - (z - y)(c z + d)^-1 (c y + d) without assembling the
-    coefficient matrix; kept as an independent evaluation route.
+    coefficient matrix; kept as an independent evaluation route. One y and
+    one z raise SingularMatrixError where c z + d is singular. Where either
+    is an (m, k, h) stack, item i takes y[i] and z[i], or the one y or z
+    given, and it returns (values, singular) as ``lft_apply`` does: a
+    singular item's value is NaN, and each item gets the value and the
+    verdict of a call on it alone.
     """
-    y = as_cmatrix(y, rows=dom.dim_k, cols=dom.dim_h)
-    z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
-    return _symmetry_at(dom, y, z, dom.denominator_inverse(z))
+    y = as_cstack(y, rows=dom.dim_k, cols=dom.dim_h)
+    z = as_cstack(z, rows=dom.dim_k, cols=dom.dim_h)
+    if y.ndim == 2 == z.ndim:
+        return _symmetry_at(dom, y, z, dom.denominator_inverse(z))
+    z = np.broadcast_to(z, np.broadcast_shapes(y.shape, z.shape))
+    z_den_inv, singular = dom.try_denominator_inverse(z)
+    return _symmetry_at(dom, y, z, z_den_inv), singular
 
 
 def _symmetry_at(dom, y, z, z_den_inv):
@@ -177,10 +193,14 @@ def fixed_point_derivative(dom, y, direction):
     return _central_difference(symmetry_map(dom, y), y, direction)
 
 
-def _central_difference(u, y, direction):
-    """fixed_point_derivative given u, the symmetry at y, or the stack of those at a stack of y."""
-    ahead = lft_apply(u, y + DERIVATIVE_STEP * direction)
-    behind = lft_apply(u, y - DERIVATIVE_STEP * direction)
+def _central_difference(image, y, direction):
+    """fixed_point_derivative from ``image``, the evaluation of the symmetry at y or of a stack of them.
+
+    ``image`` takes points to their images: the symmetry itself, whose call
+    is ``lft_apply``, or ``lft_images`` of it.
+    """
+    ahead = image(y + DERIVATIVE_STEP * direction)
+    behind = image(y - DERIVATIVE_STEP * direction)
     if not isinstance(ahead, tuple):
         return (ahead - behind) / (2.0 * DERIVATIVE_STEP)
     (ahead, ahead_singular), (behind, behind_singular) = ahead, behind
@@ -193,11 +213,14 @@ def find_midpoint(dom, z, w):
     Valid when r = w - z satisfies ||x r|| < 1 for x the kernel at z; then
     y = z + r (I + q)^-1 with q the principal square root of I + x r. The
     midpoint is guaranteed to land in the domain; a numerical violation is
-    an internal error, not bad input. It is ``_midpoints`` on a stack of one,
-    and a SpectrumError names no item.
+    an internal error, not bad input. On one z and w it is ``_midpoints`` on
+    a stack of one, and a SpectrumError names no item; on (m, k, h) stacks
+    of z and w, the stack of their m midpoints by ``_midpoints``' stack rule.
     """
-    z, z_den_inv = _require_member(dom, z, "the start point z")
-    w, _ = _require_member(dom, w, "the end point w")
+    z, z_den_inv = _require_member(dom, z, "the start point z", stack=True)
+    w, _ = _require_member(dom, w, "the end point w", stack=True)
+    if z.ndim != 2 or w.ndim != 2:
+        return _midpoints(dom, z, z_den_inv, w)[0]
     try:
         return _midpoints(dom, z[None], z_den_inv[None], w[None])[0][0]
     except SpectrumError as exc:
@@ -221,10 +244,10 @@ def _midpoints(dom, z, z_den_inv, w):
     x = z_den_inv @ dom.c
     r = w - z
     xr = x @ r
-    bound = operator_norm(xr)
-    if (bound >= 1.0).any():
+    bound = first_at_least(operator_norm(xr), 1.0)
+    if bound is not None:
         raise StepBoundError(
-            f"step bound ||x (w - z)|| < 1 fails: got {bound[bound >= 1.0][0]:.6g}; "
+            f"step bound ||x (w - z)|| < 1 fails: got {bound:.6g}; "
             "subdivide the displacement"
         )
     q = principal_sqrt(dom.eye_h + xr, dom.tol)
@@ -500,12 +523,17 @@ def build_chains(dom, walks):
             residual=None,
         ))
 
-    # each chain carries z0 through its factors
-    reached, singular = _carry(maps, order, reach, rows, np.repeat(source[None, None], n, axis=0))
-    if singular.any():
-        raise SingularMatrixError(LFT_SINGULAR)
+    # each chain carries z0 through its factors, factor i of every chain
+    # that has one in one stacked step, in the layout of the pairs
+    reached = np.repeat(source[None], n, axis=0)
+    blocks = [x[rows] for x in (maps.a, maps.b, maps.c, maps.d)]
+    done = 0
+    for live in reach:
+        at = slice(done, done + live)
+        reached[:live] = lft_images(LFTMap._of_blocks(*(x[at] for x in blocks), dom.tol), reached[:live])
+        done += live
     targets = np.array([target for target, _, _, _ in walks])
-    residuals = operator_norm(reached[:, 0] - targets)
+    residuals = operator_norm(reached[by_walk] - targets)
     return [replace(chain, residual=float(r)) for chain, r in zip(chains, residuals)]
 
 
@@ -607,10 +635,12 @@ def compose_symmetries_affine(dom, w, y):
 
     Equals U_w(U_y(z)) pointwise; the c block of the product coefficient
     matrix vanishes, leaving offset U_w(y) with linear factors
-    I + (w - y) x and I + x (w - y), x the kernel at y.
+    I + (w - y) x and I + x (w - y), x the kernel at y. On (m, k, h) stacks
+    of w and y, the stack of their m folds, each with the bits of its call
+    alone; an item that is not a member raises the error one call raises.
     """
-    w, _ = _require_member(dom, w, "the outer symmetry point w")
-    y, y_den_inv = _require_member(dom, y, "the inner symmetry point y")
+    w, _ = _require_member(dom, w, "the outer symmetry point w", stack=True)
+    y, y_den_inv = _require_member(dom, y, "the inner symmetry point y", stack=True)
     return AffineMap(*_pair_fold(dom, w, y, y_den_inv, y_den_inv @ dom.c))
 
 
@@ -629,12 +659,15 @@ def affine_transport(dom, w0):
     """The affine automorphism carrying the base point to w0.
 
     phi(z) = w0 + (I + (w0 - z0) x0)^(1/2) (z - z0) (I + x0 (w0 - z0))^(1/2),
-    defined when ||x0 (w0 - z0)|| < 1.
+    defined when ||x0 (w0 - z0)|| < 1. On an (m, k, h) stack of targets, the
+    stack of their m transports, each with the bits of its call alone; each
+    check runs once on the stack and raises the error of the first item it
+    flags.
     """
-    w0, _ = _require_member(dom, w0, "the transport target w0")
+    w0, _ = _require_member(dom, w0, "the transport target w0", stack=True)
     a = w0 - dom.z0
-    bound = operator_norm(dom.x0 @ a)
-    if bound >= 1.0:
+    bound = first_at_least(operator_norm(dom.x0 @ a), 1.0)
+    if bound is not None:
         raise StepBoundError(
             f"transport requires ||x0 (w0 - z0)|| < 1; got {bound:.6g}"
         )
@@ -647,12 +680,13 @@ def affine_transport_identity_residual(dom, phi, z):
     """Residual of I + x0 (phi(z) - z0) = r^(1/2) (I + x0 (z - z0)) r^(1/2).
 
     Here r^(1/2) is the right factor of the transport record; a small value
-    certifies that phi preserves the domain.
+    certifies that phi preserves the domain. For a stack of transports or of
+    points, one residual per item.
     """
-    z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
+    z = as_cstack(z, rows=dom.dim_k, cols=dom.dim_h)
     lhs = dom.eye_h + dom.x0 @ (phi(z) - dom.z0)
     rhs = phi.right @ (dom.eye_h + dom.x0 @ (z - dom.z0)) @ phi.right
-    return float(operator_norm(lhs - rhs))
+    return operator_norm(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +699,8 @@ class SwapInvolution:
 
     v(z) = z0 - gl (z - z0 - a) (I + x0 (z - z0))^-1 gr with a = w0 - z0,
     gl = (I + a x0)^(-1/2) and gr = (I + x0 a)^(1/2). Satisfies v(v(z)) = z,
-    and for w0 = z0 it reduces to the symmetry at z0.
+    and for w0 = z0 it reduces to the symmetry at z0. A stack of m
+    involutions holds (m, ., .) stacks of w0, gl and gr.
     """
 
     domain: Domain
@@ -674,14 +709,28 @@ class SwapInvolution:
     gr: np.ndarray
 
     def __call__(self, z):
+        """v(z); one z of one involution raises SingularMatrixError where c z + d is singular.
+
+        Where the involution or z is a stack, item i takes involution i and
+        z[i], or the one given, and it returns (images, singular) as
+        ``lft_apply`` does, each item the image and verdict of a call on it
+        alone.
+        """
         dom = self.domain
-        z = as_cmatrix(z, rows=dom.dim_k, cols=dom.dim_h)
-        den_inv = dom.denominator_inverse(z) @ dom.denominator(dom.z0)  # (I + x0 (z - z0))^-1
+        z = as_cstack(z, rows=dom.dim_k, cols=dom.dim_h)
+        single = z.ndim == 2 == self.w0.ndim
+        if single:
+            den_inv = dom.denominator_inverse(z)
+        else:
+            z = np.broadcast_to(z, np.broadcast_shapes(z.shape, self.w0.shape))
+            den_inv, singular = dom.try_denominator_inverse(z)
+        den_inv = den_inv @ dom.denominator(dom.z0)  # (I + x0 (z - z0))^-1
         a = self.w0 - dom.z0
-        return dom.z0 - self.gl @ (z - dom.z0 - a) @ den_inv @ self.gr
+        image = dom.z0 - self.gl @ (z - dom.z0 - a) @ den_inv @ self.gr
+        return image if single else (image, singular)
 
     def as_lft(self):
-        """The same map as explicit LFT blocks (independent evaluation route)."""
+        """The same map as explicit LFT blocks (independent evaluation route); of each item of a stack."""
         z0, x0 = self.domain.z0, self.domain.x0
         gr_inv = invert(self.gr, self.domain.tol, "I + x0 (w0 - z0) has no invertible square root")
         c = gr_inv @ x0
@@ -696,7 +745,8 @@ def swap_involution(dom, w0):
 
     Its factors are those of the affine transport to w0: gl inverts the
     transport's left factor and gr is its right factor, so the transport's
-    hypothesis ||x0 (w0 - z0)|| < 1 applies.
+    hypothesis ||x0 (w0 - z0)|| < 1 applies. On an (m, k, h) stack of w0,
+    the stack of m involutions, by the stack rule of ``affine_transport``.
     """
     phi = affine_transport(dom, w0)
     gl = invert(phi.left, dom.tol, "I + (w0 - z0) x0 has no invertible square root")
@@ -721,15 +771,15 @@ def signature_from_projection(e):
 
 
 def form_margin(z, j):
-    """Smallest eigenvalue of j - z* j z; positive inside the j-contractive set."""
-    z = as_cmatrix(z)
-    j = as_cmatrix(j, rows=z.shape[0], cols=z.shape[0])
-    return hermitian_margin(j - z.conj().T @ j @ z)
+    """Smallest eigenvalue of j - z* j z; positive inside the j-contractive set. One per stack item."""
+    z = as_cstack(z)
+    j = as_cmatrix(j, rows=z.shape[-2], cols=z.shape[-2])
+    return hermitian_margin(j - dagger(z) @ j @ z)
 
 
 def ball_margin(z):
-    """1 - ||z||; positive inside the open unit ball."""
-    return float(1.0 - operator_norm(as_cmatrix(z)))
+    """1 - ||z||; positive inside the open unit ball. One per item of a stack."""
+    return 1.0 - operator_norm(as_cstack(z))
 
 
 def potapov_ginzburg_map(e, tol=DEFAULT_TOL):

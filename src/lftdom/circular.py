@@ -25,8 +25,8 @@ from .exceptions import (
 )
 from .domains import LFTMap
 from .linalg import (
-    DEFAULT_TOL, Tolerance, as_cmatrix, ball_roots, hermitian_margin, invert, operator_norm,
-    principal_sqrt, singular_test, try_invert,
+    DEFAULT_TOL, Tolerance, as_cmatrix, as_cstack, ball_roots, dagger, first_at_least,
+    hermitian_margin, invert, operator_norm, principal_sqrt, singular_test, try_invert,
 )
 from .sampling import random_invertible_member, random_space_member
 
@@ -63,8 +63,9 @@ class SiegelSpec:
         ).astype(complex)
 
     def split(self, z):
-        z = as_cmatrix(z, rows=self.dim_k + self.dim_h, cols=self.dim_h)
-        return z[: self.dim_k, :], z[self.dim_k :, :]
+        """(Z1, Z2) of one member or of each item of a stack."""
+        z = as_cstack(z, rows=self.dim_k + self.dim_h, cols=self.dim_h)
+        return z[..., : self.dim_k, :], z[..., self.dim_k :, :]
 
     def stack(self, z1, z2):
         z1 = as_cmatrix(z1, rows=self.dim_k, cols=self.dim_h)
@@ -73,16 +74,16 @@ class SiegelSpec:
 
 
 def siegel_member(spec, z):
-    """True iff Z2*Z2 - Z1*Z1 - I is positive definite (strict interior)."""
+    """True iff Z2*Z2 - Z1*Z1 - I is positive definite (strict interior); per item of a stack."""
     z1, z2 = spec.split(z)
-    gram = z2.conj().T @ z2 - z1.conj().T @ z1 - np.eye(spec.dim_h, dtype=complex)
+    gram = dagger(z2) @ z2 - dagger(z1) @ z1 - np.eye(spec.dim_h, dtype=complex)
     return hermitian_margin(gram) > spec.tol.eq_tol
 
 
 def siegel_gram(spec, z):
-    """I + Z*JZ; negative definite exactly on the Siegel domain."""
-    z = as_cmatrix(z, rows=spec.dim_k + spec.dim_h, cols=spec.dim_h)
-    return np.eye(spec.dim_h, dtype=complex) + z.conj().T @ spec.j @ z
+    """I + Z*JZ; negative definite exactly on the Siegel domain. One per item of a stack."""
+    z = as_cstack(z, rows=spec.dim_k + spec.dim_h, cols=spec.dim_h)
+    return np.eye(spec.dim_h, dtype=complex) + dagger(z) @ spec.j @ z
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,8 @@ class SiegelLinearAuto:
     """A validated automorphism h(Z) = L Z U of the Siegel-type domain.
 
     L is J-unitary on the stacked space and U is unitary; the inverse is
-    h^-1(Z) = L^-1 Z U*.
+    h^-1(Z) = L^-1 Z U*. A stack of m maps holds (m, ., .) stacks of L and
+    U, and takes one point or an (m, ., .) stack, item i to map i.
     """
 
     spec: SiegelSpec
@@ -99,26 +101,29 @@ class SiegelLinearAuto:
     l_inv: np.ndarray = field(repr=False)
 
     def __call__(self, z):
-        z = as_cmatrix(z, rows=self.spec.dim_k + self.spec.dim_h, cols=self.spec.dim_h)
+        z = as_cstack(z, rows=self.spec.dim_k + self.spec.dim_h, cols=self.spec.dim_h)
         return self.l @ z @ self.u
 
     def inverse(self, z):
-        z = as_cmatrix(z, rows=self.spec.dim_k + self.spec.dim_h, cols=self.spec.dim_h)
-        return self.l_inv @ z @ self.u.conj().T
+        z = as_cstack(z, rows=self.spec.dim_k + self.spec.dim_h, cols=self.spec.dim_h)
+        return self.l_inv @ z @ dagger(self.u)
 
 
 def siegel_linear_auto(spec, l, u):
     """Validate (L, U) and wrap them as a domain automorphism.
 
-    Requires L*JL = J, U unitary, and L invertible.
+    Requires L*JL = J, U unitary, and L invertible. On (m, ., .) stacks of L
+    and U, the stack of their m maps, each with the bits of its call alone;
+    each check runs once on the stack and raises if it flags any item.
     """
     n = spec.dim_k + spec.dim_h
-    l = as_cmatrix(l, rows=n, cols=n)
-    u = as_cmatrix(u, rows=spec.dim_h, cols=spec.dim_h)
+    l = as_cstack(l, rows=n, cols=n)
+    u = as_cstack(u, rows=spec.dim_h, cols=spec.dim_h)
     j = spec.j
-    if operator_norm(l.conj().T @ j @ l - j) > spec.tol.eq_tol * (1.0 + operator_norm(l)) ** 2:
+    defect = operator_norm(dagger(l) @ j @ l - j)
+    if np.any(defect > spec.tol.eq_tol * (1.0 + operator_norm(l)) ** 2):
         raise HypothesisError("L is not J-unitary: L*JL differs from J")
-    if operator_norm(u.conj().T @ u - np.eye(spec.dim_h)) > spec.tol.eq_tol:
+    if np.any(operator_norm(dagger(u) @ u - np.eye(spec.dim_h)) > spec.tol.eq_tol):
         raise HypothesisError("U is not unitary")
     l_inv = invert(l, spec.tol, "L must be invertible")
     return SiegelLinearAuto(spec=spec, l=l, u=u, l_inv=l_inv)
@@ -131,7 +136,8 @@ def siegel_invariant_residual(spec, auto, r):
     I + Z*JZ, which equals (1 - r^2) I at [0; rI]. The returned residual
     measures ||(I + h(Z_r)* J h(Z_r)) - (1 - r^2) I||; its smallness pins
     the radius r, which is why no automorphism moves one axis point to
-    another with a different radius.
+    another with a different radius. For a stack of maps, one residual per
+    map.
     """
     z_r = spec.stack(
         np.zeros((spec.dim_k, spec.dim_h), dtype=complex),
@@ -139,12 +145,12 @@ def siegel_invariant_residual(spec, auto, r):
     )
     value = siegel_gram(spec, auto(z_r))
     expected = (1.0 - r * r) * np.eye(spec.dim_h, dtype=complex)
-    return float(operator_norm(value - expected))
+    return operator_norm(value - expected)
 
 
 def cayley_map(spec, z):
-    """The involution [Z1; Z2] -> [Z1 Z2^-1; Z2^-1] (its own inverse)."""
-    return np.vstack(product_split(spec, z))
+    """The involution [Z1; Z2] -> [Z1 Z2^-1; Z2^-1] (its own inverse); of each item of a stack."""
+    return np.concatenate(product_split(spec, z), axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +298,21 @@ def mobius_map(b, tol=DEFAULT_TOL):
     Blocks: a = (I - b b*)^(-1/2), upper right b (I - b* b)^(-1/2),
     lower left (I - b* b)^(-1/2) b*, lower right (I - b* b)^(-1/2); the
     coefficient matrix is J-unitary for J = diag(I, -I). Requires ||b|| < 1.
+    On an (m, k, h) stack of b, the stack of their m maps, each with the bits
+    of its call alone; each check runs once on the stack and raises the
+    error of the first item it flags.
     """
-    b = as_cmatrix(b)
-    if operator_norm(b) >= 1.0:
-        raise HypothesisError(f"mobius parameter needs ||b|| < 1; got {operator_norm(b):.6g}")
-    k, h = b.shape
-    left = principal_sqrt(np.eye(k, dtype=complex) - b @ b.conj().T, tol)
+    b = as_cstack(b)
+    norm = first_at_least(operator_norm(b), 1.0)
+    if norm is not None:
+        raise HypothesisError(f"mobius parameter needs ||b|| < 1; got {norm:.6g}")
+    k, h = b.shape[-2:]
+    b_adj = dagger(b)
+    left = principal_sqrt(np.eye(k, dtype=complex) - b @ b_adj, tol)
     left = invert(left, tol, "(I - b b*)^(1/2) is singular")
-    right = principal_sqrt(np.eye(h, dtype=complex) - b.conj().T @ b, tol)
+    right = principal_sqrt(np.eye(h, dtype=complex) - b_adj @ b, tol)
     right = invert(right, tol, "(I - b* b)^(1/2) is singular")
-    return LFTMap._of_blocks(left, b @ right, right @ b.conj().T, right, tol)
+    return LFTMap._of_blocks(left, b @ right, right @ b_adj, right, tol)
 
 
 def mobius_direct(b, z, tol=DEFAULT_TOL):
@@ -326,24 +337,31 @@ def mobius_direct(b, z, tol=DEFAULT_TOL):
 
 
 def product_member(spec, z):
-    """True iff Z2 is invertible and Z2*Z2 - Z1*Z1 is positive definite."""
-    return _member_split(spec, z) is not None
+    """True iff Z2 is invertible and Z2*Z2 - Z1*Z1 is positive definite; per item of a stack."""
+    return _member_split(spec, z)[0]
 
 
 def _member_split(spec, z):
-    """product_split(spec, z) for a member z, None for a non-member; inverts Z2 once."""
+    """(member, Z1 Z2^-1, Z2^-1): product_member's verdict and product_split's pair; inverts Z2 once.
+
+    One z whose Z2 is singular gives (False, None, None). On a stack, one
+    verdict per item, and the pair is NaN at an item whose Z2 is singular.
+    """
     z1, z2 = spec.split(z)
     z2_inv = try_invert(z2, spec.tol)
-    if z2_inv is None:
-        return None
-    gram = z2.conj().T @ z2 - z1.conj().T @ z1
-    if not hermitian_margin(gram) > spec.tol.eq_tol:
-        return None
-    return z1 @ z2_inv, z2_inv
+    if z2.ndim == 2:
+        if z2_inv is None:
+            return False, None, None
+        regular = True
+    else:
+        z2_inv, singular = z2_inv
+        regular = ~singular
+    gram = dagger(z2) @ z2 - dagger(z1) @ z1
+    return regular & (hermitian_margin(gram) > spec.tol.eq_tol), z1 @ z2_inv, z2_inv
 
 
 def product_split(spec, z):
-    """The pair (Z1 Z2^-1, Z2^-1): ball point and invertible operator."""
+    """The pair (Z1 Z2^-1, Z2^-1): ball point and invertible operator; of each item of a stack."""
     z1, z2 = spec.split(z)
     z2_inv = invert(z2, spec.tol, "the bottom block Z2 must be invertible")
     return z1 @ z2_inv, z2_inv
@@ -355,7 +373,9 @@ class ProductTransport:
 
     M is the coefficient matrix of the ball automorphism at b = W1 W2^-1 and
     R = (I - b* b)^(1/2) W2; M is J-unitary, so L preserves the domain, and
-    the inverse transport uses -b with R inverted.
+    the inverse transport uses -b with R inverted. A stack of m transports
+    holds (m, ., .) stacks, and takes one point or an (m, ., .) stack, item
+    i to transport i.
     """
 
     spec: SiegelSpec
@@ -367,27 +387,31 @@ class ProductTransport:
     r_inv: np.ndarray = field(repr=False)
 
     def __call__(self, z):
-        z = as_cmatrix(z, rows=self.spec.dim_k + self.spec.dim_h, cols=self.spec.dim_h)
+        z = as_cstack(z, rows=self.spec.dim_k + self.spec.dim_h, cols=self.spec.dim_h)
         return self.m @ z @ self.r
 
     def inverse(self, z):
-        z = as_cmatrix(z, rows=self.spec.dim_k + self.spec.dim_h, cols=self.spec.dim_h)
+        z = as_cstack(z, rows=self.spec.dim_k + self.spec.dim_h, cols=self.spec.dim_h)
         return self.m_inv @ z @ self.r_inv
 
 
 def product_transitive(spec, w):
-    """Build the linear map carrying the axis point [0; I] to the member w."""
-    split = _member_split(spec, w)
-    if split is None:
+    """Build the linear map carrying the axis point [0; I] to the member w.
+
+    On an (m, ., .) stack of members, the stack of their m transports, each
+    with the bits of its call alone; each check runs once on the stack and
+    raises the error of the first item it flags.
+    """
+    member, b, _ = _member_split(spec, w)
+    if not (member.all() if isinstance(member, np.ndarray) else member):
         raise HypothesisError("w is not a member of the product-type domain")
     _, w2 = spec.split(w)
-    b, _ = split
     m = mobius_map(b, spec.tol).coefficient_matrix()
     # M(-b) = J M(b) J for J = diag(I, -I): M(b) with its off-diagonal blocks negated
     k = spec.dim_k
     m_inv = m.copy()
-    m_inv[:k, k:], m_inv[k:, :k] = -m[:k, k:], -m[k:, :k]
-    r = principal_sqrt(np.eye(spec.dim_h, dtype=complex) - b.conj().T @ b, spec.tol) @ w2
+    m_inv[..., :k, k:], m_inv[..., k:, :k] = -m[..., :k, k:], -m[..., k:, :k]
+    r = principal_sqrt(np.eye(spec.dim_h, dtype=complex) - dagger(b) @ b, spec.tol) @ w2
     r_inv = invert(r, spec.tol, "the transport factor R is singular")
     return ProductTransport(spec=spec, w=w, b=b, m=m, r=r, m_inv=m_inv, r_inv=r_inv)
 

@@ -123,8 +123,7 @@ def _check_block_shapes(a, b, c, d):
         )
 
 
-# lft_apply's error where a denominator is singular; a caller that judges a
-# stack's verdicts raises it for a flagged item
+# lft_apply's error where a denominator is singular
 LFT_SINGULAR = "linear fractional map denominator c z + d is singular"
 
 
@@ -147,6 +146,25 @@ def lft_apply(t, z):
         raise ShapeError(f"expected {want}, got shape {z.shape}")
     den_inv, singular = try_invert(t.c @ z + t.d, t.tol)
     return (t.a @ z + t.b) @ den_inv, singular
+
+
+def lft_images(t, z):
+    """The images of ``lft_apply(t, z)``, or its error where it flags an item.
+
+    One z is lft_apply's call. On a stack the images are lft_apply's; where
+    it flags any item, the first one is evaluated alone, so the error is
+    the SingularMatrixError that lft_apply raises, through ``invert``, on
+    that item.
+    """
+    images = lft_apply(t, z)
+    if isinstance(images, tuple):
+        images, singular = images
+        if singular.any():
+            i = np.flatnonzero(singular)[0]
+            if t.a.ndim == 3:
+                t = LFTMap._of_blocks(t.a[i], t.b[i], t.c[i], t.d[i], t.tol)
+            lft_apply(t, np.asarray(z)[i])
+    return images
 
 
 class Verdict(enum.Enum):

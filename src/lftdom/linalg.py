@@ -135,6 +135,14 @@ def operator_norm(z):
     return float(s[0]) if z.ndim == 2 else s[..., 0]
 
 
+def first_at_least(values, edge):
+    """The first of one value, or of an array of them, that is at least ``edge``; None where none is."""
+    if not isinstance(values, np.ndarray):
+        return values if values >= edge else None
+    over = values[values >= edge]
+    return over[0] if over.size else None
+
+
 def singular_range(z):
     """(largest, smallest) singular value of one matrix, both from one SVD."""
     s = np.linalg.svd(np.asarray(z, dtype=complex), compute_uv=False)

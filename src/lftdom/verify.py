@@ -23,18 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import LftdomError, PathLeavesDomainError, SingularMatrixError, StepBoundError
-from .linalg import DEFAULT_TOL, Tolerance, operator_norm, singular_test, try_invert
+from .exceptions import PathLeavesDomainError, StepBoundError
+from .linalg import DEFAULT_TOL, Tolerance, dagger, operator_norm, singular_test, try_invert
 from .spaces import full_space
 from .domains import (
-    LFT_SINGULAR,
     Domain,
     Verdict,
     connectivity_class,
     det_membership,
     hyperplane_complement_domain,
     invertibles_domain,
-    lft_apply,
+    lft_images,
     projection_domain,
     quadric_domain,
     rank_one_pairing_domain,
@@ -129,6 +128,11 @@ class _Tracker:
     def require(self, condition):
         self.add(0.0 if condition else 1.0, 0.0)
 
+    def require_each(self, conditions):
+        """``require`` for each condition of a stack."""
+        for condition in conditions:
+            self.require(condition)
+
 
 def example_domains(config):
     """The six reference domains, shaped by the configured dimensions."""
@@ -175,16 +179,23 @@ def _by_domain(trials):
     return [(dom, list(zip(*items))) for dom, items in groups.items()]
 
 
-def _regular(evaluation):
-    """The images of a stacked (images, singular); raises lft_apply's error if it flags an item."""
-    images, singular = evaluation
-    if singular.any():
-        raise SingularMatrixError(LFT_SINGULAR)
-    return images
-
-
 def _member_pair(rng, dom):
     return samp.sample_members(rng, dom, 2, margin=0.05)
+
+
+def _pair_draws(rng, domains, trials):
+    """(domain, y, z) per trial, a member pair of each domain in turn."""
+    for i in range(trials):
+        dom = domains[i % len(domains)]
+        yield (dom, *_member_pair(rng, dom))
+
+
+def _transport_draws(rng, domains, trials):
+    """(domain, w0, z) per trial, of each domain in turn: a target in reach, then a member."""
+    for i in range(trials):
+        dom = domains[i % len(domains)]
+        w0 = samp.random_target_in_reach(rng, dom)
+        yield dom, w0, _member_pair(rng, dom)[0]
 
 
 def suite_symmetry(config, rng, track):
@@ -198,14 +209,14 @@ def suite_symmetry(config, rng, track):
             u = symmetry_map(dom, y)
 
             def image(points):
-                return _regular(lft_apply(u, points))
+                return lft_images(u, points)
 
             double = image(image(z))
             track.add_each(operator_norm(double - z), 1e-8 * (1.0 + operator_norm(z)))
             track.add_each(operator_norm(image(y) - y), 1e-10)
             m = u.coefficient_matrix()
             track.add_each(operator_norm(m @ m - np.eye(m.shape[-1])), 1e-10)
-            deriv = _regular(_central_difference(u, y, direction))
+            deriv = _central_difference(image, y, direction)
             track.add_each(operator_norm(deriv + direction), 1e-6)
 
     def draws():
@@ -222,12 +233,16 @@ def suite_symmetry_routes(config, rng, track):
     """The coefficient-block route against the direct resolvent formula."""
     domains = example_domains(config)
     trials = 2 * config.trials
-    for i in range(trials):
-        dom = domains[i % len(domains)]
-        y, z = _member_pair(rng, dom)
-        via_blocks = lft_apply(symmetry_map(dom, y), z)
-        direct = symmetry_direct(dom, y, z)
-        track.add(operator_norm(via_blocks - direct), 1e-9 * (1.0 + operator_norm(z)))
+
+    def judge(batch):
+        for dom, columns in _by_domain(batch):
+            y, z = (np.stack(column) for column in columns)
+            via_blocks = lft_images(symmetry_map(dom, y), z)
+            # c z + d is invertible at every drawn member z, so no item is flagged
+            direct, _ = symmetry_direct(dom, y, z)
+            track.add_each(operator_norm(via_blocks - direct), 1e-9 * (1.0 + operator_norm(z)))
+
+    _judge_in_stacks(judge, _pair_draws(rng, domains, trials))
     return trials
 
 
@@ -235,19 +250,23 @@ def suite_midpoint(config, rng, track):
     """A midpoint symmetry swaps its two endpoints."""
     domains = example_domains(config)
     trials = 2 * config.trials
-    for i in range(trials):
-        dom = domains[i % len(domains)]
-        z, w = _member_pair(rng, dom)
-        pull = operator_norm(dom.kernel_at(z) @ (w - z))
-        if pull >= 0.95:
-            w = z + (w - z) * (0.8 / pull)
-            if dom.membership(w) is not Verdict.MEMBER:
-                continue
-        y = find_midpoint(dom, z, w)
-        track.add(
-            operator_norm(symmetry_direct(dom, y, z) - w),
-            1e-8 * (1.0 + operator_norm(w)),
-        )
+
+    def judge(batch):
+        for dom, columns in _by_domain(batch):
+            z, w = (np.stack(column) for column in columns)
+            pull = operator_norm(dom.kernel_at(z) @ (w - z))
+            # an end point beyond the step bound's reach is pulled in, and a
+            # trial whose pulled-in end point is not a member is skipped
+            far = pull >= 0.95
+            w[far] = z[far] + (w[far] - z[far]) * (0.8 / pull[far])[:, None, None]
+            kept = ~far | (dom.membership(w) == Verdict.MEMBER)
+            z, w = z[kept], w[kept]
+            y = find_midpoint(dom, z, w)
+            # the drawn z are members, so no item is flagged
+            direct, _ = symmetry_direct(dom, y, z)
+            track.add_each(operator_norm(direct - w), 1e-8 * (1.0 + operator_norm(w)))
+
+    _judge_in_stacks(judge, _pair_draws(rng, domains, trials))
     return trials
 
 
@@ -302,16 +321,28 @@ def suite_affine_pairs(config, rng, track):
     """A pair of symmetries folds into one affine map."""
     domains = example_domains(config)
     trials = 2 * config.trials
-    for i in range(trials):
-        dom = domains[i % len(domains)]
-        y, w = _member_pair(rng, dom)
-        z, _ = _member_pair(rng, dom)
-        aff = compose_symmetries_affine(dom, w, y)
-        try:
-            pointwise = symmetry_direct(dom, w, symmetry_direct(dom, y, z))
-        except LftdomError:
-            continue
-        track.add(operator_norm(aff(z) - pointwise), 1e-9 * (1.0 + operator_norm(pointwise)))
+
+    def judge(batch):
+        for dom, columns in _by_domain(batch):
+            y, w, z = (np.stack(column) for column in columns)
+            aff = compose_symmetries_affine(dom, w, y)
+            # the drawn z are members; a trial whose U_Y(Z) is not is skipped
+            inner, _ = symmetry_direct(dom, y, z)
+            pointwise, skipped = symmetry_direct(dom, w, inner)
+            kept = ~skipped
+            pointwise = pointwise[kept]
+            track.add_each(
+                operator_norm(aff(z)[kept] - pointwise), 1e-9 * (1.0 + operator_norm(pointwise))
+            )
+
+    def draws():
+        for i in range(trials):
+            dom = domains[i % len(domains)]
+            y, w = _member_pair(rng, dom)
+            z, _ = _member_pair(rng, dom)
+            yield dom, y, w, z
+
+    _judge_in_stacks(judge, draws())
     return trials
 
 
@@ -319,14 +350,16 @@ def suite_transport(config, rng, track):
     """Square-root transport maps the base point and satisfies its identity."""
     domains = example_domains(config)
     trials = 2 * config.trials
-    for i in range(trials):
-        dom = domains[i % len(domains)]
-        w0 = samp.random_target_in_reach(rng, dom)
-        phi = affine_transport(dom, w0)
-        track.add(operator_norm(phi(dom.z0) - w0), 1e-10 * (1.0 + operator_norm(w0)))
-        z, _ = _member_pair(rng, dom)
-        track.add(affine_transport_identity_residual(dom, phi, z), 1e-9)
-        track.require(dom.membership(phi(z)) is Verdict.MEMBER)
+
+    def judge(batch):
+        for dom, columns in _by_domain(batch):
+            w0, z = (np.stack(column) for column in columns)
+            phi = affine_transport(dom, w0)
+            track.add_each(operator_norm(phi(dom.z0) - w0), 1e-10 * (1.0 + operator_norm(w0)))
+            track.add_each(affine_transport_identity_residual(dom, phi, z), 1e-9)
+            track.require_each(dom.membership(phi(z)) == Verdict.MEMBER)
+
+    _judge_in_stacks(judge, _transport_draws(rng, domains, trials))
     return trials
 
 
@@ -334,22 +367,32 @@ def suite_swap(config, rng, track):
     """The exchanging involution: self-inverse, swaps base and target."""
     domains = example_domains(config)
     trials = 2 * config.trials
-    for i in range(trials):
-        dom = domains[i % len(domains)]
-        w0 = samp.random_target_in_reach(rng, dom)
-        v = swap_involution(dom, w0)
-        track.add(operator_norm(v(dom.z0) - w0), 1e-9 * (1.0 + operator_norm(w0)))
-        z, _ = _member_pair(rng, dom)
-        try:
-            track.add(operator_norm(v(v(z)) - z), 1e-9 * (1.0 + operator_norm(z)))
-        except LftdomError:
-            pass
-        v0 = swap_involution(dom, dom.z0)
-        track.add(
-            operator_norm(v0(z) - symmetry_direct(dom, dom.z0, z)),
-            1e-9 * (1.0 + operator_norm(z)),
-        )
-        track.add(operator_norm(lft_apply(v.as_lft(), z) - v(z)), 1e-8)
+    # the swap of each domain's base point with itself, built once
+    base_swaps = {}
+
+    def judge(batch):
+        for dom, columns in _by_domain(batch):
+            w0, z = (np.stack(column) for column in columns)
+            v = swap_involution(dom, w0)
+            # c z + d is invertible at z0 and at every drawn member z, so no
+            # item of their images is flagged
+            at_base, _ = v(dom.z0)
+            track.add_each(operator_norm(at_base - w0), 1e-9 * (1.0 + operator_norm(w0)))
+            image, _ = v(z)
+            # a trial whose image V(Z) is not a member skips V(V(Z)) = Z
+            back, skipped = v(image)
+            kept = ~skipped
+            track.add_each(
+                operator_norm(back[kept] - z[kept]), 1e-9 * (1.0 + operator_norm(z[kept]))
+            )
+            if dom not in base_swaps:
+                base_swaps[dom] = swap_involution(dom, dom.z0)
+            at_z, _ = base_swaps[dom](z)
+            direct, _ = symmetry_direct(dom, dom.z0, z)
+            track.add_each(operator_norm(at_z - direct), 1e-9 * (1.0 + operator_norm(z)))
+            track.add_each(operator_norm(lft_images(v.as_lft(), z) - image), 1e-8)
+
+    _judge_in_stacks(judge, _transport_draws(rng, domains, trials))
     return trials
 
 
@@ -387,19 +430,28 @@ def suite_potapov_ginzburg(config, rng, track):
         np.diag([1.0, 0.0]).astype(complex),
         np.eye(2, dtype=complex),
     ]
-    for e in cases:
-        u = potapov_ginzburg_map(e, tol)
-        m = u.coefficient_matrix()
-        track.add(operator_norm(m @ m - np.eye(4)), 1e-12)
-        j = signature_from_projection(e)
-        for z in samp.sample_pg_members(rng, e, per_e, tol):
-            image = lft_apply(u, z)
-            track.require(ball_margin(image) > 0.0)
-            track.require(form_margin(z, j) > 0.0)
-            track.add(
-                operator_norm(lft_apply(u, image) - z),
-                1e-9 * (1.0 + operator_norm(z)),
-            )
+    # (U_E, J) of each case, by its position in cases
+    maps = []
+
+    def judge(batch):
+        for case, (z,) in _by_domain(batch):
+            u, j = maps[case]
+            z = np.stack(z)
+            image = lft_images(u, z)
+            track.require_each(ball_margin(image) > 0.0)
+            track.require_each(form_margin(z, j) > 0.0)
+            track.add_each(operator_norm(lft_images(u, image) - z), 1e-9 * (1.0 + operator_norm(z)))
+
+    def draws():
+        for case, e in enumerate(cases):
+            u = potapov_ginzburg_map(e, tol)
+            m = u.coefficient_matrix()
+            track.add(operator_norm(m @ m - np.eye(4)), 1e-12)
+            maps.append((u, signature_from_projection(e)))
+            for z in samp.sample_pg_members(rng, e, per_e, tol):
+                yield case, z
+
+    _judge_in_stacks(judge, draws())
     return 3 * per_e
 
 
@@ -526,19 +578,25 @@ def suite_siegel(config, rng, track):
     """Validated linear maps preserve the stacked domain; Cayley involutes."""
     spec = SiegelSpec(config.dim_k, config.dim_h, config.tol)
     trials = 2 * config.trials
-    for _ in range(trials):
-        l = _random_j_unitary(rng, spec.j)
-        u = samp.random_unitary(rng, spec.dim_h)
+
+    def judge(batch):
+        l, u, z = (np.stack(column) for column in zip(*batch))
         auto = siegel_linear_auto(spec, l, u)
-        z = samp.random_siegel_member(rng, spec)
-        track.require(siegel_member(spec, auto(z)))
-        track.add(
-            operator_norm(auto.inverse(auto(z)) - z), 1e-9 * (1.0 + operator_norm(z))
-        )
-        track.add(siegel_invariant_residual(spec, auto, 1.5), 1e-8)
+        image = auto(z)
+        track.require_each(siegel_member(spec, image))
+        track.add_each(operator_norm(auto.inverse(image) - z), 1e-9 * (1.0 + operator_norm(z)))
+        track.add_each(siegel_invariant_residual(spec, auto, 1.5), 1e-8)
         tz = cayley_map(spec, z)
-        track.add(operator_norm(cayley_map(spec, tz) - z), 1e-10 * (1.0 + operator_norm(z)))
-        track.require(operator_norm(tz) < 1.0)
+        track.add_each(operator_norm(cayley_map(spec, tz) - z), 1e-10 * (1.0 + operator_norm(z)))
+        track.require_each(operator_norm(tz) < 1.0)
+
+    def draws():
+        for _ in range(trials):
+            l = _random_j_unitary(rng, spec.j)
+            u = samp.random_unitary(rng, spec.dim_h)
+            yield l, u, samp.random_siegel_member(rng, spec)
+
+    _judge_in_stacks(judge, draws())
     return trials
 
 
@@ -569,19 +627,28 @@ def suite_mobius(config, rng, track):
     k, h = config.dim_k, config.dim_h
     j = SiegelSpec(k, h).j
     trials = 2 * config.trials
-    for _ in range(trials):
-        b = samp.random_ball_point(rng, k, h, max_norm=0.85)
+
+    def judge(batch):
+        b, z = (np.stack(column) for column in zip(*batch))
         t_b = mobius_map(b, tol)
-        z = samp.random_ball_point(rng, k, h, max_norm=0.95)
-        image = lft_apply(t_b, z)
-        track.require(operator_norm(image) < 1.0)
-        track.add(operator_norm(lft_apply(t_b, -b)), 1e-12)
-        track.add(operator_norm(lft_apply(t_b, np.zeros((k, h))) - b), 1e-10)
-        back = lft_apply(mobius_map(-b, tol), image)
-        track.add(operator_norm(back - z), 1e-8)
+        image = lft_images(t_b, z)
+        track.require_each(operator_norm(image) < 1.0)
+        track.add_each(operator_norm(lft_images(t_b, -b)), 1e-12)
+        track.add_each(operator_norm(lft_images(t_b, np.zeros_like(b)) - b), 1e-10)
+        back = lft_images(mobius_map(-b, tol), image)
+        track.add_each(operator_norm(back - z), 1e-8)
         m = t_b.coefficient_matrix()
-        track.add(operator_norm(m.conj().T @ j @ m - j), 1e-10)
-        track.add(operator_norm(mobius_direct(b, z, tol) - image), 1e-10)
+        track.add_each(operator_norm(dagger(m) @ j @ m - j), 1e-10)
+        # the spectral route stays one call per item: it is the oracle of the blocks
+        direct = np.array([mobius_direct(bi, zi, tol) for bi, zi in zip(b, z)])
+        track.add_each(operator_norm(direct - image), 1e-10)
+
+    def draws():
+        for _ in range(trials):
+            b = samp.random_ball_point(rng, k, h, max_norm=0.85)
+            yield b, samp.random_ball_point(rng, k, h, max_norm=0.95)
+
+    _judge_in_stacks(judge, draws())
     return trials
 
 
@@ -593,18 +660,26 @@ def suite_product(config, rng, track):
         np.eye(spec.dim_h, dtype=complex),
     )
     trials = 2 * config.trials
-    for _ in range(trials):
-        w = samp.random_product_member(rng, spec)
+
+    def judge(batch):
+        w, z = (np.stack(column) for column in zip(*batch))
         transport = product_transitive(spec, w)
-        track.add(operator_norm(transport(axis) - w), 1e-10 * (1.0 + operator_norm(w)))
-        track.add(operator_norm(transport.m.conj().T @ spec.j @ transport.m - spec.j), 1e-10)
-        z = samp.random_product_member(rng, spec)
+        track.add_each(operator_norm(transport(axis) - w), 1e-10 * (1.0 + operator_norm(w)))
+        m = transport.m
+        track.add_each(operator_norm(dagger(m) @ spec.j @ m - spec.j), 1e-10)
         image = transport(z)
-        track.require(product_member(spec, image))
-        track.add(operator_norm(transport.inverse(image) - z), 1e-9 * (1.0 + operator_norm(z)))
+        track.require_each(product_member(spec, image))
+        track.add_each(operator_norm(transport.inverse(image) - z), 1e-9 * (1.0 + operator_norm(z)))
         ball_part, inv_part = product_split(spec, image)
-        track.require(operator_norm(ball_part) < 1.0)
-        track.require(try_invert(inv_part, spec.tol) is not None)
+        track.require_each(operator_norm(ball_part) < 1.0)
+        track.require_each(~try_invert(inv_part, spec.tol)[1])
+
+    def draws():
+        for _ in range(trials):
+            w = samp.random_product_member(rng, spec)
+            yield w, samp.random_product_member(rng, spec)
+
+    _judge_in_stacks(judge, draws())
     return trials
 
 

@@ -49,7 +49,7 @@ from lftdom import (
     try_invert,
     whole_space_domain,
 )
-from lftdom import automorphisms, domains
+from lftdom import automorphisms, domains, linalg
 from lftdom.automorphisms import CHAIN_MARGIN, _midpoints, apply_chains, build_chains, walk_chain
 from lftdom.linalg import SERIES_BLOCK_CAP, binomial_series_grid, binomial_series_shifted
 from lftdom.verify import RunConfig, _lambda_grid, example_domains
@@ -824,17 +824,24 @@ def test_no_walks_build_no_chains():
 def test_a_residual_stack_that_flags_a_chain_raises_lft_applys_error(monkeypatch):
     dom = invertibles_domain(full_space(2, 2))
     walks = [walk for walk, _ in batch_walks(np.random.default_rng(70), dom, 3)]
-    sizes = []
+    sizes, flagged = [], []
 
     def flag_at_the_first_residual_step(z, tol=DEFAULT_TOL):
-        # a build's first inversion in domains checks its midpoints; the
-        # second carries z0 through the first factor of every chain
+        # a build's first stacked inversion checks its midpoints; the second
+        # carries z0 through the first factor of every chain
         inverses, singular = try_invert(z, tol)
         sizes.append(len(z))
-        singular[-1] |= len(sizes) == 2
+        if len(sizes) == 2:
+            singular[-1] = True
+            flagged.append(z[-1].copy())
         return inverses, singular
 
+    def flag_that_item_alone(z, tol=DEFAULT_TOL):
+        # one call on the flagged item gets the stack's verdict
+        return None if any(np.array_equal(z, f) for f in flagged) else try_invert(z, tol)
+
     monkeypatch.setattr(domains, "try_invert", flag_at_the_first_residual_step)
+    monkeypatch.setattr(linalg, "try_invert", flag_that_item_alone)
     with pytest.raises(SingularMatrixError) as caught:
         build_chains(dom, walks)
     assert str(caught.value) == domains.LFT_SINGULAR and sizes[1] == len(walks)
@@ -1049,6 +1056,104 @@ def test_affine_equivalence_validates_inputs():
     diag_dom = invertibles_domain(diagonal_space(2))
     with pytest.raises(HypothesisError):
         affine_equivalence(full_dom, diag_dom, np.eye(2), full_dom.z0, diag_dom.z0)
+
+
+# ---------------------------------------------------------------------------
+# Stacks of transports, swaps, folds, midpoints and direct values
+
+
+def same_bits(stacked, alone):
+    assert np.asarray(stacked).tobytes() == np.asarray(alone).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1), (1, 3), (8, 8)], ids=str)
+def test_stacked_constructions_and_evaluations_keep_the_bits_of_each_item(shape):
+    rng = np.random.default_rng(81)
+    for dom in example_domains(RunConfig(dim_k=shape[0], dim_h=shape[1])):
+        w0 = np.stack([random_target_in_reach(rng, dom) for _ in range(3)])
+        y, z = (sample_members(rng, dom, 3, margin=0.05) for _ in range(2))
+        phi = affine_transport(dom, w0)
+        residuals = affine_transport_identity_residual(dom, phi, z)
+        v = swap_involution(dom, w0)
+        swapped, flagged = v(z)
+        lft = v.as_lft()
+        fold = compose_symmetries_affine(dom, z, y)
+        direct, singular = symmetry_direct(dom, y, z)
+        assert not flagged.any() and not singular.any()
+        for i in range(3):
+            phi_i = affine_transport(dom, w0[i])
+            for part in ("offset", "left", "right"):
+                same_bits(getattr(phi, part)[i], getattr(phi_i, part))
+            same_bits(phi(z)[i], phi_i(z[i]))
+            assert residuals[i] == affine_transport_identity_residual(dom, phi_i, z[i])
+            v_i = swap_involution(dom, w0[i])
+            for part in ("w0", "gl", "gr"):
+                same_bits(getattr(v, part)[i], getattr(v_i, part))
+            same_bits(swapped[i], v_i(z[i]))
+            for block in "abcd":
+                same_bits(getattr(lft, block)[i], getattr(v_i.as_lft(), block))
+            fold_i = compose_symmetries_affine(dom, z[i], y[i])
+            for part in ("base", "offset", "left", "right"):
+                same_bits(getattr(fold, part)[i], getattr(fold_i, part))
+            same_bits(fold(z)[i], fold_i(z[i]))
+            same_bits(direct[i], symmetry_direct(dom, y[i], z[i]))
+        # a midpoint needs ||x (w - z)|| < 1: the end points are pulled towards z
+        w = z + 0.2 * (y - z) / np.maximum(1.0, operator_norm(dom.kernel_at(z) @ (y - z)))[:, None, None]
+        midpoints = find_midpoint(dom, z, w)
+        for i in range(3):
+            same_bits(midpoints[i], find_midpoint(dom, z[i], w[i]))
+    # a stacked evaluation flags a point where c z + d is singular, which one call raises
+    dom = invertibles_domain(full_space(2, 2))
+    z = np.stack([np.eye(2), np.diag([1.0, 0.0])]).astype(complex)
+    values, singular = symmetry_direct(dom, dom.z0, z)
+    images, flagged = swap_involution(dom, dom.z0)(z)
+    assert singular.tolist() == flagged.tolist() == [False, True]
+    assert np.isnan(values[1]).all() and np.isnan(images[1]).all()
+    for evaluate in (lambda p: symmetry_direct(dom, dom.z0, p), swap_involution(dom, dom.z0)):
+        same_bits(evaluate(z)[0][0], evaluate(z[0]))
+        with pytest.raises(SingularMatrixError, match="c z \\+ d is singular"):
+            evaluate(z[1])
+
+
+def test_stacked_margins_are_the_margins_of_each_item():
+    rng = np.random.default_rng(82)
+    e = np.diag([1.0, 0.0]).astype(complex)
+    j = signature_from_projection(e)
+    z = np.stack([random_pg_member(rng, e) for _ in range(4)])
+    assert ball_margin(z).tolist() == [ball_margin(item) for item in z]
+    assert form_margin(z, j).tolist() == [form_margin(item, j) for item in z]
+
+
+def test_a_stack_of_transports_raises_the_first_item_its_first_failing_check_flags():
+    # on the scalar invertibles at eq_tol 0.9 the targets 3 and 5 break the
+    # pull bound ||x0 (w0 - z0)|| < 1, which is checked first, and the target
+    # 0.5 puts I + (w0 - z0) x0 on the square root's cut
+    dom = scalar_domain(1.0, 0.0, 1.0)
+    dom = Domain(dom.space, dom.c, dom.d, dom.z0, Tolerance(0.9))
+    targets = {"ok": 1.2, "step": 3.0, "far": 5.0, "cut": 0.5}
+    cut = (
+        "matrix has an eigenvalue on the closed negative real axis; "
+        "the principal square root is not defined there"
+    )
+    alone = {
+        "step": (StepBoundError, "transport requires ||x0 (w0 - z0)|| < 1; got 2"),
+        "far": (StepBoundError, "transport requires ||x0 (w0 - z0)|| < 1; got 4"),
+        "cut": (SpectrumError, cut),
+    }
+    for build in (affine_transport, swap_involution):
+        for name, (kind, message) in alone.items():
+            with pytest.raises(kind) as exc:
+                build(dom, np.array([[targets[name]]]))
+            assert str(exc.value) == message
+        for order in (["ok", "cut", "step"], ["cut", "far", "step"], ["ok", "step", "far"], ["ok", "cut"]):
+            flagged = [i for i, t in enumerate(order) if t in ("step", "far")]
+            flagged = flagged or [i for i, t in enumerate(order) if t == "cut"]
+            kind, message = alone[order[flagged[0]]]
+            with pytest.raises(kind) as exc:
+                build(dom, np.array([[[targets[t]]] for t in order]))
+            assert str(exc.value) == message, order
+            if kind is SpectrumError:
+                assert exc.value.index == flagged[0], order
 
 
 # ---------------------------------------------------------------------------

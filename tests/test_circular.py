@@ -1,5 +1,6 @@
 """Tests for the circular domains: Siegel, exterior, ball, product, hyperbolic."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -469,6 +470,81 @@ def test_product_transport_builds_one_ball_automorphism(monkeypatch, dims):
     # two roots for M(b), one for R; M(-b) is M(b) with its off-diagonal blocks negated
     assert len(roots) == 3
     assert np.array_equal(t.m_inv, mobius_map(-t.b, spec.tol).coefficient_matrix())
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 1), (1, 3), (8, 8)], ids=str)
+def test_stacked_ball_product_and_siegel_maps_keep_the_bits_of_each_item(dims):
+    def same(stacked, alone):
+        assert np.asarray(stacked).tobytes() == np.asarray(alone).tobytes()
+
+    rng = np.random.default_rng(83)
+    spec = SiegelSpec(*dims)
+    b = np.stack([random_ball_point(rng, *dims, max_norm=0.85) for _ in range(3)])
+    z = np.stack([random_ball_point(rng, *dims, max_norm=0.95) for _ in range(3)])
+    t = mobius_map(b)
+    w, p = (np.stack([random_product_member(rng, spec) for _ in range(3)]) for _ in range(2))
+    transport = product_transitive(spec, w)
+    l = np.stack([random_j_unitary(rng, spec) for _ in range(3)])
+    u = np.stack([random_unitary(rng, spec.dim_h) for _ in range(3)])
+    s = np.stack([random_siegel_member(rng, spec) for _ in range(3)])
+    auto = siegel_linear_auto(spec, l, u)
+    for i in range(3):
+        t_i = mobius_map(b[i])
+        for block in "abcd":
+            same(getattr(t, block)[i], getattr(t_i, block))
+        transport_i = product_transitive(spec, w[i])
+        for part in ("b", "m", "r", "m_inv", "r_inv"):
+            same(getattr(transport, part)[i], getattr(transport_i, part))
+        same(transport(p)[i], transport_i(p[i]))
+        same(transport.inverse(p)[i], transport_i.inverse(p[i]))
+        assert product_member(spec, p)[i] == product_member(spec, p[i])
+        for part, part_i in zip(product_split(spec, p), product_split(spec, p[i])):
+            same(part[i], part_i)
+        auto_i = siegel_linear_auto(spec, l[i], u[i])
+        same(auto.l_inv[i], auto_i.l_inv)
+        same(auto(s)[i], auto_i(s[i]))
+        same(auto.inverse(s)[i], auto_i.inverse(s[i]))
+        assert siegel_member(spec, auto(s))[i] == siegel_member(spec, auto_i(s[i]))
+        same(siegel_gram(spec, s)[i], siegel_gram(spec, s[i]))
+        assert siegel_invariant_residual(spec, auto, 1.5)[i] == siegel_invariant_residual(spec, auto_i, 1.5)
+        same(cayley_map(spec, s)[i], cayley_map(spec, s[i]))
+    # product membership judges each item of a stack
+    outsider = np.concatenate([p[:1], np.zeros((1, *spec.shape))])
+    assert product_member(spec, outsider).tolist() == [True, False]
+
+
+def test_a_stack_of_ball_maps_or_transports_raises_the_first_item_its_first_failing_check_flags():
+    # at eq_tol 0.9, b = 2 and 3 leave the ball, which is checked first, and
+    # b = 0.5 puts I - b b* = 0.75 on the square root's cut
+    tol = Tolerance(0.9)
+    cut = (
+        "matrix has an eigenvalue on the closed negative real axis; "
+        "the principal square root is not defined there"
+    )
+    alone = {
+        "out": (HypothesisError, "mobius parameter needs ||b|| < 1; got 2"),
+        "far": (HypothesisError, "mobius parameter needs ||b|| < 1; got 3"),
+        "cut": (SpectrumError, cut),
+    }
+    values = {"ok": 0.1, "out": 2.0, "far": 3.0, "cut": 0.5}
+    for name, (kind, message) in alone.items():
+        with pytest.raises(kind, match="^" + re.escape(message) + "$"):
+            mobius_map(np.array([[values[name]]]), tol)
+    for order in (["ok", "cut", "out"], ["cut", "far", "out"], ["ok", "out", "far"], ["ok", "cut"]):
+        flagged = [i for i, v in enumerate(order) if v in ("out", "far")]
+        flagged = flagged or [i for i, v in enumerate(order) if v == "cut"]
+        kind, message = alone[order[flagged[0]]]
+        with pytest.raises(kind) as exc:
+            mobius_map(np.array([[[values[v]]] for v in order]), tol)
+        assert str(exc.value) == message, order
+    # a transport checks membership before it takes a root: a non-member
+    # anywhere in the stack raises, though an earlier member meets the cut
+    spec = SiegelSpec(1, 1, tol)
+    member = np.array([[1.0], [2.0]], dtype=complex)
+    with pytest.raises(SpectrumError):
+        product_transitive(spec, member)
+    with pytest.raises(HypothesisError, match="w is not a member"):
+        product_transitive(spec, np.stack([member, np.array([[2.0], [0.5]])]))
 
 
 # ---------------------------------------------------------------------------

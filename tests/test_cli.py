@@ -523,9 +523,34 @@ def test_trials_are_judged_once_in_stacks_in_draw_order(monkeypatch, judge_fails
     assert seen == judged
 
 
+# the rows whose suites judge their trials in stacks, as CHECK_BATCH bounds them
+STACKED_ROWS = (
+    "symmetry-involution", "symmetry-dual-route", "midpoint-swap", "chain-transitivity",
+    "affine-pair-fold", "affine-transport", "swap-involution", "potapov-ginzburg",
+    "determinant-membership", "siegel-stacked", "mobius-ball", "product-transport",
+)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_stacked_row_does_not_depend_on_the_stack_size(monkeypatch, seed):
+    # a default verify never fills a stack in these rows; stacks of 3 split
+    # every domain's trials across many stacks
+    config = verify.RunConfig(seed=seed, trials=5)
+    indices = [i for i, (name, _, _) in enumerate(verify.SUITES) if name in STACKED_ROWS]
+    assert len(indices) == len(STACKED_ROWS)
+
+    def rows():
+        return [dict(verify.suite_row(config, i), elapsed=0.0) for i in indices]
+
+    whole = rows()
+    monkeypatch.setattr(verify, "CHECK_BATCH", 3)
+    assert rows() == whole
+
+
 def test_a_coarse_verify_keeps_the_anchors_of_its_aborted_rows():
-    # at eq_tol 0.9 symmetry-involution aborts where its judge finds a stacked
-    # image singular, and chain-transitivity from a stack of midpoints whose
+    # at eq_tol 0.9 symmetry-involution and symmetry-dual-route abort where
+    # their judges find a stacked image singular, through invert as a single
+    # call does, and chain-transitivity from a stack of midpoints whose
     # square root meets the cut
     def singular(message, frame="invert, linalg"):
         return f"suite aborted: SingularMatrixError: {message} (in {frame}.py)"
@@ -536,7 +561,7 @@ def test_a_coarse_verify_keeps_the_anchors_of_its_aborted_rows():
         "the principal square root is not defined there (in principal_sqrt, linalg.py)"
     )
     aborted = {
-        "symmetry-involution": singular(lft, "_regular, verify"),
+        "symmetry-involution": singular(lft),
         "symmetry-dual-route": singular(lft),
         "midpoint-swap": cut,
         "chain-transitivity": cut,

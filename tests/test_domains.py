@@ -1,5 +1,7 @@
 """Tests for LFT maps, domain specs, membership, and the stock constructors."""
 
+import traceback
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from lftdom import (
     invert,
     invertibles_domain,
     lft_apply,
+    lft_images,
     operator_norm,
     projection_domain,
     quadric_domain,
@@ -28,6 +31,7 @@ from lftdom import (
     upper_triangular_space,
     whole_space_domain,
 )
+from lftdom.domains import LFT_SINGULAR
 from lftdom.sampling import random_domain_member
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -142,10 +146,21 @@ def test_a_stack_of_maps_gives_each_item_the_bits_of_its_call_alone(k, h):
         assert images[i].tobytes() == lft_apply(t, zi).tobytes()
         # a single call keeps the bits of the formula written out
         assert lft_apply(t, zi).tobytes() == ((t.a @ zi + t.b) @ invert(t.c @ zi + t.d, t.tol, "")).tobytes()
+    # lft_images gives lft_apply's images, and raises its error, through
+    # invert, where the stack has a singular item
+    regular = [0, 1, 2, 4, 5]
+    images_only = lft_images(stacked([maps[i] for i in regular]), z[regular])
+    assert images_only.tobytes() == images[regular].tobytes()
+    assert lft_images(maps[0], z[0]).tobytes() == lft_apply(maps[0], z[0]).tobytes()
+    with pytest.raises(SingularMatrixError) as exc:
+        lft_images(stacked(maps), z)
+    assert str(exc.value) == LFT_SINGULAR
+    assert traceback.extract_tb(exc.value.__traceback__)[-1].name == "invert"
     # a stack of maps takes exactly its own number of points
     for bad in (z[0], z[:5], z[None]):
-        with pytest.raises(ShapeError):
-            lft_apply(stacked(maps), bad)
+        for evaluate in (lft_apply, lft_images):
+            with pytest.raises(ShapeError):
+                evaluate(stacked(maps), bad)
 
 
 def test_coefficient_matrices_are_assembled_as_blocks_also_on_a_stack():

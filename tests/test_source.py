@@ -143,6 +143,16 @@ def test_only_invert_turns_a_singular_verdict_into_an_error():
             ):
                 sites.append((module, fn.name, node.lineno))
     assert [(module, fn) for module, fn, _ in sites] == [("linalg.py", "invert")], sites
+    # a stacked verdict becomes lft_apply's error through invert too, in
+    # lft_images: nothing raises SingularMatrixError(LFT_SINGULAR) by hand
+    by_hand = [
+        (module, owner, node.lineno)
+        for module, owner, node in package_nodes()
+        if isinstance(node, ast.Raise)
+        and calls(node.exc, {"SingularMatrixError"})
+        and any((dotted(arg) or "").split(".")[-1] == "LFT_SINGULAR" for arg in node.exc.args)
+    ]
+    assert by_hand == []
 
 
 def test_domain_bound_functions_take_no_tolerance():
