@@ -13,7 +13,9 @@ norm and every smallest singular value in the package is taken here, by
 ``operator_norm`` and ``singular_test``, or both ends of one spectrum by
 ``singular_range``; ``ball_roots`` takes ||b|| from the SVD its roots use.
 
-The invertibility verdict is the package's hottest kernel, so
+The invertibility verdict is the package's hottest kernel. ``try_invert``
+inverts first and runs the SVD only on the items whose inverse does not
+prove them regular (its docstring gives the proof), and
 ``singular_test`` and ``try_invert`` call LAPACK's gufuncs in
 ``numpy.linalg._umath_linalg`` directly, not through ``numpy.linalg.svd``
 and ``numpy.linalg.inv``, whose per-call promotion, dispatch and
@@ -55,6 +57,7 @@ and ``HyperbolicSpec``, whose orthocomplement is numpy's SVD, never load it.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -65,6 +68,10 @@ SERIES_TERM_CAP = 10_000
 # most powers of w in one SeriesTable
 SERIES_BLOCK_CAP = 128
 SERIES_TOL = 1e-12
+# try_invert's certificate: the LU residual bound it allows, and the largest
+# Frobenius condition number ||A|| ||X|| it certifies at any side
+CERTIFY_RESIDUAL = 0.05
+CERTIFY_KAPPA = 1e6
 
 
 @dataclass(frozen=True)
@@ -160,10 +167,10 @@ def hermitian_margin(m):
 
 
 def _require_square(z, who, stack=False):
-    """z as a complex square matrix, or with ``stack`` also an (..., n, n) stack of them."""
+    """z as a complex square matrix of side n >= 1, or with ``stack`` also an (..., n, n) stack of them."""
     z = np.asarray(z, dtype=complex)
-    if z.ndim < 2 or (z.ndim > 2 and not stack) or z.shape[-2] != z.shape[-1]:
-        raise ShapeError(f"{who} requires a square matrix, got shape {z.shape}")
+    if z.ndim < 2 or (z.ndim > 2 and not stack) or z.shape[-2] != z.shape[-1] or z.shape[-1] == 0:
+        raise ShapeError(f"{who} requires a nonempty square matrix, got shape {z.shape}")
     return z
 
 
@@ -171,11 +178,13 @@ def singular_test(z, tol=DEFAULT_TOL):
     """(smin, singular): the smallest singular value of ``z`` and whether it is not above ``tol.inv_tol``.
 
     On an (..., n, n) stack both are per item, from one stacked SVD. This is
-    the package's one invertibility threshold. ``try_invert`` inverts what it
-    passes, and differs from it only where LAPACK's LU meets an exact zero
-    pivot: there it gives the singular verdict. A NaN smin, from an inf or NaN
-    entry, is singular. A NaN entry also sets numpy's invalid flag, so here,
-    unlike in ``try_invert``, it warns "invalid value encountered in svd".
+    the package's one invertibility threshold. ``try_invert`` runs it only on
+    the items whose inverse does not already prove them regular, a proof that
+    implies this test passes them too, and its verdict differs from this one
+    only where LAPACK's LU meets an exact zero pivot: there it is singular. A
+    NaN smin, from an inf or NaN entry, is singular. A NaN entry also sets
+    numpy's invalid flag, so here, unlike in ``try_invert``, it warns
+    "invalid value encountered in svd".
     """
     return _singular_test(_require_square(z, "singular_test", stack=True), tol)
 
@@ -197,28 +206,90 @@ def try_invert(z, tol=DEFAULT_TOL):
     per-item verdict and ``inverses`` holds each regular item's inverse, NaN
     at singular items. Each item gets exactly the verdict and the inverse of
     a call on it alone. Non-square input raises ShapeError.
+
+    Every item is inverted first (LU with partial pivoting, the ``inv``
+    gufunc), and the SVD runs only on the items its inverse X cannot
+    certify. An item is certified regular when, with Frobenius norms,
+    ||X|| inv_tol < 1/2 and ||A|| ||X|| < ``_kappa_cap(n)``, both finite.
+    Then ``singular_test`` would call it regular too, so no verdict differs
+    from the SVD route and every inverse is the gufunc's own:
+
+    - Solving A X = I by the LU gives |I - A X| <= g |L||U||X| with
+      g = gamma_{3n} in real arithmetic (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2002, Thm. 9.4 and sec. 14.3); g = 9 n u / (1 - 9 n u)
+      covers complex arithmetic's sqrt(2) gamma_2 products and
+      sqrt(2) gamma_4 quotients (sec. 3.6).
+    - LAPACK pivots on |Re| + |Im|, so |l_ij| <= sqrt(2): ||L|| <= n and
+      ||U|| <= sqrt(n (n + 1) / 2) rho ||A|| with growth rho <= (1 + sqrt(2))^(n-1).
+      So eta = ||I - A X|| <= g n sqrt(n (n + 1) / 2) rho ||A|| ||X||, and the
+      cap keeps eta <= CERTIFY_RESIDUAL = 0.05 at the worst growth.
+    - A X = I - R with ||R|| <= eta < 1, so ||A^-1|| <= ||X|| / (1 - eta) and
+      smin(A) >= (1 - eta) / ||X|| > 0.95 * 2 inv_tol = 1.9 inv_tol, and
+      kappa_2(A) < CERTIFY_KAPPA / 0.95.
+    - The SVD is backward stable: its smin is within p(n) u ||A|| <=
+      p(n) u kappa_2 smin(A) of the exact one. At CERTIFY_KAPPA = 1e6 that is
+      below 0.47 smin(A) for any p(n) < 4e9, so the computed smin stays above
+      1.9 * 0.53 inv_tol > inv_tol.
+
+    The cap is CERTIFY_KAPPA up to n = 12 and falls below 1 from n = 27,
+    where nothing is certified. The squared norms and their products are
+    formed in floating point: an overflow gives inf and an inf or NaN
+    (a non-finite X, or an exact zero pivot) fails the comparison, and an
+    underflow happens only where the product it feeds is far below its
+    bound. Every item not certified takes the SVD route: singular where
+    ``singular_test`` says so or where the LU gave NaN.
     """
     z = _require_square(z, "try_invert", stack=True)
-    # the SVD of an item with a NaN entry, and the LU of one with an exact
-    # zero pivot, set the invalid flag; both items get the singular verdict
-    with np.errstate(invalid="ignore"):
-        _, singular = _singular_test(z, tol)
+    # the LU of an item with an exact zero pivot, and the SVD of one with a
+    # NaN entry, set the invalid flag, and the LU and the norms of a
+    # near-singular item may overflow; the verdict covers all of them
+    with np.errstate(invalid="ignore", over="ignore"):
+        # an item whose LU fails comes back all NaN
+        inverses = _umath_linalg.inv(z, signature="D->D")
         if z.ndim == 2:
-            if singular:
-                return None
-            some = False
-        else:
-            some = singular.any()
-        # only the regular items are inverted: a singular one may have no
-        # inverse. An item whose LU fails comes back all NaN.
-        inverses = _umath_linalg.inv(z[~singular] if some else z, signature="D->D")
-    if z.ndim == 2:
-        return None if cmath.isnan(inverses[0, 0]) else inverses
-    if some:
-        inverses, regular = np.full(z.shape, np.nan, dtype=complex), inverses
-        inverses[~singular] = regular
+            if _certified(z, inverses, tol):
+                return inverses
+            return None if _singular_test(z, tol)[1] or cmath.isnan(inverses[0, 0]) else inverses
+        certified = _certified(z, inverses, tol)
+        # count_nonzero is the cheapest whole-stack test
+        if np.count_nonzero(certified) < certified.size:
+            # the items left open take the SVD's verdict
+            singular = ~certified
+            singular[singular] = _singular_test(z[singular], tol)[1]
+            inverses[singular] = np.nan
     # NaN at [0, 0] marks the items judged singular and those whose LU failed
     return inverses, np.isnan(inverses[..., 0, 0])
+
+
+def _certified(z, inverses, tol):
+    """Whether ``inverses`` proves each item of ``z`` regular (``try_invert``'s certificate)."""
+    # ||X||^2 inv_tol^2 < 1/4 and (||A|| ||X||)^2 < cap^2; an inv_tol^2 that
+    # underflows to 0 leaves only the second test, and rightly: it takes an
+    # inv_tol below 1.5e-162, and a finite ||X||^2 an ||X|| below 1.4e154
+    n = z.shape[-1]
+    inv_tol2 = tol.inv_tol * tol.inv_tol
+    x_max2 = 0.25 / inv_tol2 if inv_tol2 else math.inf
+    cap2 = _kappa_cap(n) ** 2
+    if z.ndim == 2:
+        x2 = np.vdot(inverses, inverses).real
+        return x2 < x_max2 and x2 * np.vdot(z, z).real < cap2
+    items = z.shape[:-2] + (n * n,)
+    z, inverses = z.reshape(items), inverses.reshape(items)
+    x2 = np.vecdot(inverses, inverses).real
+    return (x2 < x_max2) & (x2 * np.vecdot(z, z).real < cap2)
+
+
+@cache
+def _kappa_cap(n):
+    """The largest ||A|| ||X|| that ``try_invert`` certifies at side n.
+
+    CERTIFY_KAPPA, or less where the LU residual bound needs it.
+    """
+    u = 2.0**-53
+    g = 9 * n * u / (1 - 9 * n * u)
+    # log form: (1 + sqrt(2))^(n-1) overflows a float from n = 806
+    log_bound = math.log(g * n * math.sqrt(n * (n + 1) / 2)) + (n - 1) * math.log1p(math.sqrt(2))
+    return min(CERTIFY_KAPPA, CERTIFY_RESIDUAL * math.exp(-log_bound))
 
 
 def invert(z, tol, message):

@@ -7,8 +7,23 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
-from lftdom import SingularMatrixError, Tolerance, full_space, jsonio, verify, whole_space_domain
+from lftdom import (
+    DEFAULT_TOL,
+    SingularMatrixError,
+    Tolerance,
+    automorphisms,
+    circular,
+    domains,
+    full_space,
+    jsonio,
+    linalg,
+    sampling,
+    singular_test,
+    verify,
+    whole_space_domain,
+)
 from lftdom.cli import main
 from lftdom.domains import LFTMap, lft_apply
 
@@ -577,6 +592,36 @@ def test_a_coarse_verify_keeps_the_anchors_of_its_aborted_rows():
     for row in report["suites"]:
         assert row["anchor"] == aborted.get(row["name"], claims[row["name"]]), row["name"]
     assert sum(row["anchor"].startswith("suite aborted:") for row in report["suites"]) == 10
+
+
+def test_every_verdict_of_a_verify_run_agrees_with_singular_test(monkeypatch):
+    # try_invert certifies most items from their inverse and sends the rest
+    # to the SVD; on verify's own traffic, in-process so that a spy sees every
+    # call, each verdict is singular_test's, or singular where the LU gave NaN
+    use_cpus(monkeypatch, 1)
+    real = linalg.try_invert
+    verdicts, disagreements = [], []
+
+    def spy(z, tol=DEFAULT_TOL):
+        result = real(z, tol)
+        z = np.asarray(z, dtype=complex)
+        singular = np.array(result is None) if z.ndim == 2 else result[1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            lu_failed = np.isnan(_umath_linalg.inv(z, signature="D->D")[..., 0, 0])
+            expected = singular_test(z, tol)[1] | lu_failed
+        verdicts.extend(singular.ravel().tolist())
+        if not np.array_equal(singular, expected):
+            disagreements.append(z)
+        return result
+
+    for module in (linalg, domains, automorphisms, circular, sampling, verify):
+        if hasattr(module, "try_invert"):
+            monkeypatch.setattr(module, "try_invert", spy)
+    for tol in (DEFAULT_TOL, Tolerance(0.9)):
+        verify.run_verify(verify.RunConfig(trials=5, tol=tol))
+    assert disagreements == []
+    # trials 5 gives 4,144 regular and 12 singular items
+    assert verdicts.count(False) > 1000 and verdicts.count(True) > 0
 
 
 def test_demo_runs_every_example(capsys):

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from lftdom import (
     DEFAULT_TOL,
@@ -25,6 +26,7 @@ from lftdom import (
     full_space,
     invert,
     invertibles_domain,
+    linalg,
     liouville_curve,
     operator_norm,
     principal_sqrt,
@@ -204,7 +206,8 @@ def test_stacked_try_invert_on_an_all_singular_stack():
 
 
 def test_stacked_try_invert_rejects_non_square_stacks():
-    for shape in ((5, 2, 3), (2, 2, 1, 3), (3,)):
+    # a 0 x 0 matrix has no side, so the certificate has no cap for it
+    for shape in ((5, 2, 3), (2, 2, 1, 3), (3,), (0, 0), (3, 0, 0)):
         with pytest.raises(ShapeError):
             try_invert(np.ones(shape, dtype=complex))
         with pytest.raises(ShapeError):
@@ -299,6 +302,146 @@ def test_a_non_finite_entry_is_a_singular_verdict():
         nan_entry = np.array([[1.0, 1.0], [1.0, np.nan]], dtype=complex)
         assert try_invert(nan_entry) is None
         assert try_invert(np.stack([eye, nan_entry]))[1].tolist() == [False, True]
+
+
+def assert_the_verdict_contract(z, tol=DEFAULT_TOL):
+    """try_invert on z, a matrix or a stack, against its public contract, item by item.
+
+    An item is singular where singular_test says so or where LAPACK's LU
+    gave NaN, and a regular item's inverse has the bits of the inv gufunc
+    on that item; a stack gives every item the verdict and bits of a call
+    on it alone, and neither warns.
+    """
+    items = z.reshape(-1, *z.shape[-2:])
+    with np.errstate(invalid="ignore", over="ignore"):
+        lu = np.stack([_umath_linalg.inv(item, signature="D->D") for item in items])
+        expected = [bool(singular_test(item, tol)[1] or np.isnan(x[0, 0])) for item, x in zip(items, lu)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = [try_invert(item, tol) for item in items]
+        result = try_invert(z, tol) if z.ndim > 2 else None
+    assert [x is None for x in alone] == expected
+    for x, inverse in zip(alone, lu):
+        assert x is None or x.tobytes() == inverse.tobytes()
+    if result is not None:
+        inverses, singular = result
+        assert singular.shape == z.shape[:-2] and inverses.shape == z.shape
+        assert singular.ravel().tolist() == expected
+        flat = inverses.reshape(items.shape)
+        assert np.isnan(flat[singular.ravel()]).all()
+        assert flat[~singular.ravel()].tobytes() == lu[~np.array(expected, dtype=bool)].tobytes()
+    return expected
+
+
+def unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def with_singular_values(rng, s):
+    """U diag(s) V* with random unitary U and V."""
+    return (unitary(rng, len(s)) * s) @ unitary(rng, len(s))
+
+
+def frobenius_condition(n, kappa):
+    """Singular values (t, 1, ..., 1) of side n whose ||A||_F ||A^-1||_F is kappa."""
+    # (t^2 + m)(1/t^2 + m) = kappa^2 with m = n - 1, a quadratic in t^2
+    m = n - 1
+    b = kappa**2 - 1 - m**2
+    return np.r_[math.sqrt((b + math.sqrt(b * b - 4 * m * m)) / (2 * m)), np.ones(m)]
+
+
+@pytest.fixture
+def svd_items(monkeypatch):
+    """A function giving the item count of each SVD that one try_invert call runs."""
+    seen = []
+    real = linalg._singular_test
+
+    def spy(z, tol):
+        seen.append(z.size // z.shape[-1] ** 2)
+        return real(z, tol)
+
+    def of(z, tol=DEFAULT_TOL):
+        seen.clear()
+        try_invert(z, tol)
+        return list(seen)
+
+    monkeypatch.setattr(linalg, "_singular_test", spy)
+    return of
+
+
+def test_the_inverse_certificate_keeps_every_verdict_and_bit(svd_items):
+    rng = np.random.default_rng(38)
+    inv_tol = DEFAULT_TOL.inv_tol
+    items = []
+    for n in (1, 2, 3, 5, 8, 16):
+        for scale in (1.0 - 1e-9, 1.0 + 1e-9):
+            # the smallest singular value at inv_tol, and every singular value
+            # at inv_tol or at the edge ||X|| inv_tol = 1/2 of the certificate
+            items.append(with_singular_values(rng, np.r_[np.ones(n - 1), scale * inv_tol]))
+            for edge in (1.0, 2.0 * math.sqrt(n)):
+                items.append(scale * edge * inv_tol * unitary(rng, n))
+    for item in items:
+        assert_the_verdict_contract(item)
+    # both routes run: some items are certified, the others go to the SVD
+    routes = [svd_items(item) for item in items]
+    assert [] in routes and [1] in routes
+    # the cap follows LU's worst growth: CERTIFY_KAPPA up to n = 12, below 1 from n = 27
+    assert linalg._kappa_cap(12) == linalg.CERTIFY_KAPPA > linalg._kappa_cap(13)
+    assert linalg._kappa_cap(26) > 1.0 > linalg._kappa_cap(27) > linalg._kappa_cap(2000) >= 0.0
+    # the Frobenius condition number on both sides of the cap
+    for n in (2, 13, 16):
+        cap = linalg._kappa_cap(n)
+        below, above = (with_singular_values(rng, frobenius_condition(n, f * cap)) for f in (0.999, 1.001))
+        assert assert_the_verdict_contract(below) == [False] and svd_items(below) == []
+        assert assert_the_verdict_contract(above) == [False] and svd_items(above) == [1]
+    # Wilkinson's matrix: LU with partial pivoting grows its last pivot to 2^15
+    wilkinson = np.eye(16) - np.tril(np.ones((16, 16)), -1)
+    wilkinson[:, -1] = 1.0
+    wilkinson = wilkinson.astype(complex)
+    assert assert_the_verdict_contract(wilkinson) == [False] and svd_items(wilkinson) == []
+    # far from 1 in scale, subnormal, and an exact zero pivot whose SVD reads regular
+    regular = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3)) + 2 * np.eye(3)
+    odd = [
+        1e150 * regular,
+        1e-150 * regular,
+        1e160 * regular,
+        1e-160 * regular,
+        1e-310 * np.eye(3, dtype=complex),
+        np.diag([1.0, 1e-310, 1.0]).astype(complex),
+        regular + 5e-324,
+        np.array([[1.0, 5e-324], [5e-324, 1e-308]], dtype=complex),
+        1e6 * np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex),
+    ]
+    verdicts = [assert_the_verdict_contract(item) for item in odd]
+    assert verdicts[0] == [False] and verdicts[1] == [True] and verdicts[-1] == [True]
+    # stacks: one item each of the cases above, beside regular items, in a (2, 5, n, n) grid
+    for n in (2, 3, 16):
+        same_side = [item for item in items + odd if item.shape == (n, n)]
+        grid = np.concatenate([np.stack(same_side), rng.uniform(-1, 1, (10, n, n)) + 0j])[:10]
+        grid = grid.reshape(2, 5, n, n)
+        assert any(assert_the_verdict_contract(grid))
+        # one SVD, of the items the certificate leaves open
+        assert [0 < k < 10 for k in svd_items(grid)] == [True]
+
+
+def test_each_condition_of_the_certificate_decides_an_input(svd_items):
+    inv_tol = DEFAULT_TOL.inv_tol
+    decided = {
+        # ||A|| ||X|| = 2 is far below the cap; ||X|| inv_tol = 14 is not below 1/2
+        "inverse norm": 1e-11 * np.eye(2, dtype=complex),
+        # ||X|| inv_tol = 0.17; ||A|| ||X|| = 3.7e16 is above the cap, and the
+        # SVD's smin of this matrix (4/3 rounded, so not exactly singular) is 0
+        "condition": 1e7 * np.array([[1.0, 0.75], [4.0 / 3.0, 1.0]], dtype=complex),
+    }
+    for name, a in decided.items():
+        x = _umath_linalg.inv(a, signature="D->D")
+        x_norm, a_norm = np.linalg.norm(x), np.linalg.norm(a)
+        passes = {"inverse norm": x_norm * inv_tol < 0.5, "condition": a_norm * x_norm < linalg._kappa_cap(2)}
+        # the other condition alone would certify an item the SVD calls singular
+        assert not passes[name] and all(v for k, v in passes.items() if k != name), name
+        assert singular_test(a)[1]
+        assert try_invert(a) is None and svd_items(a) == [1]
 
 
 def test_principal_sqrt_on_diagonalizable_inputs():
