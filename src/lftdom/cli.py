@@ -33,6 +33,11 @@ from .circular import (
 from .verify import RunConfig, run_verify, example_domains
 from . import __version__
 
+# least --tol: the smallest decade at which every verify check holds in
+# double precision; at 1e-15 the square-root transport and the Siegel
+# unitarity test already fail
+MIN_TOL = 1e-14
+
 
 def _add_flags(parser, run=True, trials=True):
     """Add the flags a subcommand reads: the run flags (--trials with trials), --tol and --out."""
@@ -78,6 +83,8 @@ def _tol_from_args(args):
         return DEFAULT_TOL
     if not (0.0 < args.tol < 1.0):
         raise ValueError("--tol must lie strictly between 0 and 1")
+    if args.tol < MIN_TOL:
+        raise ValueError(f"--tol must be at least {MIN_TOL:g}, where every check can hold")
     return Tolerance(args.tol)
 
 

@@ -2,18 +2,24 @@
 
 Each suite draws from its own generator seeded by (seed, suite index), runs a
 fixed number of randomized checks against a tracker, and returns how many
-trials it ran. suite_row times one suite and turns its tracker into a report
-row: the worst residual seen, whether every check held, and the identity
-checked. No suite reads another's draws or results, so run_verify computes
-the rows in worker processes forked from the caller, one per usable CPU up to
-one per suite, on Linux, and in the caller's process elsewhere; the report is
-the same either way. A row's elapsed time is its suite's own time in its
-worker, so the rows can sum to more than the wall time. The command line
-front end renders the rows; callers that want programmatic access use
-run_verify directly.
+trials it ran. Twelve suites judge their trials in stacks. A suite over the
+example domains takes the domains in turn and gives each the share of the
+trials that dealing them out one by one would; it draws a domain's trials at
+most CHECK_BATCH at a time and judges each such stack at once. A trial's
+draws stay together in the stream, so only an aborted row's error can depend
+on CHECK_BATCH. The other stacked suites split their trials the same way;
+six suites judge one trial at a time. suite_row times one suite and turns its
+tracker into a report row: the worst residual seen, whether every check held,
+and the identity checked. No suite reads another's draws or results, so
+run_verify computes the rows in worker processes forked from the caller, one
+per usable CPU up to one per suite, on Linux, and in the caller's process
+elsewhere; the report is the same either way. A row's elapsed time is its
+suite's own time in its worker, so the rows can sum to more than the wall
+time. The command line front end renders the rows; callers that want
+programmatic access use run_verify directly.
 """
 
-import itertools
+import functools
 import math
 import os
 import sys
@@ -158,59 +164,43 @@ def example_domains(config):
     return items
 
 
-def _judge_in_stacks(judge, trials):
-    """Judge the trials of an iterable, in draw order, in stacks of at most CHECK_BATCH.
-
-    A trial is a sequence whose first item is its domain; ``judge`` checks a
-    list of them once, one domain's trials at a time (``_by_domain``). An
-    error of the judge or of a draw ends the suite, and the trials drawn but
-    not yet judged are dropped.
-    """
-    trials = iter(trials)
-    while stack := list(itertools.islice(trials, CHECK_BATCH)):
-        judge(stack)
+def _shares(domains, trials):
+    """(domain, count) for each domain in turn: its share of ``trials`` dealt out one by one."""
+    n = len(domains)
+    return [(dom, trials // n + (i < trials % n)) for i, dom in enumerate(domains)]
 
 
-def _by_domain(trials):
-    """(domain, columns) for each domain of the trials: column i holds item i + 1 of each of its trials."""
-    groups = {}
-    for dom, *items in trials:
-        groups.setdefault(dom, []).append(items)
-    return [(dom, list(zip(*items))) for dom, items in groups.items()]
+def _stacks(count):
+    """The indices of ``count`` trials in turn, split into stacks of at most CHECK_BATCH."""
+    return [range(start, min(start + CHECK_BATCH, count)) for start in range(0, count, CHECK_BATCH)]
 
 
-def _member_pair(rng, dom):
-    return samp.sample_members(rng, dom, 2, margin=0.05)
+def _columns(draws):
+    """One stack per item of the trials' draws, in trial order."""
+    return (np.stack(column) for column in zip(*draws))
 
 
-def _pair_draws(rng, domains, trials):
-    """(domain, y, z) per trial, a member pair of each domain in turn."""
-    for i in range(trials):
-        dom = domains[i % len(domains)]
-        yield (dom, *_member_pair(rng, dom))
-
-
-def _transport_draws(rng, domains, trials):
-    """(domain, w0, z) per trial, of each domain in turn: a target in reach, then a member."""
-    for i in range(trials):
-        dom = domains[i % len(domains)]
-        w0 = samp.random_target_in_reach(rng, dom)
-        yield dom, w0, _member_pair(rng, dom)[0]
+def _targets_and_members(rng, dom, stack):
+    """(w0, z) stacks of a stack's trials, each a target in reach and then a member."""
+    return _columns(
+        (samp.random_target_in_reach(rng, dom), samp.sample_members(rng, dom, 1, margin=0.05)[0])
+        for _ in stack
+    )
 
 
 def suite_symmetry(config, rng, track):
     """Involution, fixed point, coefficient involution, and derivative checks."""
-    domains = example_domains(config)
     trials = 4 * config.trials
-
-    def judge(batch):
-        for dom, columns in _by_domain(batch):
-            y, z, direction = (np.stack(column) for column in columns)
+    for dom, share in _shares(example_domains(config), trials):
+        for stack in _stacks(share):
+            # each trial draws a member pair, then a direction
+            y, z, direction = _columns(
+                (*samp.sample_members(rng, dom, 2, margin=0.05),
+                 samp.random_space_member(rng, dom.space, scale=0.1))
+                for _ in stack
+            )
             u = symmetry_map(dom, y)
-
-            def image(points):
-                return lft_images(u, points)
-
+            image = functools.partial(lft_images, u)
             double = image(image(z))
             track.add_each(operator_norm(double - z), 1e-8 * (1.0 + operator_norm(z)))
             track.add_each(operator_norm(image(y) - y), 1e-10)
@@ -218,42 +208,31 @@ def suite_symmetry(config, rng, track):
             track.add_each(operator_norm(m @ m - np.eye(m.shape[-1])), 1e-10)
             deriv = _central_difference(image, y, direction)
             track.add_each(operator_norm(deriv + direction), 1e-6)
-
-    def draws():
-        for i in range(trials):
-            dom = domains[i % len(domains)]
-            y, z = _member_pair(rng, dom)
-            yield dom, y, z, samp.random_space_member(rng, dom.space, scale=0.1)
-
-    _judge_in_stacks(judge, draws())
     return trials
 
 
 def suite_symmetry_routes(config, rng, track):
     """The coefficient-block route against the direct resolvent formula."""
-    domains = example_domains(config)
     trials = 2 * config.trials
-
-    def judge(batch):
-        for dom, columns in _by_domain(batch):
-            y, z = (np.stack(column) for column in columns)
+    for dom, share in _shares(example_domains(config), trials):
+        for stack in _stacks(share):
+            # trial i takes members 2i and 2i + 1
+            members = samp.sample_members(rng, dom, 2 * len(stack), margin=0.05)
+            y, z = members[0::2], members[1::2]
             via_blocks = lft_images(symmetry_map(dom, y), z)
             # c z + d is invertible at every drawn member z, so no item is flagged
             direct, _ = symmetry_direct(dom, y, z)
             track.add_each(operator_norm(via_blocks - direct), 1e-9 * (1.0 + operator_norm(z)))
-
-    _judge_in_stacks(judge, _pair_draws(rng, domains, trials))
     return trials
 
 
 def suite_midpoint(config, rng, track):
     """A midpoint symmetry swaps its two endpoints."""
-    domains = example_domains(config)
     trials = 2 * config.trials
-
-    def judge(batch):
-        for dom, columns in _by_domain(batch):
-            z, w = (np.stack(column) for column in columns)
+    for dom, share in _shares(example_domains(config), trials):
+        for stack in _stacks(share):
+            members = samp.sample_members(rng, dom, 2 * len(stack), margin=0.05)
+            z, w = members[0::2], members[1::2]
             pull = operator_norm(dom.kernel_at(z) @ (w - z))
             # an end point beyond the step bound's reach is pulled in, and a
             # trial whose pulled-in end point is not a member is skipped
@@ -265,40 +244,21 @@ def suite_midpoint(config, rng, track):
             # the drawn z are members, so no item is flagged
             direct, _ = symmetry_direct(dom, y, z)
             track.add_each(operator_norm(direct - w), 1e-8 * (1.0 + operator_norm(w)))
-
-    _judge_in_stacks(judge, _pair_draws(rng, domains, trials))
     return trials
 
 
 def suite_chain(config, rng, track):
     """Transitive chains: composite reaches the target through domain points.
 
-    Each target is walked as it is drawn, since a failed walk draws another;
-    the chains are built and checked in stacks.
+    Each target is walked as it is drawn, since a failed walk draws another,
+    and a walked target's probes are drawn next; the chains are built and
+    checked in stacks.
     """
-    domains = example_domains(config)
     built = 0
-
-    def judge(batch):
-        for dom, (walks, probes) in _by_domain(batch):
-            chains = build_chains(dom, walks)
-            for chain in chains:
-                track.add(chain.residual, 1e-8)
-                track.require(chain.factor_count % 2 == 0)
-                track.require(all(s <= CHAIN_MARGIN + 1e-12 for s in chain.step_norms))
-            probes = np.stack(probes)
-            # a probe singular at some factor is skipped
-            pointwise, singular = apply_chains(chains, probes)
-            gaps = [
-                chain.affine(p[~dead]) - images[~dead]
-                for chain, p, images, dead in zip(chains, probes, pointwise, singular)
-            ]
-            track.add_each(operator_norm(np.concatenate(gaps)), 1e-9)
-
-    def draws():
-        nonlocal built
-        for dom in domains:
-            for _ in range(config.trials):
+    for dom in example_domains(config):
+        for stack in _stacks(config.trials):
+            walks, probes = [], []
+            for _ in stack:
                 walk = None
                 for _ in range(30):
                     target = samp.random_domain_member(rng, dom, margin=0.05)
@@ -310,21 +270,33 @@ def suite_chain(config, rng, track):
                 if walk is None:
                     track.require(False)
                     continue
-                built += 1
-                yield dom, walk, samp.sample_members(rng, dom, 20, margin=0.05)
-
-    _judge_in_stacks(judge, draws())
+                walks.append(walk)
+                probes.append(samp.sample_members(rng, dom, 20, margin=0.05))
+            if not walks:
+                continue
+            built += len(walks)
+            chains = build_chains(dom, walks)
+            for chain in chains:
+                track.add(chain.residual, 1e-8)
+                track.require(chain.factor_count % 2 == 0)
+                track.require(all(s <= CHAIN_MARGIN + 1e-12 for s in chain.step_norms))
+            # a probe singular at some factor is skipped
+            pointwise, singular = apply_chains(chains, np.stack(probes))
+            gaps = [
+                chain.affine(p[~dead]) - images[~dead]
+                for chain, p, images, dead in zip(chains, probes, pointwise, singular)
+            ]
+            track.add_each(operator_norm(np.concatenate(gaps)), 1e-9)
     return built
 
 
 def suite_affine_pairs(config, rng, track):
     """A pair of symmetries folds into one affine map."""
-    domains = example_domains(config)
     trials = 2 * config.trials
-
-    def judge(batch):
-        for dom, columns in _by_domain(batch):
-            y, w, z = (np.stack(column) for column in columns)
+    for dom, share in _shares(example_domains(config), trials):
+        for stack in _stacks(share):
+            members = samp.sample_members(rng, dom, 3 * len(stack), margin=0.05)
+            y, w, z = members[0::3], members[1::3], members[2::3]
             aff = compose_symmetries_affine(dom, w, y)
             # the drawn z are members; a trial whose U_Y(Z) is not is skipped
             inner, _ = symmetry_direct(dom, y, z)
@@ -334,45 +306,28 @@ def suite_affine_pairs(config, rng, track):
             track.add_each(
                 operator_norm(aff(z)[kept] - pointwise), 1e-9 * (1.0 + operator_norm(pointwise))
             )
-
-    def draws():
-        for i in range(trials):
-            dom = domains[i % len(domains)]
-            y, w = _member_pair(rng, dom)
-            z, _ = _member_pair(rng, dom)
-            yield dom, y, w, z
-
-    _judge_in_stacks(judge, draws())
     return trials
 
 
 def suite_transport(config, rng, track):
     """Square-root transport maps the base point and satisfies its identity."""
-    domains = example_domains(config)
     trials = 2 * config.trials
-
-    def judge(batch):
-        for dom, columns in _by_domain(batch):
-            w0, z = (np.stack(column) for column in columns)
+    for dom, share in _shares(example_domains(config), trials):
+        for stack in _stacks(share):
+            w0, z = _targets_and_members(rng, dom, stack)
             phi = affine_transport(dom, w0)
             track.add_each(operator_norm(phi(dom.z0) - w0), 1e-10 * (1.0 + operator_norm(w0)))
             track.add_each(affine_transport_identity_residual(dom, phi, z), 1e-9)
             track.require_each(dom.membership(phi(z)) == Verdict.MEMBER)
-
-    _judge_in_stacks(judge, _transport_draws(rng, domains, trials))
     return trials
 
 
 def suite_swap(config, rng, track):
     """The exchanging involution: self-inverse, swaps base and target."""
-    domains = example_domains(config)
     trials = 2 * config.trials
-    # the swap of each domain's base point with itself, built once
-    base_swaps = {}
-
-    def judge(batch):
-        for dom, columns in _by_domain(batch):
-            w0, z = (np.stack(column) for column in columns)
+    for dom, share in _shares(example_domains(config), trials):
+        for stack in _stacks(share):
+            w0, z = _targets_and_members(rng, dom, stack)
             v = swap_involution(dom, w0)
             # c z + d is invertible at z0 and at every drawn member z, so no
             # item of their images is flagged
@@ -385,14 +340,10 @@ def suite_swap(config, rng, track):
             track.add_each(
                 operator_norm(back[kept] - z[kept]), 1e-9 * (1.0 + operator_norm(z[kept]))
             )
-            if dom not in base_swaps:
-                base_swaps[dom] = swap_involution(dom, dom.z0)
-            at_z, _ = base_swaps[dom](z)
+            at_z, _ = swap_involution(dom, dom.z0)(z)
             direct, _ = symmetry_direct(dom, dom.z0, z)
             track.add_each(operator_norm(at_z - direct), 1e-9 * (1.0 + operator_norm(z)))
             track.add_each(operator_norm(lft_images(v.as_lft(), z) - image), 1e-8)
-
-    _judge_in_stacks(judge, _transport_draws(rng, domains, trials))
     return trials
 
 
@@ -430,28 +381,18 @@ def suite_potapov_ginzburg(config, rng, track):
         np.diag([1.0, 0.0]).astype(complex),
         np.eye(2, dtype=complex),
     ]
-    # (U_E, J) of each case, by its position in cases
-    maps = []
-
-    def judge(batch):
-        for case, (z,) in _by_domain(batch):
-            u, j = maps[case]
-            z = np.stack(z)
+    for e in cases:
+        u = potapov_ginzburg_map(e, tol)
+        m = u.coefficient_matrix()
+        track.add(operator_norm(m @ m - np.eye(4)), 1e-12)
+        j = signature_from_projection(e)
+        members = samp.sample_pg_members(rng, e, per_e, tol)
+        for stack in _stacks(per_e):
+            z = members[stack.start : stack.stop]
             image = lft_images(u, z)
             track.require_each(ball_margin(image) > 0.0)
             track.require_each(form_margin(z, j) > 0.0)
             track.add_each(operator_norm(lft_images(u, image) - z), 1e-9 * (1.0 + operator_norm(z)))
-
-    def draws():
-        for case, e in enumerate(cases):
-            u = potapov_ginzburg_map(e, tol)
-            m = u.coefficient_matrix()
-            track.add(operator_norm(m @ m - np.eye(4)), 1e-12)
-            maps.append((u, signature_from_projection(e)))
-            for z in samp.sample_pg_members(rng, e, per_e, tol):
-                yield case, z
-
-    _judge_in_stacks(judge, draws())
     return 3 * per_e
 
 
@@ -499,24 +440,12 @@ def suite_determinant(config, rng, track):
     band = 10.0 * tol.inv_tol
     outside_disagreements = 0
     checked = 0
-
-    def judge(batch):
-        nonlocal outside_disagreements, checked
-        for dom, (z,) in _by_domain(batch):
-            z = np.stack(z)
-            size = np.abs(det_membership(dom, z))
-            smin, singular = singular_test(dom.denominator(z), tol)
-            judged = ~((smin <= band) | (size <= band))
-            checked += int(judged.sum())
-            det_says = size > tol.inv_tol
-            # the two verdicts disagree
-            outside_disagreements += int((judged & (det_says == singular)).sum())
-
-    def draws():
-        for _ in range(3):
-            c, c_inv = samp.random_invertible_member(rng, space, tol)
-            dom = Domain(space, c, np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex), tol)
-            for sample in range(per_domain):
+    for _ in range(3):
+        c, c_inv = samp.random_invertible_member(rng, space, tol)
+        dom = Domain(space, c, np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex), tol)
+        for stack in _stacks(per_domain):
+            z = np.empty((len(stack), n, n), dtype=complex)
+            for item, sample in enumerate(stack):
                 if sample % 5 == 4:
                     raw = samp.random_matrix(rng, n, n)
                     uu, ss, vv = np.linalg.svd(raw)
@@ -524,12 +453,16 @@ def suite_determinant(config, rng, track):
                     sing = (uu * ss) @ vv
                     t = 10.0 ** rng.uniform(-12.0, -7.0)
                     den = sing + t * np.outer(uu[:, -1], vv[-1, :])
-                    z = c_inv @ (den - np.eye(n))
+                    z[item] = c_inv @ (den - np.eye(n))
                 else:
-                    z = samp.random_matrix(rng, n, n) * rng.uniform(0.1, 2.0)
-                yield dom, z
-
-    _judge_in_stacks(judge, draws())
+                    z[item] = samp.random_matrix(rng, n, n) * rng.uniform(0.1, 2.0)
+            size = np.abs(det_membership(dom, z))
+            smin, singular = singular_test(dom.denominator(z), tol)
+            judged = ~((smin <= band) | (size <= band))
+            checked += int(judged.sum())
+            det_says = size > tol.inv_tol
+            # the two verdicts disagree
+            outside_disagreements += int((judged & (det_says == singular)).sum())
     track.add(outside_disagreements, 0.0)
     return checked
 
@@ -578,9 +511,12 @@ def suite_siegel(config, rng, track):
     """Validated linear maps preserve the stacked domain; Cayley involutes."""
     spec = SiegelSpec(config.dim_k, config.dim_h, config.tol)
     trials = 2 * config.trials
-
-    def judge(batch):
-        l, u, z = (np.stack(column) for column in zip(*batch))
+    for stack in _stacks(trials):
+        l, u, z = _columns(
+            (_random_j_unitary(rng, spec.j), samp.random_unitary(rng, spec.dim_h),
+             samp.random_siegel_member(rng, spec))
+            for _ in stack
+        )
         auto = siegel_linear_auto(spec, l, u)
         image = auto(z)
         track.require_each(siegel_member(spec, image))
@@ -589,14 +525,6 @@ def suite_siegel(config, rng, track):
         tz = cayley_map(spec, z)
         track.add_each(operator_norm(cayley_map(spec, tz) - z), 1e-10 * (1.0 + operator_norm(z)))
         track.require_each(operator_norm(tz) < 1.0)
-
-    def draws():
-        for _ in range(trials):
-            l = _random_j_unitary(rng, spec.j)
-            u = samp.random_unitary(rng, spec.dim_h)
-            yield l, u, samp.random_siegel_member(rng, spec)
-
-    _judge_in_stacks(judge, draws())
     return trials
 
 
@@ -627,9 +555,12 @@ def suite_mobius(config, rng, track):
     k, h = config.dim_k, config.dim_h
     j = SiegelSpec(k, h).j
     trials = 2 * config.trials
-
-    def judge(batch):
-        b, z = (np.stack(column) for column in zip(*batch))
+    for stack in _stacks(trials):
+        b, z = _columns(
+            (samp.random_ball_point(rng, k, h, max_norm=0.85),
+             samp.random_ball_point(rng, k, h, max_norm=0.95))
+            for _ in stack
+        )
         t_b = mobius_map(b, tol)
         image = lft_images(t_b, z)
         track.require_each(operator_norm(image) < 1.0)
@@ -642,13 +573,6 @@ def suite_mobius(config, rng, track):
         # the spectral route stays one call per item: it is the oracle of the blocks
         direct = np.array([mobius_direct(bi, zi, tol) for bi, zi in zip(b, z)])
         track.add_each(operator_norm(direct - image), 1e-10)
-
-    def draws():
-        for _ in range(trials):
-            b = samp.random_ball_point(rng, k, h, max_norm=0.85)
-            yield b, samp.random_ball_point(rng, k, h, max_norm=0.95)
-
-    _judge_in_stacks(judge, draws())
     return trials
 
 
@@ -660,9 +584,11 @@ def suite_product(config, rng, track):
         np.eye(spec.dim_h, dtype=complex),
     )
     trials = 2 * config.trials
-
-    def judge(batch):
-        w, z = (np.stack(column) for column in zip(*batch))
+    for stack in _stacks(trials):
+        w, z = _columns(
+            (samp.random_product_member(rng, spec), samp.random_product_member(rng, spec))
+            for _ in stack
+        )
         transport = product_transitive(spec, w)
         track.add_each(operator_norm(transport(axis) - w), 1e-10 * (1.0 + operator_norm(w)))
         m = transport.m
@@ -673,13 +599,6 @@ def suite_product(config, rng, track):
         ball_part, inv_part = product_split(spec, image)
         track.require_each(operator_norm(ball_part) < 1.0)
         track.require_each(~try_invert(inv_part, spec.tol)[1])
-
-    def draws():
-        for _ in range(trials):
-            w = samp.random_product_member(rng, spec)
-            yield w, samp.random_product_member(rng, spec)
-
-    _judge_in_stacks(judge, draws())
     return trials
 
 

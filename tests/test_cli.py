@@ -12,6 +12,7 @@ from numpy.linalg import _umath_linalg
 from lftdom import (
     DEFAULT_TOL,
     SingularMatrixError,
+    StepBoundError,
     Tolerance,
     automorphisms,
     circular,
@@ -305,6 +306,10 @@ def test_usage_errors_exit_two(capsys):
     assert main(["verify", "--tol", "0"]) == 2
     err = capsys.readouterr().err
     assert "usage error:" in err and "between 0 and 1" in err
+    # below MIN_TOL the checks' bounds fall under double-precision rounding
+    assert main(["verify", "--tol", "1e-15"]) == 2
+    err = capsys.readouterr().err
+    assert "usage error:" in err and "at least 1e-14" in err
 
 
 def test_flags_belong_to_the_subcommand(capsys):
@@ -506,36 +511,87 @@ def test_each_pool_worker_runs_on_a_cpu_of_its_own(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "judge_fails, draw_fails, error, judged",
+    "count, sizes",
     [
-        # stacks of at most CHECK_BATCH, in draw order, each judged once
-        (6, None, "judge 6", [[0, 1, 2], [3, 4, 5], [6]]),
-        # a raising judge ends the suite with its error; no trial is judged again
-        (4, None, "judge 4", [[0, 1, 2], [3, 4, 5]]),
-        # a raising draw ends it with its own error; pending trial 4 is never judged
-        (4, 5, "draw 5", [[0, 1, 2]]),
-        # a stack judged before a draw raises has raised first
-        (1, 5, "judge 1", [[0, 1, 2]]),
+        (0, []),
+        (1, [1]),
+        (verify.CHECK_BATCH, [verify.CHECK_BATCH]),
+        (verify.CHECK_BATCH + 1, [verify.CHECK_BATCH, 1]),
     ],
-    ids=["draw-order", "judge-fails", "draw-fails", "judge-fails-before-draw"],
+    ids=["none", "one", "full", "one-over"],
 )
-def test_trials_are_judged_once_in_stacks_in_draw_order(monkeypatch, judge_fails, draw_fails, error, judged):
-    seen = []
+def test_stacks_split_the_trials_in_turn_at_most_check_batch_at_a_time(count, sizes):
+    stacks = verify._stacks(count)
+    assert [len(stack) for stack in stacks] == sizes
+    assert [i for stack in stacks for i in stack] == list(range(count))
 
-    def judge(stack):
-        seen.append([i for _, i in stack])
-        if judge_fails in seen[-1]:
-            raise ValueError(f"judge {judge_fails}")
 
-    def draw(i):
-        if i == draw_fails:
-            raise ValueError(f"draw {i}")
-        return "dom", i
-
+def test_each_domain_takes_its_round_robin_share_in_stacks(monkeypatch):
+    # trial i of a round robin over six domains would fall to domain i mod 6
     monkeypatch.setattr(verify, "CHECK_BATCH", 3)
-    with pytest.raises(ValueError, match=f"^{error}$"):
-        verify._judge_in_stacks(judge, map(draw, range(7)))
-    assert seen == judged
+    domains = ["a", "b", "c", "d", "e", "f"]
+    shares = verify._shares(domains, 100)
+    assert shares == list(zip(domains, [17, 17, 17, 17, 16, 16]))
+    for _, share in shares:
+        sizes = [len(stack) for stack in verify._stacks(share)]
+        assert sizes == [3] * 5 + [share - 15]
+
+
+def test_a_chain_stack_whose_walks_all_fail_judges_nothing(monkeypatch):
+    # the first domain's one stack of two trials gets no walk in 30 tries
+    # each: the row fails on them and still judges the other domains' chains
+    calls = []
+    real = verify.walk_chain
+
+    def walk(dom, target):
+        calls.append(dom)
+        if len(calls) <= 60:
+            raise StepBoundError("step bound")
+        return real(dom, target)
+
+    monkeypatch.setattr(verify, "walk_chain", walk)
+    index = [name for name, _, _ in verify.SUITES].index("chain-transitivity")
+    row = verify.suite_row(verify.RunConfig(trials=2), index)
+    assert row["anchor"] == verify.SUITES[index][2]
+    assert row["passed"] is False and row["trials"] == 10
+    assert row["max_residual"] == 1.0
+
+
+# members and targets in reach that each trial of a row draws and judges
+DRAWS_PER_TRIAL = {
+    "symmetry-involution": (2, 0),
+    "symmetry-dual-route": (2, 0),
+    "midpoint-swap": (2, 0),
+    "affine-pair-fold": (3, 0),
+    "affine-transport": (1, 1),
+    "swap-involution": (1, 1),
+}
+
+
+def test_a_row_draws_only_the_members_it_judges(monkeypatch):
+    drawn = {}
+    real_members, real_target = sampling.sample_members, sampling.random_target_in_reach
+
+    def members(rng, dom, count, *args, **kwargs):
+        drawn["members"] += count
+        return real_members(rng, dom, count, *args, **kwargs)
+
+    def target(rng, dom):
+        drawn["targets"] += 1
+        return real_target(rng, dom)
+
+    monkeypatch.setattr(sampling, "sample_members", members)
+    monkeypatch.setattr(sampling, "random_target_in_reach", target)
+    config = verify.RunConfig()
+    for index, (name, _, _) in enumerate(verify.SUITES):
+        if name not in DRAWS_PER_TRIAL:
+            continue
+        drawn.update(members=0, targets=0)
+        row = verify.suite_row(config, index)
+        assert row["passed"], name
+        per_member, per_target = DRAWS_PER_TRIAL[name]
+        want = {"members": per_member * row["trials"], "targets": per_target * row["trials"]}
+        assert drawn == want, name
 
 
 # the rows whose suites judge their trials in stacks, as CHECK_BATCH bounds them

@@ -36,7 +36,7 @@ def test_sweep_at_one_seed_is_verify_without_elapsed():
 def test_sweep_reproduces_the_committed_runs_at_three_seeds():
     # seed 0 passes and seeds 3 and 37 fail chain-transitivity: the stream
     # and the bits of every row, against the committed sweep
-    committed = json.loads((ROOT / "SWEEP_32.json").read_text(encoding="utf-8"))
+    committed = json.loads((ROOT / "SWEEP_39.json").read_text(encoding="utf-8"))
     seeds = [0, 3, 37]
     want = [run for run in committed["runs"] if run["seed"] in seeds]
     assert load_sweep().sweep(seeds)["runs"] == want
