@@ -84,20 +84,16 @@ from .automorphisms import (
     transitive_chain,
 )
 from .circular import (
-    ExteriorAutoReport,
     HyperbolicSpec,
     HyperbolicTransport,
-    IsometryReport,
     ProductTransport,
     SiegelLinearAuto,
     SiegelSpec,
     SpaceLinearMap,
     cayley_map,
-    exterior_linear_auto_check,
     exterior_member,
     hyperbolic_member,
     hyperbolic_transitive,
-    isometry_inverse_identity_check,
     mobius_direct,
     mobius_map,
     product_member,

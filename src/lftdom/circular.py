@@ -2,13 +2,15 @@
 
 Four families live here: the Siegel-type domain I + Z1*Z1 < Z2*Z2 of stacked
 matrices with its validated maps Z -> L Z U and the Cayley-type involution;
-the exterior domain I < Z*Z inside a power algebra, with the inverse identity
-of linear isometries; the Mobius automorphisms of the unit operator ball; and
-the two transitive linear groups, one for the product-type stacked domain
-Z1*Z1 < Z2*Z2 and one for the hyperbolic vector domain (Jz, z) < 0.
+the exterior domain I < Z*Z inside a power algebra, with the linear maps of
+an operator space into itself; the Mobius automorphisms of the unit operator
+ball; and the two transitive linear groups, one for the product-type stacked
+domain Z1*Z1 < Z2*Z2 and one for the hyperbolic vector domain (Jz, z) < 0.
 
-A SiegelSpec or HyperbolicSpec takes its Tolerance once, when it is built, and
-every function on a spec judges with spec.tol.
+Nothing here draws: the sampled checks of the inverse identity of linear
+isometries and of exterior preservation live in verify. A SiegelSpec or
+HyperbolicSpec takes its Tolerance once, when it is built, and every function
+on a spec judges with spec.tol.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +30,6 @@ from .linalg import (
     DEFAULT_TOL, Tolerance, as_cmatrix, as_cstack, ball_roots, dagger, first_at_least,
     hermitian_margin, invert, operator_norm, principal_sqrt, singular_test, try_invert,
 )
-from .sampling import random_invertible_member, random_space_member
 
 
 # ---------------------------------------------------------------------------
@@ -189,103 +190,6 @@ class SpaceLinearMap:
     def __call__(self, z):
         coords = self.space.coordinates(z)
         return self.space.lincomb(self.matrix @ coords)
-
-
-@dataclass(frozen=True)
-class IsometryReport:
-    """Sampled evidence for the inverse identity of a linear isometry.
-
-    isometry_defect: largest | ||L(z)|| - ||z|| | over the norm samples.
-    unitary_defect: ||U*U - I|| for U = L(I).
-    max_identity_residual: largest ||L(z^-1) - U L(z)^-1 U|| over invertible
-    samples. trials counts the identity samples.
-    """
-
-    trials: int
-    isometry_defect: float
-    unitary_defect: float
-    max_identity_residual: float
-    u: np.ndarray
-
-
-def isometry_inverse_identity_check(space, images, rng, trials=100, tol=DEFAULT_TOL):
-    """Check L(z^-1) = U L(z)^-1 U with U = L(I) on random invertible members.
-
-    L is given by images, the list of images of the space's basis elements.
-    The isometry property is pre-checked on samples (a necessary condition
-    only); a detected norm change rejects the map. U must be invertible.
-    """
-    if not space.is_square:
-        raise ShapeError("the inverse identity needs a square space")
-    lmap = SpaceLinearMap(space, images, tol)
-    eye = np.eye(space.dim_h, dtype=complex)
-    if not space.contains(eye, tol):
-        raise SpaceClosureError("the space does not contain the identity")
-
-    iso_defect = 0.0
-    for _ in range(trials):
-        z = random_space_member(rng, space)
-        defect = abs(operator_norm(lmap(z)) - operator_norm(z))
-        iso_defect = max(iso_defect, defect)
-        if defect > tol.eq_tol * (1.0 + operator_norm(z)):
-            raise HypothesisError(
-                f"the map changes a sampled norm by {defect:.3g}; not an isometry"
-            )
-
-    u = lmap(eye)
-    invert(u, tol, "L(I) is singular")
-    unitary_defect = float(operator_norm(u.conj().T @ u - eye))
-
-    worst = 0.0
-    for _ in range(trials):
-        z, z_inv = random_invertible_member(rng, space, tol)
-        lhs = lmap(z_inv)
-        rhs = u @ invert(lmap(z), tol, "L(z) is singular") @ u
-        worst = max(worst, float(operator_norm(lhs - rhs)))
-    return IsometryReport(
-        trials=trials,
-        isometry_defect=float(iso_defect),
-        unitary_defect=unitary_defect,
-        max_identity_residual=worst,
-        u=u,
-    )
-
-
-@dataclass(frozen=True)
-class ExteriorAutoReport:
-    """Sampled evidence that an isometry preserves the exterior domain."""
-
-    trials: int
-    preserved: int
-    min_image_margin: float
-
-
-def exterior_linear_auto_check(space, images, rng, trials=100, tol=DEFAULT_TOL):
-    """Confirm on samples that the map L with basis images ``images`` keeps I < Z*Z."""
-    lmap = SpaceLinearMap(space, images, tol)
-    preserved = 0
-    margin = np.inf
-    done = 0
-    attempts = 0
-    while done < trials and attempts < 50 * trials:
-        attempts += 1
-        z = random_space_member(rng, space)
-        smin = float(singular_test(z, tol)[0])
-        if smin < 1e-8:
-            continue
-        target = rng.uniform(1.05, 2.0)
-        z = (target / smin) * z
-        if not exterior_member(space, z, tol):
-            continue
-        done += 1
-        image = lmap(z)
-        image_smin = float(singular_test(image, tol)[0])
-        margin = min(margin, image_smin - 1.0)
-        if exterior_member(space, image, tol):
-            preserved += 1
-    if done < trials:
-        raise InternalCheckError("could not sample enough exterior members")
-    return ExteriorAutoReport(trials=done, preserved=preserved, min_image_margin=float(margin))
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def random_invertible_member(rng, space, tol=DEFAULT_TOL):
     raise InternalCheckError("could not sample an invertible member")
 
 
-def sample_members(rng, dom, count, scale=1.0, margin=0.0):
+def sample_members(rng, dom, count, margin=0.0):
     """``count`` members whose denominator clears ``margin``, as a (count, k, h) stack.
 
     The members, and the stream left behind, are exactly those of ``count``
@@ -74,7 +74,7 @@ def sample_members(rng, dom, count, scale=1.0, margin=0.0):
     while got < count:
         size = min(count - got, DOMAIN_ATTEMPTS - misses)
         draws = rng.uniform(-1.0, 1.0, (size, 2, space.dim))
-        zs = space.lincomb(scale * (draws[:, 0] + 1j * draws[:, 1]))
+        zs = space.lincomb(draws[:, 0] + 1j * draws[:, 1])
         verdicts, smin = dom.membership_margin(zs)
         hits = np.flatnonzero((verdicts == Verdict.MEMBER) & (smin > margin))
         members[got : got + hits.size] = zs[hits]
@@ -85,9 +85,9 @@ def sample_members(rng, dom, count, scale=1.0, margin=0.0):
     return members
 
 
-def random_domain_member(rng, dom, scale=1.0, margin=0.0):
+def random_domain_member(rng, dom, margin=0.0):
     """Rejection-sample a member whose denominator clears the given margin: ``sample_members`` of one."""
-    return sample_members(rng, dom, 1, scale, margin)[0]
+    return sample_members(rng, dom, 1, margin)[0]
 
 
 def random_ball_point(rng, rows, cols, max_norm=0.9):
@@ -211,8 +211,3 @@ def sample_pg_members(rng, e, count, tol=DEFAULT_TOL):
         got += len(hits)
         drawn += size
     return members
-
-
-def random_pg_member(rng, e, tol=DEFAULT_TOL):
-    """One member of Z*JZ < J, J = I - 2E, with EZ + I - E invertible: ``sample_pg_members`` of one."""
-    return sample_pg_members(rng, e, 1, tol)[0]

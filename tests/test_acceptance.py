@@ -33,7 +33,6 @@ from lftdom.circular import (
     cayley_map,
     hyperbolic_member,
     hyperbolic_transitive,
-    isometry_inverse_identity_check,
     mobius_map,
     product_transitive,
     siegel_linear_auto,
@@ -44,7 +43,7 @@ from lftdom.domains import Domain, Verdict, det_membership, lft_apply
 from lftdom.exceptions import LftdomError, PathLeavesDomainError, StepBoundError
 from lftdom.linalg import DEFAULT_TOL, operator_norm, try_invert
 from lftdom.spaces import full_space
-from lftdom.verify import RunConfig, example_domains
+from lftdom.verify import RunConfig, example_domains, isometry_identity_residuals
 
 TOL = DEFAULT_TOL
 
@@ -68,7 +67,7 @@ def lambda_grid():
     return [r * np.exp(1j * t) for r in radii for t in angles]
 
 
-def test_criterion_1_symmetry_suite():
+def test_criterion_1_symmetry_suite(scaled_member):
     rng = np.random.default_rng(101)
     domains = reference_domains()
     worst_involution = 0.0
@@ -79,7 +78,7 @@ def test_criterion_1_symmetry_suite():
     for i in range(200):
         dom = domains[i % len(domains)]
         y = samp.random_domain_member(rng, dom, margin=0.1)
-        z = samp.random_domain_member(rng, dom, scale=0.5, margin=0.05)
+        z = scaled_member(rng, dom, 0.5, 0.05)
         u = symmetry_map(dom, y)
         uz = lft_apply(u, z)
         back = lft_apply(u, uz)
@@ -241,7 +240,7 @@ def test_criterion_4_potapov_ginzburg():
         u = potapov_ginzburg_map(e, TOL)
         j = signature_from_projection(e)
         for _ in range(100):
-            z = samp.random_pg_member(rng, e, TOL)
+            z = samp.sample_pg_members(rng, e, 1, TOL)[0]
             assert form_margin(z, j) > 0.0
             image = lft_apply(u, z)
             min_ball = min(min_ball, ball_margin(image))
@@ -350,8 +349,8 @@ def test_criterion_7_circular_suite():
     q = samp.random_unitary(rng, 2)
     worst_isometry = 0.0
     for images in ([p @ b @ q for b in space.basis], [b.T.copy() for b in space.basis]):
-        rep = isometry_inverse_identity_check(space, images, rng, trials=100, tol=TOL)
-        worst_isometry = max(worst_isometry, rep.max_identity_residual)
+        _, residuals = isometry_identity_residuals(space, images, rng, 100, TOL)
+        worst_isometry = max(worst_isometry, residuals.max())
     assert worst_isometry <= 1e-10
 
     worst_center = 0.0

@@ -56,9 +56,9 @@ from lftdom.verify import RunConfig, _lambda_grid, example_domains
 from lftdom.sampling import (
     random_domain_member,
     random_matrix,
-    random_pg_member,
     random_target_in_reach,
     sample_members,
+    sample_pg_members,
 )
 
 
@@ -403,7 +403,7 @@ def test_stacked_chain_apply_drops_a_probe_that_dies_at_a_middle_factor():
         chain.apply(np.stack([probes, probes]))
 
 
-def test_chain_residual_is_the_frozen_factor_loop_bit_for_bit():
+def test_chain_residual_is_the_frozen_factor_loop_bit_for_bit(scaled_member):
     # the residual loop transitive_chain ran before it took chain.apply
     def frozen_residual(chain):
         dom, reached = chain.domain, chain.domain.z0
@@ -418,7 +418,7 @@ def test_chain_residual_is_the_frozen_factor_loop_bit_for_bit():
     assert doms[-2].label == "quadric" and doms[-1].space.shape == (3, 1)
     for dom in doms:
         for scale in (0.5, 1.0, 2.0):
-            chain = transitive_chain(dom, random_domain_member(rng, dom, scale=scale, margin=0.05))
+            chain = transitive_chain(dom, scaled_member(rng, dom, scale, 0.05))
             assert chain.residual.hex() == frozen_residual(chain).hex()
     dom = invertibles_domain(full_space(2, 2))
     path = [dom.z0, np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[2.0, 1.0], [0.5, 1.0]])]
@@ -1119,7 +1119,7 @@ def test_stacked_margins_are_the_margins_of_each_item():
     rng = np.random.default_rng(82)
     e = np.diag([1.0, 0.0]).astype(complex)
     j = signature_from_projection(e)
-    z = np.stack([random_pg_member(rng, e) for _ in range(4)])
+    z = np.stack([sample_pg_members(rng, e, 1)[0] for _ in range(4)])
     assert ball_margin(z).tolist() == [ball_margin(item) for item in z]
     assert form_margin(z, j).tolist() == [form_margin(item, j) for item in z]
 
@@ -1193,7 +1193,7 @@ def test_potapov_ginzburg_exchanges_form_set_and_ball():
         u = potapov_ginzburg_map(e)
         j = signature_from_projection(e)
         for _ in range(20):
-            z = random_pg_member(rng, e)
+            z = sample_pg_members(rng, e, 1)[0]
             assert form_margin(z, j) > 0
             image = u(z)
             assert ball_margin(image) > 0
@@ -1214,7 +1214,7 @@ def test_signed_contraction_sampler_validates_its_signature_once(monkeypatch):
     rng = np.random.default_rng(57)
     for _ in range(10):
         scans.clear()
-        random_pg_member(rng, np.diag([1.0, 0.0]).astype(complex))
+        sample_pg_members(rng, np.diag([1.0, 0.0]).astype(complex), 1)
         # building j scans e; the proposals are drawn finite and not scanned
         assert len(scans) == 1
 

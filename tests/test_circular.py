@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lftdom import circular, linalg
+from lftdom import circular, linalg, verify
 from lftdom import (
+    DEFAULT_TOL,
     HyperbolicSpec,
     HypothesisError,
+    OperatorSpace,
+    RunConfig,
     ShapeError,
     SiegelSpec,
     SingularMatrixError,
@@ -20,12 +23,10 @@ from lftdom import (
     Tolerance,
     cayley_map,
     diagonal_space,
-    exterior_linear_auto_check,
     exterior_member,
     full_space,
     hyperbolic_member,
     hyperbolic_transitive,
-    isometry_inverse_identity_check,
     mobius_direct,
     mobius_map,
     operator_norm,
@@ -47,6 +48,7 @@ from lftdom.sampling import (
     random_siegel_member,
     random_unitary,
 )
+from lftdom.verify import isometry_identity_residuals
 
 
 def random_j_unitary(rng, spec, scale=0.4):
@@ -185,27 +187,34 @@ def test_inverse_identity_for_sandwich_isometries():
     p = random_unitary(rng, 3)
     q = random_unitary(rng, 3)
     images = [p @ b @ q for b in space.basis]
-    report = isometry_inverse_identity_check(space, images, rng, trials=50)
-    assert report.max_identity_residual <= 1e-10
-    assert report.unitary_defect <= 1e-9
-    assert operator_norm(report.u - p @ q) <= 1e-10
+    unitary_defect, residuals = isometry_identity_residuals(space, images, rng, 50, DEFAULT_TOL)
+    assert residuals.shape == (50,)
+    assert residuals.max() <= 1e-10
+    assert unitary_defect <= 1e-9
+    assert operator_norm(SpaceLinearMap(space, images)(np.eye(3)) - p @ q) <= 1e-10
 
 
 def test_inverse_identity_for_the_transpose():
     rng = np.random.default_rng(66)
     space = full_space(3, 3)
     images = [b.T for b in space.basis]
-    report = isometry_inverse_identity_check(space, images, rng, trials=50)
-    assert report.max_identity_residual <= 1e-10
-    assert operator_norm(report.u - np.eye(3)) <= 1e-12
+    _, residuals = isometry_identity_residuals(space, images, rng, 50, DEFAULT_TOL)
+    assert residuals.max() <= 1e-10
+    assert operator_norm(SpaceLinearMap(space, images)(np.eye(3)) - np.eye(3)) <= 1e-12
 
 
 def test_inverse_identity_rejects_non_isometries():
     rng = np.random.default_rng(67)
     space = full_space(2, 2)
     images = [2 * b for b in space.basis]
-    with pytest.raises(HypothesisError):
-        isometry_inverse_identity_check(space, images, rng, trials=10)
+    with pytest.raises(HypothesisError, match="not an isometry"):
+        isometry_identity_residuals(space, images, rng, 10, DEFAULT_TOL)
+    with pytest.raises(ShapeError):
+        isometry_identity_residuals(full_space(2, 3), full_space(2, 3).basis, rng, 10, DEFAULT_TOL)
+    # strictly upper triangular matrices: a square space without I
+    nilpotent = OperatorSpace(2, 2, [np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(SpaceClosureError, match="identity"):
+        isometry_identity_residuals(nilpotent, nilpotent.basis, rng, 10, DEFAULT_TOL)
 
 
 def test_inverse_identity_requires_invertible_unit_image():
@@ -214,19 +223,28 @@ def test_inverse_identity_requires_invertible_unit_image():
     e11, e12, e21, e22 = space.basis
     # swap E11 and E12: invertible on the space, but L(I) = E12 + E22 is singular
     images = [e12, e11, e21, e22]
-    with pytest.raises(SingularMatrixError):
-        isometry_inverse_identity_check(space, images, rng, trials=0)
+    with pytest.raises(SingularMatrixError, match="L\\(I\\) is singular"):
+        isometry_identity_residuals(space, images, rng, 0, DEFAULT_TOL)
 
 
 def test_exterior_auto_check_with_unitary_sandwich():
-    rng = np.random.default_rng(69)
-    space = full_space(2, 2)
-    p = random_unitary(rng, 2)
-    q = random_unitary(rng, 2)
-    images = [p @ b @ q for b in space.basis]
-    report = exterior_linear_auto_check(space, images, rng, trials=50)
-    assert report.preserved == report.trials == 50
-    assert report.min_image_margin > 0
+    # the exterior-isometry row: per map, trials identity residuals, the
+    # unitary defect, and two checks on each of trials exterior members
+    track = verify._Tracker()
+    assert verify.suite_exterior(RunConfig(trials=50), np.random.default_rng(69), track) == 100
+    assert track.ok
+    assert track.count == 2 * (50 + 1 + 2 * 50)
+
+
+def test_exterior_row_stops_after_its_attempt_cap(monkeypatch):
+    # no proposal is exterior: the row gives up after 50 * trials attempts
+    monkeypatch.setattr(verify, "exterior_member", lambda space, z, tol: False)
+    index = [name for name, _, _ in verify.SUITES].index("exterior-isometry")
+    row = verify.suite_row(RunConfig(trials=3), index)
+    assert row["anchor"] == (
+        "suite aborted: InternalCheckError: could not sample enough exterior members"
+        " (in suite_exterior, verify.py)"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from lftdom import (
     circular,
     domains,
     full_space,
+    invertibles_domain,
     jsonio,
     linalg,
     sampling,
@@ -310,6 +311,21 @@ def test_usage_errors_exit_two(capsys):
     assert main(["verify", "--tol", "1e-15"]) == 2
     err = capsys.readouterr().err
     assert "usage error:" in err and "at least 1e-14" in err
+
+
+
+def test_only_verify_refuses_a_tol_below_min_tol(tmp_path, capsys):
+    # the floor is where verify's pinned bounds meet rounding; a demo or a
+    # chain judges with whatever tolerance in (0, 1) it is given
+    assert main(["demo", "0", "--tol", "1e-15"]) == 0
+    dom_file, target_file = tmp_path / "dom.json", tmp_path / "target.json"
+    write_text(dom_file, jsonio.dumps(jsonio.domain_to_obj(invertibles_domain(full_space(2, 2)))))
+    write_text(target_file, jsonio.matrix_dumps(np.diag([2.0, 0.5])))
+    for tol in ("1e-15", "1e-16", "1e-300"):
+        assert main(["transit", str(dom_file), str(target_file), "--tol", tol]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--tol", "1e-15"]) == 2
+    assert "at least 1e-14" in capsys.readouterr().err
 
 
 def test_flags_belong_to_the_subcommand(capsys):

@@ -32,11 +32,11 @@ def test_verify_report_file_is_the_standard_library_text(tmp_path, capsys):
         jsonio.dumps(report)
 
 
-def test_dumps_matches_on_chain_objects():
+def test_dumps_matches_on_chain_objects(scaled_member):
     rng = np.random.default_rng(15)
     doms = example_domains(RunConfig()) + [quadric_domain(4).domain]
     for dom in doms:
-        chain = transitive_chain(dom, random_domain_member(rng, dom, scale=0.5, margin=0.05))
+        chain = transitive_chain(dom, scaled_member(rng, dom, 0.5, 0.05))
         obj = jsonio.chain_to_obj(chain)
         factors = [jsonio.matrix_to_obj(f.coefficient_matrix()) for f in chain.factors]
         assert [f["M"] for f in obj["factors"]] == factors
@@ -101,13 +101,13 @@ def test_chain_dumps_writes_the_bytes_of_the_standard_library(chain):
     assert_chain_text(chain)
 
 
-def test_chain_dumps_matches_on_real_chains():
+def test_chain_dumps_matches_on_real_chains(scaled_member):
     rng = np.random.default_rng(17)
     doms = example_domains(RunConfig()) + [quadric_domain(4).domain]
     doms += [example_domains(RunConfig(dim_k=k, dim_h=h))[0] for k, h in ((3, 1), (1, 3))]
     shapes = set()
     for dom in doms:
-        chain = transitive_chain(dom, random_domain_member(rng, dom, scale=0.5, margin=0.05))
+        chain = transitive_chain(dom, scaled_member(rng, dom, 0.5, 0.05))
         assert_chain_text(chain)
         shapes.add(dom.space.shape)
     assert {(2, 2), (4, 4), (3, 1), (1, 3)} <= shapes

@@ -354,6 +354,23 @@ def test_no_module_reads_or_sets_a_generator_state():
     assert sites == []
 
 
+
+def test_only_the_samplers_and_verify_take_a_generator():
+    # circular computes and does not draw: the sampled checks of its
+    # isometries and exterior maps run in verify
+    tree = ast.parse((PACKAGE / "circular.py").read_text(encoding="utf-8"))
+    modules = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    assert [m for m in modules if m.split(".")[-1] == "sampling"] == []
+    takers = [
+        (name, node.name)
+        for name, _, node in package_nodes()
+        if isinstance(node, ast.FunctionDef)
+        and "rng" in [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+    ]
+    assert {name for name, _ in takers} == {"sampling.py", "verify.py"}, takers
+
+
 # Point evaluations, the command line's usage and input errors and the
 # hyperbolic demo, then one square root, in an interpreter that has imported
 # nothing yet.
